@@ -9,6 +9,7 @@ number or offending key.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field, replace
 from typing import IO, Mapping
 
@@ -24,6 +25,9 @@ ALL_LAYERS: frozenset[Layer] = frozenset(LAYER_ORDER)
 _POLICY_ALIASES = {
     "wg": PolicyId.WEIGHT_GREEDY,
 }
+
+# How per-layer config keys name each layer (the edge_dc layer is "edge").
+_KEY_LAYER = {Layer.MIST: "mist", Layer.EDGE_DC: "edge", Layer.CLOUD: "cloud"}
 
 
 @dataclass(frozen=True)
@@ -97,12 +101,9 @@ def _parse_int(value: str) -> int:
 
 def _parse_float(value: str) -> float:
     try:
-        out = float(value)
+        return float(value)
     except ValueError:
         raise ConfigurationError(f"expected a number, got {value!r}") from None
-    if out != out:  # NaN
-        raise ConfigurationError("NaN is not a valid config value")
-    return out
 
 
 def _parse_bool(value: str) -> bool:
@@ -198,13 +199,16 @@ def build_config(overrides: Mapping[str, object]) -> SimulationConfig:
 
     constellation = base.constellation
     altitude = dict(constellation.altitude_by_layer)
-    for key, layer in (
-        ("mist_altitude_m", Layer.MIST),
-        ("edge_altitude_m", Layer.EDGE_DC),
-        ("cloud_altitude_m", Layer.CLOUD),
-    ):
-        if key in o:
-            altitude[layer] = o.pop(key)
+    ranges = dict(base.link.range_by_layer)
+    profiles = dict(base.profiles)
+    for layer, name in _KEY_LAYER.items():
+        if f"{name}_altitude_m" in o:
+            altitude[layer] = o.pop(f"{name}_altitude_m")
+        if f"range_{name}_m" in o:
+            ranges[layer] = o.pop(f"range_{name}_m")
+        if f"{name}_mips" in o:
+            profiles[layer] = replace(profiles[layer], mips=o.pop(f"{name}_mips"))
+
     constellation = replace(
         constellation,
         mist=o.pop("mist", constellation.mist),
@@ -214,32 +218,16 @@ def build_config(overrides: Mapping[str, object]) -> SimulationConfig:
         altitude_by_layer=altitude,
         rng_seed=o.get("seed", base.seed),
     )
-
-    ranges = dict(base.link.range_by_layer)
-    for key, layer in (
-        ("range_mist_m", Layer.MIST),
-        ("range_edge_m", Layer.EDGE_DC),
-        ("range_cloud_m", Layer.CLOUD),
-    ):
-        if key in o:
-            ranges[layer] = o.pop(key)
-    try:
-        link = LinkParams(
-            bandwidth_bps=o.pop("bandwidth_bps", base.link.bandwidth_bps),
-            propagation_speed_mps=o.pop("speed_mps", base.link.propagation_speed_mps),
-            range_by_layer=ranges,
-        )
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from None
-
-    try:
-        radio = RadioParams(
-            e_elec=o.pop("e_elec", base.radio.e_elec),
-            eps_fs=o.pop("eps_fs", base.radio.eps_fs),
-            eps_mp=o.pop("eps_mp", base.radio.eps_mp),
-        )
-    except ValueError as exc:
-        raise ConfigurationError(str(exc)) from None
+    link = LinkParams(
+        bandwidth_bps=o.pop("bandwidth_bps", base.link.bandwidth_bps),
+        propagation_speed_mps=o.pop("speed_mps", base.link.propagation_speed_mps),
+        range_by_layer=ranges,
+    )
+    radio = RadioParams(
+        e_elec=o.pop("e_elec", base.radio.e_elec),
+        eps_fs=o.pop("eps_fs", base.radio.eps_fs),
+        eps_mp=o.pop("eps_mp", base.radio.eps_mp),
+    )
 
     task = TaskProfile(
         rate_per_min=o.pop("rate_per_min", base.task.rate_per_min),
@@ -249,15 +237,6 @@ def build_config(overrides: Mapping[str, object]) -> SimulationConfig:
         max_latency_s=o.pop("max_latency_s", base.task.max_latency_s),
         rate_is_global=o.pop("rate_is_global", base.task.rate_is_global),
     )
-
-    profiles = dict(base.profiles)
-    for key, layer in (
-        ("mist_mips", Layer.MIST),
-        ("edge_mips", Layer.EDGE_DC),
-        ("cloud_mips", Layer.CLOUD),
-    ):
-        if key in o:
-            profiles[layer] = replace(profiles[layer], mips=o.pop(key))
 
     config = SimulationConfig(
         duration_s=o.pop("duration_s", base.duration_s),
@@ -279,55 +258,69 @@ def build_config(overrides: Mapping[str, object]) -> SimulationConfig:
 
 
 def validate(config: SimulationConfig) -> None:
-    """Reject semantically invalid configurations before any event runs."""
-    def bad(message: str) -> ConfigurationError:
-        return ConfigurationError(message)
+    """Reject semantically invalid configurations before any event runs.
 
-    if config.duration_s <= 0:
-        raise bad(f"simulation.duration_s must be positive, got {config.duration_s}")
-    if config.tick_s <= 0:
-        raise bad(f"simulation.tick_s must be positive, got {config.tick_s}")
-    c = config.constellation
+    This is the only place config values are checked: the parameter
+    dataclasses, the node builder and the per-event functions trust them.
+    """
+    c, link, task = config.constellation, config.link, config.task
+    per_layer = {
+        "constellation.altitude_by_layer": c.altitude_by_layer,
+        "link.range_by_layer": link.range_by_layer,
+        "profiles": config.profiles,
+    }
+    for name, mapping in per_layer.items():
+        missing = [layer.value for layer in LAYER_ORDER if layer not in mapping]
+        if missing:
+            raise ConfigurationError(f"{name} has no entry for {', '.join(missing)}")
+
+    positive = {
+        "simulation.duration_s": config.duration_s,
+        "simulation.tick_s": config.tick_s,
+        "link.bandwidth_bps": link.bandwidth_bps,
+        "link.speed_mps": link.propagation_speed_mps,
+        "radio.e_elec": config.radio.e_elec,
+        "radio.eps_fs": config.radio.eps_fs,
+        "radio.eps_mp": config.radio.eps_mp,
+        "task.length_mi": task.length_mi,
+        "task.max_latency_s": task.max_latency_s,
+        "policy.tradeoff_cloud_weight": config.tradeoff_cloud_weight,
+    }
+    for layer, name in _KEY_LAYER.items():
+        positive[f"link.range_{name}_m"] = link.range_by_layer[layer]
+        positive[f"vm.{name}_mips"] = config.profiles[layer].mips
+    non_negative = {
+        "task.rate_per_min": task.rate_per_min,
+        "task.input_bits": task.input_bits,
+        "task.output_bits": task.output_bits,
+    }
+    altitudes = {
+        f"orbit.{name}_altitude_m": c.altitude_by_layer[layer]
+        for layer, name in _KEY_LAYER.items()
+    }
+    for name, value in {**positive, **non_negative, **altitudes}.items():
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, not NaN or infinite, got {value}")
+    for name, value in positive.items():
+        if value <= 0:
+            raise ConfigurationError(f"{name} must be positive, got {value}")
+    for name, value in non_negative.items():
+        if value < 0:
+            raise ConfigurationError(f"{name} must be non-negative, got {value}")
+    for name, value in altitudes.items():
+        if value < MIN_ALTITUDE_M:
+            raise ConfigurationError(f"{name} must be >= {MIN_ALTITUDE_M:.0f} m, got {value}")
+
     if c.mist < 0 or c.edge_dc < 0 or c.cloud < 0:
-        raise bad("satellite counts must be non-negative")
+        raise ConfigurationError("satellite counts must be non-negative")
     if c.total < 1:
-        raise bad("constellation needs at least one satellite")
+        raise ConfigurationError("constellation needs at least one satellite")
     if c.planes < 1:
-        raise bad("constellation planes must be >= 1")
-    for layer in LAYER_ORDER:
-        altitude = c.altitude_by_layer[layer]
-        if altitude < MIN_ALTITUDE_M:
-            raise bad(
-                f"{layer.value} altitude must be >= {MIN_ALTITUDE_M:.0f} m, got {altitude}"
-            )
-    if config.link.bandwidth_bps <= 0:
-        raise bad(f"link.bandwidth_bps must be positive, got {config.link.bandwidth_bps}")
-    if config.link.propagation_speed_mps <= 0:
-        raise bad(f"link.speed_mps must be positive, got {config.link.propagation_speed_mps}")
-    for layer in LAYER_ORDER:
-        if config.link.range_by_layer[layer] <= 0:
-            raise bad(f"{layer.value} range must be positive")
-    if config.radio.e_elec < 0 or config.radio.eps_fs <= 0 or config.radio.eps_mp <= 0:
-        raise bad("radio constants must be positive")
-    t = config.task
-    if t.rate_per_min < 0:
-        raise bad(f"task.rate_per_min must be non-negative, got {t.rate_per_min}")
-    if t.length_mi <= 0:
-        raise bad(f"task.length_mi must be positive, got {t.length_mi}")
-    if t.input_bits < 0 or t.output_bits < 0:
-        raise bad("task input/output bits must be non-negative")
-    if t.max_latency_s <= 0:
-        raise bad(f"task.max_latency_s must be positive, got {t.max_latency_s}")
-    for layer in LAYER_ORDER:
-        profile = config.profiles[layer]
-        if profile.mips <= 0:
-            raise bad(f"{layer.value} mips must be positive")
-        if profile.vms_per_satellite < 1:
-            raise bad("vms_per_satellite must be >= 1")
+        raise ConfigurationError("constellation planes must be >= 1")
+    if any(config.profiles[layer].vms_per_satellite < 1 for layer in LAYER_ORDER):
+        raise ConfigurationError("vms_per_satellite must be >= 1")
     if not config.architecture:
-        raise bad("architecture.layers needs at least one layer")
-    if config.tradeoff_cloud_weight <= 0:
-        raise bad("policy.tradeoff_cloud_weight must be positive")
+        raise ConfigurationError("architecture.layers needs at least one layer")
 
 
 def load_config_file(path) -> SimulationConfig:

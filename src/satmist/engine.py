@@ -32,7 +32,7 @@ from .netenergy import (
     tx_energy,
 )
 from .orbital import OrbitPositions, build_constellation
-from .orchestrate import CandidateView, PlacementError, PolicyId, select
+from .orchestrate import CandidateView, PlacementError, select
 
 
 class TaskState(str, Enum):
@@ -252,7 +252,6 @@ class Simulation:
             return
         vm_index = sel.vm_id
         vm = self.vms[vm_index]
-        vm.assigned_count += 1
         self._view.assigned[vm_index] += 1
         self._per_layer[vm.host_layer] += 1
         task.assigned_vm = vm_index

@@ -12,7 +12,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import ConfigurationError
 from .layers import Layer
 from .orbital import OrbitalElements
 
@@ -44,8 +43,7 @@ class Vm:
 
     busy_until is the time the last accepted task finishes;
     busy_time_total accrues executed seconds (optionally clipped to a
-    horizon so utilization never exceeds the observation window);
-    assigned_count is maintained by the orchestration layer, not here.
+    horizon so utilization never exceeds the observation window).
     """
 
     __slots__ = (
@@ -56,12 +54,9 @@ class Vm:
         "queue",
         "busy_until",
         "busy_time_total",
-        "assigned_count",
     )
 
     def __init__(self, vm_id: int, host_satellite: int, host_layer: Layer, mips: float):
-        if mips <= 0:
-            raise ConfigurationError(f"vm mips must be positive, got {mips}")
         self.id = vm_id
         self.host_satellite = host_satellite
         self.host_layer = host_layer
@@ -69,7 +64,6 @@ class Vm:
         self.queue: deque[int] = deque()
         self.busy_until = 0.0
         self.busy_time_total = 0.0
-        self.assigned_count = 0
 
     def enqueue(self, task_id: int, now: float, exec_seconds: float, horizon: float | None = None) -> float:
         """Accept a task and return its execution completion time.
@@ -77,8 +71,6 @@ class Vm:
         With a horizon, only the part of the service interval inside
         [0, horizon] counts toward busy_time_total.
         """
-        if exec_seconds < 0:
-            raise ValueError(f"exec_seconds must be non-negative, got {exec_seconds}")
         start = max(now, self.busy_until)
         completion = start + exec_seconds
         self.queue.append(task_id)
@@ -112,8 +104,6 @@ def build_nodes(
     vms: list[Vm] = []
     for sat_id, (layer, _elements) in enumerate(layered_elements):
         profile = profiles[layer]
-        if profile.vms_per_satellite < 1:
-            raise ConfigurationError("vms_per_satellite must be >= 1")
         ids = []
         for _ in range(profile.vms_per_satellite):
             vm = Vm(len(vms), sat_id, layer, profile.mips)

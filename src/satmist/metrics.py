@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .infra import Vm, utilization_pct
 from .layers import Layer
+from .netenergy import energy_db
 from .orchestrate import PolicyId
 
 CSV_COLUMNS = (
@@ -90,9 +90,7 @@ def avg_cpu(vms: Sequence[Vm], sim_duration_s: float) -> float:
 
 
 def energy_db_or_neg_inf(total_energy_j: float) -> float:
-    if total_energy_j > 0:
-        return 10.0 * math.log10(total_energy_j)
-    return float("-inf")
+    return energy_db(total_energy_j) if total_energy_j > 0 else float("-inf")
 
 
 def _format_float(value: float | None) -> str:

@@ -25,11 +25,6 @@ class RadioParams:
     eps_fs: float = 1e-11
     eps_mp: float = 1.3e-15
 
-    def __post_init__(self):
-        for name in ("e_elec", "eps_fs", "eps_mp"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-
     @property
     def crossover_m(self) -> float:
         """Distance where the free-space and multipath terms meet."""
@@ -53,17 +48,6 @@ class LinkParams:
         default_factory=lambda: dict(DEFAULT_RANGE_BY_LAYER)
     )
 
-    def __post_init__(self):
-        if self.bandwidth_bps <= 0:
-            raise ValueError(f"bandwidth_bps must be positive, got {self.bandwidth_bps}")
-        if self.propagation_speed_mps <= 0:
-            raise ValueError(
-                f"propagation_speed_mps must be positive, got {self.propagation_speed_mps}"
-            )
-        missing = [layer for layer in Layer if layer not in self.range_by_layer]
-        if missing:
-            raise ValueError(f"range_by_layer missing layers: {missing}")
-
 
 DEFAULT_RADIO = RadioParams()
 DEFAULT_LINK = LinkParams()
@@ -71,15 +55,11 @@ DEFAULT_LINK = LinkParams()
 
 def transmission_delay(bits: float, link: LinkParams = DEFAULT_LINK) -> float:
     """Seconds to serialize `bits` onto the link."""
-    if bits < 0:
-        raise ValueError(f"bits must be non-negative, got {bits}")
     return bits / link.bandwidth_bps
 
 
 def propagation_delay(distance_m: float, link: LinkParams = DEFAULT_LINK) -> float:
     """Seconds for the signal to cover `distance_m`."""
-    if distance_m < 0:
-        raise ValueError(f"distance_m must be non-negative, got {distance_m}")
     return distance_m / link.propagation_speed_mps
 
 
@@ -89,10 +69,6 @@ def tx_energy(bits: float, distance_m: float, radio: RadioParams = DEFAULT_RADIO
     Free-space amplification (d^2) below the crossover distance, multipath
     (d^4) at and beyond it.
     """
-    if bits < 0:
-        raise ValueError(f"bits must be non-negative, got {bits}")
-    if distance_m < 0:
-        raise ValueError(f"distance_m must be non-negative, got {distance_m}")
     d2 = distance_m * distance_m
     if distance_m < radio.crossover_m:
         return bits * (radio.e_elec + radio.eps_fs * d2)
@@ -101,8 +77,6 @@ def tx_energy(bits: float, distance_m: float, radio: RadioParams = DEFAULT_RADIO
 
 def rx_energy(bits: float, radio: RadioParams = DEFAULT_RADIO) -> float:
     """Joules to receive `bits`: electronics term only, distance-free."""
-    if bits < 0:
-        raise ValueError(f"bits must be non-negative, got {bits}")
     return bits * radio.e_elec
 
 
@@ -111,10 +85,3 @@ def energy_db(joules: float) -> float:
     if joules <= 0:
         raise ValueError(f"energy_db needs a positive energy, got {joules}")
     return 10.0 * math.log10(joules)
-
-
-def in_range(distance_m: float, layer: Layer, link: LinkParams = DEFAULT_LINK) -> bool:
-    """True when `distance_m` is within the layer's range, boundary inclusive."""
-    if distance_m < 0:
-        raise ValueError(f"distance_m must be non-negative, got {distance_m}")
-    return distance_m <= link.range_by_layer[layer]

@@ -151,21 +151,6 @@ class ConstellationSpec:
     phasing: Phasing = Phasing.WALKER_DELTA
     rng_seed: int = 1
 
-    def __post_init__(self):
-        if self.mist < 0 or self.edge_dc < 0 or self.cloud < 0:
-            raise ConfigurationError("satellite counts must be non-negative")
-        if self.total < 1:
-            raise ConfigurationError("constellation needs at least one satellite")
-        if self.planes < 1:
-            raise ConfigurationError("planes must be >= 1")
-        for layer in Layer:
-            if layer not in self.altitude_by_layer:
-                raise ConfigurationError(f"altitude_by_layer missing {layer.value}")
-            if self.altitude_by_layer[layer] < MIN_ALTITUDE_M:
-                raise ConfigurationError(
-                    f"{layer.value} altitude below the {MIN_ALTITUDE_M:.0f} m floor"
-                )
-
     def count_for(self, layer: Layer) -> int:
         return {Layer.MIST: self.mist, Layer.EDGE_DC: self.edge_dc, Layer.CLOUD: self.cloud}[layer]
 

@@ -1,13 +1,11 @@
-"""Task placement policies over snapshot candidate lists.
+"""Task placement policies over a snapshot of every VM.
 
-Each policy receives the same decision-time snapshot, one entry per VM in
-the constellation, and returns the selected VM. Infeasible candidates
-(layer disabled by the architecture mask, or farther than the layer's
-range) are never selected; score ties go to the lowest candidate index.
-
-Policies accept either a sequence of Candidate records or a CandidateView
-holding the same fields as parallel arrays; the engine feeds views so the
-hot path stays vectorized, and both forms run the identical arithmetic.
+Each policy receives the same decision-time CandidateView, one entry per
+VM in the constellation held as parallel arrays, and returns the selected
+VM. Infeasible candidates (layer disabled by the architecture mask, or
+farther than the layer's range) are never selected; score ties go to the
+lowest candidate index. CandidateView.from_candidates builds a view from
+a list of Candidate records.
 """
 
 from __future__ import annotations
@@ -29,8 +27,6 @@ __all__ = [
     "TaskInfo",
     "Selection",
     "PlacementError",
-    "feasible",
-    "standardize",
     "distance_only",
     "round_robin",
     "random_vm",
@@ -80,10 +76,9 @@ class TaskInfo(NamedTuple):
 
 @dataclass(frozen=True)
 class Selection:
-    """Chosen VM plus the policy-specific score it won with."""
+    """The chosen VM."""
 
     vm_id: int
-    score: float
 
 
 class PlacementError(RuntimeError):
@@ -127,21 +122,6 @@ class CandidateView:
         )
 
 
-def _coerce(cands) -> CandidateView:
-    if isinstance(cands, CandidateView):
-        return cands
-    if len(cands) == 0:
-        raise PlacementError("empty candidate list")
-    return CandidateView.from_candidates(cands)
-
-
-def feasible(cand: Candidate, task, architecture: frozenset[Layer] | set[Layer],
-             link: LinkParams = DEFAULT_LINK) -> bool:
-    """Layer enabled and candidate within that layer's range (inclusive)."""
-    del task  # feasibility is task-independent; kept for a uniform signature
-    return cand.host_layer in architecture and cand.distance_m <= link.range_by_layer[cand.host_layer]
-
-
 def _range_vector(link: LinkParams) -> np.ndarray:
     return np.array([link.range_by_layer[layer] for layer in LAYER_ORDER])
 
@@ -151,6 +131,7 @@ def _arch_vector(architecture) -> np.ndarray:
 
 
 def _feasible_mask(view: CandidateView, architecture, link: LinkParams) -> np.ndarray:
+    """Layer enabled and candidate within that layer's range (inclusive)."""
     mask = _arch_vector(architecture)[view.layer_codes]
     mask &= view.distances <= _range_vector(link)[view.layer_codes]
     return mask
@@ -168,55 +149,31 @@ def _pick_min(values: np.ndarray, idx: np.ndarray) -> int:
     return int(idx[np.argmin(values[idx])])
 
 
-def standardize(values: Sequence[float]) -> list[float]:
-    """Z-scores with the population standard deviation.
-
-    A zero-spread input maps to all zeros. Errors on an empty sequence.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("standardize needs at least one value")
-    return list(_zscores(arr))
-
-
-def _zscores(arr: np.ndarray) -> np.ndarray:
-    std = float(arr.std())
-    if std == 0.0:
-        return np.zeros(arr.shape)
-    return (arr - arr.mean()) / std
-
-
-def distance_only(cands, task, architecture, *, link: LinkParams = DEFAULT_LINK) -> Selection:
-    """Feasible candidate with the smallest standardized distance.
-
-    Standardization is a positive affine map, so the argmin is taken on
-    the raw distances (immune to variance underflow on extreme inputs);
-    the reported score is the winner's z-score over the full list.
-    """
-    view = _coerce(cands)
+def distance_only(view: CandidateView, task, architecture, *,
+                  link: LinkParams = DEFAULT_LINK) -> Selection:
+    """Nearest feasible candidate by raw distance."""
     idx = _feasible_indices(view, architecture, link)
-    chosen = _pick_min(view.distances, idx)
-    z = _zscores(view.distances)
-    return Selection(int(view.vm_ids[chosen]), float(z[chosen]))
+    return Selection(int(view.vm_ids[_pick_min(view.distances, idx)]))
 
 
-def round_robin(cands, task, architecture, *, link: LinkParams = DEFAULT_LINK) -> Selection:
+def round_robin(view: CandidateView, task, architecture, *,
+                link: LinkParams = DEFAULT_LINK) -> Selection:
     """Feasible candidate with the fewest assignments so far."""
-    view = _coerce(cands)
     idx = _feasible_indices(view, architecture, link)
-    chosen = _pick_min(view.assigned, idx)
-    return Selection(int(view.vm_ids[chosen]), float(view.assigned[chosen]))
+    return Selection(int(view.vm_ids[_pick_min(view.assigned, idx)]))
 
 
-def random_vm(cands, task, architecture, rng: random.Random, *,
+def random_vm(view: CandidateView, task, architecture, rng: random.Random, *,
               link: LinkParams = DEFAULT_LINK) -> Selection:
     """Uniform draw over all candidates, then forward cyclic scan to feasibility.
 
-    Exactly one RNG draw per call, so the outcome is a deterministic
-    function of (seed, call index, candidate list).
+    Exactly one RNG draw per call on a non-empty view and none on an empty
+    one, so the outcome is a deterministic function of (seed, call index,
+    view).
     """
-    view = _coerce(cands)
     n = len(view)
+    if n == 0:
+        raise PlacementError("no feasible candidate")
     drawn = rng.randrange(n)
     mask = _feasible_mask(view, architecture, link)
     if mask[drawn]:
@@ -227,26 +184,24 @@ def random_vm(cands, task, architecture, rng: random.Random, *,
             raise PlacementError("no feasible candidate")
         j = int(np.searchsorted(idx, drawn + 1))
         chosen = int(idx[j]) if j < idx.size else int(idx[0])
-    return Selection(int(view.vm_ids[chosen]), float(drawn))
+    return Selection(int(view.vm_ids[chosen]))
 
 
-def trade_off(cands, task, architecture, *, link: LinkParams = DEFAULT_LINK,
+def trade_off(view: CandidateView, task, architecture, *, link: LinkParams = DEFAULT_LINK,
               layer_weights: Mapping[Layer, float] = DEFAULT_TRADEOFF_LAYER_WEIGHTS) -> Selection:
     """Latency-proxy score mixing queue backlog, VM speed, and distance.
 
     score = layer_weight * (queue_len + 1) * length_mi / vm_mips
             + distance_m / propagation_speed
     """
-    view = _coerce(cands)
     idx = _feasible_indices(view, architecture, link)
     weights = np.array([layer_weights[layer] for layer in LAYER_ORDER])[view.layer_codes]
     score = weights * (view.queue_lens + 1.0) * task.length_mi / view.mips \
         + view.distances / link.propagation_speed_mps
-    chosen = _pick_min(score, idx)
-    return Selection(int(view.vm_ids[chosen]), float(score[chosen]))
+    return Selection(int(view.vm_ids[_pick_min(score, idx)]))
 
 
-def weight_greedy(cands, task, architecture, *, link: LinkParams = DEFAULT_LINK,
+def weight_greedy(view: CandidateView, task, architecture, *, link: LinkParams = DEFAULT_LINK,
                   radio: RadioParams = DEFAULT_RADIO,
                   ratios: Sequence[float] = WEIGHT_GREEDY_RATIOS) -> Selection:
     """Weighted sum of min-max normalized indicators, lowest score wins.
@@ -257,7 +212,6 @@ def weight_greedy(cands, task, architecture, *, link: LinkParams = DEFAULT_LINK,
     is normalized over the feasible set; a constant indicator contributes
     zeros.
     """
-    view = _coerce(cands)
     idx = _feasible_indices(view, architecture, link)
     d = view.distances[idx]
     q = view.queue_lens[idx]
@@ -270,9 +224,7 @@ def weight_greedy(cands, task, architecture, *, link: LinkParams = DEFAULT_LINK,
     )
     score = ratios[0] * _minmax(d) + ratios[1] * _minmax(cpu) \
         + ratios[2] * _minmax(q) + ratios[3] * _minmax(energy)
-    j = int(np.argmin(score))
-    chosen = int(idx[j])
-    return Selection(int(view.vm_ids[chosen]), float(score[j]))
+    return Selection(int(view.vm_ids[idx[int(np.argmin(score))]]))
 
 
 def _minmax(values: np.ndarray) -> np.ndarray:
@@ -283,22 +235,22 @@ def _minmax(values: np.ndarray) -> np.ndarray:
     return (values - lo) / span
 
 
-def select(policy: PolicyId, cands, task, architecture, *,
+def select(policy: PolicyId, view: CandidateView, task, architecture, *,
            rng: random.Random | None = None,
            link: LinkParams = DEFAULT_LINK,
            radio: RadioParams = DEFAULT_RADIO,
            layer_weights: Mapping[Layer, float] = DEFAULT_TRADEOFF_LAYER_WEIGHTS) -> Selection:
     """Dispatch to one of the five policies."""
     if policy is PolicyId.DISTANCE_ONLY:
-        return distance_only(cands, task, architecture, link=link)
+        return distance_only(view, task, architecture, link=link)
     if policy is PolicyId.ROUND_ROBIN:
-        return round_robin(cands, task, architecture, link=link)
+        return round_robin(view, task, architecture, link=link)
     if policy is PolicyId.TRADE_OFF:
-        return trade_off(cands, task, architecture, link=link, layer_weights=layer_weights)
+        return trade_off(view, task, architecture, link=link, layer_weights=layer_weights)
     if policy is PolicyId.RANDOM_VM:
         if rng is None:
             raise ValueError("random_vm needs an rng")
-        return random_vm(cands, task, architecture, rng, link=link)
+        return random_vm(view, task, architecture, rng, link=link)
     if policy is PolicyId.WEIGHT_GREEDY:
-        return weight_greedy(cands, task, architecture, link=link, radio=radio)
+        return weight_greedy(view, task, architecture, link=link, radio=radio)
     raise ValueError(f"unknown policy {policy!r}")

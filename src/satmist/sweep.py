@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -86,7 +87,10 @@ def _run_one(config: SimulationConfig) -> MetricsRecord:
 
 def run_sweep(spec: SweepSpec, base: SimulationConfig,
               parallel: int = 1) -> list[MetricsRecord]:
-    """Run the grid; optionally write CSV artifacts to spec.output_dir."""
+    """Run the grid; optionally write CSV artifacts to spec.output_dir.
+
+    At most min(parallel, number of runs, CPU count) worker processes run.
+    """
     if parallel < 1:
         raise ConfigurationError("parallel must be >= 1")
     configs = [
@@ -97,10 +101,11 @@ def run_sweep(spec: SweepSpec, base: SimulationConfig,
     ]
     for config in configs:
         validate(config)
-    if parallel == 1:
+    workers = min(parallel, len(configs), os.cpu_count() or 1)
+    if workers == 1:
         records = [_run_one(config) for config in configs]
     else:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_one, configs))
     if spec.output_dir is not None:
         write_outputs(spec, records)

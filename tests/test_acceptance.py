@@ -37,6 +37,7 @@ from satmist.orbital import (
 )
 from satmist.orchestrate import (
     Candidate,
+    CandidateView,
     PlacementError,
     PolicyId,
     TaskInfo,
@@ -260,6 +261,7 @@ def test_acceptance_06_oracle_equivalence(capsys):
             )
             for k in range(n)
         ]
+        view = CandidateView.from_candidates(cands)
         architecture = frozenset(rng.sample(layers, rng.randint(1, 3)))
         task = TaskInfo(rng.choice([10_000.0, 20_000.0]),
                         rng.choice([8e6, 1.6e9]))
@@ -276,7 +278,7 @@ def test_acceptance_06_oracle_equivalence(capsys):
             cands, architecture, link, Random(draw_seed).randrange(n))
         for policy, oracle_pick in oracle_picks.items():
             try:
-                selection = select(policy, cands, task, architecture,
+                selection = select(policy, view, task, architecture,
                                    rng=Random(draw_seed))
             except PlacementError:
                 agreements[policy] += oracle_pick is None

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import io
+import math
+from dataclasses import replace
 
 import pytest
 
@@ -13,8 +15,10 @@ from satmist.config import (
     validate,
 )
 from satmist.errors import ConfigurationError
+from satmist.infra import DEFAULT_PROFILES
 from satmist.layers import Layer
-from satmist.orbital import Phasing
+from satmist.netenergy import LinkParams, RadioParams
+from satmist.orbital import ConstellationSpec, Phasing
 from satmist.orchestrate import PolicyId
 
 
@@ -201,6 +205,73 @@ def test_empty_constellation_rejected():
 def test_nan_rejected():
     with pytest.raises(ConfigurationError, match="NaN"):
         parse_config("task.rate_per_min=nan\n")
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "simulation.duration_s=inf",
+        "task.rate_per_min=inf",
+        "link.range_mist_m=inf",
+        "link.range_edge_m=inf",
+        "link.range_cloud_m=inf",
+        "simulation.tick_s=inf",
+        "radio.eps_mp=-inf",
+        "task.input_bits=nan",
+    ],
+)
+def test_non_finite_values_rejected(line):
+    # parse only: the infinite horizons and rates never terminate if run
+    key = line.split("=")[0]
+    with pytest.raises(ConfigurationError, match=rf"{key} must be finite, not NaN or infinite"):
+        parse_config(line + "\n")
+
+
+def _with_profile(layer, **changes):
+    profiles = dict(DEFAULT_PROFILES)
+    profiles[layer] = replace(profiles[layer], **changes)
+    return profiles
+
+
+def _without(mapping, layer):
+    return {key: value for key, value in mapping.items() if key is not layer}
+
+
+# Configs built through the library, not parsed: validate alone must
+# reject each one, since the dataclass constructors check nothing.
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"duration_s": math.nan},
+        {"task": replace(SimulationConfig().task, length_mi=math.inf)},
+        {"radio": RadioParams(e_elec=0.0)},
+        {"radio": RadioParams(eps_fs=-1e-11)},
+        {"radio": RadioParams(eps_mp=0.0)},
+        {"link": LinkParams(bandwidth_bps=0.0)},
+        {"link": LinkParams(propagation_speed_mps=-1.0)},
+        {"link": LinkParams(range_by_layer=_without(LinkParams().range_by_layer, Layer.CLOUD))},
+        {"constellation": ConstellationSpec(mist=-1, edge_dc=2, cloud=0)},
+        {"constellation": ConstellationSpec(mist=0, edge_dc=0, cloud=0)},
+        {"constellation": ConstellationSpec(planes=0)},
+        {"constellation": ConstellationSpec(
+            altitude_by_layer=_without(ConstellationSpec().altitude_by_layer, Layer.EDGE_DC))},
+        {"constellation": ConstellationSpec(
+            altitude_by_layer={**ConstellationSpec().altitude_by_layer, Layer.MIST: 1e5})},
+        {"profiles": _with_profile(Layer.EDGE_DC, mips=0.0)},
+        {"profiles": _with_profile(Layer.MIST, mips=-100.0)},
+        {"profiles": _with_profile(Layer.CLOUD, vms_per_satellite=0)},
+        {"profiles": _without(DEFAULT_PROFILES, Layer.MIST)},
+    ],
+    ids=[
+        "duration=nan", "length=inf", "e_elec=0", "eps_fs<0", "eps_mp=0", "bandwidth=0", "speed<0", "range-missing-cloud",
+        "mist<0", "no-satellites", "planes=0", "altitude-missing-edge", "altitude<floor",
+        "edge-mips=0", "mist-mips<0", "vms_per_satellite=0", "profile-missing-mist",
+    ],
+)
+def test_validate_rejects_api_built_configs(changes):
+    config = replace(SimulationConfig(), **changes)
+    with pytest.raises(ConfigurationError):
+        validate(config)
 
 
 def test_build_config_rejects_unknown_fields():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from satmist.config import SimulationConfig, parse_config, validate
 from satmist.errors import ConfigurationError
 from satmist.infra import (
     DEFAULT_PROFILES,
@@ -80,15 +81,9 @@ def test_utilization_requires_positive_duration():
 
 
 def test_vm_rejects_non_positive_mips():
-    with pytest.raises(ConfigurationError):
-        make_vm(mips=0.0)
-    with pytest.raises(ConfigurationError):
-        make_vm(mips=-100.0)
-
-
-def test_enqueue_rejects_negative_exec_time():
-    with pytest.raises(ValueError):
-        make_vm().enqueue(0, 0.0, -1.0)
+    for line in ("vm.mist_mips=0", "vm.edge_mips=-100"):
+        with pytest.raises(ConfigurationError, match=line.split("=")[0]):
+            parse_config(line + "\n")
 
 
 def test_build_nodes_layout():
@@ -117,11 +112,10 @@ def test_build_nodes_multiple_vms_per_satellite():
 
 
 def test_build_nodes_rejects_zero_vms():
-    layered = build_constellation(ConstellationSpec(mist=1, edge_dc=0, cloud=0))
     profiles = dict(DEFAULT_PROFILES)
     profiles[Layer.MIST] = LayerProfile(mips=5_000.0, vms_per_satellite=0)
-    with pytest.raises(ConfigurationError):
-        build_nodes(layered, profiles)
+    with pytest.raises(ConfigurationError, match="vms_per_satellite"):
+        validate(SimulationConfig(profiles=profiles))
 
 
 @given(st.lists(st.tuples(st.floats(0, 1e4), st.floats(0, 100)), min_size=1, max_size=40))

@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from satmist.layers import Layer
+from satmist.config import parse_config
+from satmist.errors import ConfigurationError
 from satmist.netenergy import (
     DEFAULT_LINK,
     DEFAULT_RADIO,
-    LinkParams,
-    RadioParams,
     energy_db,
-    in_range,
     propagation_delay,
     rx_energy,
     transmission_delay,
@@ -90,43 +88,16 @@ def test_energy_db_rejects_non_positive():
         energy_db(-1.0)
 
 
-def test_in_range_boundary_inclusive():
-    assert in_range(3.2e7, Layer.MIST, DEFAULT_LINK)
-    assert not in_range(3.2e7 + 1, Layer.MIST, DEFAULT_LINK)
-    assert in_range(3.9e7, Layer.CLOUD, DEFAULT_LINK)
-    assert in_range(3.6e7, Layer.EDGE_DC, DEFAULT_LINK)
-    assert not in_range(3.6e7 + 1, Layer.EDGE_DC, DEFAULT_LINK)
-
-
-def test_negative_inputs_rejected():
-    with pytest.raises(ValueError):
-        transmission_delay(-1, DEFAULT_LINK)
-    with pytest.raises(ValueError):
-        propagation_delay(-1.0, DEFAULT_LINK)
-    with pytest.raises(ValueError):
-        tx_energy(-1, 0.0, DEFAULT_RADIO)
-    with pytest.raises(ValueError):
-        tx_energy(1, -1.0, DEFAULT_RADIO)
-    with pytest.raises(ValueError):
-        rx_energy(-1, DEFAULT_RADIO)
-    with pytest.raises(ValueError):
-        in_range(-1.0, Layer.MIST, DEFAULT_LINK)
-
-
 def test_radio_params_reject_non_positive_constants():
-    with pytest.raises(ValueError):
-        RadioParams(e_elec=0.0)
-    with pytest.raises(ValueError):
-        RadioParams(eps_fs=-1e-11)
-    with pytest.raises(ValueError):
-        RadioParams(eps_mp=0.0)
+    for line in ("radio.e_elec=0", "radio.eps_fs=-1e-11", "radio.eps_mp=0"):
+        with pytest.raises(ConfigurationError, match=line.split("=")[0]):
+            parse_config(line + "\n")
 
 
 def test_link_params_reject_non_positive():
-    with pytest.raises(ValueError):
-        LinkParams(bandwidth_bps=0.0)
-    with pytest.raises(ValueError):
-        LinkParams(propagation_speed_mps=-1.0)
+    for line in ("link.bandwidth_bps=0", "link.speed_mps=-1"):
+        with pytest.raises(ConfigurationError, match=line.split("=")[0]):
+            parse_config(line + "\n")
 
 
 @given(

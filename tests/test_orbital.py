@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from satmist.config import SimulationConfig, validate
 from satmist.errors import ConfigurationError, TraceFormatError
 from satmist.layers import Layer
 from satmist.orbital import (
@@ -166,10 +167,10 @@ def test_random_uniform_respects_altitude_and_angle_ranges():
 
 
 def test_zero_total_satellites_rejected():
-    with pytest.raises(ConfigurationError):
-        ConstellationSpec(mist=0, edge_dc=0, cloud=0)
-    with pytest.raises(ConfigurationError):
-        ConstellationSpec(mist=-1, edge_dc=2, cloud=0)
+    with pytest.raises(ConfigurationError, match="at least one satellite"):
+        validate(SimulationConfig(constellation=ConstellationSpec(mist=0, edge_dc=0, cloud=0)))
+    with pytest.raises(ConfigurationError, match="non-negative"):
+        validate(SimulationConfig(constellation=ConstellationSpec(mist=-1, edge_dc=2, cloud=0)))
 
 
 def test_orbit_positions_matches_scalar_propagator():

@@ -1,11 +1,8 @@
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from satmist.layers import Layer
 from satmist.netenergy import DEFAULT_LINK, DEFAULT_RADIO
@@ -16,17 +13,16 @@ from satmist.orchestrate import (
     PolicyId,
     TaskInfo,
     distance_only,
-    feasible,
     random_vm,
     round_robin,
     select,
-    standardize,
     trade_off,
     weight_greedy,
 )
 
 ALL_LAYERS = frozenset(Layer)
 TASK = TaskInfo(length_mi=20_000.0, input_bits=8e6)
+view = CandidateView.from_candidates
 
 
 # -- independent scalar oracles, plain loops and strict-< updates ---------
@@ -155,66 +151,54 @@ def mk(vm_id, layer, d, q=0, mips=10_000.0, assigned=0):
                      queue_len=q, vm_mips=mips, assigned_count=assigned)
 
 
-def test_standardize_hand_example():
-    z = standardize([1.0, 2.0, 3.0])
-    assert z == pytest.approx([-1.2247, 0.0, 1.2247], abs=1e-4)
-
-
-def test_standardize_degenerate_sigma():
-    assert list(standardize([5.0, 5.0, 5.0])) == [0.0, 0.0, 0.0]
-
-
-def test_standardize_rejects_empty():
-    with pytest.raises(ValueError):
-        standardize([])
-
-
-@given(st.lists(st.integers(-10**6, 10**6).map(float), min_size=2, max_size=20))
-def test_standardize_preserves_argmin(values):
-    # integer-valued inputs keep gaps above float rounding in the z transform
-    z = standardize(values)
-    if any(v != 0.0 for v in z):  # all-zero output is the documented sigma=0 rule
-        raw_argmin = min(range(len(values)), key=lambda i: values[i])
-        z_argmin = min(range(len(z)), key=lambda i: z[i])
-        assert raw_argmin == z_argmin
-
-
 def test_feasible_examples():
-    assert feasible(mk(0, Layer.MIST, 3.2e7), TASK, ALL_LAYERS)
-    assert not feasible(mk(0, Layer.CLOUD, 4.1e7), TASK, ALL_LAYERS)
-    assert not feasible(mk(0, Layer.EDGE_DC, 0.0), TASK, frozenset({Layer.MIST}))
+    def feasible(cand, architecture):
+        try:
+            distance_only(view([cand]), TASK, architecture)
+        except PlacementError:
+            return False
+        return True
+
+    # each layer's range is inclusive at its boundary
+    assert feasible(mk(0, Layer.MIST, 3.2e7), ALL_LAYERS)
+    assert not feasible(mk(0, Layer.MIST, 3.2e7 + 1), ALL_LAYERS)
+    assert feasible(mk(0, Layer.EDGE_DC, 3.6e7), ALL_LAYERS)
+    assert not feasible(mk(0, Layer.EDGE_DC, 3.6e7 + 1), ALL_LAYERS)
+    assert feasible(mk(0, Layer.CLOUD, 3.9e7), ALL_LAYERS)
+    assert not feasible(mk(0, Layer.CLOUD, 4.1e7), ALL_LAYERS)
+    assert not feasible(mk(0, Layer.EDGE_DC, 0.0), frozenset({Layer.MIST}))
 
 
 def test_distance_only_picks_nearest():
     cands = [mk(0, Layer.MIST, 5e6), mk(1, Layer.MIST, 3e6), mk(2, Layer.MIST, 9e6)]
-    assert distance_only(cands, TASK, ALL_LAYERS).vm_id == 1
+    assert distance_only(view(cands), TASK, ALL_LAYERS).vm_id == 1
 
 
 def test_distance_only_skips_infeasible_nearest():
     cands = [mk(0, Layer.EDGE_DC, 1e6), mk(1, Layer.MIST, 2e6), mk(2, Layer.MIST, 3e6)]
-    sel = distance_only(cands, TASK, frozenset({Layer.MIST}))
+    sel = distance_only(view(cands), TASK, frozenset({Layer.MIST}))
     assert sel.vm_id == 1
 
 
 def test_distance_only_prefers_local_vm():
     cands = [mk(0, Layer.CLOUD, 2e7, mips=100_000.0), mk(7, Layer.MIST, 0.0)]
-    assert distance_only(cands, TASK, ALL_LAYERS).vm_id == 7
+    assert distance_only(view(cands), TASK, ALL_LAYERS).vm_id == 7
 
 
 def test_distance_only_tie_breaks_by_index():
     cands = [mk(3, Layer.MIST, 1e6), mk(4, Layer.MIST, 1e6)]
-    assert distance_only(cands, TASK, ALL_LAYERS).vm_id == 3
+    assert distance_only(view(cands), TASK, ALL_LAYERS).vm_id == 3
 
 
 def test_round_robin_hand_example():
     cands = [mk(0, Layer.MIST, 1e6, assigned=4), mk(1, Layer.MIST, 1e6, assigned=2),
              mk(2, Layer.MIST, 1e6, assigned=7)]
-    assert round_robin(cands, TASK, ALL_LAYERS).vm_id == 1
+    assert round_robin(view(cands), TASK, ALL_LAYERS).vm_id == 1
 
 
 def test_round_robin_tie_breaks_by_index():
     cands = [mk(5, Layer.MIST, 1e6, assigned=3), mk(6, Layer.MIST, 1e6, assigned=3)]
-    assert round_robin(cands, TASK, ALL_LAYERS).vm_id == 5
+    assert round_robin(view(cands), TASK, ALL_LAYERS).vm_id == 5
 
 
 def test_round_robin_balance_under_repeated_selection():
@@ -226,7 +210,7 @@ def test_round_robin_balance_under_repeated_selection():
                       c.vm_mips, counts[c.vm_id])
             for c in cands
         ]
-        chosen = round_robin(cands, TASK, ALL_LAYERS).vm_id
+        chosen = round_robin(view(cands), TASK, ALL_LAYERS).vm_id
         counts[chosen] += 1
         assert max(counts) - min(counts) <= 1
 
@@ -234,45 +218,46 @@ def test_round_robin_balance_under_repeated_selection():
 def test_trade_off_hand_example():
     mist = mk(0, Layer.MIST, 1e6, q=0, mips=10_000.0)
     cloud = mk(1, Layer.CLOUD, 3.9e7, q=0, mips=100_000.0)
-    sel = trade_off([mist, cloud], TASK, ALL_LAYERS)
-    assert sel.vm_id == 1
-    assert sel.score == pytest.approx(0.370, abs=1e-3)
-    only_mist = trade_off([mist], TASK, ALL_LAYERS)
-    assert only_mist.score == pytest.approx(2.0033, abs=1e-3)
+    assert trade_off(view([mist, cloud]), TASK, ALL_LAYERS).vm_id == 1
+    # mist scores 20000/1e4 + 1e6/3e8 = 2.00333; cloud scores
+    # w * 20000/1e5 + 3.9e7/3e8 = 0.2 w + 0.13 (0.37 at w = 1.2), so the
+    # choice flips to mist between w = 9.366 and w = 9.367
+    for w, winner in ((9.366, 1), (9.367, 0)):
+        weights = {Layer.MIST: 1.0, Layer.EDGE_DC: 1.0, Layer.CLOUD: w}
+        sel = trade_off(view([mist, cloud]), TASK, ALL_LAYERS, layer_weights=weights)
+        assert sel.vm_id == winner
 
 
 def test_trade_off_prefers_empty_queue():
     a = mk(0, Layer.MIST, 1e6, q=5)
     b = mk(1, Layer.MIST, 1e6, q=0)
-    assert trade_off([a, b], TASK, ALL_LAYERS).vm_id == 1
+    assert trade_off(view([a, b]), TASK, ALL_LAYERS).vm_id == 1
 
 
 def test_trade_off_prefers_faster_vm():
     a = mk(0, Layer.MIST, 1e6, mips=10_000.0)
     b = mk(1, Layer.MIST, 1e6, mips=100_000.0)
-    assert trade_off([a, b], TASK, ALL_LAYERS).vm_id == 1
+    assert trade_off(view([a, b]), TASK, ALL_LAYERS).vm_id == 1
 
 
 def test_trade_off_cloud_weight_is_configurable():
     mist = mk(0, Layer.MIST, 0.0, mips=10_000.0)
     cloud = mk(1, Layer.CLOUD, 0.0, mips=100_000.0)
     heavy = {Layer.MIST: 1.0, Layer.EDGE_DC: 1.0, Layer.CLOUD: 150.0}
-    assert trade_off([mist, cloud], TASK, ALL_LAYERS).vm_id == 1
-    assert trade_off([mist, cloud], TASK, ALL_LAYERS, layer_weights=heavy).vm_id == 0
+    assert trade_off(view([mist, cloud]), TASK, ALL_LAYERS).vm_id == 1
+    assert trade_off(view([mist, cloud]), TASK, ALL_LAYERS, layer_weights=heavy).vm_id == 0
 
 
 def test_weight_greedy_selects_dominating_candidate():
     good = mk(0, Layer.MIST, 1e5, q=0, mips=100_000.0)
     bad = mk(1, Layer.MIST, 2e7, q=10, mips=10_000.0)
     worse = mk(2, Layer.MIST, 3e7, q=12, mips=10_000.0)
-    assert weight_greedy([bad, good, worse], TASK, ALL_LAYERS).vm_id == 0
+    assert weight_greedy(view([bad, good, worse]), TASK, ALL_LAYERS).vm_id == 0
 
 
 def test_weight_greedy_identical_candidates_tie_break():
     cands = [mk(4, Layer.MIST, 1e6, q=2), mk(5, Layer.MIST, 1e6, q=2)]
-    sel = weight_greedy(cands, TASK, ALL_LAYERS)
-    assert sel.vm_id == 4
-    assert sel.score == 0.0
+    assert weight_greedy(view(cands), TASK, ALL_LAYERS).vm_id == 4
 
 
 def test_weight_greedy_matches_hand_built_table():
@@ -282,36 +267,36 @@ def test_weight_greedy_matches_hand_built_table():
         mk(2, Layer.CLOUD, 3e7, q=1, mips=100_000.0),
     ]
     expected = oracle_weight_greedy(cands, TASK, ALL_LAYERS)
-    got = weight_greedy(cands, TASK, ALL_LAYERS)
+    got = weight_greedy(view(cands), TASK, ALL_LAYERS)
     assert got.vm_id == cands[expected].vm_id
 
 
 def test_random_vm_forced_choice():
     cands = [mk(9, Layer.MIST, 1e6)]
     for seed in range(5):
-        assert random_vm(cands, TASK, ALL_LAYERS, random.Random(seed)).vm_id == 9
+        assert random_vm(view(cands), TASK, ALL_LAYERS, random.Random(seed)).vm_id == 9
 
 
 def test_random_vm_scans_forward_from_infeasible_draw():
     # candidate 0 infeasible, candidate 1 feasible; any draw lands on 1
     cands = [mk(0, Layer.CLOUD, 4.5e7), mk(1, Layer.MIST, 1e6)]
     for seed in range(10):
-        assert random_vm(cands, TASK, ALL_LAYERS, random.Random(seed)).vm_id == 1
+        assert random_vm(view(cands), TASK, ALL_LAYERS, random.Random(seed)).vm_id == 1
 
 
 def test_random_vm_wraps_around():
     # feasible only at index 0; a draw of 1 or 2 must wrap to 0
     cands = [mk(0, Layer.MIST, 1e6), mk(1, Layer.CLOUD, 4.5e7), mk(2, Layer.CLOUD, 4.5e7)]
     for seed in range(10):
-        assert random_vm(cands, TASK, ALL_LAYERS, random.Random(seed)).vm_id == 0
+        assert random_vm(view(cands), TASK, ALL_LAYERS, random.Random(seed)).vm_id == 0
 
 
 def test_random_vm_seed_replay():
     rng_a = random.Random(123)
     rng_b = random.Random(123)
     cands = random_candidates(random.Random(5), n=8)
-    picks_a = [random_vm(cands, TASK, ALL_LAYERS, rng_a).vm_id for _ in range(20)]
-    picks_b = [random_vm(cands, TASK, ALL_LAYERS, rng_b).vm_id for _ in range(20)]
+    picks_a = [random_vm(view(cands), TASK, ALL_LAYERS, rng_a).vm_id for _ in range(20)]
+    picks_b = [random_vm(view(cands), TASK, ALL_LAYERS, rng_b).vm_id for _ in range(20)]
     assert picks_a == picks_b
 
 
@@ -328,38 +313,40 @@ class CountingRandom(random.Random):
 def test_random_vm_consumes_exactly_one_draw():
     rng = CountingRandom(7)
     cands = [mk(0, Layer.CLOUD, 4.5e7), mk(1, Layer.MIST, 1e6), mk(2, Layer.MIST, 2e6)]
-    random_vm(cands, TASK, ALL_LAYERS, rng)
+    random_vm(view(cands), TASK, ALL_LAYERS, rng)
     assert rng.draws == 1
 
 
 def test_placement_failure_on_empty_list():
     for fn in (distance_only, round_robin, trade_off, weight_greedy):
         with pytest.raises(PlacementError):
-            fn([], TASK, ALL_LAYERS)
+            fn(view([]), TASK, ALL_LAYERS)
+    rng = CountingRandom(0)
     with pytest.raises(PlacementError):
-        random_vm([], TASK, ALL_LAYERS, random.Random(0))
+        random_vm(view([]), TASK, ALL_LAYERS, rng)
+    assert rng.draws == 0
 
 
 def test_placement_failure_when_nothing_feasible():
     cands = [mk(0, Layer.CLOUD, 4.5e7), mk(1, Layer.MIST, 3.3e7)]
     for fn in (distance_only, round_robin, trade_off, weight_greedy):
         with pytest.raises(PlacementError):
-            fn(cands, TASK, ALL_LAYERS)
+            fn(view(cands), TASK, ALL_LAYERS)
     with pytest.raises(PlacementError):
-        random_vm(cands, TASK, ALL_LAYERS, random.Random(0))
+        random_vm(view(cands), TASK, ALL_LAYERS, random.Random(0))
 
 
 def test_scale_invariance_of_distance_only():
     rng = random.Random(11)
     base = [mk(i, Layer.MIST, rng.uniform(1.0, 100.0)) for i in range(6)]
-    baseline = distance_only(base, TASK, ALL_LAYERS).vm_id
+    baseline = distance_only(view(base), TASK, ALL_LAYERS).vm_id
     for k in (0.5, 2.0, 1e3, 1e4):
         scaled = [
             Candidate(c.vm_id, c.host_layer, c.distance_m * k, c.queue_len,
                       c.vm_mips, c.assigned_count)
             for c in base
         ]
-        assert distance_only(scaled, TASK, ALL_LAYERS).vm_id == baseline
+        assert distance_only(view(scaled), TASK, ALL_LAYERS).vm_id == baseline
 
 
 def test_oracle_equivalence_on_random_sets():
@@ -377,9 +364,9 @@ def test_oracle_equivalence_on_random_sets():
         for policy, index in expected.items():
             if index is None:
                 with pytest.raises(PlacementError):
-                    select(policy, cands, TASK, arch)
+                    select(policy, view(cands), TASK, arch)
             else:
-                sel = select(policy, cands, TASK, arch)
+                sel = select(policy, view(cands), TASK, arch)
                 assert sel.vm_id == cands[index].vm_id, (policy, cands, arch)
                 assert oracle_feasible(cands[index], arch)
         seed = rng.randint(0, 10_000)
@@ -387,37 +374,33 @@ def test_oracle_equivalence_on_random_sets():
         index = oracle_random_vm(cands, arch, drawn)
         if index is None:
             with pytest.raises(PlacementError):
-                select(PolicyId.RANDOM_VM, cands, TASK, arch, rng=random.Random(seed))
+                select(PolicyId.RANDOM_VM, view(cands), TASK, arch, rng=random.Random(seed))
         else:
-            sel = select(PolicyId.RANDOM_VM, cands, TASK, arch, rng=random.Random(seed))
+            sel = select(PolicyId.RANDOM_VM, view(cands), TASK, arch, rng=random.Random(seed))
             assert sel.vm_id == cands[index].vm_id
         checked += 1
     assert checked == 300
 
 
 def test_candidate_view_matches_list_path():
+    # from_candidates keeps every field of the candidate list, in order
     rng = random.Random(404)
     for _ in range(50):
         cands = random_candidates(rng)
-        arch = random_architecture(rng)
-        view = CandidateView.from_candidates(cands)
-        for policy in (PolicyId.DISTANCE_ONLY, PolicyId.ROUND_ROBIN,
-                       PolicyId.TRADE_OFF, PolicyId.WEIGHT_GREEDY):
-            try:
-                from_list = select(policy, cands, TASK, arch)
-            except PlacementError:
-                with pytest.raises(PlacementError):
-                    select(policy, view, TASK, arch)
-                continue
-            from_view = select(policy, view, TASK, arch)
-            assert from_view.vm_id == from_list.vm_id
-            assert from_view.score == from_list.score
+        v = view(cands)
+        assert len(v) == len(cands)
+        assert v.vm_ids.tolist() == [c.vm_id for c in cands]
+        assert [list(Layer)[code] for code in v.layer_codes] == [c.host_layer for c in cands]
+        assert v.distances.tolist() == [c.distance_m for c in cands]
+        assert v.queue_lens.tolist() == [float(c.queue_len) for c in cands]
+        assert v.mips.tolist() == [c.vm_mips for c in cands]
+        assert v.assigned.tolist() == [c.assigned_count for c in cands]
 
 
 def test_select_requires_rng_for_random_policy():
     cands = [mk(0, Layer.MIST, 1e6)]
     with pytest.raises(ValueError):
-        select(PolicyId.RANDOM_VM, cands, TASK, ALL_LAYERS)
+        select(PolicyId.RANDOM_VM, view(cands), TASK, ALL_LAYERS)
 
 
 def test_candidate_validation():

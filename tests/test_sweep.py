@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from satmist import sweep as sweep_mod
 from satmist.config import parse_config
 from satmist.errors import ConfigurationError
 from satmist.metrics import parse_csv
@@ -96,6 +97,43 @@ def test_parallel_matches_sequential():
     assert pooled == sequential
     with pytest.raises(ConfigurationError):
         run_sweep(SMALL, FAST_BASE, parallel=0)
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs inline."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers):
+        RecordingPool.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "parallel, cpus, expected",
+    [
+        (64, 16, 8),   # SMALL has 8 runs
+        (64, 2, 2),    # CPU count binds
+        (3, 8, 3),     # request binds
+        (64, None, None),  # unknown CPU count: one worker, inline
+        (1, 8, None),  # one worker runs inline, no pool
+    ],
+)
+def test_parallel_clamped_to_runs_and_cpus(monkeypatch, parallel, cpus, expected):
+    RecordingPool.created = []
+    monkeypatch.setattr(sweep_mod, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(sweep_mod.os, "cpu_count", lambda: cpus)
+    records = run_sweep(SMALL, FAST_BASE, parallel=parallel)
+    assert len(records) == 8
+    assert RecordingPool.created == ([] if expected is None else [expected])
 
 
 def test_output_files(tmp_path):
