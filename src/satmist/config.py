@@ -26,6 +26,9 @@ _POLICY_ALIASES = {
     "wg": PolicyId.WEIGHT_GREEDY,
 }
 
+# Upper bound on the mobility tick events one run schedules up front.
+MAX_TICKS = 1_000_000
+
 # How per-layer config keys name each layer (the edge_dc layer is "edge").
 _KEY_LAYER = {Layer.MIST: "mist", Layer.EDGE_DC: "edge", Layer.CLOUD: "cloud"}
 
@@ -310,6 +313,12 @@ def validate(config: SimulationConfig) -> None:
     for name, value in altitudes.items():
         if value < MIN_ALTITUDE_M:
             raise ConfigurationError(f"{name} must be >= {MIN_ALTITUDE_M:.0f} m, got {value}")
+
+    if config.duration_s / config.tick_s > MAX_TICKS:
+        raise ConfigurationError(
+            f"simulation.duration_s / simulation.tick_s must be at most {MAX_TICKS:,} "
+            f"mobility ticks, got {config.duration_s / config.tick_s:.3g}"
+        )
 
     if c.mist < 0 or c.edge_dc < 0 or c.cloud < 0:
         raise ConfigurationError("satellite counts must be non-negative")

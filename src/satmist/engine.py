@@ -4,7 +4,8 @@ The run is a single priority queue of (time, seq) ordered events; seq is a
 monotonic push counter, so simultaneous events resolve in push order and a
 run is a pure function of its configuration. Mist satellites generate
 tasks from seeded Poisson streams; each task is placed once, at creation
-time, over a snapshot of every VM in the constellation; transfers charge
+time, over a snapshot of every VM in the constellation whose distance
+column is computed only if the policy reads it; transfers charge
 radio energy on both ends; results are censored, not extrapolated, at the
 simulation horizon.
 """
@@ -16,6 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,7 +26,7 @@ from . import metrics as metrics_mod
 from .config import SimulationConfig, validate
 from .errors import ConfigurationError
 from .infra import SatelliteNode, Vm, build_nodes
-from .layers import LAYER_CODE, Layer
+from .layers import LAYER_CODE, LAYER_ORDER, Layer
 from .netenergy import (
     propagation_delay,
     rx_energy,
@@ -122,6 +124,61 @@ def generate_tasks(config: SimulationConfig, origin: SatelliteNode | int,
     return tasks
 
 
+class _Distances:
+    """Origin-to-VM distances at one instant, from a position source.
+
+    Holds no reference to the Simulation, so a view that defers to it
+    keeps no finished run alive.
+    """
+
+    def __init__(self, positions, vm_host: np.ndarray):
+        self._positions = positions
+        self._vm_host = vm_host
+        self._sat = np.empty(len(positions))
+        self._diff = np.empty((len(positions), 3))
+
+    def fill(self, origin: int, now: float, out: np.ndarray) -> None:
+        """Distance from satellite `origin` to every VM's host, into `out`."""
+        pos = self._positions.positions_all(now)
+        diff = self._diff
+        np.subtract(pos, pos[origin], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.sum(diff, axis=1, out=self._sat)
+        np.sqrt(self._sat, out=self._sat)
+        np.take(self._sat, self._vm_host, out=out)
+
+    def pair(self, origin: int, host: int, now: float) -> float:
+        """The `fill` distance between two satellites, computed alone.
+
+        Needs an OrbitPositions source. The numpy operations are those of
+        positions_all and fill, so the result equals fill's bit for bit.
+        """
+        pos = self._positions.positions_of(np.array((origin, host)), now)
+        diff = pos - pos[0]
+        np.multiply(diff, diff, out=diff)
+        return float(np.sqrt(np.sum(diff, axis=1))[1])
+
+
+def _static_feasible(config: SimulationConfig, layered, layer_codes: np.ndarray) -> np.ndarray | None:
+    """The enabled layers' VM indices when no link of theirs can be out of range.
+
+    On circular orbits |p| is the orbit radius, so no origin lies farther
+    than r_max + r_h from a layer-h host, r_max being the largest orbit
+    radius. The 1e-9 relative slack covers the computed antipodal chord,
+    which can come out one rounding step above r_1 + r_2. Returns None,
+    leaving feasibility to be checked per task, when some enabled layer's
+    range falls short.
+    """
+    radius = {layer: elements.semi_major_axis_m for layer, elements in layered}
+    r_max = max(radius.values())
+    reach = config.link.range_by_layer
+    if any(reach[layer] < (r_max + r) * (1.0 + 1e-9)
+           for layer, r in radius.items() if layer in config.architecture):
+        return None
+    enabled = np.array([layer in config.architecture for layer in LAYER_ORDER])
+    return np.flatnonzero(enabled[layer_codes])
+
+
 class Simulation:
     """One configured run; single use, call run() once."""
 
@@ -146,19 +203,21 @@ class Simulation:
         self.record_events = record_events
         self.events: list[Event] = []
 
-        n_sats = len(self.nodes)
+        vm_host = np.array([vm.host_satellite for vm in self.vms], dtype=np.int64)
+        layer_codes = np.array([LAYER_CODE[vm.host_layer] for vm in self.vms], dtype=np.int64)
         n_vms = len(self.vms)
-        self._vm_host = np.array([vm.host_satellite for vm in self.vms], dtype=np.int64)
+        self._distances = _Distances(self.positions, vm_host)
         self._view = CandidateView(
             vm_ids=np.arange(n_vms, dtype=np.int64),
-            layer_codes=np.array([LAYER_CODE[vm.host_layer] for vm in self.vms], dtype=np.int64),
+            layer_codes=layer_codes,
             distances=np.empty(n_vms),
             queue_lens=np.zeros(n_vms),
             mips=np.array([vm.mips for vm in self.vms]),
             assigned=np.zeros(n_vms, dtype=np.int64),
+            static_feasible=None if positions is not None
+            else _static_feasible(config, layered, layer_codes),
         )
-        self._dist_sat = np.empty(n_sats)
-        self._diff = np.empty((n_sats, 3))
+        self._first_vm = [node.vm_ids[0] for node in self.nodes]
         self._layer_weights = {
             Layer.MIST: 1.0,
             Layer.EDGE_DC: 1.0,
@@ -235,7 +294,10 @@ class Simulation:
     # -- event handlers -------------------------------------------------
 
     def on_task_generated(self, task: Task, now: float) -> None:
-        view = self._snapshot_distances(task.origin_satellite, now)
+        origin = task.origin_satellite
+        view = self._view
+        view.local = self._first_vm[origin]
+        view.defer_distances(partial(self._distances.fill, origin, now))
         try:
             sel = select(
                 self.config.policy,
@@ -252,18 +314,21 @@ class Simulation:
             return
         vm_index = sel.vm_id
         vm = self.vms[vm_index]
-        self._view.assigned[vm_index] += 1
+        view.assigned[vm_index] += 1
         self._per_layer[vm.host_layer] += 1
         task.assigned_vm = vm_index
-        if vm.host_satellite == task.origin_satellite:
+        if vm.host_satellite == origin:
             self._enqueue(task, vm, now)
+            return
+        if view.distances_pending:  # only with static feasibility, so built-in orbits
+            d = self._distances.pair(origin, vm.host_satellite, now)
         else:
-            d = float(self._view.distances[vm_index])
-            self._charge_transfer(task, task.input_bits, d)
-            task.state = TaskState.UPLOADING
-            delay = transmission_delay(task.input_bits, self.config.link) \
-                + propagation_delay(d, self.config.link)
-            self._push(now + delay, EventKind.UPLOAD_COMPLETE, task.id)
+            d = float(view.distances[vm_index])
+        self._charge_transfer(task, task.input_bits, d)
+        task.state = TaskState.UPLOADING
+        delay = transmission_delay(task.input_bits, self.config.link) \
+            + propagation_delay(d, self.config.link)
+        self._push(now + delay, EventKind.UPLOAD_COMPLETE, task.id)
 
     def on_upload_complete(self, task: Task, now: float) -> None:
         self._enqueue(task, self.vms[task.assigned_vm], now)
@@ -306,16 +371,6 @@ class Simulation:
         """Reserved sampling hook; positions are computed lazily at events."""
 
     # -- internals -------------------------------------------------------
-
-    def _snapshot_distances(self, origin: int, now: float) -> CandidateView:
-        pos = self.positions.positions_all(now)
-        diff = self._diff
-        np.subtract(pos, pos[origin], out=diff)
-        np.multiply(diff, diff, out=diff)
-        np.sum(diff, axis=1, out=self._dist_sat)
-        np.sqrt(self._dist_sat, out=self._dist_sat)
-        np.take(self._dist_sat, self._vm_host, out=self._view.distances)
-        return self._view
 
     def _enqueue(self, task: Task, vm: Vm, now: float) -> None:
         starts_now = vm.busy_until <= now

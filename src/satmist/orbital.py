@@ -219,6 +219,40 @@ def build_constellation(spec: ConstellationSpec) -> list[tuple[Layer, OrbitalEle
     return out
 
 
+def _propagate(orbits: np.ndarray, t_seconds: float, out: np.ndarray,
+               scratch: np.ndarray) -> np.ndarray:
+    """Positions at time t for the columns of `orbits`, written into `out`.
+
+    `orbits` holds one column per satellite with the rows a, n, phase,
+    cos(i), sin(i), cos(RAAN), sin(RAAN); `scratch` is (4, k) for k
+    columns. A satellite's position does not depend on which others
+    share the call, bit for bit.
+    """
+    a, rate, phase, ci, si, co, so = orbits
+    th, ct, st, buf = scratch
+    np.multiply(rate, t_seconds, out=th)
+    th += phase
+    np.cos(th, out=ct)
+    np.sin(th, out=st)
+    # x = a*(ct*co - st*ci*so)
+    np.multiply(st, ci, out=buf)
+    x = out[:, 0]
+    np.multiply(buf, so, out=x)
+    np.negative(x, out=x)
+    x += ct * co
+    x *= a
+    # y = a*(ct*so + st*ci*co)
+    y = out[:, 1]
+    np.multiply(buf, co, out=y)
+    y += ct * so
+    y *= a
+    # z = a*st*si
+    z = out[:, 2]
+    np.multiply(st, si, out=z)
+    z *= a
+    return out
+
+
 class OrbitPositions:
     """Vectorized position source for a fixed satellite list.
 
@@ -232,17 +266,16 @@ class OrbitPositions:
             raise ConfigurationError("OrbitPositions needs at least one satellite")
         self._elements = tuple(elements)
         n = len(elements)
-        self._a = np.array([e.semi_major_axis_m for e in elements])
-        self._rate = np.array([angular_rate_rad_s(e) for e in elements])
-        self._phase = np.array([e.phase_rad for e in elements])
-        self._ci = np.array([math.cos(e.inclination_rad) for e in elements])
-        self._si = np.array([math.sin(e.inclination_rad) for e in elements])
-        self._co = np.array([math.cos(e.raan_rad) for e in elements])
-        self._so = np.array([math.sin(e.raan_rad) for e in elements])
-        self._theta = np.empty(n)
-        self._ct = np.empty(n)
-        self._st = np.empty(n)
-        self._buf = np.empty(n)
+        self._orbits = np.array([
+            [e.semi_major_axis_m for e in elements],
+            [angular_rate_rad_s(e) for e in elements],
+            [e.phase_rad for e in elements],
+            [math.cos(e.inclination_rad) for e in elements],
+            [math.sin(e.inclination_rad) for e in elements],
+            [math.cos(e.raan_rad) for e in elements],
+            [math.sin(e.raan_rad) for e in elements],
+        ])
+        self._scratch = np.empty((4, n))
         self._out = np.empty((n, 3))
 
     def __len__(self) -> int:
@@ -250,29 +283,15 @@ class OrbitPositions:
 
     def positions_all(self, t_seconds: float) -> np.ndarray:
         """All positions at time t as an (n, 3) array (reused buffer)."""
-        th, ct, st, buf = self._theta, self._ct, self._st, self._buf
-        np.multiply(self._rate, t_seconds, out=th)
-        th += self._phase
-        np.cos(th, out=ct)
-        np.sin(th, out=st)
-        out = self._out
-        # x = a*(ct*co - st*ci*so)
-        np.multiply(st, self._ci, out=buf)
-        x = out[:, 0]
-        np.multiply(buf, self._so, out=x)
-        np.negative(x, out=x)
-        x += ct * self._co
-        x *= self._a
-        # y = a*(ct*so + st*ci*co)
-        y = out[:, 1]
-        np.multiply(buf, self._co, out=y)
-        y += ct * self._so
-        y *= self._a
-        # z = a*st*si
-        z = out[:, 2]
-        np.multiply(st, self._si, out=z)
-        z *= self._a
-        return out
+        return _propagate(self._orbits, t_seconds, self._out, self._scratch)
+
+    def positions_of(self, rows: np.ndarray, t_seconds: float) -> np.ndarray:
+        """Positions of the satellites `rows` at time t as a new (k, 3) array.
+
+        Each row equals the same row of positions_all(t), bit for bit.
+        """
+        k = len(rows)
+        return _propagate(self._orbits[:, rows], t_seconds, np.empty((k, 3)), np.empty((4, k)))
 
     def position_one(self, index: int, t_seconds: float) -> Vec3:
         return position_at(self._elements[index], t_seconds)

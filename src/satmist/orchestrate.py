@@ -4,16 +4,18 @@ Each policy receives the same decision-time CandidateView, one entry per
 VM in the constellation held as parallel arrays, and returns the selected
 VM. Infeasible candidates (layer disabled by the architecture mask, or
 farther than the layer's range) are never selected; score ties go to the
-lowest candidate index. CandidateView.from_candidates builds a view from
-a list of Candidate records.
+lowest candidate index, except that distance_only keeps a task on the
+origin's own VM. CandidateView.from_candidates builds a view from a list
+of Candidate records.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -95,20 +97,56 @@ WEIGHT_GREEDY_RATIOS = (6.0, 6.0, 5.0, 3.0)
 
 
 class CandidateView:
-    """Column-oriented candidate snapshot: one array per Candidate field."""
+    """Column-oriented candidate snapshot: one array per Candidate field.
 
-    __slots__ = ("vm_ids", "layer_codes", "distances", "queue_lens", "mips", "assigned")
+    The distance column can be deferred: after `defer_distances(fill)`,
+    the first read of `distances` runs `fill(out)` to write the column
+    into its buffer, so a policy that never reads it never pays for it.
 
-    def __init__(self, vm_ids, layer_codes, distances, queue_lens, mips, assigned):
+    Two optional facts, set by whoever builds the view for one run's
+    architecture and link, let policies place without distances:
+
+    - `local`: index of the origin's own first VM, at exactly 0 m and so
+      within any range, or -1 when unknown.
+    - `static_feasible`: sorted indices of the feasible candidates when
+      feasibility does not depend on the distances (no enabled candidate
+      can be out of range), or None when it must be checked per task.
+    """
+
+    __slots__ = ("vm_ids", "layer_codes", "queue_lens", "mips", "assigned",
+                 "local", "static_feasible", "_distances", "_fill", "_spread")
+
+    def __init__(self, vm_ids, layer_codes, distances, queue_lens, mips, assigned, *,
+                 static_feasible: np.ndarray | None = None):
         self.vm_ids = vm_ids
         self.layer_codes = layer_codes
-        self.distances = distances
         self.queue_lens = queue_lens
         self.mips = mips
         self.assigned = assigned
+        self.local = -1
+        self.static_feasible = static_feasible
+        self._distances = distances
+        self._fill = None
+        self._spread: dict[str, tuple[object, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return len(self.vm_ids)
+
+    @property
+    def distances(self) -> np.ndarray:
+        if self._fill is not None:
+            self._fill(self._distances)
+            self._fill = None
+        return self._distances
+
+    @property
+    def distances_pending(self) -> bool:
+        """True while the distance column is deferred and not yet computed."""
+        return self._fill is not None
+
+    def defer_distances(self, fill: Callable[[np.ndarray], None]) -> None:
+        """Compute the distance column with `fill(out)` on its next read."""
+        self._fill = fill
 
     @classmethod
     def from_candidates(cls, cands: Sequence[Candidate]) -> "CandidateView":
@@ -122,23 +160,31 @@ class CandidateView:
         )
 
 
-def _range_vector(link: LinkParams) -> np.ndarray:
-    return np.array([link.range_by_layer[layer] for layer in LAYER_ORDER])
+def _spread(view: CandidateView, name: str, source, value_of) -> np.ndarray:
+    """`value_of(source, layer)` for each candidate's layer, cached on the view.
+
+    The cache holds one column per `name` and is rebuilt when `source` is
+    a different object; sources (architecture, range and weight maps) are
+    never mutated in place.
+    """
+    hit = view._spread.get(name)
+    if hit is None or hit[0] is not source:
+        column = np.array([value_of(source, layer) for layer in LAYER_ORDER])[view.layer_codes]
+        hit = view._spread[name] = (source, column)
+    return hit[1]
 
 
-def _arch_vector(architecture) -> np.ndarray:
-    return np.array([layer in architecture for layer in LAYER_ORDER])
-
-
-def _feasible_mask(view: CandidateView, architecture, link: LinkParams) -> np.ndarray:
-    """Layer enabled and candidate within that layer's range (inclusive)."""
-    mask = _arch_vector(architecture)[view.layer_codes]
-    mask &= view.distances <= _range_vector(link)[view.layer_codes]
-    return mask
+def _enabled(view: CandidateView, architecture) -> np.ndarray:
+    return _spread(view, "enabled", architecture, operator.contains)
 
 
 def _feasible_indices(view: CandidateView, architecture, link: LinkParams) -> np.ndarray:
-    idx = np.flatnonzero(_feasible_mask(view, architecture, link))
+    """Candidates whose layer is enabled and that lie within its range (inclusive)."""
+    idx = view.static_feasible
+    if idx is None:
+        mask = _enabled(view, architecture) \
+            & (view.distances <= _spread(view, "reach", link.range_by_layer, operator.getitem))
+        idx = np.flatnonzero(mask)
     if idx.size == 0:
         raise PlacementError("no feasible candidate")
     return idx
@@ -151,7 +197,16 @@ def _pick_min(values: np.ndarray, idx: np.ndarray) -> int:
 
 def distance_only(view: CandidateView, task, architecture, *,
                   link: LinkParams = DEFAULT_LINK) -> Selection:
-    """Nearest feasible candidate by raw distance."""
+    """The origin's own VM when its layer is enabled, else the nearest feasible VM.
+
+    The origin's VM is feasible at exactly 0 m, so it is a nearest
+    candidate; it also wins the tie against any other VM at 0 m (another
+    satellite at a bit-identical position). Other ties go to the lowest
+    index.
+    """
+    local = view.local
+    if local >= 0 and _enabled(view, architecture)[local]:
+        return Selection(int(view.vm_ids[local]))
     idx = _feasible_indices(view, architecture, link)
     return Selection(int(view.vm_ids[_pick_min(view.distances, idx)]))
 
@@ -175,16 +230,9 @@ def random_vm(view: CandidateView, task, architecture, rng: random.Random, *,
     if n == 0:
         raise PlacementError("no feasible candidate")
     drawn = rng.randrange(n)
-    mask = _feasible_mask(view, architecture, link)
-    if mask[drawn]:
-        chosen = drawn
-    else:
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            raise PlacementError("no feasible candidate")
-        j = int(np.searchsorted(idx, drawn + 1))
-        chosen = int(idx[j]) if j < idx.size else int(idx[0])
-    return Selection(int(view.vm_ids[chosen]))
+    idx = _feasible_indices(view, architecture, link)
+    j = int(np.searchsorted(idx, drawn))  # first feasible index >= drawn
+    return Selection(int(view.vm_ids[idx[j] if j < idx.size else idx[0]]))
 
 
 def trade_off(view: CandidateView, task, architecture, *, link: LinkParams = DEFAULT_LINK,
@@ -195,7 +243,7 @@ def trade_off(view: CandidateView, task, architecture, *, link: LinkParams = DEF
             + distance_m / propagation_speed
     """
     idx = _feasible_indices(view, architecture, link)
-    weights = np.array([layer_weights[layer] for layer in LAYER_ORDER])[view.layer_codes]
+    weights = _spread(view, "weights", layer_weights, operator.getitem)
     score = weights * (view.queue_lens + 1.0) * task.length_mi / view.mips \
         + view.distances / link.propagation_speed_mps
     return Selection(int(view.vm_ids[_pick_min(score, idx)]))

@@ -296,3 +296,23 @@ def test_load_config_file(tmp_path):
 
 def test_validate_accepts_defaults():
     validate(SimulationConfig())
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "simulation.tick_s=1e-12\n",
+        "simulation.duration_s=1000001\n",
+        "simulation.duration_s=2\nsimulation.tick_s=1e-6\n",
+    ],
+)
+def test_tick_count_bounded(text):
+    # parse only: tick_s=1e-12 would schedule 6e14 tick events before the run starts
+    with pytest.raises(ConfigurationError, match="mobility ticks"):
+        parse_config(text)
+
+
+def test_tick_count_bound_is_inclusive():
+    assert parse_config("simulation.duration_s=1000000\n").duration_s == 1e6
+    with pytest.raises(ConfigurationError, match="mobility ticks"):
+        validate(replace(SimulationConfig(), tick_s=1e-12))

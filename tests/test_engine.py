@@ -19,7 +19,7 @@ from satmist.engine import (
 from satmist.errors import ConfigurationError
 from satmist.layers import Layer
 from satmist.netenergy import rx_energy, tx_energy
-from satmist.orbital import Vec3
+from satmist.orbital import Vec3, build_constellation
 
 
 class StaticPositions:
@@ -368,3 +368,69 @@ def test_zero_rate_run_reports_absent_rates():
     assert record.avg_e2e_s is None
     assert record.total_energy_j == 0.0
     assert record.avg_vm_cpu_pct == 0.0
+
+
+@pytest.mark.parametrize("phasing", ["walker_delta", "random_uniform"])
+def test_pair_distance_equals_snapshot_bit_for_bit(phasing):
+    from satmist.engine import _Distances
+    from satmist.orbital import OrbitPositions
+
+    spec = parse_config(f"constellation.phasing={phasing}\n").constellation
+    positions = OrbitPositions([e for _, e in build_constellation(spec)])
+    n = len(positions)
+    distances = _Distances(positions, np.arange(n))
+    rng = random.Random(77)
+    column = np.empty(n)
+    for _ in range(400):
+        now = rng.uniform(0.0, 600.0)
+        origin, host = rng.randrange(n), rng.randrange(n)
+        distances.fill(origin, now, column)
+        assert distances.pair(origin, host, now) == column[host]
+
+
+def test_colocated_mist_satellites_keep_distance_only_local():
+    cfg = parse_config(
+        "constellation.mist=2\nconstellation.edge_dc=0\nconstellation.cloud=0\n"
+        "task.rate_per_min=0\n"
+    )
+    point = [7e6, 0.0, 0.0]
+    sim = Simulation(cfg, tasks=[heavy_task(origin=1)],
+                     positions=StaticPositions([point, point]))
+    record = sim.run()
+    assert sim.tasks[0].assigned_vm == 1
+    assert sim.tasks[0].state is TaskState.SUCCEEDED
+    assert record.total_energy_j == 0.0
+
+
+def test_static_feasibility_only_when_no_link_can_break():
+    # defaults: the largest chord (2 x 16,371 km cloud radius) is below every range
+    default = Simulation(parse_config("constellation.mist=20\ntask.rate_per_min=0\n"))
+    assert default._view.static_feasible.tolist() == list(range(20 + 24 + 18))
+    no_mist = Simulation(parse_config(
+        "constellation.mist=20\ntask.rate_per_min=0\narchitecture.layers=edge_dc,cloud\n"))
+    assert no_mist._view.static_feasible.tolist() == list(range(20, 20 + 24 + 18))
+    # a cloud range one part in 1e8 short of 2 x 16,371 km leaves the check per task
+    short = Simulation(parse_config(
+        "constellation.mist=20\ntask.rate_per_min=0\nlink.range_cloud_m=32741999\n"))
+    assert short._view.static_feasible is None
+    # so does an injected position source
+    injected = Simulation(
+        parse_config("constellation.mist=2\nconstellation.edge_dc=0\nconstellation.cloud=0\n"),
+        positions=StaticPositions([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    assert injected._view.static_feasible is None
+
+
+def test_finished_run_is_freed_without_the_cycle_collector():
+    import gc
+    import weakref
+
+    cfg = parse_config("constellation.mist=10\nsimulation.duration_s=30\npolicy.name=round_robin\n")
+    sim = Simulation(cfg)
+    sim.run()
+    ref = weakref.ref(sim)
+    gc.disable()
+    try:
+        del sim
+        assert ref() is None
+    finally:
+        gc.enable()

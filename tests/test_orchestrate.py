@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from satmist.layers import Layer
@@ -408,3 +409,82 @@ def test_candidate_validation():
         mk(0, Layer.MIST, -1.0)
     with pytest.raises(ValueError):
         mk(0, Layer.MIST, 1.0, mips=0.0)
+
+
+def _with_hints(cands, architecture, local):
+    """The same view, its distance column deferred, carrying the two hints."""
+    hinted = view(cands)
+    column = hinted.distances.copy()
+    reads = []
+
+    def fill(out):
+        reads.append(1)
+        out[:] = column
+
+    hinted.defer_distances(fill)
+    hinted.local = local
+    enabled = [c.host_layer in architecture for c in cands]
+    hinted.static_feasible = np.flatnonzero(enabled)
+    return hinted, reads
+
+
+def test_static_index_and_local_vm_pick_as_the_full_path():
+    # every enabled candidate in range; candidate `local` is the origin's VM at 0 m
+    rng = random.Random(512)
+    layers = list(Layer)
+    skipped_reads = 0
+    for _ in range(300):
+        arch = frozenset(rng.sample(layers, rng.randint(1, 3)))
+        n = rng.randint(1, 12)
+        local = rng.randrange(n)
+        cands = []
+        for i in range(n):
+            layer = rng.choice(layers)
+            reach = DEFAULT_LINK.range_by_layer[layer]
+            d = rng.uniform(1.0, reach if layer in arch else 2 * reach)
+            cands.append(Candidate(
+                vm_id=100 + 7 * i, host_layer=layer, distance_m=0.0 if i == local else d,
+                queue_len=rng.randint(0, 5), vm_mips=10_000.0,
+                assigned_count=rng.randint(0, 3)))
+        for policy in (PolicyId.DISTANCE_ONLY, PolicyId.ROUND_ROBIN, PolicyId.RANDOM_VM):
+            seed = rng.randint(0, 10_000)
+            hinted, reads = _with_hints(cands, arch, local)
+            try:
+                want = select(policy, view(cands), TASK, arch, rng=random.Random(seed)).vm_id
+            except PlacementError:
+                want = None
+            try:
+                got = select(policy, hinted, TASK, arch, rng=random.Random(seed)).vm_id
+            except PlacementError:
+                got = None
+            assert got == want, (policy, arch, cands)
+            if policy is not PolicyId.DISTANCE_ONLY or cands[local].host_layer in arch:
+                assert not reads, policy  # placed without the distance column
+                skipped_reads += 1
+    assert skipped_reads > 600
+
+
+def test_distance_only_keeps_the_origin_vm_on_a_tie_at_zero():
+    # candidate 0 sits at the origin's position too; the origin's own VM wins
+    cands = [mk(0, Layer.MIST, 0.0), mk(1, Layer.MIST, 0.0), mk(2, Layer.EDGE_DC, 5.0)]
+    hinted = view(cands)
+    hinted.local = 1
+    assert distance_only(hinted, TASK, ALL_LAYERS).vm_id == 1
+    assert distance_only(view(cands), TASK, ALL_LAYERS).vm_id == 0
+    # with its layer disabled, the origin's VM is not a candidate at all
+    assert distance_only(hinted, TASK, frozenset({Layer.EDGE_DC})).vm_id == 2
+
+
+def test_deferred_distances_computed_once_per_deferral():
+    v = view([mk(0, Layer.MIST, 1.0), mk(1, Layer.CLOUD, 2.0)])
+    calls = []
+
+    def fill(out):
+        calls.append(1)
+        out[:] = (3.0, 4.0)
+
+    v.defer_distances(fill)
+    assert v.distances_pending
+    assert v.distances.tolist() == [3.0, 4.0]
+    assert v.distances.tolist() == [3.0, 4.0]
+    assert not v.distances_pending and len(calls) == 1
