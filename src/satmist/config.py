@@ -28,6 +28,8 @@ _POLICY_ALIASES = {
 
 # Upper bound on the mobility tick events one run schedules up front.
 MAX_TICKS = 1_000_000
+# Upper bound on the expected tasks one run generates up front.
+MAX_TASKS = 2_000_000
 
 # How per-layer config keys name each layer (the edge_dc layer is "edge").
 _KEY_LAYER = {Layer.MIST: "mist", Layer.EDGE_DC: "edge", Layer.CLOUD: "cloud"}
@@ -322,6 +324,14 @@ def validate(config: SimulationConfig) -> None:
 
     if c.mist < 0 or c.edge_dc < 0 or c.cloud < 0:
         raise ConfigurationError("satellite counts must be non-negative")
+    expected_tasks = task.rate_per_min / 60.0 * config.duration_s \
+        * (1 if task.rate_is_global else c.mist)
+    if expected_tasks > MAX_TASKS:
+        raise ConfigurationError(
+            f"task.rate_per_min / 60 x simulation.duration_s x mist (1 with "
+            f"task.rate_is_global) must be at most {MAX_TASKS:,} expected tasks, "
+            f"got {expected_tasks:.3g}"
+        )
     if c.total < 1:
         raise ConfigurationError("constellation needs at least one satellite")
     if c.planes < 1:

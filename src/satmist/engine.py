@@ -132,31 +132,47 @@ class _Distances:
     """
 
     def __init__(self, positions, vm_host: np.ndarray):
+        n = len(positions)
         self._positions = positions
-        self._vm_host = vm_host
-        self._sat = np.empty(len(positions))
-        self._diff = np.empty((len(positions), 3))
+        self._vm_host = None if np.array_equal(vm_host, np.arange(n)) else vm_host
+        self._diff = np.empty((3, n))
+        self._acc = np.empty(n)
+        self._rows = (positions.position_pair if isinstance(positions, OrbitPositions)
+                      else partial(_rows_of_all, positions))
 
     def fill(self, origin: int, now: float, out: np.ndarray) -> None:
-        """Distance from satellite `origin` to every VM's host, into `out`."""
-        pos = self._positions.positions_all(now)
-        diff = self._diff
-        np.subtract(pos, pos[origin], out=diff)
+        """Distance from satellite `origin` to every VM's host, into `out`.
+
+        Squares are summed as (dx*dx + dy*dy) + dz*dz, the order an
+        (n, 3) np.sum(axis=1) uses.
+        """
+        pos = self._positions.positions_all(now).T
+        diff, acc = self._diff, self._acc
+        np.subtract(pos, pos[:, origin, None], out=diff)
         np.multiply(diff, diff, out=diff)
-        np.sum(diff, axis=1, out=self._sat)
-        np.sqrt(self._sat, out=self._sat)
-        np.take(self._sat, self._vm_host, out=out)
+        np.add(diff[0], diff[1], out=acc)
+        acc += diff[2]
+        if self._vm_host is None:
+            np.sqrt(acc, out=out)
+        else:
+            # mode="clip" lets take write into `out` unbuffered; indices are in range
+            np.sqrt(acc, out=acc).take(self._vm_host, out=out, mode="clip")
 
     def pair(self, origin: int, host: int, now: float) -> float:
         """The `fill` distance between two satellites, computed alone.
 
-        Needs an OrbitPositions source. The numpy operations are those of
-        positions_all and fill, so the result equals fill's bit for bit.
+        The same IEEE operations on the same coordinates, so the result
+        equals fill's bit for bit.
         """
-        pos = self._positions.positions_of(np.array((origin, host)), now)
-        diff = pos - pos[0]
-        np.multiply(diff, diff, out=diff)
-        return float(np.sqrt(np.sum(diff, axis=1))[1])
+        (ox, oy, oz), (hx, hy, hz) = self._rows(origin, host, now)
+        dx, dy, dz = hx - ox, hy - oy, hz - oz
+        return math.sqrt((dx * dx + dy * dy) + dz * dz)
+
+
+def _rows_of_all(positions, i: int, j: int, now: float):
+    """Rows i and j of any position source's positions_all(now)."""
+    pos = positions.positions_all(now)
+    return pos[i].tolist(), pos[j].tolist()
 
 
 def _static_feasible(config: SimulationConfig, layered, layer_codes: np.ndarray) -> np.ndarray | None:
@@ -320,7 +336,7 @@ class Simulation:
         if vm.host_satellite == origin:
             self._enqueue(task, vm, now)
             return
-        if view.distances_pending:  # only with static feasibility, so built-in orbits
+        if view.distances_pending:
             d = self._distances.pair(origin, vm.host_satellite, now)
         else:
             d = float(view.distances[vm_index])
@@ -346,9 +362,7 @@ class Simulation:
             task.state = TaskState.DOWNLOADING
             self._push(now, EventKind.DOWNLOAD_COMPLETE, task.id)
             return
-        p_origin = self.positions.position_one(origin, now)
-        p_exec = self.positions.position_one(vm.host_satellite, now)
-        d = math.dist(p_origin, p_exec)
+        d = self._distances.pair(origin, vm.host_satellite, now)
         if d > self.config.link.range_by_layer[vm.host_layer]:
             self._fail(task, FailureCause.MOBILITY, now)
             return
@@ -374,10 +388,10 @@ class Simulation:
 
     def _enqueue(self, task: Task, vm: Vm, now: float) -> None:
         starts_now = vm.busy_until <= now
+        task.service_start_s = now if starts_now else vm.busy_until
         exec_seconds = task.length_mi / vm.mips
         completion = vm.enqueue(task.id, now, exec_seconds, horizon=self.config.duration_s)
         task.state = TaskState.EXECUTING if starts_now else TaskState.QUEUED
-        task.service_start_s = completion - exec_seconds
         self._view.queue_lens[vm.id] += 1.0
         self._push(completion, EventKind.EXECUTION_COMPLETE, task.id)
 

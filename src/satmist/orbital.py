@@ -219,46 +219,26 @@ def build_constellation(spec: ConstellationSpec) -> list[tuple[Layer, OrbitalEle
     return out
 
 
-def _propagate(orbits: np.ndarray, t_seconds: float, out: np.ndarray,
-               scratch: np.ndarray) -> np.ndarray:
-    """Positions at time t for the columns of `orbits`, written into `out`.
-
-    `orbits` holds one column per satellite with the rows a, n, phase,
-    cos(i), sin(i), cos(RAAN), sin(RAAN); `scratch` is (4, k) for k
-    columns. A satellite's position does not depend on which others
-    share the call, bit for bit.
-    """
-    a, rate, phase, ci, si, co, so = orbits
-    th, ct, st, buf = scratch
-    np.multiply(rate, t_seconds, out=th)
-    th += phase
-    np.cos(th, out=ct)
-    np.sin(th, out=st)
-    # x = a*(ct*co - st*ci*so)
-    np.multiply(st, ci, out=buf)
-    x = out[:, 0]
-    np.multiply(buf, so, out=x)
-    np.negative(x, out=x)
-    x += ct * co
-    x *= a
-    # y = a*(ct*so + st*ci*co)
-    y = out[:, 1]
-    np.multiply(buf, co, out=y)
-    y += ct * so
-    y *= a
-    # z = a*st*si
-    z = out[:, 2]
-    np.multiply(st, si, out=z)
-    z *= a
-    return out
+def _on_orbit(orbit, ct: float, st: float) -> tuple[float, float, float]:
+    """One satellite's position from its orbit row and the cos/sin of its angle."""
+    a, _, _, ci, si, co, so = orbit
+    buf = st * ci
+    return a * (ct * co - buf * so), a * (buf * co + ct * so), a * (st * si)
 
 
 class OrbitPositions:
     """Vectorized position source for a fixed satellite list.
 
-    Per-satellite orbit constants are precomputed; positions_all fills a
-    reused (n, 3) buffer, so instances are not safe to share across
-    threads.
+    Per-satellite orbit constants are precomputed. Satellites that share
+    a (mean motion, phase) pair share the orbit angle rate*t + phase at
+    every t, as equal slots of different planes do in a Walker shell, so
+    positions_all takes one cos and one sin per distinct pair and gathers
+    them per satellite. Positions are written into one preallocated
+    (3, n) buffer; positions_all returns its (n, 3) transposed view,
+    valid until the next call, so instances are not safe to share across
+    threads. position_pair repeats the same IEEE operations for two
+    satellites, so its coordinates equal their positions_all rows bit
+    for bit.
     """
 
     def __init__(self, elements: Sequence[OrbitalElements]):
@@ -266,7 +246,7 @@ class OrbitPositions:
             raise ConfigurationError("OrbitPositions needs at least one satellite")
         self._elements = tuple(elements)
         n = len(elements)
-        self._orbits = np.array([
+        orbits = np.array([
             [e.semi_major_axis_m for e in elements],
             [angular_rate_rad_s(e) for e in elements],
             [e.phase_rad for e in elements],
@@ -275,23 +255,62 @@ class OrbitPositions:
             [math.cos(e.raan_rad) for e in elements],
             [math.sin(e.raan_rad) for e in elements],
         ])
-        self._scratch = np.empty((4, n))
-        self._out = np.empty((n, 3))
+        a, rate, phase, ci, si, co, so = orbits
+        self._by_satellite = orbits.T.copy()
+        key = np.empty(n, dtype=np.complex128)
+        key.real, key.imag = rate, phase
+        angles, group = np.unique(key, return_inverse=True)
+        g = len(angles)
+        self._rate, self._phase = angles.real.copy(), angles.imag.copy()
+        self._theta = np.empty(g)
+        self._trig_by_angle = np.empty((2, g))
+        # flat indices into _trig_by_angle that fill _trig with the rows
+        # cos, cos, sin, sin of each satellite's angle
+        self._gather = np.concatenate((group, group, group + g, group + g))
+        self._trig = np.empty((4, n))
+        # constants tiled to the shapes they multiply, so no operand broadcasts
+        self._ci2 = np.array([ci, ci])
+        self._co_so = np.array([co, so])
+        self._neg_so_co = np.array([-so, co])
+        self._si = si
+        self._a3 = np.array([a, a, a])
+        self._terms = np.empty((2, n))
+        self._xyz = np.empty((3, n))
 
     def __len__(self) -> int:
         return len(self._elements)
 
     def positions_all(self, t_seconds: float) -> np.ndarray:
-        """All positions at time t as an (n, 3) array (reused buffer)."""
-        return _propagate(self._orbits, t_seconds, self._out, self._scratch)
+        """All positions at time t as an (n, 3) view of a reused buffer."""
+        theta, by_angle, trig, terms, xyz = (
+            self._theta, self._trig_by_angle, self._trig, self._terms, self._xyz)
+        np.multiply(self._rate, t_seconds, out=theta)
+        theta += self._phase
+        np.cos(theta, out=by_angle[0])
+        np.sin(theta, out=by_angle[1])
+        # mode="clip" lets take write into `out` unbuffered; indices are in range
+        by_angle.ravel().take(self._gather, out=trig.ravel(), mode="clip")
+        # x = a*(ct*co - st*ci*so) and y = a*(ct*so + st*ci*co), both rows at once;
+        # (st*ci)*(-so) is -((st*ci)*so) exactly, so adding it subtracts
+        np.multiply(trig[2:], self._ci2, out=terms)
+        terms *= self._neg_so_co
+        np.multiply(trig[:2], self._co_so, out=xyz[:2])
+        xyz[:2] += terms
+        # z = a*st*si
+        np.multiply(trig[3], self._si, out=xyz[2])
+        xyz *= self._a3
+        return xyz.T
 
-    def positions_of(self, rows: np.ndarray, t_seconds: float) -> np.ndarray:
-        """Positions of the satellites `rows` at time t as a new (k, 3) array.
+    def position_pair(self, i: int, j: int, t_seconds: float):
+        """Positions of satellites i and j at time t as two (x, y, z) tuples.
 
-        Each row equals the same row of positions_all(t), bit for bit.
+        One cos and one sin call on a two-element angle array; the rest
+        is float arithmetic in the order positions_all uses.
         """
-        k = len(rows)
-        return _propagate(self._orbits[:, rows], t_seconds, np.empty((k, 3)), np.empty((4, k)))
+        oi, oj = self._by_satellite[i].tolist(), self._by_satellite[j].tolist()
+        theta = np.array((oi[1] * t_seconds + oi[2], oj[1] * t_seconds + oj[2]))
+        (cos_i, cos_j), (sin_i, sin_j) = np.cos(theta).tolist(), np.sin(theta).tolist()
+        return _on_orbit(oi, cos_i, sin_i), _on_orbit(oj, cos_j, sin_j)
 
     def position_one(self, index: int, t_seconds: float) -> Vec3:
         return position_at(self._elements[index], t_seconds)

@@ -313,6 +313,33 @@ def test_tick_count_bounded(text):
 
 
 def test_tick_count_bound_is_inclusive():
-    assert parse_config("simulation.duration_s=1000000\n").duration_s == 1e6
+    # one aggregate rate keeps the 1e6 s run under the expected-task bound
+    assert parse_config(
+        "simulation.duration_s=1000000\ntask.rate_is_global=true\n").duration_s == 1e6
     with pytest.raises(ConfigurationError, match="mobility ticks"):
         validate(replace(SimulationConfig(), tick_s=1e-12))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "task.rate_per_min=1e9\n",
+        "task.rate_per_min=60.001\nsimulation.duration_s=2000\n",
+        "constellation.mist=1001\ntask.rate_per_min=60\nsimulation.duration_s=2000\n",
+        "task.rate_is_global=true\ntask.rate_per_min=121\nsimulation.duration_s=1000000\n",
+    ],
+)
+def test_task_count_bounded(text):
+    # parse only: rate_per_min=1e9 would create 1e13 tasks before the run starts
+    with pytest.raises(ConfigurationError, match="expected tasks"):
+        parse_config(text)
+
+
+def test_task_count_bound_is_inclusive():
+    # 60/min x 2,000 s x 1,000 mist and 120/min x 1e6 s shared are 2,000,000 exactly
+    assert parse_config("task.rate_per_min=60\nsimulation.duration_s=2000\n").duration_s == 2000
+    shared = parse_config(
+        "task.rate_is_global=true\ntask.rate_per_min=120\nsimulation.duration_s=1000000\n")
+    assert shared.task.rate_per_min == 120
+    with pytest.raises(ConfigurationError, match="expected tasks"):
+        validate(replace(SimulationConfig(), duration_s=6001.0))

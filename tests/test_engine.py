@@ -19,7 +19,7 @@ from satmist.engine import (
 from satmist.errors import ConfigurationError
 from satmist.layers import Layer
 from satmist.netenergy import rx_energy, tx_energy
-from satmist.orbital import Vec3, build_constellation
+from satmist.orbital import Vec3, angular_rate_rad_s, build_constellation
 
 
 class StaticPositions:
@@ -370,22 +370,92 @@ def test_zero_rate_run_reports_absent_rates():
     assert record.avg_vm_cpu_pct == 0.0
 
 
-@pytest.mark.parametrize("phasing", ["walker_delta", "random_uniform"])
-def test_pair_distance_equals_snapshot_bit_for_bit(phasing):
-    from satmist.engine import _Distances
-    from satmist.orbital import OrbitPositions
+def _reference_distances(elements, origin, t):
+    """Every satellite's distance from `origin` at t, computed as positions
+    were before satellites shared their orbit angles: each satellite its
+    own cos/sin, positions as (n, 3) rows, squares summed by np.sum."""
+    a, rate, phase, ci, si, co, so = np.array([
+        [e.semi_major_axis_m for e in elements],
+        [angular_rate_rad_s(e) for e in elements],
+        [e.phase_rad for e in elements],
+        [math.cos(e.inclination_rad) for e in elements],
+        [math.sin(e.inclination_rad) for e in elements],
+        [math.cos(e.raan_rad) for e in elements],
+        [math.sin(e.raan_rad) for e in elements],
+    ])
+    th = rate * t
+    th += phase
+    ct, st = np.cos(th), np.sin(th)
+    buf = st * ci
+    pos = np.empty((len(elements), 3))
+    x = pos[:, 0]
+    np.multiply(buf, so, out=x)
+    np.negative(x, out=x)
+    x += ct * co
+    x *= a
+    y = pos[:, 1]
+    np.multiply(buf, co, out=y)
+    y += ct * so
+    y *= a
+    z = pos[:, 2]
+    np.multiply(st, si, out=z)
+    z *= a
+    diff = pos - pos[origin]
+    np.multiply(diff, diff, out=diff)
+    return np.sqrt(np.sum(diff, axis=1))
 
-    spec = parse_config(f"constellation.phasing={phasing}\n").constellation
-    positions = OrbitPositions([e for _, e in build_constellation(spec)])
-    n = len(positions)
-    distances = _Distances(positions, np.arange(n))
+
+def _two_vms_per_satellite():
+    cfg = parse_config("constellation.mist=40\ntask.rate_per_min=0\n")
+    return replace(cfg, profiles={layer: replace(p, vms_per_satellite=2)
+                                  for layer, p in cfg.profiles.items()})
+
+
+@pytest.mark.parametrize("make_config", [
+    pytest.param(lambda: parse_config("task.rate_per_min=0\n"), id="walker_delta"),
+    pytest.param(lambda: parse_config("constellation.phasing=random_uniform\ntask.rate_per_min=0\n"),
+                 id="random_uniform"),
+    # 18 cloud satellites over 8 planes: 3 slots in two planes, 2 in six
+    pytest.param(lambda: parse_config("constellation.mist=0\nconstellation.edge_dc=0\n"),
+                 id="uneven_planes"),
+    pytest.param(_two_vms_per_satellite, id="two_vms_per_satellite"),
+])
+def test_pair_distance_equals_snapshot_bit_for_bit(make_config):
+    sim = Simulation(make_config())
+    elements = [e for _, e in build_constellation(sim.config.constellation)]
+    vm_host = np.array([vm.host_satellite for vm in sim.vms])
+    distances = sim._distances
+    n = len(elements)
     rng = random.Random(77)
-    column = np.empty(n)
+    column = np.empty(len(vm_host))
     for _ in range(400):
         now = rng.uniform(0.0, 600.0)
         origin, host = rng.randrange(n), rng.randrange(n)
+        expected = _reference_distances(elements, origin, now)
         distances.fill(origin, now, column)
-        assert distances.pair(origin, host, now) == column[host]
+        assert np.array_equal(column, expected[vm_host])
+        assert distances.pair(origin, host, now) == expected[host]
+
+
+def test_download_distance_equals_upload_distance_on_an_injected_source():
+    cfg = parse_config(
+        "constellation.mist=6\nconstellation.edge_dc=2\nconstellation.cloud=1\n"
+        "task.rate_per_min=30\nsimulation.duration_s=60\npolicy.name=round_robin\n"
+    )
+    rng = np.random.default_rng(5)
+    points = rng.uniform(-7e6, 7e6, size=(9, 3))
+    transfers = []
+    sim = Simulation(cfg, positions=StaticPositions(points),
+                     on_transfer=lambda *args: transfers.append(args))
+    sim.run()
+    upload = {task_id: d for task_id, bits, d, _, _ in transfers if bits == cfg.task.input_bits}
+    download = {task_id: d for task_id, bits, d, _, _ in transfers if bits == cfg.task.output_bits}
+    assert len(download) > 10
+    for task_id, d in download.items():
+        task = sim.tasks[task_id]
+        host = sim.vms[task.assigned_vm].host_satellite
+        diff = points - points[task.origin_satellite]
+        assert d == upload[task_id] == np.sqrt(np.sum(diff * diff, axis=1))[host]
 
 
 def test_colocated_mist_satellites_keep_distance_only_local():
