@@ -9,11 +9,13 @@ sweep (count x policy x seed grid with CSV artifacts), trace-export
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from .config import (
+    MAX_TICKS,
     SimulationConfig,
     load_config_file,
     parse_config,
@@ -140,8 +142,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_trace_export(args: argparse.Namespace) -> int:
     config = load_cli_config(args)
     step = args.step if args.step is not None else config.tick_s
-    if step <= 0:
-        raise ConfigurationError("step must be positive")
+    if not (math.isfinite(step) and step > 0):
+        raise ConfigurationError(f"step must be positive and finite, got {step}")
+    if config.duration_s / step > MAX_TICKS:
+        raise ConfigurationError(
+            f"simulation.duration_s / step must be at most {MAX_TICKS:,} samples, "
+            f"got {config.duration_s / step:.3g}"
+        )
     layered = build_constellation(config.constellation)
     provider = OrbitPositions([elements for _, elements in layered])
     times = []

@@ -27,12 +27,7 @@ from .config import SimulationConfig, validate
 from .errors import ConfigurationError
 from .infra import SatelliteNode, Vm, build_nodes
 from .layers import LAYER_CODE, LAYER_ORDER, Layer
-from .netenergy import (
-    propagation_delay,
-    rx_energy,
-    transmission_delay,
-    tx_energy,
-)
+from .netenergy import rx_energy, tx_energy
 from .orbital import OrbitPositions, build_constellation
 from .orchestrate import CandidateView, PlacementError, select
 
@@ -61,6 +56,14 @@ class EventKind(IntEnum):
     DOWNLOAD_COMPLETE = 3
     MOBILITY_TICK = 4
     SIM_END = 5
+
+
+# Heap entries carry the kind as a plain int; Simulation.run dispatches on it.
+_TASK_GENERATED = EventKind.TASK_GENERATED.value
+_UPLOAD_COMPLETE = EventKind.UPLOAD_COMPLETE.value
+_EXECUTION_COMPLETE = EventKind.EXECUTION_COMPLETE.value
+_DOWNLOAD_COMPLETE = EventKind.DOWNLOAD_COMPLETE.value
+_MOBILITY_TICK = EventKind.MOBILITY_TICK.value
 
 
 @dataclass(slots=True)
@@ -143,12 +146,16 @@ class _Distances:
     def fill(self, origin: int, now: float, out: np.ndarray) -> None:
         """Distance from satellite `origin` to every VM's host, into `out`.
 
-        Squares are summed as (dx*dx + dy*dy) + dz*dz, the order an
-        (n, 3) np.sum(axis=1) uses.
+        Each coordinate row has the origin's coordinate subtracted as a
+        scalar, and squares are summed as (dx*dx + dy*dy) + dz*dz, the
+        order an (n, 3) np.sum(axis=1) uses.
         """
         pos = self._positions.positions_all(now).T
         diff, acc = self._diff, self._acc
-        np.subtract(pos, pos[:, origin, None], out=diff)
+        ox, oy, oz = pos[:, origin].tolist()
+        np.subtract(pos[0], ox, out=diff[0])
+        np.subtract(pos[1], oy, out=diff[1])
+        np.subtract(pos[2], oz, out=diff[2])
         np.multiply(diff, diff, out=diff)
         np.add(diff[0], diff[1], out=acc)
         acc += diff[2]
@@ -252,16 +259,15 @@ class Simulation:
         self._heap: list[tuple[float, int, int, int]] = []
         self._seq = 0
         for task in self.tasks:
-            self._push(task.created_at, EventKind.TASK_GENERATED, task.id)
+            self._push(task.created_at, _TASK_GENERATED, task.id)
         tick = config.tick_s
         k = 1
         while k * tick <= config.duration_s:
-            self._push(k * tick, EventKind.MOBILITY_TICK, -1)
+            self._push(k * tick, _MOBILITY_TICK, -1)
             k += 1
 
         self.total_energy_j = 0.0
         self._e2e: list[float] = []
-        self._per_layer = {layer: 0 for layer in Layer}
         self._ran = False
 
     def _generated_tasks(self) -> list[Task]:
@@ -278,8 +284,8 @@ class Simulation:
             out.append(task)
         return out
 
-    def _push(self, time: float, kind: EventKind, task_id: int) -> None:
-        heapq.heappush(self._heap, (time, self._seq, int(kind), task_id))
+    def _push(self, time: float, kind: int, task_id: int) -> None:
+        heapq.heappush(self._heap, (time, self._seq, kind, task_id))
         self._seq += 1
 
     def run(self) -> metrics_mod.MetricsRecord:
@@ -287,24 +293,22 @@ class Simulation:
             raise RuntimeError("Simulation.run() is single use")
         self._ran = True
         duration = self.config.duration_s
-        heap = self._heap
-        handlers = {
-            EventKind.TASK_GENERATED: self.on_task_generated,
-            EventKind.UPLOAD_COMPLETE: self.on_upload_complete,
-            EventKind.EXECUTION_COMPLETE: self.on_execution_complete,
-            EventKind.DOWNLOAD_COMPLETE: self.on_download_complete,
-        }
+        heap, tasks, pop = self._heap, self.tasks, heapq.heappop
+        # indexed by the heap entries' kind codes 0-3
+        handlers = (self.on_task_generated, self.on_upload_complete,
+                    self.on_execution_complete, self.on_download_complete)
+        on_tick = self.on_mobility_tick
+        events = self.events if self.record_events else None
         while heap and heap[0][0] <= duration:
-            time, seq, kind_code, task_id = heapq.heappop(heap)
-            kind = EventKind(kind_code)
-            if self.record_events:
-                self.events.append(Event(time, seq, kind, task_id))
-            if kind is EventKind.MOBILITY_TICK:
-                self.on_mobility_tick(time)
+            time, seq, kind, task_id = pop(heap)
+            if events is not None:
+                events.append(Event(time, seq, EventKind(kind), task_id))
+            if kind == _MOBILITY_TICK:
+                on_tick(time)
             else:
-                handlers[kind](self.tasks[task_id], time)
-        if self.record_events:
-            self.events.append(Event(duration, self._seq, EventKind.SIM_END, -1))
+                handlers[kind](tasks[task_id], time)
+        if events is not None:
+            events.append(Event(duration, self._seq, EventKind.SIM_END, -1))
         return self._build_record()
 
     # -- event handlers -------------------------------------------------
@@ -331,7 +335,6 @@ class Simulation:
         vm_index = sel.vm_id
         vm = self.vms[vm_index]
         view.assigned[vm_index] += 1
-        self._per_layer[vm.host_layer] += 1
         task.assigned_vm = vm_index
         if vm.host_satellite == origin:
             self._enqueue(task, vm, now)
@@ -340,11 +343,12 @@ class Simulation:
             d = self._distances.pair(origin, vm.host_satellite, now)
         else:
             d = float(view.distances[vm_index])
-        self._charge_transfer(task, task.input_bits, d)
+        bits = task.input_bits
+        self._charge_transfer(task, bits, d)
         task.state = TaskState.UPLOADING
-        delay = transmission_delay(task.input_bits, self.config.link) \
-            + propagation_delay(d, self.config.link)
-        self._push(now + delay, EventKind.UPLOAD_COMPLETE, task.id)
+        link = self.config.link
+        self._push(now + (bits / link.bandwidth_bps + d / link.propagation_speed_mps),
+                   _UPLOAD_COMPLETE, task.id)
 
     def on_upload_complete(self, task: Task, now: float) -> None:
         self._enqueue(task, self.vms[task.assigned_vm], now)
@@ -360,17 +364,18 @@ class Simulation:
         origin = task.origin_satellite
         if vm.host_satellite == origin:
             task.state = TaskState.DOWNLOADING
-            self._push(now, EventKind.DOWNLOAD_COMPLETE, task.id)
+            self._push(now, _DOWNLOAD_COMPLETE, task.id)
             return
         d = self._distances.pair(origin, vm.host_satellite, now)
-        if d > self.config.link.range_by_layer[vm.host_layer]:
+        link = self.config.link
+        if d > link.range_by_layer[vm.host_layer]:
             self._fail(task, FailureCause.MOBILITY, now)
             return
-        self._charge_transfer(task, task.output_bits, d)
+        bits = task.output_bits
+        self._charge_transfer(task, bits, d)
         task.state = TaskState.DOWNLOADING
-        delay = transmission_delay(task.output_bits, self.config.link) \
-            + propagation_delay(d, self.config.link)
-        self._push(now + delay, EventKind.DOWNLOAD_COMPLETE, task.id)
+        self._push(now + (bits / link.bandwidth_bps + d / link.propagation_speed_mps),
+                   _DOWNLOAD_COMPLETE, task.id)
 
     def on_download_complete(self, task: Task, now: float) -> None:
         task.finished_at = now
@@ -393,7 +398,7 @@ class Simulation:
         completion = vm.enqueue(task.id, now, exec_seconds, horizon=self.config.duration_s)
         task.state = TaskState.EXECUTING if starts_now else TaskState.QUEUED
         self._view.queue_lens[vm.id] += 1.0
-        self._push(completion, EventKind.EXECUTION_COMPLETE, task.id)
+        self._push(completion, _EXECUTION_COMPLETE, task.id)
 
     def _charge_transfer(self, task: Task, bits: float, distance_m: float) -> None:
         tx = tx_energy(bits, distance_m, self.config.radio)
@@ -420,6 +425,8 @@ class Simulation:
                 else:
                     failed_no_dest += 1
         generated = len(self.tasks)
+        assigned, codes = self._view.assigned, self._view.layer_codes
+        per_layer = {layer: int(assigned[codes == LAYER_CODE[layer]].sum()) for layer in Layer}
         unfinished = generated - succeeded - failed_deadline - failed_mobility - failed_no_dest
         return metrics_mod.MetricsRecord(
             policy=self.config.policy,
@@ -436,7 +443,7 @@ class Simulation:
             total_energy_j=self.total_energy_j,
             total_energy_db=metrics_mod.energy_db_or_neg_inf(self.total_energy_j),
             avg_vm_cpu_pct=metrics_mod.avg_cpu(self.vms, self.config.duration_s),
-            per_layer_task_counts=dict(self._per_layer),
+            per_layer_task_counts=per_layer,
         )
 
 

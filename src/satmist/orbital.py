@@ -256,7 +256,8 @@ class OrbitPositions:
             [math.sin(e.raan_rad) for e in elements],
         ])
         a, rate, phase, ci, si, co, so = orbits
-        self._by_satellite = orbits.T.copy()
+        # one tuple of floats per satellite; such tuples drop out of the cycle collector's tracking
+        self._by_satellite = tuple(map(tuple, orbits.T.tolist()))
         key = np.empty(n, dtype=np.complex128)
         key.real, key.imag = rate, phase
         angles, group = np.unique(key, return_inverse=True)
@@ -307,7 +308,7 @@ class OrbitPositions:
         One cos and one sin call on a two-element angle array; the rest
         is float arithmetic in the order positions_all uses.
         """
-        oi, oj = self._by_satellite[i].tolist(), self._by_satellite[j].tolist()
+        oi, oj = self._by_satellite[i], self._by_satellite[j]
         theta = np.array((oi[1] * t_seconds + oi[2], oj[1] * t_seconds + oj[2]))
         (cos_i, cos_j), (sin_i, sin_j) = np.cos(theta).tolist(), np.sin(theta).tolist()
         return _on_orbit(oi, cos_i, sin_i), _on_orbit(oj, cos_j, sin_j)

@@ -191,8 +191,14 @@ def _feasible_indices(view: CandidateView, architecture, link: LinkParams) -> np
 
 
 def _pick_min(values: np.ndarray, idx: np.ndarray) -> int:
-    """Index (into the full view) of the feasible minimum, first on ties."""
-    return int(idx[np.argmin(values[idx])])
+    """Index (into the full view) of the feasible minimum, first on ties.
+
+    `idx` is sorted and unique, so when it has every index there is
+    nothing to gather.
+    """
+    if idx.size == values.size:
+        return int(values.argmin())
+    return int(idx[values[idx].argmin()])
 
 
 def distance_only(view: CandidateView, task, architecture, *,
@@ -243,9 +249,11 @@ def trade_off(view: CandidateView, task, architecture, *, link: LinkParams = DEF
             + distance_m / propagation_speed
     """
     idx = _feasible_indices(view, architecture, link)
-    weights = _spread(view, "weights", layer_weights, operator.getitem)
-    score = weights * (view.queue_lens + 1.0) * task.length_mi / view.mips \
-        + view.distances / link.propagation_speed_mps
+    score = view.queue_lens + 1.0
+    score *= _spread(view, "weights", layer_weights, operator.getitem)
+    score *= task.length_mi
+    score /= view.mips
+    score += view.distances / link.propagation_speed_mps
     return Selection(int(view.vm_ids[_pick_min(score, idx)]))
 
 
@@ -256,31 +264,50 @@ def weight_greedy(view: CandidateView, task, architecture, *, link: LinkParams =
 
     Indicators, weighted 6:6:5:3 by default: transfer distance, CPU time
     ((queue_len + 1) * length_mi / vm_mips), queued parallel tasks, and
-    transmit energy for the task's input at that distance. Each indicator
-    is normalized over the feasible set; a constant indicator contributes
-    zeros.
+    transmit energy for the task's input at that distance: free-space
+    (e_elec + eps_fs * d^2) strictly below the crossover distance,
+    multipath (e_elec + eps_mp * d^4) from it on. Each indicator is
+    normalized over the feasible set, from its minimum and maximum value
+    (taken at the first argmin and argmax, the same values as min and
+    max on finite columns); a constant indicator contributes zeros. The
+    weighted terms are summed in indicator order.
     """
     idx = _feasible_indices(view, architecture, link)
-    d = view.distances[idx]
-    q = view.queue_lens[idx]
-    cpu = (q + 1.0) * task.length_mi / view.mips[idx]
+    every = idx.size == len(view)
+    if every:
+        d, q, mips = view.distances, view.queue_lens, view.mips
+    else:
+        d, q, mips = view.distances[idx], view.queue_lens[idx], view.mips[idx]
+    score = _minmax_into(d, ratios[0], np.empty(d.size))
+    term = q + 1.0  # CPU time
+    term *= task.length_mi
+    term /= mips
+    score += _minmax_into(term, ratios[1], term)
+    score += _minmax_into(q, ratios[2], term)
     d2 = d * d
-    energy = task.input_bits * np.where(
-        d < radio.crossover_m,
-        radio.e_elec + radio.eps_fs * d2,
-        radio.e_elec + radio.eps_mp * (d2 * d2),
-    )
-    score = ratios[0] * _minmax(d) + ratios[1] * _minmax(cpu) \
-        + ratios[2] * _minmax(q) + ratios[3] * _minmax(energy)
-    return Selection(int(view.vm_ids[idx[int(np.argmin(score))]]))
+    np.multiply(d2, d2, out=term)  # energy: multipath everywhere, then free-space below
+    term *= radio.eps_mp
+    term += radio.e_elec
+    for i in (d < radio.crossover_m).nonzero()[0].tolist():
+        term[i] = radio.e_elec + radio.eps_fs * d2[i]
+    term *= task.input_bits
+    score += _minmax_into(term, ratios[3], term)
+    best = int(score.argmin())
+    return Selection(int(view.vm_ids[best if every else idx[best]]))
 
 
-def _minmax(values: np.ndarray) -> np.ndarray:
-    lo = values.min()
-    span = values.max() - lo
-    if span == 0.0:
-        return np.zeros(values.shape)
-    return (values - lo) / span
+def _minmax_into(values: np.ndarray, ratio: float, out: np.ndarray) -> np.ndarray:
+    """((values - min) / (max - min)) * ratio into `out`, which may be `values`.
+
+    A constant column gives exact zeros: values - min is 0 everywhere.
+    """
+    lo = values[values.argmin()]
+    span = values[values.argmax()] - lo
+    np.subtract(values, lo, out=out)
+    if span != 0.0:
+        out /= span
+        out *= ratio
+    return out
 
 
 def select(policy: PolicyId, view: CandidateView, task, architecture, *,

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
+from satmist import cli
 from satmist.cli import main
+from satmist.config import MAX_TICKS
 from satmist.metrics import CSV_COLUMNS, parse_csv
 from satmist.orbital import TRACE_HEADER, load_trace
 from satmist.orchestrate import PolicyId
@@ -145,6 +149,54 @@ def test_help_exits_zero(capsys):
 def test_zero_step_rejected(fast_config, capsys):
     code = main(["trace-export", "--config", str(fast_config), "--step", "0"])
     assert code == 1
+
+
+@pytest.fixture
+def no_trace_work(monkeypatch):
+    """Fail the test if trace-export starts building the constellation or writing samples."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("trace-export started work on a rejected step")
+
+    monkeypatch.setattr(cli, "build_constellation", refuse)
+    monkeypatch.setattr(cli, "dump_trace", refuse)
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "-inf", "-1"])
+def test_non_finite_or_negative_step_rejected(fast_config, capsys, no_trace_work, step):
+    code = main(["trace-export", "--config", str(fast_config), f"--step={step}"])
+    assert code == 1
+    assert "step must be positive and finite" in capsys.readouterr().err
+
+
+# 1,000,000 samples of 2**-16 s, a duration and a step both exact in binary
+EDGE_DURATION_S = MAX_TICKS * 2.0**-16
+
+
+@pytest.fixture
+def edge_config(tmp_path):
+    path = tmp_path / "edge.cfg"
+    path.write_text(FAST.replace("simulation.duration_s=20",
+                                 f"simulation.duration_s={EDGE_DURATION_S!r}"))
+    return path
+
+
+def test_step_sample_count_bounded(edge_config, capsys, no_trace_work):
+    # 15.26 s at 1e-12 s would be 1.5e13 sample times
+    code = main(["trace-export", "--config", str(edge_config), "--step=1e-12"])
+    assert code == 1
+    assert f"at most {MAX_TICKS:,} samples" in capsys.readouterr().err
+    # one rounding step below 2**-16 s puts the count just past the bound
+    code = main(["trace-export", "--config", str(edge_config),
+                 f"--step={math.nextafter(2.0**-16, 0.0)!r}"])
+    assert code == 1
+
+
+def test_step_sample_count_bound_is_inclusive(edge_config, monkeypatch):
+    times_written = []
+    monkeypatch.setattr(cli, "dump_trace",
+                        lambda stream, provider, ids, times: times_written.append(len(times)))
+    assert main(["trace-export", "--config", str(edge_config), f"--step={2.0**-16!r}"]) == 0
+    assert times_written == [MAX_TICKS + 1]  # t = 0 and each of the MAX_TICKS steps
 
 
 def test_unwritable_out_is_a_runtime_error(fast_config, tmp_path, capsys):

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -504,3 +504,25 @@ def test_finished_run_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("policy", ["random_vm", "weight_greedy"])
+def test_recording_events_changes_no_result(policy):
+    # short ranges and random phasing: uploads, downloads, mobility and no-destination failures
+    cfg = parse_config(
+        "constellation.mist=60\nsimulation.duration_s=60\nconstellation.phasing=random_uniform\n"
+        "link.range_mist_m=6e6\nlink.range_edge_m=4e6\nlink.range_cloud_m=12e6\n"
+        f"architecture.layers=edge_dc,cloud\npolicy.name={policy}\n"
+    )
+    plain, recorded = Simulation(cfg), Simulation(cfg, record_events=True)
+    assert plain.run() == recorded.run()
+    assert not plain.events
+    assert [repr(astuple(task)) for task in plain.tasks] \
+        == [repr(astuple(task)) for task in recorded.tasks]  # repr: nan == nan
+    kinds = {event.kind for event in recorded.events}
+    assert {EventKind.TASK_GENERATED, EventKind.UPLOAD_COMPLETE, EventKind.EXECUTION_COMPLETE,
+            EventKind.DOWNLOAD_COMPLETE, EventKind.MOBILITY_TICK, EventKind.SIM_END} <= kinds
+    assert all(isinstance(event.kind, EventKind) for event in recorded.events)
+    causes = {task.failure_cause for task in recorded.tasks}
+    assert FailureCause.NO_DESTINATION in causes
+    assert policy != "random_vm" or FailureCause.MOBILITY in causes
