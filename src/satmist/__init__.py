@@ -1,153 +1,35 @@
 """Deterministic simulator of task placement on mist/edge/cloud satellite tiers."""
 
-from .config import (
-    SimulationConfig,
-    TaskProfile,
-    build_config,
-    load_config_file,
-    parse_config,
-    parse_policy_name,
-    validate,
-)
-from .engine import (
-    Event,
-    EventKind,
-    FailureCause,
-    Simulation,
-    Task,
-    TaskState,
-    generate_tasks,
-    run,
-)
-from .errors import ConfigurationError, TraceFormatError
-from .infra import (
-    DEFAULT_PROFILES,
-    LayerProfile,
-    SatelliteNode,
-    Vm,
-    build_nodes,
-    utilization_pct,
-)
+from .config import parse_config
+from .engine import EventKind, Simulation, TaskState
+from .errors import ConfigurationError
 from .layers import Layer
-from .metrics import (
-    CSV_COLUMNS,
-    MetricsRecord,
-    avg_cpu,
-    avg_e2e,
-    emit_csv,
-    energy_db_or_neg_inf,
-    parse_csv,
-    success_rate,
-)
-from .netenergy import (
-    DEFAULT_LINK,
-    DEFAULT_RADIO,
-    LinkParams,
-    RadioParams,
-    energy_db,
-    propagation_delay,
-    rx_energy,
-    transmission_delay,
-    tx_energy,
-)
-from .orbital import (
-    ConstellationSpec,
-    OrbitPositions,
-    OrbitalElements,
-    Phasing,
-    PositionTrace,
-    Vec3,
-    build_constellation,
-    dump_trace,
-    load_trace,
-    orbital_period_s,
-    position_at,
-)
-from .orchestrate import (
-    Candidate,
-    CandidateView,
-    PlacementError,
-    PolicyId,
-    Selection,
-    TaskInfo,
-    distance_only,
-    random_vm,
-    round_robin,
-    select,
-    trade_off,
-    weight_greedy,
-)
-from .sweep import SweepSpec, derive_config, plot_data, run_sweep
+from .metrics import emit_csv
+from .netenergy import RadioParams, energy_db, rx_energy, tx_energy
+from .orbital import ConstellationSpec, OrbitPositions, build_constellation, orbital_period_s
+from .orchestrate import PolicyId
+from .sweep import SweepSpec, plot_data, run_sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CSV_COLUMNS",
-    "Candidate",
-    "CandidateView",
     "ConfigurationError",
     "ConstellationSpec",
-    "DEFAULT_LINK",
-    "DEFAULT_PROFILES",
-    "DEFAULT_RADIO",
-    "Event",
     "EventKind",
-    "FailureCause",
     "Layer",
-    "LayerProfile",
-    "LinkParams",
-    "MetricsRecord",
     "OrbitPositions",
-    "OrbitalElements",
-    "Phasing",
-    "PlacementError",
     "PolicyId",
-    "PositionTrace",
     "RadioParams",
-    "SatelliteNode",
-    "Selection",
     "Simulation",
-    "SimulationConfig",
     "SweepSpec",
-    "Task",
-    "TaskInfo",
-    "TaskProfile",
     "TaskState",
-    "TraceFormatError",
-    "Vec3",
-    "Vm",
-    "avg_cpu",
-    "avg_e2e",
-    "build_config",
     "build_constellation",
-    "build_nodes",
-    "derive_config",
-    "distance_only",
-    "dump_trace",
     "emit_csv",
     "energy_db",
-    "energy_db_or_neg_inf",
-    "generate_tasks",
-    "load_config_file",
-    "load_trace",
     "orbital_period_s",
     "parse_config",
-    "parse_csv",
-    "parse_policy_name",
     "plot_data",
-    "position_at",
-    "propagation_delay",
-    "random_vm",
-    "round_robin",
-    "run",
     "run_sweep",
     "rx_energy",
-    "select",
-    "success_rate",
-    "trade_off",
-    "transmission_delay",
     "tx_energy",
-    "utilization_pct",
-    "validate",
-    "weight_greedy",
 ]

@@ -23,7 +23,7 @@ from .config import (
     validate,
 )
 from .engine import Simulation
-from .errors import ConfigurationError, TraceFormatError
+from .errors import ConfigurationError
 from .metrics import emit_csv
 from .orbital import OrbitPositions, build_constellation, dump_trace
 from .orchestrate import PolicyId
@@ -174,7 +174,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (ConfigurationError, TraceFormatError) as exc:
+    except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

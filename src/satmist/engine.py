@@ -25,7 +25,7 @@ import numpy as np
 from . import metrics as metrics_mod
 from .config import SimulationConfig, validate
 from .errors import ConfigurationError
-from .infra import SatelliteNode, Vm, build_nodes
+from .infra import Vm, build_nodes
 from .layers import LAYER_CODE, LAYER_ORDER, Layer
 from .netenergy import rx_energy, tx_energy
 from .orbital import OrbitPositions, build_constellation
@@ -94,15 +94,14 @@ class Event:
     task_id: int
 
 
-def generate_tasks(config: SimulationConfig, origin: SatelliteNode | int,
+def generate_tasks(config: SimulationConfig, origin: int,
                    rng: random.Random) -> list[Task]:
-    """Poisson arrivals for one mist satellite over [0, duration).
+    """Poisson arrivals for mist satellite `origin` over [0, duration).
 
     Task ids are local placeholders; the runner renumbers globally by
     (created_at, origin). With rate_is_global set, the profile rate is
     split evenly across mist satellites.
     """
-    origin_id = origin.id if isinstance(origin, SatelliteNode) else int(origin)
     profile = config.task
     rate_per_s = profile.rate_per_min / 60.0
     if profile.rate_is_global and config.constellation.mist > 0:
@@ -115,7 +114,7 @@ def generate_tasks(config: SimulationConfig, origin: SatelliteNode | int,
         tasks.append(
             Task(
                 id=len(tasks),
-                origin_satellite=origin_id,
+                origin_satellite=origin,
                 created_at=t,
                 length_mi=profile.length_mi,
                 input_bits=profile.input_bits,
@@ -203,7 +202,12 @@ def _static_feasible(config: SimulationConfig, layered, layer_codes: np.ndarray)
 
 
 class Simulation:
-    """One configured run; single use, call run() once."""
+    """One configured run; single use, call run() once.
+
+    An injected `positions` source replaces the built-in orbits. It needs
+    only `__len__`, one entry per satellite, and `positions_all(t)`, which
+    returns an (n, 3) array of coordinates in meters.
+    """
 
     def __init__(self, config: SimulationConfig, *,
                  tasks: Sequence[Task] | None = None,
@@ -276,7 +280,7 @@ class Simulation:
             if node.layer is not Layer.MIST:
                 continue
             rng = random.Random(f"{self.config.seed}:arrivals:{node.id}")
-            raw.extend(generate_tasks(self.config, node, rng))
+            raw.extend(generate_tasks(self.config, node.id, rng))
         raw.sort(key=lambda task: (task.created_at, task.origin_satellite))
         out = []
         for i, task in enumerate(raw):
@@ -445,8 +449,3 @@ class Simulation:
             avg_vm_cpu_pct=metrics_mod.avg_cpu(self.vms, self.config.duration_s),
             per_layer_task_counts=per_layer,
         )
-
-
-def run(config: SimulationConfig, **kwargs) -> metrics_mod.MetricsRecord:
-    """Build and execute one simulation, returning its metrics."""
-    return Simulation(config, **kwargs).run()

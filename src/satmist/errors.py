@@ -3,7 +3,3 @@
 
 class ConfigurationError(ValueError):
     """Raised for invalid configuration values, files, or CLI inputs."""
-
-
-class TraceFormatError(ValueError):
-    """Raised when a position trace stream is malformed."""

@@ -53,16 +53,6 @@ DEFAULT_RADIO = RadioParams()
 DEFAULT_LINK = LinkParams()
 
 
-def transmission_delay(bits: float, link: LinkParams = DEFAULT_LINK) -> float:
-    """Seconds to serialize `bits` onto the link."""
-    return bits / link.bandwidth_bps
-
-
-def propagation_delay(distance_m: float, link: LinkParams = DEFAULT_LINK) -> float:
-    """Seconds for the signal to cover `distance_m`."""
-    return distance_m / link.propagation_speed_mps
-
-
 def tx_energy(bits: float, distance_m: float, radio: RadioParams = DEFAULT_RADIO) -> float:
     """Joules to transmit `bits` over `distance_m`.
 

@@ -1,16 +1,11 @@
-"""Constellation geometry: circular-orbit propagation and position traces.
+"""Constellation geometry: circular-orbit propagation and trace export.
 
-Satellite positions come from one of two interchangeable sources. The
-default is an analytic propagator over circular Keplerian orbits; the
-alternative is a CSV trace imported from an external tool, interpolated
-linearly between samples. Both expose the same lookup surface, so the
-simulation engine never cares which one drives it.
+Satellite positions come from an analytic propagator over circular
+Keplerian orbits. dump_trace writes them out as a CSV trace.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import random
 from dataclasses import dataclass, field
@@ -19,7 +14,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, TraceFormatError
+from .errors import ConfigurationError
 from .layers import LAYER_ORDER, Layer
 
 R_EARTH_M = 6_371_000.0
@@ -37,35 +32,6 @@ DEFAULT_ALTITUDE_BY_LAYER: Mapping[Layer, float] = {
 DEFAULT_INCLINATION_RAD = math.radians(53.0)
 
 TRACE_HEADER = ("sat_id", "t", "x", "y", "z")
-
-
-class Vec3(tuple):
-    """Earth-centered cartesian position in meters."""
-
-    __slots__ = ()
-
-    def __new__(cls, x: float, y: float, z: float):
-        fx, fy, fz = float(x), float(y), float(z)
-        if not (math.isfinite(fx) and math.isfinite(fy) and math.isfinite(fz)):
-            raise ValueError(f"position components must be finite, got {(x, y, z)}")
-        return tuple.__new__(cls, (fx, fy, fz))
-
-    @property
-    def x(self) -> float:
-        return self[0]
-
-    @property
-    def y(self) -> float:
-        return self[1]
-
-    @property
-    def z(self) -> float:
-        return self[2]
-
-
-def distance(a: Sequence[float], b: Sequence[float]) -> float:
-    """Euclidean distance between two positions, in meters."""
-    return math.dist(a, b)
 
 
 @dataclass(frozen=True)
@@ -107,8 +73,8 @@ def angular_rate_rad_s(elements: OrbitalElements) -> float:
     return math.sqrt(MU_EARTH_M3_S2 / (a * a * a))
 
 
-def position_at(elements: OrbitalElements, t_seconds: float) -> Vec3:
-    """Position on the circular orbit at time t.
+def position_at(elements: OrbitalElements, t_seconds: float) -> tuple[float, float, float]:
+    """Earth-centered (x, y, z) position in meters on the circular orbit at time t.
 
     The in-plane point (a*cos(theta), a*sin(theta), 0) with
     theta = phase + n*t is rotated about x by the inclination and then
@@ -119,7 +85,7 @@ def position_at(elements: OrbitalElements, t_seconds: float) -> Vec3:
     ct, st = math.cos(theta), math.sin(theta)
     ci, si = math.cos(elements.inclination_rad), math.sin(elements.inclination_rad)
     co, so = math.cos(elements.raan_rad), math.sin(elements.raan_rad)
-    return Vec3(
+    return (
         a * (ct * co - st * ci * so),
         a * (ct * so + st * ci * co),
         a * (st * si),
@@ -313,128 +279,15 @@ class OrbitPositions:
         (cos_i, cos_j), (sin_i, sin_j) = np.cos(theta).tolist(), np.sin(theta).tolist()
         return _on_orbit(oi, cos_i, sin_i), _on_orbit(oj, cos_j, sin_j)
 
-    def position_one(self, index: int, t_seconds: float) -> Vec3:
+    def position_one(self, index: int, t_seconds: float) -> tuple[float, float, float]:
         return position_at(self._elements[index], t_seconds)
 
 
-class PositionTrace:
-    """Imported trace: per-satellite time series with linear interpolation.
-
-    Lookups are exact at sample times and clamp to the first/last sample
-    outside the sampled window.
-    """
-
-    def __init__(self, samples: Mapping[str, tuple[np.ndarray, np.ndarray]], ids: Sequence[str]):
-        self._samples = dict(samples)
-        self._ids = tuple(ids)
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return self._ids
-
-    def lookup(self, sat_id: str, t_seconds: float) -> Vec3:
-        try:
-            times, pos = self._samples[sat_id]
-        except KeyError:
-            raise TraceFormatError(f"unknown satellite id {sat_id!r}") from None
-        if t_seconds <= times[0]:
-            row = pos[0]
-        elif t_seconds >= times[-1]:
-            row = pos[-1]
-        else:
-            j = int(np.searchsorted(times, t_seconds, side="right"))
-            t0, t1 = times[j - 1], times[j]
-            w = (t_seconds - t0) / (t1 - t0)
-            row = pos[j - 1] + w * (pos[j] - pos[j - 1])
-        return Vec3(row[0], row[1], row[2])
-
-    def as_provider(self, id_order: Sequence[str] | None = None) -> "TracePositions":
-        return TracePositions(self, id_order or self._ids)
-
-
-class TracePositions:
-    """Adapter giving a PositionTrace the same surface as OrbitPositions."""
-
-    def __init__(self, trace: PositionTrace, id_order: Sequence[str]):
-        for sat_id in id_order:
-            if sat_id not in trace.ids:
-                raise TraceFormatError(f"unknown satellite id {sat_id!r}")
-        self._trace = trace
-        self._order = tuple(id_order)
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def positions_all(self, t_seconds: float) -> np.ndarray:
-        out = np.empty((len(self._order), 3))
-        for i, sat_id in enumerate(self._order):
-            out[i] = self._trace.lookup(sat_id, t_seconds)
-        return out
-
-    def position_one(self, index: int, t_seconds: float) -> Vec3:
-        return self._trace.lookup(self._order[index], t_seconds)
-
-
-def _as_text(source) -> io.TextIOBase:
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
-    if isinstance(source, str):
-        return io.StringIO(source)
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return io.StringIO(data)
-
-
-def load_trace(source) -> PositionTrace:
-    """Parse a position trace from a byte or text stream.
-
-    Expected CSV layout: header `sat_id,t,x,y,z`, then one row per
-    (satellite, sample time) with strictly increasing t per satellite.
-    """
-    reader = csv.reader(_as_text(source))
-    try:
-        header = next(reader)
-    except StopIteration:
-        return PositionTrace({}, [])
-    if tuple(h.strip() for h in header) != TRACE_HEADER:
-        raise TraceFormatError(
-            f"bad trace header {header!r}, expected {','.join(TRACE_HEADER)}"
-        )
-    times: dict[str, list[float]] = {}
-    points: dict[str, list[tuple[float, float, float]]] = {}
-    order: list[str] = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 5:
-            raise TraceFormatError(f"line {lineno}: expected 5 fields, got {len(row)}")
-        sat_id = row[0].strip()
-        try:
-            t, x, y, z = (float(v) for v in row[1:])
-        except ValueError:
-            raise TraceFormatError(f"line {lineno}: non-numeric field in {row!r}") from None
-        if sat_id not in times:
-            times[sat_id] = []
-            points[sat_id] = []
-            order.append(sat_id)
-        elif t <= times[sat_id][-1]:
-            raise TraceFormatError(
-                f"line {lineno}: timestamps for {sat_id!r} must increase strictly"
-            )
-        times[sat_id].append(t)
-        points[sat_id].append((x, y, z))
-    samples = {
-        sat_id: (np.array(times[sat_id]), np.array(points[sat_id])) for sat_id in order
-    }
-    return PositionTrace(samples, order)
-
-
 def dump_trace(stream: IO[str], provider, ids: Sequence[str], times: Iterable[float]) -> None:
-    """Write positions in the trace CSV layout (importable by load_trace).
+    """Write positions in the trace CSV layout, header `sat_id,t,x,y,z`.
 
     Rows are grouped per satellite in `ids` order, times ascending; float
-    formatting uses repr so a round trip is exact.
+    formatting uses repr, so float() reads back the exact values.
     """
     time_list = sorted(set(float(t) for t in times))
     if not time_list:

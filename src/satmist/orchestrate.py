@@ -22,24 +22,6 @@ import numpy as np
 from .layers import LAYER_CODE, LAYER_ORDER, Layer
 from .netenergy import DEFAULT_LINK, DEFAULT_RADIO, LinkParams, RadioParams
 
-__all__ = [
-    "PolicyId",
-    "Candidate",
-    "CandidateView",
-    "TaskInfo",
-    "Selection",
-    "PlacementError",
-    "distance_only",
-    "round_robin",
-    "random_vm",
-    "trade_off",
-    "weight_greedy",
-    "select",
-    "DEFAULT_TRADEOFF_LAYER_WEIGHTS",
-    "WEIGHT_GREEDY_RATIOS",
-]
-
-
 class PolicyId(str, Enum):
     DISTANCE_ONLY = "distance_only"
     ROUND_ROBIN = "round_robin"
@@ -61,12 +43,6 @@ class Candidate:
     queue_len: int
     vm_mips: float
     assigned_count: int
-
-    def __post_init__(self):
-        if self.distance_m < 0:
-            raise ValueError(f"distance_m must be non-negative, got {self.distance_m}")
-        if self.vm_mips <= 0:
-            raise ValueError(f"vm_mips must be positive, got {self.vm_mips}")
 
 
 class TaskInfo(NamedTuple):

@@ -62,7 +62,9 @@ def derive_config(base: SimulationConfig, count: int, policy: PolicyId,
     """Base config specialized to one grid point.
 
     The count replaces the mist layer; with scale_all_layers the edge and
-    cloud counts scale by count / base mist count (floor 1).
+    cloud counts scale by count / base mist count, rounded, with a floor
+    of 1 for a layer whose base count is positive. An empty layer stays
+    empty.
     """
     const = base.constellation
     if scale_all_layers:
@@ -72,13 +74,17 @@ def derive_config(base: SimulationConfig, count: int, policy: PolicyId,
         const = replace(
             const,
             mist=count,
-            edge_dc=max(1, round(const.edge_dc * factor)),
-            cloud=max(1, round(const.cloud * factor)),
+            edge_dc=_scaled(const.edge_dc, factor),
+            cloud=_scaled(const.cloud, factor),
             rng_seed=seed,
         )
     else:
         const = replace(const, mist=count, rng_seed=seed)
     return replace(base, constellation=const, policy=policy, seed=seed)
+
+
+def _scaled(base_count: int, factor: float) -> int:
+    return max(1, round(base_count * factor)) if base_count > 0 else 0
 
 
 def _run_one(config: SimulationConfig) -> MetricsRecord:

@@ -1,14 +1,15 @@
 from __future__ import annotations
 
+import csv
 import math
 
 import pytest
 
 from satmist import cli
 from satmist.cli import main
-from satmist.config import MAX_TICKS
+from satmist.config import MAX_TICKS, parse_config
 from satmist.metrics import CSV_COLUMNS, parse_csv
-from satmist.orbital import TRACE_HEADER, load_trace
+from satmist.orbital import TRACE_HEADER, OrbitPositions, build_constellation
 from satmist.orchestrate import PolicyId
 
 FAST = "constellation.mist=2\nconstellation.edge_dc=1\nconstellation.cloud=1\nsimulation.duration_s=20\n"
@@ -94,11 +95,15 @@ def test_trace_export_round_trip(fast_config, tmp_path, capsys):
     assert code == 0
     text = out.read_text()
     assert text.splitlines()[0] == ",".join(TRACE_HEADER)
-    with open(out, encoding="utf-8") as handle:
-        trace = load_trace(handle)
-    # 4 satellites sampled at t = 0, 10, 20
-    assert len(trace.ids) == 4
-    assert trace.lookup(trace.ids[0], 5.0) is not None
+    with open(out, encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    # 4 satellites sampled at t = 0, 10, 20, with the exact coordinates
+    layered = build_constellation(parse_config(FAST).constellation)
+    provider = OrbitPositions([e for _, e in layered])
+    expected = [(str(i), t, *provider.position_one(i, t))
+                for i in range(4) for t in (0.0, 10.0, 20.0)]
+    got = [(sat_id, *map(float, values)) for sat_id, *values in rows]
+    assert got == expected
 
 
 def test_trace_export_stdout(fast_config, capsys):

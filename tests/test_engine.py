@@ -19,7 +19,7 @@ from satmist.engine import (
 from satmist.errors import ConfigurationError
 from satmist.layers import Layer
 from satmist.netenergy import rx_energy, tx_energy
-from satmist.orbital import Vec3, angular_rate_rad_s, build_constellation
+from satmist.orbital import angular_rate_rad_s, build_constellation
 
 
 class StaticPositions:
@@ -33,10 +33,6 @@ class StaticPositions:
 
     def positions_all(self, t):
         return self._points
-
-    def position_one(self, index, t):
-        x, y, z = self._points[index]
-        return Vec3(x, y, z)
 
 
 class DriftingPositions:
@@ -55,9 +51,6 @@ class DriftingPositions:
 
     def positions_all(self, t):
         return np.array([[0.0, 0.0, 0.0], [self._gap(t), 0.0, 0.0]])
-
-    def position_one(self, index, t):
-        return Vec3(self._gap(t) if index else 0.0, 0.0, 0.0)
 
 
 def heavy_task(task_id=0, origin=0, created=0.0, deadline=12.0):

@@ -9,12 +9,9 @@ from hypothesis import strategies as st
 from satmist.config import parse_config
 from satmist.errors import ConfigurationError
 from satmist.netenergy import (
-    DEFAULT_LINK,
     DEFAULT_RADIO,
     energy_db,
-    propagation_delay,
     rx_energy,
-    transmission_delay,
     tx_energy,
 )
 
@@ -28,18 +25,6 @@ def test_default_radio_constants():
 def test_crossover_is_sqrt_of_amplifier_ratio():
     assert DEFAULT_RADIO.crossover_m == math.sqrt(1e-11 / 1.3e-15)
     assert DEFAULT_RADIO.crossover_m == pytest.approx(87.7058, abs=1e-4)
-
-
-def test_transmission_delay_hand_values():
-    assert transmission_delay(1e9, DEFAULT_LINK) == 1.0
-    assert transmission_delay(0, DEFAULT_LINK) == 0.0
-    assert transmission_delay(8e6, DEFAULT_LINK) == 0.008
-
-
-def test_propagation_delay_hand_values():
-    assert propagation_delay(3e8, DEFAULT_LINK) == 1.0
-    assert propagation_delay(0, DEFAULT_LINK) == 0.0
-    assert propagation_delay(3.2e7, DEFAULT_LINK) == pytest.approx(0.1067, abs=1e-4)
 
 
 def test_tx_energy_zero_distance_is_electronics_only():

@@ -1,28 +1,25 @@
 from __future__ import annotations
 
+import csv
 import io
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from satmist.config import SimulationConfig, validate
-from satmist.errors import ConfigurationError, TraceFormatError
+from satmist.errors import ConfigurationError
 from satmist.layers import Layer
 from satmist.orbital import (
     MU_EARTH_M3_S2,
     R_EARTH_M,
+    TRACE_HEADER,
     ConstellationSpec,
     OrbitPositions,
     OrbitalElements,
     Phasing,
-    Vec3,
     build_constellation,
-    distance,
     dump_trace,
-    load_trace,
     orbital_period_s,
     position_at,
 )
@@ -50,7 +47,7 @@ def test_orbit_radius_is_conserved():
     a = R_EARTH_M + 400_000.0
     for t in (0.0, 17.3, 1000.0, 5544.0, 123456.0):
         p = position_at(e, t)
-        assert math.hypot(p.x, p.y, p.z) == pytest.approx(a, rel=1e-12)
+        assert math.hypot(*p) == pytest.approx(a, rel=1e-12)
 
 
 def test_position_periodicity():
@@ -60,7 +57,7 @@ def test_position_periodicity():
     p0 = position_at(e, 0.0)
     p1 = position_at(e, period)
     a = e.semi_major_axis_m
-    assert distance(p0, p1) <= 1e-6 * a
+    assert math.dist(p0, p1) <= 1e-6 * a
 
 
 def test_position_against_rotation_matrix_oracle():
@@ -76,14 +73,14 @@ def test_position_against_rotation_matrix_oracle():
     rot_z = np.array([[co, -so, 0], [so, co, 0], [0, 0, 1]])
     expected = rot_z @ rot_x @ in_plane
     got = position_at(e, t)
-    assert np.allclose([got.x, got.y, got.z], expected, rtol=1e-12, atol=1e-6)
+    assert np.allclose(got, expected, rtol=1e-12, atol=1e-6)
 
 
 def test_zero_inclination_stays_equatorial():
     e = OrbitalElements(altitude_m=500_000.0, inclination_rad=0.0,
                         raan_rad=1.0, phase_rad=2.0)
     for t in (0.0, 100.0, 4000.0):
-        assert position_at(e, t).z == pytest.approx(0.0, abs=1e-9)
+        assert position_at(e, t)[2] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_altitude_floor_enforced():
@@ -93,26 +90,6 @@ def test_altitude_floor_enforced():
         OrbitalElements(altitude_m=400_000.0, inclination_rad=-0.1)
     with pytest.raises(ValueError):
         OrbitalElements(altitude_m=400_000.0, raan_rad=2 * math.pi)
-
-
-def test_distance_hand_values():
-    assert distance(Vec3(0, 0, 0), Vec3(3, 4, 0)) == 5.0
-    p = Vec3(1.5, -2.5, 3.5)
-    assert distance(p, p) == 0.0
-    assert distance(Vec3(1e6, 0, 0), Vec3(0, 1e6, 0)) == pytest.approx(
-        1.41421356e6, abs=1.0
-    )
-
-
-@given(
-    ax=st.floats(-1e7, 1e7), ay=st.floats(-1e7, 1e7), az=st.floats(-1e7, 1e7),
-    bx=st.floats(-1e7, 1e7), by=st.floats(-1e7, 1e7), bz=st.floats(-1e7, 1e7),
-    cx=st.floats(-1e7, 1e7), cy=st.floats(-1e7, 1e7), cz=st.floats(-1e7, 1e7),
-)
-def test_distance_symmetry_and_triangle_inequality(ax, ay, az, bx, by, bz, cx, cy, cz):
-    a, b, c = Vec3(ax, ay, az), Vec3(bx, by, bz), Vec3(cx, cy, cz)
-    assert distance(a, b) == distance(b, a)
-    assert distance(a, c) <= distance(a, b) + distance(b, c) + 1e-6
 
 
 def test_single_satellite_walker_has_zero_phase():
@@ -182,9 +159,8 @@ def test_orbit_positions_matches_scalar_propagator():
         block = provider.positions_all(t)
         for i, (_, e) in enumerate(layered):
             p = position_at(e, t)
-            assert np.allclose(block[i], [p.x, p.y, p.z], rtol=1e-12, atol=1e-6)
-            q = provider.position_one(i, t)
-            assert (q.x, q.y, q.z) == (p.x, p.y, p.z)
+            assert np.allclose(block[i], p, rtol=1e-12, atol=1e-6)
+            assert provider.position_one(i, t) == p
 
 
 def test_altitude_floor_holds_over_a_period():
@@ -198,55 +174,6 @@ def test_altitude_floor_holds_over_a_period():
         assert (radii - R_EARTH_M >= 400_000.0 - 1e-6).all()
 
 
-def trace_text(rows):
-    return "sat_id,t,x,y,z\n" + "".join(f"{r}\n" for r in rows)
-
-
-def test_trace_midpoint_interpolation():
-    trace = load_trace(trace_text(["s0,0,0,0,0", "s0,10,10,0,0"]))
-    assert tuple(trace.lookup("s0", 5.0)) == (5.0, 0.0, 0.0)
-    assert tuple(trace.lookup("s0", 0.0)) == (0.0, 0.0, 0.0)
-    assert tuple(trace.lookup("s0", 10.0)) == (10.0, 0.0, 0.0)
-
-
-def test_trace_clamps_beyond_sampled_interval():
-    trace = load_trace(trace_text(["s0,0,1,2,3", "s0,10,11,12,13"]))
-    assert tuple(trace.lookup("s0", -5.0)) == (1.0, 2.0, 3.0)
-    assert tuple(trace.lookup("s0", 50.0)) == (11.0, 12.0, 13.0)
-
-
-def test_empty_trace_loads_but_rejects_queries():
-    trace = load_trace("")
-    with pytest.raises(TraceFormatError):
-        trace.lookup("s0", 0.0)
-
-
-def test_trace_rejects_bad_header():
-    with pytest.raises(TraceFormatError):
-        load_trace("id,t,x,y,z\ns0,0,0,0,0\n")
-
-
-def test_trace_rejects_wrong_field_count():
-    with pytest.raises(TraceFormatError, match="line 2"):
-        load_trace("sat_id,t,x,y,z\ns0,0,0,0\n")
-
-
-def test_trace_rejects_non_numeric_fields():
-    with pytest.raises(TraceFormatError, match="line 3"):
-        load_trace(trace_text(["s0,0,0,0,0", "s0,ten,1,1,1"]))
-
-
-def test_trace_rejects_non_increasing_timestamps():
-    with pytest.raises(TraceFormatError, match="increase strictly"):
-        load_trace(trace_text(["s0,5,0,0,0", "s0,5,1,1,1"]))
-
-
-def test_trace_rejects_unknown_satellite():
-    trace = load_trace(trace_text(["s0,0,0,0,0"]))
-    with pytest.raises(TraceFormatError):
-        trace.lookup("s9", 0.0)
-
-
 def test_dump_then_load_round_trip():
     spec = ConstellationSpec(mist=3, edge_dc=1, cloud=1)
     layered = build_constellation(spec)
@@ -254,29 +181,11 @@ def test_dump_then_load_round_trip():
     times = [0.0, 30.0, 60.0]
     buf = io.StringIO()
     dump_trace(buf, provider, [str(i) for i in range(5)], times)
-    trace = load_trace(buf.getvalue())
-    for i in range(5):
-        for t in times:
-            expected = provider.position_one(i, t)
-            got = trace.lookup(str(i), t)
-            assert tuple(got) == (expected.x, expected.y, expected.z)
-
-
-def test_trace_provider_adapter_matches_lookup():
-    trace = load_trace(trace_text(["a,0,0,0,0", "a,10,10,0,0",
-                                   "b,0,5,5,5", "b,10,5,5,5"]))
-    provider = trace.as_provider()
-    assert len(provider) == 2
-    block = provider.positions_all(5.0)
-    assert tuple(block[0]) == (5.0, 0.0, 0.0)
-    assert tuple(block[1]) == (5.0, 5.0, 5.0)
-
-
-def test_vec3_finite_enforced():
-    with pytest.raises(ValueError):
-        Vec3(math.nan, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        Vec3(0.0, math.inf, 0.0)
+    rows = list(csv.reader(io.StringIO(buf.getvalue())))
+    assert tuple(rows[0]) == TRACE_HEADER
+    expected = [(str(i), t, *provider.position_one(i, t)) for i in range(5) for t in times]
+    got = [(sat_id, *map(float, values)) for sat_id, *values in rows[1:]]
+    assert got == expected
 
 
 def test_orbital_period_uses_gravitational_parameter():

@@ -404,13 +404,6 @@ def test_select_requires_rng_for_random_policy():
         select(PolicyId.RANDOM_VM, view(cands), TASK, ALL_LAYERS)
 
 
-def test_candidate_validation():
-    with pytest.raises(ValueError):
-        mk(0, Layer.MIST, -1.0)
-    with pytest.raises(ValueError):
-        mk(0, Layer.MIST, 1.0, mips=0.0)
-
-
 def _with_hints(cands, architecture, local):
     """The same view, its distance column deferred, carrying the two hints."""
     hinted = view(cands)

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from satmist import sweep as sweep_mod
-from satmist.config import parse_config
+from satmist.config import parse_config, validate
 from satmist.errors import ConfigurationError
 from satmist.metrics import parse_csv
 from satmist.orchestrate import PolicyId
@@ -77,6 +77,24 @@ def test_derive_config_scaling_floors_at_one():
     tiny = derive_config(base, 1, PolicyId.DISTANCE_ONLY, 1, True)
     assert tiny.constellation.edge_dc == 1
     assert tiny.constellation.cloud == 1
+
+
+NO_EDGE_BASE = parse_config(
+    "constellation.mist=100\nconstellation.edge_dc=0\nconstellation.cloud=6\n"
+    "architecture.layers=mist,cloud\n"
+)
+
+
+@pytest.mark.parametrize("count, expected", [
+    pytest.param(100, (100, 0, 6), id="count_equal_to_base_returns_base"),
+    pytest.param(300, (300, 0, 18), id="empty_layer_stays_empty"),
+    pytest.param(1, (1, 0, 1), id="positive_layer_below_half_rounds_up_to_one"),
+])
+def test_scale_all_layers_counts(count, expected):
+    cfg = derive_config(NO_EDGE_BASE, count, PolicyId.DISTANCE_ONLY, 1, True)
+    const = cfg.constellation
+    assert (const.mist, const.edge_dc, const.cloud) == expected
+    validate(cfg)
 
 
 def test_records_follow_construction_order():
