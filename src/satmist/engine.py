@@ -129,29 +129,35 @@ def generate_tasks(config: SimulationConfig, origin: int,
 class _Distances:
     """Origin-to-VM distances at one instant, from a position source.
 
-    Holds no reference to the Simulation, so a view that defers to it
-    keeps no finished run alive.
+    `at(origin, now)` sets the instant that `fill`, `to_vms` and `to_vm`
+    measure from. Holds no reference to the Simulation, so a view that
+    defers to it keeps no finished run alive.
     """
 
     def __init__(self, positions, vm_host: np.ndarray):
         n = len(positions)
         self._positions = positions
         self._vm_host = None if np.array_equal(vm_host, np.arange(n)) else vm_host
+        self._host_of = vm_host.tolist()
         self._diff = np.empty((3, n))
         self._acc = np.empty(n)
-        self._rows = (positions.position_pair if isinstance(positions, OrbitPositions)
+        self._rows = (positions.positions_of if isinstance(positions, OrbitPositions)
                       else partial(_rows_of_all, positions))
+        self.at(0, 0.0)
 
-    def fill(self, origin: int, now: float, out: np.ndarray) -> None:
+    def at(self, origin: int, now: float) -> None:
+        self.origin, self.now, self._known = origin, now, None
+
+    def fill(self, out: np.ndarray) -> None:
         """Distance from satellite `origin` to every VM's host, into `out`.
 
         Each coordinate row has the origin's coordinate subtracted as a
         scalar, and squares are summed as (dx*dx + dy*dy) + dz*dz, the
         order an (n, 3) np.sum(axis=1) uses.
         """
-        pos = self._positions.positions_all(now).T
+        pos = self._positions.positions_all(self.now).T
         diff, acc = self._diff, self._acc
-        ox, oy, oz = pos[:, origin].tolist()
+        ox, oy, oz = pos[:, self.origin].tolist()
         np.subtract(pos[0], ox, out=diff[0])
         np.subtract(pos[1], oy, out=diff[1])
         np.subtract(pos[2], oz, out=diff[2])
@@ -164,41 +170,59 @@ class _Distances:
             # mode="clip" lets take write into `out` unbuffered; indices are in range
             np.sqrt(acc, out=acc).take(self._vm_host, out=out, mode="clip")
 
+    def to_vms(self, vms: list[int]) -> list[float]:
+        """fill's distances to VMs `vms` alone, remembered for to_vm."""
+        out = self.between(self.origin, [self._host_of[v] for v in vms], self.now)
+        self._known = dict(zip(vms, out))
+        return out
+
+    def to_vm(self, vm: int) -> float:
+        """fill's distance to VM `vm`, from the last to_vms at this instant if it had it."""
+        known = self._known
+        if known is not None and vm in known:
+            return known[vm]
+        return self.pair(self.origin, self._host_of[vm], self.now)
+
+    def between(self, origin: int, hosts: list[int], now: float) -> list[float]:
+        """Distances from satellite `origin` to satellites `hosts`, computed alone:
+        the same IEEE operations on the same coordinates, so each equals fill's."""
+        o, *rows = self._rows([origin, *hosts], now)
+        return [_apart(o, h) for h in rows]
+
     def pair(self, origin: int, host: int, now: float) -> float:
-        """The `fill` distance between two satellites, computed alone.
-
-        The same IEEE operations on the same coordinates, so the result
-        equals fill's bit for bit.
-        """
-        (ox, oy, oz), (hx, hy, hz) = self._rows(origin, host, now)
-        dx, dy, dz = hx - ox, hy - oy, hz - oz
-        return math.sqrt((dx * dx + dy * dy) + dz * dz)
+        """`between` for one host."""
+        return _apart(*self._rows((origin, host), now))
 
 
-def _rows_of_all(positions, i: int, j: int, now: float):
-    """Rows i and j of any position source's positions_all(now)."""
-    pos = positions.positions_all(now)
-    return pos[i].tolist(), pos[j].tolist()
+def _apart(o, h) -> float:
+    """Distance between points o and h, squares summed in fill's order."""
+    dx, dy, dz = h[0] - o[0], h[1] - o[1], h[2] - o[2]
+    return math.sqrt((dx * dx + dy * dy) + dz * dz)
 
 
-def _static_feasible(config: SimulationConfig, layered, layer_codes: np.ndarray) -> np.ndarray | None:
-    """The enabled layers' VM indices when no link of theirs can be out of range.
+def _rows_of_all(positions, ids, now: float):
+    """Rows `ids` of any position source's positions_all(now)."""
+    return positions.positions_all(now)[list(ids)].tolist()
+
+
+def _orbit_bounds(config: SimulationConfig, layered, layer_codes: np.ndarray):
+    """(static feasible index or None, bound on every distance), from the orbit radii.
 
     On circular orbits |p| is the orbit radius, so no origin lies farther
     than r_max + r_h from a layer-h host, r_max being the largest orbit
     radius. The 1e-9 relative slack covers the computed antipodal chord,
-    which can come out one rounding step above r_1 + r_2. Returns None,
-    leaving feasibility to be checked per task, when some enabled layer's
-    range falls short.
+    which can come out one rounding step above r_1 + r_2. The index, every
+    VM of an enabled layer, is None when some enabled layer's range falls
+    short of its bound: feasibility is then checked per task.
     """
     radius = {layer: elements.semi_major_axis_m for layer, elements in layered}
     r_max = max(radius.values())
+    needed = {layer: (r_max + r) * (1.0 + 1e-9) for layer, r in radius.items()}
     reach = config.link.range_by_layer
-    if any(reach[layer] < (r_max + r) * (1.0 + 1e-9)
-           for layer, r in radius.items() if layer in config.architecture):
-        return None
+    if any(reach[layer] < bound for layer, bound in needed.items() if layer in config.architecture):
+        return None, max(needed.values())
     enabled = np.array([layer in config.architecture for layer in LAYER_ORDER])
-    return np.flatnonzero(enabled[layer_codes])
+    return np.flatnonzero(enabled[layer_codes]), max(needed.values())
 
 
 class Simulation:
@@ -233,17 +257,18 @@ class Simulation:
         vm_host = np.array([vm.host_satellite for vm in self.vms], dtype=np.int64)
         layer_codes = np.array([LAYER_CODE[vm.host_layer] for vm in self.vms], dtype=np.int64)
         n_vms = len(self.vms)
-        self._distances = _Distances(self.positions, vm_host)
-        self._view = CandidateView(
+        distances = self._distances = _Distances(self.positions, vm_host)
+        view = self._view = CandidateView(
             vm_ids=np.arange(n_vms, dtype=np.int64),
             layer_codes=layer_codes,
             distances=np.empty(n_vms),
             queue_lens=np.zeros(n_vms),
             mips=np.array([vm.mips for vm in self.vms]),
             assigned=np.zeros(n_vms, dtype=np.int64),
-            static_feasible=None if positions is not None
-            else _static_feasible(config, layered, layer_codes),
         )
+        view.defer_distances(distances.fill, distances.to_vms)
+        if positions is None:
+            view.static_feasible, view.max_distance = _orbit_bounds(config, layered, layer_codes)
         self._first_vm = [node.vm_ids[0] for node in self.nodes]
         self._layer_weights = {
             Layer.MIST: 1.0,
@@ -321,7 +346,8 @@ class Simulation:
         origin = task.origin_satellite
         view = self._view
         view.local = self._first_vm[origin]
-        view.defer_distances(partial(self._distances.fill, origin, now))
+        self._distances.at(origin, now)
+        view.distances_pending = True
         try:
             sel = select(
                 self.config.policy,
@@ -344,7 +370,7 @@ class Simulation:
             self._enqueue(task, vm, now)
             return
         if view.distances_pending:
-            d = self._distances.pair(origin, vm.host_satellite, now)
+            d = self._distances.to_vm(vm_index)
         else:
             d = float(view.distances[vm_index])
         bits = task.input_bits

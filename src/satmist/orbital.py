@@ -202,7 +202,7 @@ class OrbitPositions:
     them per satellite. Positions are written into one preallocated
     (3, n) buffer; positions_all returns its (n, 3) transposed view,
     valid until the next call, so instances are not safe to share across
-    threads. position_pair repeats the same IEEE operations for two
+    threads. positions_of repeats the same IEEE operations for a few
     satellites, so its coordinates equal their positions_all rows bit
     for bit.
     """
@@ -268,16 +268,19 @@ class OrbitPositions:
         xyz *= self._a3
         return xyz.T
 
-    def position_pair(self, i: int, j: int, t_seconds: float):
-        """Positions of satellites i and j at time t as two (x, y, z) tuples.
+    def positions_of(self, ids: Sequence[int], t_seconds: float) -> list[tuple[float, float, float]]:
+        """Positions of satellites `ids` at time t as (x, y, z) tuples, in order.
 
-        One cos and one sin call on a two-element angle array; the rest
+        One cos and one sin call on the array of their angles; the rest
         is float arithmetic in the order positions_all uses.
         """
-        oi, oj = self._by_satellite[i], self._by_satellite[j]
-        theta = np.array((oi[1] * t_seconds + oi[2], oj[1] * t_seconds + oj[2]))
-        (cos_i, cos_j), (sin_i, sin_j) = np.cos(theta).tolist(), np.sin(theta).tolist()
-        return _on_orbit(oi, cos_i, sin_i), _on_orbit(oj, cos_j, sin_j)
+        orbits, theta = [], []
+        for i in ids:  # a plain loop: two comprehensions cost more for a pair
+            orbit = self._by_satellite[i]
+            orbits.append(orbit)
+            theta.append(orbit[1] * t_seconds + orbit[2])
+        theta = np.array(theta)
+        return list(map(_on_orbit, orbits, np.cos(theta).tolist(), np.sin(theta).tolist()))
 
     def position_one(self, index: int, t_seconds: float) -> tuple[float, float, float]:
         return position_at(self._elements[index], t_seconds)

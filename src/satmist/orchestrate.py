@@ -70,27 +70,32 @@ DEFAULT_TRADEOFF_LAYER_WEIGHTS: Mapping[Layer, float] = {
 }
 
 WEIGHT_GREEDY_RATIOS = (6.0, 6.0, 5.0, 3.0)
+SHORTLIST_MAX = 24  # longest trade_off shortlist scored without the distance column
 
 
 class CandidateView:
     """Column-oriented candidate snapshot: one array per Candidate field.
 
-    The distance column can be deferred: after `defer_distances(fill)`,
-    the first read of `distances` runs `fill(out)` to write the column
-    into its buffer, so a policy that never reads it never pays for it.
+    The distance column can be deferred: after `defer_distances(fill,
+    subset)`, the first read of `distances` runs `fill(out)` to write the
+    column into its buffer, so a policy that never reads it never pays
+    for it; `subset(idx)` gives the same distances for just candidates
+    `idx`. Setting `distances_pending` to True defers the column again.
 
-    Two optional facts, set by whoever builds the view for one run's
-    architecture and link, let policies place without distances:
+    Three optional facts, set by whoever builds the view for one run's
+    architecture, link and orbits, let policies place without distances:
 
     - `local`: index of the origin's own first VM, at exactly 0 m and so
       within any range, or -1 when unknown.
     - `static_feasible`: sorted indices of the feasible candidates when
       feasibility does not depend on the distances (no enabled candidate
       can be out of range), or None when it must be checked per task.
+    - `max_distance`: a bound no distance in the column exceeds, or None.
     """
 
     __slots__ = ("vm_ids", "layer_codes", "queue_lens", "mips", "assigned",
-                 "local", "static_feasible", "_distances", "_fill", "_spread")
+                 "local", "static_feasible", "max_distance", "distances_pending",
+                 "_distances", "_fill", "_subset", "_spread")
 
     def __init__(self, vm_ids, layer_codes, distances, queue_lens, mips, assigned, *,
                  static_feasible: np.ndarray | None = None):
@@ -101,8 +106,10 @@ class CandidateView:
         self.assigned = assigned
         self.local = -1
         self.static_feasible = static_feasible
+        self.max_distance: float | None = None
+        self.distances_pending = False
         self._distances = distances
-        self._fill = None
+        self._fill = self._subset = None
         self._spread: dict[str, tuple[object, np.ndarray]] = {}
 
     def __len__(self) -> int:
@@ -110,19 +117,16 @@ class CandidateView:
 
     @property
     def distances(self) -> np.ndarray:
-        if self._fill is not None:
+        if self.distances_pending:
             self._fill(self._distances)
-            self._fill = None
+            self.distances_pending = False
         return self._distances
 
-    @property
-    def distances_pending(self) -> bool:
-        """True while the distance column is deferred and not yet computed."""
-        return self._fill is not None
-
-    def defer_distances(self, fill: Callable[[np.ndarray], None]) -> None:
+    def defer_distances(self, fill: Callable[[np.ndarray], None],
+                        subset: Callable[[list[int]], list[float]]) -> None:
         """Compute the distance column with `fill(out)` on its next read."""
-        self._fill = fill
+        self._fill, self._subset = fill, subset
+        self.distances_pending = True
 
     @classmethod
     def from_candidates(cls, cands: Sequence[Candidate]) -> "CandidateView":
@@ -223,13 +227,30 @@ def trade_off(view: CandidateView, task, architecture, *, link: LinkParams = DEF
 
     score = layer_weight * (queue_len + 1) * length_mi / vm_mips
             + distance_m / propagation_speed
+
+    With the column deferred and a `max_distance`, only the shortlist with
+    compute term c <= fl(c_min + fl(max_distance / speed)) can win: float
+    division and adding a non-negative value are monotone, so any other
+    scores above the c_min candidate. One shortlisted VM is the pick; up to
+    SHORTLIST_MAX are scored alone, by the same two IEEE operations.
     """
     idx = _feasible_indices(view, architecture, link)
     score = view.queue_lens + 1.0
     score *= _spread(view, "weights", layer_weights, operator.getitem)
     score *= task.length_mi
     score /= view.mips
-    score += view.distances / link.propagation_speed_mps
+    speed = link.propagation_speed_mps
+    # a column still pending here means feasibility was static
+    if view.distances_pending and view.max_distance is not None:
+        c = score if idx.size == score.size else score[idx]
+        short = idx[c <= float(c.min()) + view.max_distance / speed]
+        if short.size == 1:
+            return Selection(int(view.vm_ids[short[0]]))
+        if short.size <= SHORTLIST_MAX:
+            short = short.tolist()
+            scores = [cj + d / speed for cj, d in zip(score[short].tolist(), view._subset(short))]
+            return Selection(int(view.vm_ids[short[scores.index(min(scores))]]))
+    score += view.distances / speed
     return Selection(int(view.vm_ids[_pick_min(score, idx)]))
 
 

@@ -414,20 +414,31 @@ def _two_vms_per_satellite():
     pytest.param(_two_vms_per_satellite, id="two_vms_per_satellite"),
 ])
 def test_pair_distance_equals_snapshot_bit_for_bit(make_config):
+    # subsets of lengths either side of the SIMD kernels' vector widths, whose
+    # tails they treat differently, with repeated VMs and the origin's own VM
     sim = Simulation(make_config())
     elements = [e for _, e in build_constellation(sim.config.constellation)]
     vm_host = np.array([vm.host_satellite for vm in sim.vms])
     distances = sim._distances
-    n = len(elements)
+    n, n_vms = len(elements), len(vm_host)
     rng = random.Random(77)
-    column = np.empty(len(vm_host))
+    column = np.empty(n_vms)
     for _ in range(400):
         now = rng.uniform(0.0, 600.0)
         origin, host = rng.randrange(n), rng.randrange(n)
         expected = _reference_distances(elements, origin, now)
-        distances.fill(origin, now, column)
+        distances.at(origin, now)
+        distances.fill(column)
         assert np.array_equal(column, expected[vm_host])
-        assert distances.pair(origin, host, now) == expected[host]
+        assert distances.between(origin, [host], now) == [expected[host]]
+        vms = [rng.randrange(n_vms) for _ in range(rng.choice((1, 2, 3, 7, 8, 9, 16, 17, 41)))]
+        vms[rng.randrange(len(vms))] = sim.nodes[origin].vm_ids[0]
+        if len(vms) > 2:
+            vms[-1] = vms[0]
+        assert distances.to_vms(vms) == column[vms].tolist()
+        other = rng.randrange(n_vms)  # remembered from to_vms or not
+        assert distances.to_vm(vms[-1]) == column[vms[-1]]
+        assert distances.to_vm(other) == column[other]
 
 
 def test_download_distance_equals_upload_distance_on_an_injected_source():

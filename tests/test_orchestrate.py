@@ -405,7 +405,7 @@ def test_select_requires_rng_for_random_policy():
 
 
 def _with_hints(cands, architecture, local):
-    """The same view, its distance column deferred, carrying the two hints."""
+    """The same view, its distance column deferred, carrying the three hints."""
     hinted = view(cands)
     column = hinted.distances.copy()
     reads = []
@@ -414,10 +414,11 @@ def _with_hints(cands, architecture, local):
         reads.append(1)
         out[:] = column
 
-    hinted.defer_distances(fill)
+    hinted.defer_distances(fill, lambda idx: column[idx].tolist())
     hinted.local = local
     enabled = [c.host_layer in architecture for c in cands]
     hinted.static_feasible = np.flatnonzero(enabled)
+    hinted.max_distance = float(column.max())
     return hinted, reads
 
 
@@ -439,7 +440,8 @@ def test_static_index_and_local_vm_pick_as_the_full_path():
                 vm_id=100 + 7 * i, host_layer=layer, distance_m=0.0 if i == local else d,
                 queue_len=rng.randint(0, 5), vm_mips=10_000.0,
                 assigned_count=rng.randint(0, 3)))
-        for policy in (PolicyId.DISTANCE_ONLY, PolicyId.ROUND_ROBIN, PolicyId.RANDOM_VM):
+        for policy in (PolicyId.DISTANCE_ONLY, PolicyId.ROUND_ROBIN, PolicyId.RANDOM_VM,
+                       PolicyId.TRADE_OFF):
             seed = rng.randint(0, 10_000)
             hinted, reads = _with_hints(cands, arch, local)
             try:
@@ -454,7 +456,7 @@ def test_static_index_and_local_vm_pick_as_the_full_path():
             if policy is not PolicyId.DISTANCE_ONLY or cands[local].host_layer in arch:
                 assert not reads, policy  # placed without the distance column
                 skipped_reads += 1
-    assert skipped_reads > 600
+    assert skipped_reads > 900
 
 
 def test_distance_only_keeps_the_origin_vm_on_a_tie_at_zero():
@@ -476,8 +478,11 @@ def test_deferred_distances_computed_once_per_deferral():
         calls.append(1)
         out[:] = (3.0, 4.0)
 
-    v.defer_distances(fill)
+    v.defer_distances(fill, lambda idx: [(3.0, 4.0)[i] for i in idx])
     assert v.distances_pending
     assert v.distances.tolist() == [3.0, 4.0]
     assert v.distances.tolist() == [3.0, 4.0]
     assert not v.distances_pending and len(calls) == 1
+    v.distances_pending = True  # deferred again: the next read fills again
+    v.distances.tolist()
+    assert len(calls) == 2

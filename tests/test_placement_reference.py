@@ -8,6 +8,12 @@ rewrite must perform the same IEEE operations on every candidate, so the
 picks must agree exactly: on random full-size views, on views built to
 sit exactly on a decision boundary, where one rounding step in any score
 term flips the choice, and on the edge values of each indicator.
+
+trade_off's shortlist, which scores only the candidates whose compute
+term can still win and takes their distances from a subset source, runs
+only while the distance column is deferred; the shortlist tests below
+defer it behind counting sources and compare with the reference on the
+filled column.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from satmist.orchestrate import (
     DEFAULT_TRADEOFF_LAYER_WEIGHTS,
     WEIGHT_GREEDY_RATIOS,
     CandidateView,
+    SHORTLIST_MAX,
     PlacementError,
     Selection,
     TaskInfo,
@@ -288,3 +295,127 @@ def test_trade_off_picks_as_reference_on_decision_boundaries():
             assert got == want, (v.distances.tolist(), queues, mips, task)
             checked += 1
     assert checked >= 100
+
+
+# -- trade_off's shortlist -------------------------------------------------
+
+UNIT_TASK = TaskInfo(length_mi=1.0)
+EQUAL_WEIGHTS = {layer: 1.0 for layer in Layer}
+
+
+def shortlist_picks(v, task, arch, max_distance=None, **kwargs):
+    """(pick with v's column deferred, reference pick on the filled column,
+    the sources' calls before the reference read the column: "fill" or a
+    subset's length)."""
+    column = v.distances.copy()
+    calls = []
+
+    def fill(out):
+        calls.append("fill")
+        out[:] = column
+
+    def subset(idx):
+        calls.append(len(idx))
+        return column[idx].tolist()
+
+    v.defer_distances(fill, subset)
+    v.max_distance = float(column.max()) if max_distance is None else max_distance
+    if v.static_feasible is None:
+        v.static_feasible = np.flatnonzero(np.isin(v.layer_codes, [LAYER_CODE[x] for x in arch]))
+    got = trade_off(v, task, arch, **kwargs).vm_id
+    seen = list(calls)
+    want = reference_trade_off(v, task, arch, **kwargs).vm_id
+    return got, want, seen
+
+
+@pytest.mark.parametrize("arch", [ALL, frozenset({Layer.EDGE_DC, Layer.CLOUD}),
+                                  frozenset({Layer.MIST, Layer.CLOUD})],
+                         ids=["every_layer", "no_mist", "no_edge"])
+def test_trade_off_shortlist_picks_as_reference_on_tied_views(arch):
+    # Equal weights and mips shared across layers give exact compute-term ties
+    # between layers; few queue lengths make shortlists of every size from one
+    # up past SHORTLIST_MAX, and few distances give ties inside them.
+    rng = np.random.default_rng([13, len(arch), LAYER_CODE[min(arch)]])
+    paths = {"one": 0, "subset": 0, "fill": 0}
+    for _ in range(400):
+        n = int(rng.integers(2, 4 * SHORTLIST_MAX))
+        codes = rng.integers(0, 3, n)
+        codes[rng.integers(n)] = LAYER_CODE[min(arch)]  # at least one feasible
+        queues = rng.integers(0, int(rng.integers(1, 6)), n).astype(np.float64)
+        mips = rng.choice([10_000.0, 40_000.0], n)
+        distances = rng.choice(rng.uniform(0.0, 2.4e7, 4), n)
+        task = TaskInfo(length_mi=float(rng.choice([2e3, 2e4, 7_777.0])))
+        got, want, seen = shortlist_picks(make_view(codes, distances, queues, mips), task, arch,
+                                          max_distance=float(rng.choice([2.4e7, 3.3e7])),
+                                          layer_weights=EQUAL_WEIGHTS)
+        assert got == want
+        paths["one" if not seen else "fill" if seen == ["fill"] else "subset"] += 1
+        assert seen in ([], ["fill"]) or 1 < seen[0] <= SHORTLIST_MAX and len(seen) == 1
+    assert min(paths.values()) >= 15, paths
+
+
+def test_trade_off_shortlist_of_one_reads_no_distance():
+    # candidate 2's compute term beats every other by more than any distance can add
+    v = make_view([0, 1, 2, 0], [1e6, 2e6, 3e7, 5e6], [4.0, 4.0, 0.0, 4.0], [10_000.0] * 4)
+    got, want, seen = shortlist_picks(v, TaskInfo(length_mi=20_000.0), ALL)
+    assert got == want == v.vm_ids[2]
+    assert seen == []
+
+
+@pytest.mark.parametrize("step", [-1, 0, 1], ids=["ulp_below", "at_bound", "ulp_above"])
+@pytest.mark.parametrize("order", ["min_first", "min_last"])
+def test_trade_off_shortlist_bound_is_exact(step, order):
+    # With unit length, weight and mips the compute term is queue_len + 1. The
+    # c_min candidate sits at max_distance, so its score is fl(c_min + D); the
+    # other, at 0 m, has its compute term at that bound or one ulp either side.
+    max_distance = 2e8
+    c_min = 2.0
+    bound = c_min + max_distance / DEFAULT_LINK.propagation_speed_mps
+    c = bound if step == 0 else float(np.nextafter(bound, np.inf if step > 0 else -np.inf))
+    assert (c - 1.0) + 1.0 == c
+    queues, distances = [c_min - 1.0, c - 1.0], [max_distance, 0.0]
+    if order == "min_last":
+        queues, distances = queues[::-1], distances[::-1]
+    v = make_view([0, 0], distances, queues, [1.0, 1.0])
+    got, want, seen = shortlist_picks(v, UNIT_TASK, ALL, max_distance=max_distance)
+    assert got == want
+    assert seen == ([] if step > 0 else [2])
+    if step == 0:  # an exact tie: the first index wins
+        assert got == v.vm_ids[0]
+
+
+@pytest.mark.parametrize("size", [SHORTLIST_MAX, SHORTLIST_MAX + 1])
+def test_trade_off_shortlist_longest_scored_alone(size):
+    # `size` candidates tie on the compute term; the rest lie beyond the bound
+    rng = np.random.default_rng(size)
+    n = size + 10
+    queues = np.full(n, 9.0)
+    queues[rng.choice(n, size, replace=False)] = 0.0
+    v = make_view(rng.integers(0, 3, n), rng.uniform(0.0, 2.4e7, n), queues, [10_000.0] * n)
+    got, want, seen = shortlist_picks(v, TaskInfo(length_mi=20_000.0), ALL, max_distance=2.4e7,
+                                      layer_weights=EQUAL_WEIGHTS)
+    assert got == want
+    assert seen == ([size] if size <= SHORTLIST_MAX else ["fill"])
+
+
+def test_trade_off_shortlist_distance_ties_go_to_the_first_index():
+    # candidates 1, 3 and 4 tie on both terms, below 0 and 2; 5 lies beyond the bound
+    distances = [5e6, 2e6, 4e6, 2e6, 2e6, 0.0]
+    v = make_view([0, 2, 1, 0, 2, 0], distances, [1.0, 1.0, 1.0, 1.0, 1.0, 9.0], [10_000.0] * 6)
+    got, want, seen = shortlist_picks(v, TaskInfo(length_mi=20_000.0), ALL, max_distance=2.4e7,
+                                      layer_weights=EQUAL_WEIGHTS)
+    assert got == want == v.vm_ids[1]
+    assert seen == [5]
+
+
+def test_trade_off_shortlist_skips_a_disabled_layer():
+    # the cloud VMs have the smallest compute terms but their layer is disabled
+    codes = [2, 0, 0, 1, 2, 0]
+    queues = [0.0, 3.0, 3.0, 3.0, 0.0, 8.0]
+    mips = [100_000.0, 10_000.0, 10_000.0, 10_000.0, 100_000.0, 10_000.0]
+    arch = frozenset({Layer.MIST, Layer.EDGE_DC})
+    v = make_view(codes, [0.0, 9e6, 3e6, 6e6, 0.0, 0.0], queues, mips)
+    got, want, seen = shortlist_picks(v, TaskInfo(length_mi=20_000.0), arch, max_distance=2.4e7)
+    assert v.static_feasible.tolist() == [1, 2, 3, 5]
+    assert got == want == v.vm_ids[2]
+    assert seen == [3]
