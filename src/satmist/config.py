@@ -1,9 +1,13 @@
 """Run configuration: defaults, validation, and the flat key=value format.
 
-Config files are UTF-8 text, one `section.key=value` per line, with `#`
-starting a full-line comment and blank lines ignored. Unknown keys are
-rejected, as are malformed lines and bad values; errors carry the line
-number or offending key.
+Config files are UTF-8 text (a leading byte-order mark is accepted), one
+`section.key=value` per line, with `#` starting a full-line comment and
+blank lines ignored. Unknown keys are rejected, as are malformed lines and
+bad values; errors carry the line number or offending key.
+
+Each key has one `_KEYS` row: its value parser, the path of the
+SimulationConfig field it sets, and the bound `validate` holds it to.
+`validate` also bounds the run's mobility ticks, expected tasks and VMs.
 """
 
 from __future__ import annotations
@@ -30,9 +34,8 @@ _POLICY_ALIASES = {
 MAX_TICKS = 1_000_000
 # Upper bound on the expected tasks one run generates up front.
 MAX_TASKS = 2_000_000
-
-# How per-layer config keys name each layer (the edge_dc layer is "edge").
-_KEY_LAYER = {Layer.MIST: "mist", Layer.EDGE_DC: "edge", Layer.CLOUD: "cloud"}
+# Upper bound on the VMs (and orbital planes) one run builds up front.
+MAX_VMS = 100_000
 
 
 @dataclass(frozen=True)
@@ -128,56 +131,81 @@ def _parse_phasing(value: str) -> Phasing:
         raise ConfigurationError(f"unknown phasing {value!r}; expected one of: {valid}") from None
 
 
-# key -> (value parser, overrides-dict field)
+# Bounds a _KEYS row can carry: (test a valid value passes, what it must be).
+_POSITIVE = (lambda value: value > 0, "must be positive")
+_NON_NEGATIVE = (lambda value: value >= 0, "must be non-negative")
+_ALTITUDE = (lambda value: value >= MIN_ALTITUDE_M, f"must be >= {MIN_ALTITUDE_M:.0f} m")
+
+# key -> (value parser, field path into SimulationConfig, bound or None).
+# A path step is a dataclass field name, or a Layer keying a per-layer mapping.
 _KEYS = {
-    "simulation.duration_s": (_parse_float, "duration_s"),
-    "simulation.tick_s": (_parse_float, "tick_s"),
-    "constellation.mist": (_parse_int, "mist"),
-    "constellation.edge_dc": (_parse_int, "edge_dc"),
-    "constellation.cloud": (_parse_int, "cloud"),
-    "constellation.phasing": (_parse_phasing, "phasing"),
-    "orbit.mist_altitude_m": (_parse_float, "mist_altitude_m"),
-    "orbit.edge_altitude_m": (_parse_float, "edge_altitude_m"),
-    "orbit.cloud_altitude_m": (_parse_float, "cloud_altitude_m"),
-    "link.bandwidth_bps": (_parse_float, "bandwidth_bps"),
-    "link.speed_mps": (_parse_float, "speed_mps"),
-    "link.range_mist_m": (_parse_float, "range_mist_m"),
-    "link.range_edge_m": (_parse_float, "range_edge_m"),
-    "link.range_cloud_m": (_parse_float, "range_cloud_m"),
-    "radio.e_elec": (_parse_float, "e_elec"),
-    "radio.eps_fs": (_parse_float, "eps_fs"),
-    "radio.eps_mp": (_parse_float, "eps_mp"),
-    "task.rate_per_min": (_parse_float, "rate_per_min"),
-    "task.rate_is_global": (_parse_bool, "rate_is_global"),
-    "task.length_mi": (_parse_float, "length_mi"),
-    "task.input_bits": (_parse_float, "input_bits"),
-    "task.output_bits": (_parse_float, "output_bits"),
-    "task.max_latency_s": (_parse_float, "max_latency_s"),
-    "vm.mist_mips": (_parse_float, "mist_mips"),
-    "vm.edge_mips": (_parse_float, "edge_mips"),
-    "vm.cloud_mips": (_parse_float, "cloud_mips"),
-    "policy.name": (parse_policy_name, "policy"),
-    "policy.tradeoff_cloud_weight": (_parse_float, "tradeoff_cloud_weight"),
-    "architecture.layers": (_parse_layers, "architecture"),
-    "rng.seed": (_parse_int, "seed"),
+    "simulation.duration_s": (_parse_float, ("duration_s",), _POSITIVE),
+    "simulation.tick_s": (_parse_float, ("tick_s",), _POSITIVE),
+    "constellation.mist": (_parse_int, ("constellation", "mist"), None),
+    "constellation.edge_dc": (_parse_int, ("constellation", "edge_dc"), None),
+    "constellation.cloud": (_parse_int, ("constellation", "cloud"), None),
+    "constellation.phasing": (_parse_phasing, ("constellation", "phasing"), None),
+    "orbit.mist_altitude_m": (
+        _parse_float, ("constellation", "altitude_by_layer", Layer.MIST), _ALTITUDE
+    ),
+    "orbit.edge_altitude_m": (
+        _parse_float, ("constellation", "altitude_by_layer", Layer.EDGE_DC), _ALTITUDE
+    ),
+    "orbit.cloud_altitude_m": (
+        _parse_float, ("constellation", "altitude_by_layer", Layer.CLOUD), _ALTITUDE
+    ),
+    "link.bandwidth_bps": (_parse_float, ("link", "bandwidth_bps"), _POSITIVE),
+    "link.speed_mps": (_parse_float, ("link", "propagation_speed_mps"), _POSITIVE),
+    "link.range_mist_m": (_parse_float, ("link", "range_by_layer", Layer.MIST), _POSITIVE),
+    "link.range_edge_m": (_parse_float, ("link", "range_by_layer", Layer.EDGE_DC), _POSITIVE),
+    "link.range_cloud_m": (_parse_float, ("link", "range_by_layer", Layer.CLOUD), _POSITIVE),
+    "radio.e_elec": (_parse_float, ("radio", "e_elec"), _POSITIVE),
+    "radio.eps_fs": (_parse_float, ("radio", "eps_fs"), _POSITIVE),
+    "radio.eps_mp": (_parse_float, ("radio", "eps_mp"), _POSITIVE),
+    "task.rate_per_min": (_parse_float, ("task", "rate_per_min"), _NON_NEGATIVE),
+    "task.rate_is_global": (_parse_bool, ("task", "rate_is_global"), None),
+    "task.length_mi": (_parse_float, ("task", "length_mi"), _POSITIVE),
+    "task.input_bits": (_parse_float, ("task", "input_bits"), _NON_NEGATIVE),
+    "task.output_bits": (_parse_float, ("task", "output_bits"), _NON_NEGATIVE),
+    "task.max_latency_s": (_parse_float, ("task", "max_latency_s"), _POSITIVE),
+    "vm.mist_mips": (_parse_float, ("profiles", Layer.MIST, "mips"), _POSITIVE),
+    "vm.edge_mips": (_parse_float, ("profiles", Layer.EDGE_DC, "mips"), _POSITIVE),
+    "vm.cloud_mips": (_parse_float, ("profiles", Layer.CLOUD, "mips"), _POSITIVE),
+    "policy.name": (parse_policy_name, ("policy",), None),
+    "policy.tradeoff_cloud_weight": (_parse_float, ("tradeoff_cloud_weight",), _POSITIVE),
+    "architecture.layers": (_parse_layers, ("architecture",), None),
+    "rng.seed": (_parse_int, ("seed",), None),
 }
 
 
+def _field(config: SimulationConfig, path: tuple):
+    """The value at a _KEYS field path."""
+    value = config
+    for step in path:
+        value = value[step] if isinstance(step, Layer) else getattr(value, step)
+    return value
+
+
+def _with_field(obj, path: tuple, value):
+    """A copy of obj with the field at path set; obj and its mappings are untouched."""
+    step, rest = path[0], path[1:]
+    if rest:
+        value = _with_field(_field(obj, (step,)), rest, value)
+    if isinstance(step, Layer):
+        return {**obj, step: value}
+    return replace(obj, **{step: value})
+
+
 def _as_text(source) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    data = source.read()
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    return data
+    data = source if isinstance(source, (str, bytes)) else source.read()
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    return text.removeprefix("\ufeff")
 
 
 def parse_config(source: str | bytes | IO | None = None) -> SimulationConfig:
     """Parse a config stream; an empty or missing stream yields defaults."""
     text = _as_text(source) if source is not None else ""
-    overrides: dict[str, object] = {}
+    config = SimulationConfig()
     for lineno, raw in enumerate(io.StringIO(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -186,78 +214,14 @@ def parse_config(source: str | bytes | IO | None = None) -> SimulationConfig:
             raise ConfigurationError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if key not in _KEYS:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
-        parser, dest = _KEYS[key]
+        parser, path, _ = _KEYS[key]
         try:
-            overrides[dest] = parser(value)
+            config = _with_field(config, path, parser(value.strip()))
         except ConfigurationError as exc:
             raise ConfigurationError(f"line {lineno}: {key}: {exc}") from None
-    return build_config(overrides)
-
-
-def build_config(overrides: Mapping[str, object]) -> SimulationConfig:
-    """Assemble a validated SimulationConfig from override fields."""
-    o = dict(overrides)
-    base = SimulationConfig()
-
-    constellation = base.constellation
-    altitude = dict(constellation.altitude_by_layer)
-    ranges = dict(base.link.range_by_layer)
-    profiles = dict(base.profiles)
-    for layer, name in _KEY_LAYER.items():
-        if f"{name}_altitude_m" in o:
-            altitude[layer] = o.pop(f"{name}_altitude_m")
-        if f"range_{name}_m" in o:
-            ranges[layer] = o.pop(f"range_{name}_m")
-        if f"{name}_mips" in o:
-            profiles[layer] = replace(profiles[layer], mips=o.pop(f"{name}_mips"))
-
-    constellation = replace(
-        constellation,
-        mist=o.pop("mist", constellation.mist),
-        edge_dc=o.pop("edge_dc", constellation.edge_dc),
-        cloud=o.pop("cloud", constellation.cloud),
-        phasing=o.pop("phasing", constellation.phasing),
-        altitude_by_layer=altitude,
-        rng_seed=o.get("seed", base.seed),
-    )
-    link = LinkParams(
-        bandwidth_bps=o.pop("bandwidth_bps", base.link.bandwidth_bps),
-        propagation_speed_mps=o.pop("speed_mps", base.link.propagation_speed_mps),
-        range_by_layer=ranges,
-    )
-    radio = RadioParams(
-        e_elec=o.pop("e_elec", base.radio.e_elec),
-        eps_fs=o.pop("eps_fs", base.radio.eps_fs),
-        eps_mp=o.pop("eps_mp", base.radio.eps_mp),
-    )
-
-    task = TaskProfile(
-        rate_per_min=o.pop("rate_per_min", base.task.rate_per_min),
-        length_mi=o.pop("length_mi", base.task.length_mi),
-        input_bits=o.pop("input_bits", base.task.input_bits),
-        output_bits=o.pop("output_bits", base.task.output_bits),
-        max_latency_s=o.pop("max_latency_s", base.task.max_latency_s),
-        rate_is_global=o.pop("rate_is_global", base.task.rate_is_global),
-    )
-
-    config = SimulationConfig(
-        duration_s=o.pop("duration_s", base.duration_s),
-        tick_s=o.pop("tick_s", base.tick_s),
-        constellation=constellation,
-        profiles=profiles,
-        link=link,
-        radio=radio,
-        task=task,
-        policy=o.pop("policy", base.policy),
-        architecture=o.pop("architecture", base.architecture),
-        tradeoff_cloud_weight=o.pop("tradeoff_cloud_weight", base.tradeoff_cloud_weight),
-        seed=o.pop("seed", base.seed),
-    )
-    if o:
-        raise ConfigurationError(f"unknown override fields: {sorted(o)}")
+    config = _with_field(config, ("constellation", "rng_seed"), config.seed)
     validate(config)
     return config
 
@@ -268,10 +232,10 @@ def validate(config: SimulationConfig) -> None:
     This is the only place config values are checked: the parameter
     dataclasses, the node builder and the per-event functions trust them.
     """
-    c, link, task = config.constellation, config.link, config.task
+    c, task = config.constellation, config.task
     per_layer = {
         "constellation.altitude_by_layer": c.altitude_by_layer,
-        "link.range_by_layer": link.range_by_layer,
+        "link.range_by_layer": config.link.range_by_layer,
         "profiles": config.profiles,
     }
     for name, mapping in per_layer.items():
@@ -279,42 +243,15 @@ def validate(config: SimulationConfig) -> None:
         if missing:
             raise ConfigurationError(f"{name} has no entry for {', '.join(missing)}")
 
-    positive = {
-        "simulation.duration_s": config.duration_s,
-        "simulation.tick_s": config.tick_s,
-        "link.bandwidth_bps": link.bandwidth_bps,
-        "link.speed_mps": link.propagation_speed_mps,
-        "radio.e_elec": config.radio.e_elec,
-        "radio.eps_fs": config.radio.eps_fs,
-        "radio.eps_mp": config.radio.eps_mp,
-        "task.length_mi": task.length_mi,
-        "task.max_latency_s": task.max_latency_s,
-        "policy.tradeoff_cloud_weight": config.tradeoff_cloud_weight,
-    }
-    for layer, name in _KEY_LAYER.items():
-        positive[f"link.range_{name}_m"] = link.range_by_layer[layer]
-        positive[f"vm.{name}_mips"] = config.profiles[layer].mips
-    non_negative = {
-        "task.rate_per_min": task.rate_per_min,
-        "task.input_bits": task.input_bits,
-        "task.output_bits": task.output_bits,
-    }
-    altitudes = {
-        f"orbit.{name}_altitude_m": c.altitude_by_layer[layer]
-        for layer, name in _KEY_LAYER.items()
-    }
-    for name, value in {**positive, **non_negative, **altitudes}.items():
+    for key, (_, path, bound) in _KEYS.items():
+        if bound is None:
+            continue
+        value = _field(config, path)
         if not math.isfinite(value):
-            raise ConfigurationError(f"{name} must be finite, not NaN or infinite, got {value}")
-    for name, value in positive.items():
-        if value <= 0:
-            raise ConfigurationError(f"{name} must be positive, got {value}")
-    for name, value in non_negative.items():
-        if value < 0:
-            raise ConfigurationError(f"{name} must be non-negative, got {value}")
-    for name, value in altitudes.items():
-        if value < MIN_ALTITUDE_M:
-            raise ConfigurationError(f"{name} must be >= {MIN_ALTITUDE_M:.0f} m, got {value}")
+            raise ConfigurationError(f"{key} must be finite, not NaN or infinite, got {value}")
+        holds, requirement = bound
+        if not holds(value):
+            raise ConfigurationError(f"{key} {requirement}, got {value}")
 
     if config.duration_s / config.tick_s > MAX_TICKS:
         raise ConfigurationError(
@@ -340,6 +277,16 @@ def validate(config: SimulationConfig) -> None:
         raise ConfigurationError("vms_per_satellite must be >= 1")
     if not config.architecture:
         raise ConfigurationError("architecture.layers needs at least one layer")
+    vms = sum(c.count_for(layer) * config.profiles[layer].vms_per_satellite
+              for layer in LAYER_ORDER)
+    if vms > MAX_VMS:
+        raise ConfigurationError(
+            f"satellite counts x vms_per_satellite must be at most {MAX_VMS:,} VMs, got {vms:,}"
+        )
+    if c.planes > MAX_VMS:
+        raise ConfigurationError(
+            f"constellation planes must be at most {MAX_VMS:,}, got {c.planes:,}"
+        )
 
 
 def load_config_file(path) -> SimulationConfig:

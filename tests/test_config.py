@@ -2,13 +2,18 @@ from __future__ import annotations
 
 import io
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from satmist.config import (
+    _KEYS,
+    MAX_VMS,
     SimulationConfig,
-    build_config,
+    _field,
+    _parse_float,
     load_config_file,
     parse_config,
     parse_policy_name,
@@ -127,6 +132,26 @@ def test_comments_blanks_and_whitespace():
     assert cfg.constellation.mist == 4
 
 
+def test_readme_configuration_table_matches_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([\w.]+)` \| ([^|]+) \|", section, flags=re.M)
+    assert sorted(key for key, _ in rows) == sorted(_KEYS)
+    defaults = SimulationConfig()
+    for key, cell in rows:
+        parser, path, _ = _KEYS[key]
+        assert parser(cell.strip()) == _field(defaults, path), key
+
+
+def test_parsing_leaves_shared_defaults_unchanged():
+    before = dict(DEFAULT_PROFILES)
+    cfg = parse_config("vm.mist_mips=9000\n")
+    assert cfg.profiles[Layer.MIST].mips == 9000.0
+    assert DEFAULT_PROFILES == before
+    assert DEFAULT_PROFILES[Layer.MIST].mips == 10_000.0
+    assert SimulationConfig().profiles[Layer.MIST].mips == 10_000.0
+
+
 def test_errors_carry_line_numbers_and_key_names():
     with pytest.raises(ConfigurationError, match=r"line 1.*duration_s"):
         parse_config("simulation.duration_s=abc\n")
@@ -188,10 +213,20 @@ def test_bool_values():
         "task.rate_per_min=-1",
         "vm.cloud_mips=0",
         "policy.tradeoff_cloud_weight=0",
+        "orbit.edge_altitude_m=399999",
+        "orbit.cloud_altitude_m=0",
+        "link.range_edge_m=0",
+        "link.range_cloud_m=-1",
+        "task.output_bits=-1",
+        "constellation.edge_dc=-1",
+        "constellation.cloud=-1",
     ],
 )
 def test_semantic_rejections(line):
-    with pytest.raises(ConfigurationError):
+    key = line.split("=")[0]
+    # the three counts share one cross-field check and message
+    name = "satellite counts" if key.startswith("constellation.") else re.escape(key)
+    with pytest.raises(ConfigurationError, match=name):
         parse_config(line + "\n")
 
 
@@ -207,19 +242,23 @@ def test_nan_rejected():
         parse_config("task.rate_per_min=nan\n")
 
 
-@pytest.mark.parametrize(
-    "line",
-    [
-        "simulation.duration_s=inf",
-        "task.rate_per_min=inf",
-        "link.range_mist_m=inf",
-        "link.range_edge_m=inf",
-        "link.range_cloud_m=inf",
-        "simulation.tick_s=inf",
-        "radio.eps_mp=-inf",
-        "task.input_bits=nan",
-    ],
-)
+_NON_FINITE = [
+    "simulation.duration_s=inf",
+    "task.rate_per_min=inf",
+    "link.range_mist_m=inf",
+    "link.range_edge_m=inf",
+    "link.range_cloud_m=inf",
+    "simulation.tick_s=inf",
+    "radio.eps_mp=-inf",
+    "task.input_bits=nan",
+]
+_NON_FINITE += [
+    f"{key}=nan" for key, (parser, _, _) in _KEYS.items()
+    if parser is _parse_float and key not in {line.split("=")[0] for line in _NON_FINITE}
+]
+
+
+@pytest.mark.parametrize("line", _NON_FINITE)
 def test_non_finite_values_rejected(line):
     # parse only: the infinite horizons and rates never terminate if run
     key = line.split("=")[0]
@@ -274,11 +313,6 @@ def test_validate_rejects_api_built_configs(changes):
         validate(config)
 
 
-def test_build_config_rejects_unknown_fields():
-    with pytest.raises(ConfigurationError, match="unknown override"):
-        build_config({"warp_factor": 9})
-
-
 def test_parse_accepts_bytes_and_streams():
     text = "constellation.mist=6\n"
     assert parse_config(text.encode()).constellation.mist == 6
@@ -292,6 +326,15 @@ def test_load_config_file(tmp_path):
     cfg = load_config_file(path)
     assert cfg.constellation.mist == 3
     assert cfg.seed == 42
+
+
+def test_byte_order_mark_accepted(tmp_path):
+    data = b"\xef\xbb\xbfconstellation.mist=5\n"
+    assert parse_config(data).constellation.mist == 5
+    assert parse_config(io.StringIO(data.decode())).constellation.mist == 5
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(data)
+    assert load_config_file(path).constellation.mist == 5
 
 
 def test_validate_accepts_defaults():
@@ -343,3 +386,32 @@ def test_task_count_bound_is_inclusive():
     assert shared.task.rate_per_min == 120
     with pytest.raises(ConfigurationError, match="expected tasks"):
         validate(replace(SimulationConfig(), duration_s=6001.0))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "task.rate_per_min=0\nconstellation.mist=100000000\n",
+        "constellation.edge_dc=100000000\n",
+        "constellation.mist=0\nconstellation.edge_dc=0\nconstellation.cloud=100001\n",
+    ],
+)
+def test_vm_count_bounded(text):
+    # parse only: 1e8 satellites would take about 200 GB before the run starts
+    with pytest.raises(ConfigurationError, match="VMs"):
+        parse_config(text)
+
+
+def test_vm_count_bound_is_inclusive():
+    # rate 0 keeps the expected-task bound out of the way
+    idle = replace(SimulationConfig(), task=replace(SimulationConfig().task, rate_per_min=0.0))
+    at_bound = ConstellationSpec(mist=MAX_VMS - 42, edge_dc=24, cloud=18)
+    validate(replace(idle, constellation=at_bound))
+    with pytest.raises(ConfigurationError, match=r"at most 100,000 VMs, got 100,001"):
+        validate(replace(idle, constellation=replace(at_bound, mist=at_bound.mist + 1)))
+    # 1,000 mist satellites at 100 VMs each, plus 42 others, are 100,042 VMs
+    with pytest.raises(ConfigurationError, match="VMs"):
+        validate(replace(idle, profiles=_with_profile(Layer.MIST, vms_per_satellite=100)))
+    validate(replace(idle, constellation=ConstellationSpec(planes=MAX_VMS)))
+    with pytest.raises(ConfigurationError, match="planes must be at most"):
+        validate(replace(idle, constellation=ConstellationSpec(planes=MAX_VMS + 1)))
