@@ -22,7 +22,7 @@ from .infra import DEFAULT_PROFILES, LayerProfile
 from .layers import LAYER_ORDER, Layer
 from .netenergy import LinkParams, RadioParams
 from .orbital import MIN_ALTITUDE_M, ConstellationSpec, Phasing
-from .orchestrate import PolicyId
+from .orchestrate import DEFAULT_TRADEOFF_LAYER_WEIGHTS, PolicyId
 
 ALL_LAYERS: frozenset[Layer] = frozenset(LAYER_ORDER)
 
@@ -69,7 +69,7 @@ class SimulationConfig:
     task: TaskProfile = field(default_factory=TaskProfile)
     policy: PolicyId = PolicyId.DISTANCE_ONLY
     architecture: frozenset[Layer] = ALL_LAYERS
-    tradeoff_cloud_weight: float = 1.2
+    tradeoff_cloud_weight: float = DEFAULT_TRADEOFF_LAYER_WEIGHTS[Layer.CLOUD]
     seed: int = 1
 
 

@@ -1,8 +1,12 @@
 """Event-driven simulation of task generation, placement, and execution.
 
-The run is a single priority queue of (time, seq) ordered events; seq is a
-monotonic push counter, so simultaneous events resolve in push order and a
-run is a pure function of its configuration. Mist satellites generate
+The run is a single priority queue of (time, seq) ordered events, so
+simultaneous events resolve by seq and a run is a pure function of its
+configuration. Task i's arrival has seq i and enters the heap only when
+arrival i-1 leaves it; mobility ticks take the next seqs, and in-flight
+events (uploads, executions, downloads) the following ones, in push
+order. Each VM is a FIFO clock; its queue length lives only in the
+candidate view that placement reads. Mist satellites generate
 tasks from seeded Poisson streams; each task is placed once, at creation
 time, over a snapshot of every VM in the constellation whose distance
 column is computed only if the policy reads it; transfers charge
@@ -29,7 +33,7 @@ from .infra import Vm, build_nodes
 from .layers import LAYER_CODE, LAYER_ORDER, Layer
 from .netenergy import rx_energy, tx_energy
 from .orbital import OrbitPositions, build_constellation
-from .orchestrate import CandidateView, PlacementError, select
+from .orchestrate import DEFAULT_TRADEOFF_LAYER_WEIGHTS, CandidateView, PlacementError, select
 
 
 class TaskState(str, Enum):
@@ -228,9 +232,11 @@ def _orbit_bounds(config: SimulationConfig, layered, layer_codes: np.ndarray):
 class Simulation:
     """One configured run; single use, call run() once.
 
-    An injected `positions` source replaces the built-in orbits. It needs
-    only `__len__`, one entry per satellite, and `positions_all(t)`, which
-    returns an (n, 3) array of coordinates in meters.
+    Injected `tasks` must have ids 0..n-1 and be in creation order
+    (created_at non-decreasing). An injected `positions` source replaces
+    the built-in orbits. It needs only `__len__`, one entry per satellite,
+    and `positions_all(t)`, which returns an (n, 3) array of coordinates
+    in meters.
     """
 
     def __init__(self, config: SimulationConfig, *,
@@ -270,25 +276,25 @@ class Simulation:
         if positions is None:
             view.static_feasible, view.max_distance = _orbit_bounds(config, layered, layer_codes)
         self._first_vm = [node.vm_ids[0] for node in self.nodes]
-        self._layer_weights = {
-            Layer.MIST: 1.0,
-            Layer.EDGE_DC: 1.0,
-            Layer.CLOUD: config.tradeoff_cloud_weight,
-        }
+        self._layer_weights = {**DEFAULT_TRADEOFF_LAYER_WEIGHTS,
+                               Layer.CLOUD: config.tradeoff_cloud_weight}
         self._policy_rng = random.Random(f"{config.seed}:policy")
 
         if tasks is None:
             self.tasks = self._generated_tasks()
         else:
-            self.tasks = [tasks[i] for i in range(len(tasks))]
+            self.tasks = list(tasks)
             for i, task in enumerate(self.tasks):
                 if task.id != i:
                     raise ConfigurationError("injected task ids must be 0..n-1 in order")
+                if i and not self.tasks[i - 1].created_at <= task.created_at:
+                    raise ConfigurationError("injected tasks must be in creation order")
 
+        # arrival i is (created_at, i): only the first is pushed here, run() pushes the rest
         self._heap: list[tuple[float, int, int, int]] = []
-        self._seq = 0
-        for task in self.tasks:
-            self._push(task.created_at, _TASK_GENERATED, task.id)
+        if self.tasks:
+            self._heap.append((self.tasks[0].created_at, 0, _TASK_GENERATED, 0))
+        self._seq = len(self.tasks)
         tick = config.tick_s
         k = 1
         while k * tick <= config.duration_s:
@@ -307,11 +313,9 @@ class Simulation:
             rng = random.Random(f"{self.config.seed}:arrivals:{node.id}")
             raw.extend(generate_tasks(self.config, node.id, rng))
         raw.sort(key=lambda task: (task.created_at, task.origin_satellite))
-        out = []
         for i, task in enumerate(raw):
             task.id = i
-            out.append(task)
-        return out
+        return raw
 
     def _push(self, time: float, kind: int, task_id: int) -> None:
         heapq.heappush(self._heap, (time, self._seq, kind, task_id))
@@ -322,7 +326,8 @@ class Simulation:
             raise RuntimeError("Simulation.run() is single use")
         self._ran = True
         duration = self.config.duration_s
-        heap, tasks, pop = self._heap, self.tasks, heapq.heappop
+        heap, tasks, pop, push = self._heap, self.tasks, heapq.heappop, heapq.heappush
+        last_arrival = len(tasks) - 1
         # indexed by the heap entries' kind codes 0-3
         handlers = (self.on_task_generated, self.on_upload_complete,
                     self.on_execution_complete, self.on_download_complete)
@@ -334,8 +339,16 @@ class Simulation:
                 events.append(Event(time, seq, EventKind(kind), task_id))
             if kind == _MOBILITY_TICK:
                 on_tick(time)
-            else:
-                handlers[kind](tasks[task_id], time)
+                continue
+            if kind == _TASK_GENERATED and task_id < last_arrival:
+                following = task_id + 1
+                push(heap, (tasks[following].created_at, following, _TASK_GENERATED, following))
+            handlers[kind](tasks[task_id], time)
+        for task in tasks:
+            # a queued task started when its predecessor's EXECUTION_COMPLETE,
+            # at exactly its service_start_s, was processed
+            if task.state is TaskState.QUEUED and task.service_start_s <= duration:
+                task.state = TaskState.EXECUTING
         if events is not None:
             events.append(Event(duration, self._seq, EventKind.SIM_END, -1))
         return self._build_record()
@@ -385,12 +398,7 @@ class Simulation:
 
     def on_execution_complete(self, task: Task, now: float) -> None:
         vm = self.vms[task.assigned_vm]
-        done = vm.queue.popleft()
-        if done != task.id:  # pragma: no cover - FIFO order is structural
-            raise RuntimeError(f"queue order violated on vm {vm.id}")
         self._view.queue_lens[task.assigned_vm] -= 1.0
-        if vm.queue:
-            self.tasks[vm.queue[0]].state = TaskState.EXECUTING
         origin = task.origin_satellite
         if vm.host_satellite == origin:
             task.state = TaskState.DOWNLOADING
@@ -424,8 +432,7 @@ class Simulation:
     def _enqueue(self, task: Task, vm: Vm, now: float) -> None:
         starts_now = vm.busy_until <= now
         task.service_start_s = now if starts_now else vm.busy_until
-        exec_seconds = task.length_mi / vm.mips
-        completion = vm.enqueue(task.id, now, exec_seconds, horizon=self.config.duration_s)
+        completion = vm.enqueue(now, task.length_mi / vm.mips, self.config.duration_s)
         task.state = TaskState.EXECUTING if starts_now else TaskState.QUEUED
         self._view.queue_lens[vm.id] += 1.0
         self._push(completion, _EXECUTION_COMPLETE, task.id)

@@ -1,14 +1,14 @@
 """Satellite compute infrastructure: nodes and their FIFO virtual machines.
 
 Every satellite hosts a fixed number of single-server VMs (one by
-default). A VM serves its queue in arrival order, so a task accepted at
-time `now` finishes at max(now, busy_until) + exec_seconds; queues are
-unbounded.
+default). A VM serves its tasks in arrival order, so a task accepted at
+time `now` starts at max(now, busy_until) and finishes exec_seconds
+later; queues are unbounded. A VM keeps only that clock: the engine
+counts each VM's queue length in its candidate view.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -39,11 +39,11 @@ class SatelliteNode:
 
 
 class Vm:
-    """Single-server FIFO execution queue on one satellite.
+    """Single-server FIFO clock on one satellite.
 
     busy_until is the time the last accepted task finishes;
-    busy_time_total accrues executed seconds (optionally clipped to a
-    horizon so utilization never exceeds the observation window).
+    busy_time_total accrues the executed seconds inside [0, horizon], so
+    utilization never exceeds the observation window.
     """
 
     __slots__ = (
@@ -51,7 +51,6 @@ class Vm:
         "host_satellite",
         "host_layer",
         "mips",
-        "queue",
         "busy_until",
         "busy_time_total",
     )
@@ -61,31 +60,16 @@ class Vm:
         self.host_satellite = host_satellite
         self.host_layer = host_layer
         self.mips = mips
-        self.queue: deque[int] = deque()
         self.busy_until = 0.0
         self.busy_time_total = 0.0
 
-    def enqueue(self, task_id: int, now: float, exec_seconds: float, horizon: float | None = None) -> float:
-        """Accept a task and return its execution completion time.
-
-        With a horizon, only the part of the service interval inside
-        [0, horizon] counts toward busy_time_total.
-        """
+    def enqueue(self, now: float, exec_seconds: float, horizon: float) -> float:
+        """Accept a task at `now` and return its execution completion time."""
         start = max(now, self.busy_until)
         completion = start + exec_seconds
-        self.queue.append(task_id)
         self.busy_until = completion
-        if horizon is None:
-            self.busy_time_total += exec_seconds
-        else:
-            self.busy_time_total += max(0.0, min(completion, horizon) - min(start, horizon))
+        self.busy_time_total += max(0.0, min(completion, horizon) - min(start, horizon))
         return completion
-
-    def __repr__(self) -> str:
-        return (
-            f"Vm(id={self.id}, sat={self.host_satellite}, layer={self.host_layer}, "
-            f"mips={self.mips}, queued={len(self.queue)})"
-        )
 
 
 def utilization_pct(vm: Vm, sim_duration_s: float) -> float:

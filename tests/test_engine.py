@@ -347,6 +347,12 @@ def test_injected_tasks_must_be_densely_numbered():
         Simulation(cfg, tasks=[heavy_task(task_id=5)])
 
 
+def test_injected_tasks_must_be_in_creation_order():
+    cfg = parse_config("constellation.mist=1\nconstellation.edge_dc=0\nconstellation.cloud=0\ntask.rate_per_min=0\n")
+    with pytest.raises(ConfigurationError, match="creation order"):
+        Simulation(cfg, tasks=[heavy_task(0, created=2.0), heavy_task(1, created=1.0)])
+
+
 def test_position_source_length_must_match_constellation():
     cfg = parse_config("constellation.mist=2\nconstellation.edge_dc=0\nconstellation.cloud=0\n")
     with pytest.raises(ConfigurationError):

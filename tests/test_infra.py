@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -29,49 +31,47 @@ def test_default_layer_mips():
 
 def test_enqueue_on_idle_vm_runs_immediately():
     vm = make_vm()
-    assert vm.enqueue(0, now=5.0, exec_seconds=2.0) == 7.0
+    assert vm.enqueue(now=5.0, exec_seconds=2.0, horizon=math.inf) == 7.0
     assert vm.busy_until == 7.0
-    assert list(vm.queue) == [0]
 
 
 def test_enqueue_backlog_serializes_fifo():
     # hand-traced: arrivals at 0, 1, 1.5 with 2 s service each
     vm = make_vm()
-    assert vm.enqueue(0, 0.0, 2.0) == 2.0
-    assert vm.enqueue(1, 1.0, 2.0) == 4.0
-    assert vm.enqueue(2, 1.5, 2.0) == 6.0
-    assert list(vm.queue) == [0, 1, 2]
+    assert vm.enqueue(0.0, 2.0, math.inf) == 2.0
+    assert vm.enqueue(1.0, 2.0, math.inf) == 4.0
+    assert vm.enqueue(1.5, 2.0, math.inf) == 6.0
     assert vm.busy_time_total == 6.0
 
 
 def test_enqueue_after_idle_gap_restarts_clock():
     vm = make_vm()
-    vm.enqueue(0, 0.0, 1.0)
-    assert vm.enqueue(1, 10.0, 3.0) == 13.0
+    vm.enqueue(0.0, 1.0, math.inf)
+    assert vm.enqueue(10.0, 3.0, math.inf) == 13.0
     assert vm.busy_time_total == 4.0
 
 
 def test_horizon_clips_busy_accounting():
     vm = make_vm()
-    vm.enqueue(0, 9.0, 2.0, horizon=10.0)  # only [9, 10] counts
+    vm.enqueue(9.0, 2.0, horizon=10.0)  # only [9, 10] counts
     assert vm.busy_time_total == 1.0
     vm2 = make_vm()
-    vm2.enqueue(0, 11.0, 2.0, horizon=10.0)  # entirely past the horizon
+    vm2.enqueue(11.0, 2.0, horizon=10.0)  # entirely past the horizon
     assert vm2.busy_time_total == 0.0
     vm3 = make_vm()
-    vm3.enqueue(0, 0.0, 2.0, horizon=10.0)  # entirely inside
+    vm3.enqueue(0.0, 2.0, horizon=10.0)  # entirely inside
     assert vm3.busy_time_total == 2.0
 
 
 def test_utilization_pct_hand_value():
     vm = make_vm()
-    vm.enqueue(0, 0.0, 30.0)
+    vm.enqueue(0.0, 30.0, math.inf)
     assert utilization_pct(vm, 60.0) == 50.0
 
 
 def test_utilization_clamped_to_100():
     vm = make_vm()
-    vm.enqueue(0, 0.0, 120.0)
+    vm.enqueue(0.0, 120.0, math.inf)
     assert utilization_pct(vm, 60.0) == 100.0
 
 
@@ -125,7 +125,7 @@ def test_completion_times_never_decrease(arrivals):
     now = 0.0
     for gap, exec_s in sorted(arrivals):
         now = gap
-        completion = vm.enqueue(0, now, exec_s)
+        completion = vm.enqueue(now, exec_s, math.inf)
         assert completion >= last_completion
         assert completion >= now + exec_s
         last_completion = completion

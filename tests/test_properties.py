@@ -80,6 +80,23 @@ def test_invariants_hold_on_random_configs(text):
     assert sum(record.per_layer_task_counts.values()) == len(placed)
     assert len(placed) + record.failed_no_destination == record.generated
 
+    # schedule keys: arrival i has seq i, the T ticks n..n+T-1, every later push more
+    n, events = len(tasks), sim.events
+    assert [(e.seq, e.task_id) for e in events if e.kind is EventKind.TASK_GENERATED] \
+        == [(i, i) for i in range(n)]
+    ticks = [e.seq for e in events if e.kind is EventKind.MOBILITY_TICK]
+    assert ticks == list(range(n, n + int(sim.config.duration_s // sim.config.tick_s)))
+    assert all(e.seq >= n + len(ticks) for e in events
+               if e.kind not in (EventKind.TASK_GENERATED, EventKind.MOBILITY_TICK))
+
+    # end states: an unfinished task is executing iff its service started in the run
+    duration = sim.config.duration_s
+    for task in tasks:
+        if task.state is TaskState.QUEUED:
+            assert task.service_start_s > duration
+        elif task.state is TaskState.EXECUTING:
+            assert task.service_start_s <= duration
+
     # when, and in which order, each placed task reached its VM's queue: at
     # creation when it runs on its own satellite, else when its upload completed
     arrived = {}
