@@ -7,7 +7,7 @@ task through its lifecycle, and prints the resulting metrics record in
 CSV form.
 """
 
-from satmist import EventKind, Simulation, TaskState, emit_csv, parse_config
+from satmist import Simulation, TaskState, emit_csv, parse_config
 
 # Six mist satellites, one edge datacenter, one cloud satellite; the
 # round_robin policy spreads tasks across tiers so remote transfers and
@@ -35,7 +35,8 @@ for event in sim.events[:8]:
 print(f"  ... {len(sim.events)} events total, "
       f"last: {sim.events[-1].kind.name} at t={sim.events[-1].time}")
 
-# Follow one remote task end to end through the recorded events.
+# Follow one remote task end to end through the recorded events. Satellite
+# i hosts VM i, so a task whose VM differs from its origin ran remotely.
 remote = next(
     task for task in sim.tasks
     if task.state is TaskState.SUCCEEDED and task.assigned_vm != task.origin_satellite
@@ -43,7 +44,7 @@ remote = next(
 print(f"\ntask {remote.id}: origin satellite {remote.origin_satellite}, "
       f"ran on VM {remote.assigned_vm}")
 for event in sim.events:
-    if event.task_id == remote.id and event.kind is not EventKind.MOBILITY_TICK:
+    if event.task_id == remote.id:
         print(f"  t={event.time:9.4f}  {event.kind.name}")
 print(f"  created {remote.created_at:.4f} -> finished {remote.finished_at:.4f}"
       f"  (e2e {remote.e2e_s:.4f} s <= deadline {remote.max_latency_s} s)")

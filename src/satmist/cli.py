@@ -15,7 +15,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import (
-    MAX_TICKS,
     SimulationConfig,
     load_config_file,
     parse_config,
@@ -28,6 +27,9 @@ from .metrics import emit_csv
 from .orbital import OrbitPositions, build_constellation, dump_trace
 from .orchestrate import PolicyId
 from .sweep import DEFAULT_COUNTS, SweepSpec, run_sweep
+
+# Upper bound on the steps, duration_s / step, one trace export writes.
+MAX_STEPS = 1_000_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p = sub.add_parser("trace-export",
                              help="dump generated satellite positions as trace CSV")
     _add_config_flags(trace_p)
-    trace_p.add_argument("--step", type=float,
-                         help="sample interval in seconds (default: simulation.tick_s)")
+    trace_p.add_argument("--step", type=float, default=1.0,
+                         help="sample interval in seconds (default 1)")
     trace_p.add_argument("--out", type=Path, help="output file (default: stdout)")
     trace_p.set_defaults(func=cmd_trace_export)
     return parser
@@ -141,12 +143,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_trace_export(args: argparse.Namespace) -> int:
     config = load_cli_config(args)
-    step = args.step if args.step is not None else config.tick_s
+    step = args.step
     if not (math.isfinite(step) and step > 0):
         raise ConfigurationError(f"step must be positive and finite, got {step}")
-    if config.duration_s / step > MAX_TICKS:
+    if config.duration_s / step > MAX_STEPS:
         raise ConfigurationError(
-            f"simulation.duration_s / step must be at most {MAX_TICKS:,} samples, "
+            f"simulation.duration_s / step must be at most {MAX_STEPS:,} steps, "
             f"got {config.duration_s / step:.3g}"
         )
     layered = build_constellation(config.constellation)

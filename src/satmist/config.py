@@ -7,7 +7,7 @@ bad values; errors carry the line number or offending key.
 
 Each key has one `_KEYS` row: its value parser, the path of the
 SimulationConfig field it sets, and the bound `validate` holds it to.
-`validate` also bounds the run's mobility ticks, expected tasks and VMs.
+`validate` also bounds the run's expected tasks, VMs and orbital planes.
 """
 
 from __future__ import annotations
@@ -30,11 +30,9 @@ _POLICY_ALIASES = {
     "wg": PolicyId.WEIGHT_GREEDY,
 }
 
-# Upper bound on the mobility tick events one run schedules up front.
-MAX_TICKS = 1_000_000
 # Upper bound on the expected tasks one run generates up front.
 MAX_TASKS = 2_000_000
-# Upper bound on the VMs (and orbital planes) one run builds up front.
+# Upper bound on the VMs (one per satellite) and orbital planes one run builds up front.
 MAX_VMS = 100_000
 
 
@@ -59,7 +57,6 @@ class SimulationConfig:
     """Everything a single simulation run depends on."""
 
     duration_s: float = 600.0
-    tick_s: float = 1.0
     constellation: ConstellationSpec = field(default_factory=ConstellationSpec)
     profiles: Mapping[Layer, LayerProfile] = field(
         default_factory=lambda: dict(DEFAULT_PROFILES)
@@ -140,7 +137,6 @@ _ALTITUDE = (lambda value: value >= MIN_ALTITUDE_M, f"must be >= {MIN_ALTITUDE_M
 # A path step is a dataclass field name, or a Layer keying a per-layer mapping.
 _KEYS = {
     "simulation.duration_s": (_parse_float, ("duration_s",), _POSITIVE),
-    "simulation.tick_s": (_parse_float, ("tick_s",), _POSITIVE),
     "constellation.mist": (_parse_int, ("constellation", "mist"), None),
     "constellation.edge_dc": (_parse_int, ("constellation", "edge_dc"), None),
     "constellation.cloud": (_parse_int, ("constellation", "cloud"), None),
@@ -253,12 +249,6 @@ def validate(config: SimulationConfig) -> None:
         if not holds(value):
             raise ConfigurationError(f"{key} {requirement}, got {value}")
 
-    if config.duration_s / config.tick_s > MAX_TICKS:
-        raise ConfigurationError(
-            f"simulation.duration_s / simulation.tick_s must be at most {MAX_TICKS:,} "
-            f"mobility ticks, got {config.duration_s / config.tick_s:.3g}"
-        )
-
     if c.mist < 0 or c.edge_dc < 0 or c.cloud < 0:
         raise ConfigurationError("satellite counts must be non-negative")
     expected_tasks = task.rate_per_min / 60.0 * config.duration_s \
@@ -273,15 +263,11 @@ def validate(config: SimulationConfig) -> None:
         raise ConfigurationError("constellation needs at least one satellite")
     if c.planes < 1:
         raise ConfigurationError("constellation planes must be >= 1")
-    if any(config.profiles[layer].vms_per_satellite < 1 for layer in LAYER_ORDER):
-        raise ConfigurationError("vms_per_satellite must be >= 1")
     if not config.architecture:
         raise ConfigurationError("architecture.layers needs at least one layer")
-    vms = sum(c.count_for(layer) * config.profiles[layer].vms_per_satellite
-              for layer in LAYER_ORDER)
-    if vms > MAX_VMS:
+    if c.total > MAX_VMS:
         raise ConfigurationError(
-            f"satellite counts x vms_per_satellite must be at most {MAX_VMS:,} VMs, got {vms:,}"
+            f"satellite counts, one VM each, must be at most {MAX_VMS:,} VMs, got {c.total:,}"
         )
     if c.planes > MAX_VMS:
         raise ConfigurationError(

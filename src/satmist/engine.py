@@ -2,16 +2,16 @@
 
 The run is a single priority queue of (time, seq) ordered events, so
 simultaneous events resolve by seq and a run is a pure function of its
-configuration. Task i's arrival has seq i and enters the heap only when
-arrival i-1 leaves it; mobility ticks take the next seqs, and in-flight
-events (uploads, executions, downloads) the following ones, in push
-order. Each VM is a FIFO clock; its queue length lives only in the
-candidate view that placement reads. Mist satellites generate
-tasks from seeded Poisson streams; each task is placed once, at creation
-time, over a snapshot of every VM in the constellation whose distance
-column is computed only if the policy reads it; transfers charge
-radio energy on both ends; results are censored, not extrapolated, at the
-simulation horizon.
+configuration. Every event changes some task's state: of n tasks, task
+i's arrival has seq i and enters the heap only when arrival i-1 leaves
+it, and in-flight events (uploads, executions, downloads) take seqs n,
+n+1, ... in push order. Satellite i hosts VM i, a FIFO clock whose queue
+length lives only in the candidate view that placement reads. Mist
+satellites generate tasks from seeded Poisson streams; each task is
+placed once, at creation time, over a snapshot of every VM in the
+constellation whose distance column is computed only if the policy reads
+it; transfers charge radio energy on both ends; results are censored,
+not extrapolated, at the simulation horizon.
 """
 
 from __future__ import annotations
@@ -58,8 +58,7 @@ class EventKind(IntEnum):
     UPLOAD_COMPLETE = 1
     EXECUTION_COMPLETE = 2
     DOWNLOAD_COMPLETE = 3
-    MOBILITY_TICK = 4
-    SIM_END = 5
+    SIM_END = 4
 
 
 # Heap entries carry the kind as a plain int; Simulation.run dispatches on it.
@@ -67,7 +66,6 @@ _TASK_GENERATED = EventKind.TASK_GENERATED.value
 _UPLOAD_COMPLETE = EventKind.UPLOAD_COMPLETE.value
 _EXECUTION_COMPLETE = EventKind.EXECUTION_COMPLETE.value
 _DOWNLOAD_COMPLETE = EventKind.DOWNLOAD_COMPLETE.value
-_MOBILITY_TICK = EventKind.MOBILITY_TICK.value
 
 
 @dataclass(slots=True)
@@ -133,16 +131,16 @@ def generate_tasks(config: SimulationConfig, origin: int,
 class _Distances:
     """Origin-to-VM distances at one instant, from a position source.
 
+    VM i is satellite i, so VM indices are satellite indices here.
+
     `at(origin, now)` sets the instant that `fill`, `to_vms` and `to_vm`
     measure from. Holds no reference to the Simulation, so a view that
     defers to it keeps no finished run alive.
     """
 
-    def __init__(self, positions, vm_host: np.ndarray):
+    def __init__(self, positions):
         n = len(positions)
         self._positions = positions
-        self._vm_host = None if np.array_equal(vm_host, np.arange(n)) else vm_host
-        self._host_of = vm_host.tolist()
         self._diff = np.empty((3, n))
         self._acc = np.empty(n)
         self._rows = (positions.positions_of if isinstance(positions, OrbitPositions)
@@ -153,7 +151,7 @@ class _Distances:
         self.origin, self.now, self._known = origin, now, None
 
     def fill(self, out: np.ndarray) -> None:
-        """Distance from satellite `origin` to every VM's host, into `out`.
+        """Distance from satellite `origin` to every VM, into `out`.
 
         Each coordinate row has the origin's coordinate subtracted as a
         scalar, and squares are summed as (dx*dx + dy*dy) + dz*dz, the
@@ -168,15 +166,11 @@ class _Distances:
         np.multiply(diff, diff, out=diff)
         np.add(diff[0], diff[1], out=acc)
         acc += diff[2]
-        if self._vm_host is None:
-            np.sqrt(acc, out=out)
-        else:
-            # mode="clip" lets take write into `out` unbuffered; indices are in range
-            np.sqrt(acc, out=acc).take(self._vm_host, out=out, mode="clip")
+        np.sqrt(acc, out=out)
 
     def to_vms(self, vms: list[int]) -> list[float]:
         """fill's distances to VMs `vms` alone, remembered for to_vm."""
-        out = self.between(self.origin, [self._host_of[v] for v in vms], self.now)
+        out = self.between(self.origin, vms, self.now)
         self._known = dict(zip(vms, out))
         return out
 
@@ -185,7 +179,7 @@ class _Distances:
         known = self._known
         if known is not None and vm in known:
             return known[vm]
-        return self.pair(self.origin, self._host_of[vm], self.now)
+        return self.pair(self.origin, vm, self.now)
 
     def between(self, origin: int, hosts: list[int], now: float) -> list[float]:
         """Distances from satellite `origin` to satellites `hosts`, computed alone:
@@ -260,10 +254,9 @@ class Simulation:
         self.record_events = record_events
         self.events: list[Event] = []
 
-        vm_host = np.array([vm.host_satellite for vm in self.vms], dtype=np.int64)
         layer_codes = np.array([LAYER_CODE[vm.host_layer] for vm in self.vms], dtype=np.int64)
         n_vms = len(self.vms)
-        distances = self._distances = _Distances(self.positions, vm_host)
+        distances = self._distances = _Distances(self.positions)
         view = self._view = CandidateView(
             vm_ids=np.arange(n_vms, dtype=np.int64),
             layer_codes=layer_codes,
@@ -275,7 +268,6 @@ class Simulation:
         view.defer_distances(distances.fill, distances.to_vms)
         if positions is None:
             view.static_feasible, view.max_distance = _orbit_bounds(config, layered, layer_codes)
-        self._first_vm = [node.vm_ids[0] for node in self.nodes]
         self._layer_weights = {**DEFAULT_TRADEOFF_LAYER_WEIGHTS,
                                Layer.CLOUD: config.tradeoff_cloud_weight}
         self._policy_rng = random.Random(f"{config.seed}:policy")
@@ -295,11 +287,6 @@ class Simulation:
         if self.tasks:
             self._heap.append((self.tasks[0].created_at, 0, _TASK_GENERATED, 0))
         self._seq = len(self.tasks)
-        tick = config.tick_s
-        k = 1
-        while k * tick <= config.duration_s:
-            self._push(k * tick, _MOBILITY_TICK, -1)
-            k += 1
 
         self.total_energy_j = 0.0
         self._e2e: list[float] = []
@@ -331,15 +318,11 @@ class Simulation:
         # indexed by the heap entries' kind codes 0-3
         handlers = (self.on_task_generated, self.on_upload_complete,
                     self.on_execution_complete, self.on_download_complete)
-        on_tick = self.on_mobility_tick
         events = self.events if self.record_events else None
         while heap and heap[0][0] <= duration:
             time, seq, kind, task_id = pop(heap)
             if events is not None:
                 events.append(Event(time, seq, EventKind(kind), task_id))
-            if kind == _MOBILITY_TICK:
-                on_tick(time)
-                continue
             if kind == _TASK_GENERATED and task_id < last_arrival:
                 following = task_id + 1
                 push(heap, (tasks[following].created_at, following, _TASK_GENERATED, following))
@@ -358,7 +341,7 @@ class Simulation:
     def on_task_generated(self, task: Task, now: float) -> None:
         origin = task.origin_satellite
         view = self._view
-        view.local = self._first_vm[origin]
+        view.local = origin
         self._distances.at(origin, now)
         view.distances_pending = True
         try:
@@ -376,11 +359,10 @@ class Simulation:
             self._fail(task, FailureCause.NO_DESTINATION, now)
             return
         vm_index = sel.vm_id
-        vm = self.vms[vm_index]
         view.assigned[vm_index] += 1
         task.assigned_vm = vm_index
-        if vm.host_satellite == origin:
-            self._enqueue(task, vm, now)
+        if vm_index == origin:
+            self._enqueue(task, self.vms[vm_index], now)
             return
         if view.distances_pending:
             d = self._distances.to_vm(vm_index)
@@ -397,16 +379,16 @@ class Simulation:
         self._enqueue(task, self.vms[task.assigned_vm], now)
 
     def on_execution_complete(self, task: Task, now: float) -> None:
-        vm = self.vms[task.assigned_vm]
-        self._view.queue_lens[task.assigned_vm] -= 1.0
+        vm_index = task.assigned_vm
+        self._view.queue_lens[vm_index] -= 1.0
         origin = task.origin_satellite
-        if vm.host_satellite == origin:
+        if vm_index == origin:
             task.state = TaskState.DOWNLOADING
             self._push(now, _DOWNLOAD_COMPLETE, task.id)
             return
-        d = self._distances.pair(origin, vm.host_satellite, now)
+        d = self._distances.pair(origin, vm_index, now)
         link = self.config.link
-        if d > link.range_by_layer[vm.host_layer]:
+        if d > link.range_by_layer[self.vms[vm_index].host_layer]:
             self._fail(task, FailureCause.MOBILITY, now)
             return
         bits = task.output_bits
@@ -425,7 +407,9 @@ class Simulation:
             task.failure_cause = FailureCause.DEADLINE
 
     def on_mobility_tick(self, now: float) -> None:
-        """Reserved sampling hook; positions are computed lazily at events."""
+        """Never scheduled: positions are computed lazily at events.
+
+        Kept only because perfbench/spans.py wraps it by name."""
 
     # -- internals -------------------------------------------------------
 

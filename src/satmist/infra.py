@@ -1,10 +1,10 @@
 """Satellite compute infrastructure: nodes and their FIFO virtual machines.
 
-Every satellite hosts a fixed number of single-server VMs (one by
-default). A VM serves its tasks in arrival order, so a task accepted at
-time `now` starts at max(now, busy_until) and finishes exec_seconds
-later; queues are unbounded. A VM keeps only that clock: the engine
-counts each VM's queue length in its candidate view.
+Every satellite hosts one single-server VM, so VM i is satellite i. A
+VM serves its tasks in arrival order, so a task accepted at time `now`
+starts at max(now, busy_until) and finishes exec_seconds later; queues
+are unbounded. A VM keeps only that clock: the engine counts each VM's
+queue length in its candidate view.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ class LayerProfile:
     """Compute profile shared by all satellites of one layer."""
 
     mips: float
-    vms_per_satellite: int = 1
 
 
 DEFAULT_PROFILES: Mapping[Layer, LayerProfile] = {
@@ -35,11 +34,10 @@ DEFAULT_PROFILES: Mapping[Layer, LayerProfile] = {
 class SatelliteNode:
     id: int
     layer: Layer
-    vm_ids: tuple[int, ...]
 
 
 class Vm:
-    """Single-server FIFO clock on one satellite.
+    """Single-server FIFO clock on the satellite with the same id.
 
     busy_until is the time the last accepted task finishes;
     busy_time_total accrues the executed seconds inside [0, horizon], so
@@ -48,16 +46,14 @@ class Vm:
 
     __slots__ = (
         "id",
-        "host_satellite",
         "host_layer",
         "mips",
         "busy_until",
         "busy_time_total",
     )
 
-    def __init__(self, vm_id: int, host_satellite: int, host_layer: Layer, mips: float):
+    def __init__(self, vm_id: int, host_layer: Layer, mips: float):
         self.id = vm_id
-        self.host_satellite = host_satellite
         self.host_layer = host_layer
         self.mips = mips
         self.busy_until = 0.0
@@ -83,15 +79,8 @@ def build_nodes(
     layered_elements: Sequence[tuple[Layer, OrbitalElements]],
     profiles: Mapping[Layer, LayerProfile] = DEFAULT_PROFILES,
 ) -> tuple[list[SatelliteNode], list[Vm]]:
-    """Create one node per satellite and its VMs, ids in input order."""
-    nodes: list[SatelliteNode] = []
-    vms: list[Vm] = []
-    for sat_id, (layer, _elements) in enumerate(layered_elements):
-        profile = profiles[layer]
-        ids = []
-        for _ in range(profile.vms_per_satellite):
-            vm = Vm(len(vms), sat_id, layer, profile.mips)
-            vms.append(vm)
-            ids.append(vm.id)
-        nodes.append(SatelliteNode(id=sat_id, layer=layer, vm_ids=tuple(ids)))
+    """Create one node and one VM per satellite, ids in input order."""
+    layers = [layer for layer, _elements in layered_elements]
+    nodes = [SatelliteNode(id=i, layer=layer) for i, layer in enumerate(layers)]
+    vms = [Vm(i, layer, profiles[layer].mips) for i, layer in enumerate(layers)]
     return nodes, vms

@@ -6,8 +6,9 @@ import math
 import pytest
 
 from satmist import cli
-from satmist.cli import main
-from satmist.config import MAX_TICKS, parse_config
+from satmist.cli import MAX_STEPS, main
+from satmist.config import parse_config
+from satmist.errors import ConfigurationError
 from satmist.metrics import CSV_COLUMNS, parse_csv
 from satmist.orbital import TRACE_HEADER, OrbitPositions, build_constellation
 from satmist.orchestrate import PolicyId
@@ -111,7 +112,7 @@ def test_trace_export_stdout(fast_config, capsys):
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == ",".join(TRACE_HEADER)
-    # 4 satellites x 21 samples (t = 0..20 step tick_s=1)
+    # 4 satellites x 21 samples (t = 0..20 at the default 1 s step)
     assert len(lines) == 1 + 4 * 21
 
 
@@ -128,6 +129,17 @@ def test_bad_config_contents(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "line 1" in err and "duration_s" in err
+
+
+def test_tick_s_is_an_unknown_key(tmp_path, capsys):
+    # the simulator schedules no mobility ticks, so it has no tick interval to set
+    text = FAST + "simulation.tick_s=1\n"
+    with pytest.raises(ConfigurationError, match=r"line 5: unknown key 'simulation\.tick_s'"):
+        parse_config(text)
+    path = tmp_path / "ticks.cfg"
+    path.write_text(text)
+    assert main(["run", "--config", str(path)]) == 1
+    assert "unknown key" in capsys.readouterr().err
 
 
 def test_bad_policy_flag(fast_config, capsys):
@@ -173,8 +185,8 @@ def test_non_finite_or_negative_step_rejected(fast_config, capsys, no_trace_work
     assert "step must be positive and finite" in capsys.readouterr().err
 
 
-# 1,000,000 samples of 2**-16 s, a duration and a step both exact in binary
-EDGE_DURATION_S = MAX_TICKS * 2.0**-16
+# 1,000,000 steps of 2**-16 s, a duration and a step both exact in binary
+EDGE_DURATION_S = MAX_STEPS * 2.0**-16
 
 
 @pytest.fixture
@@ -189,7 +201,7 @@ def test_step_sample_count_bounded(edge_config, capsys, no_trace_work):
     # 15.26 s at 1e-12 s would be 1.5e13 sample times
     code = main(["trace-export", "--config", str(edge_config), "--step=1e-12"])
     assert code == 1
-    assert f"at most {MAX_TICKS:,} samples" in capsys.readouterr().err
+    assert f"at most {MAX_STEPS:,} steps" in capsys.readouterr().err
     # one rounding step below 2**-16 s puts the count just past the bound
     code = main(["trace-export", "--config", str(edge_config),
                  f"--step={math.nextafter(2.0**-16, 0.0)!r}"])
@@ -201,7 +213,7 @@ def test_step_sample_count_bound_is_inclusive(edge_config, monkeypatch):
     monkeypatch.setattr(cli, "dump_trace",
                         lambda stream, provider, ids, times: times_written.append(len(times)))
     assert main(["trace-export", "--config", str(edge_config), f"--step={2.0**-16!r}"]) == 0
-    assert times_written == [MAX_TICKS + 1]  # t = 0 and each of the MAX_TICKS steps
+    assert times_written == [MAX_STEPS + 1]  # t = 0 and each of the MAX_STEPS steps
 
 
 def test_unwritable_out_is_a_runtime_error(fast_config, tmp_path, capsys):

@@ -30,7 +30,6 @@ from satmist.orchestrate import PolicyId
 def test_defaults_without_a_config():
     for cfg in (parse_config(None), parse_config(""), SimulationConfig()):
         assert cfg.duration_s == 600.0
-        assert cfg.tick_s == 1.0
         assert cfg.constellation.mist == 1000
         assert cfg.constellation.edge_dc == 24
         assert cfg.constellation.cloud == 18
@@ -61,7 +60,6 @@ def test_defaults_without_a_config():
 def test_every_key_overrides_its_field():
     cfg = parse_config(
         "simulation.duration_s=120\n"
-        "simulation.tick_s=0.5\n"
         "constellation.mist=7\n"
         "constellation.edge_dc=3\n"
         "constellation.cloud=2\n"
@@ -92,7 +90,6 @@ def test_every_key_overrides_its_field():
         "rng.seed=99\n"
     )
     assert cfg.duration_s == 120.0
-    assert cfg.tick_s == 0.5
     assert (cfg.constellation.mist, cfg.constellation.edge_dc,
             cfg.constellation.cloud) == (7, 3, 2)
     assert cfg.constellation.phasing is Phasing.RANDOM_UNIFORM
@@ -198,7 +195,6 @@ def test_bool_values():
     "line",
     [
         "simulation.duration_s=0",
-        "simulation.tick_s=0",
         "simulation.duration_s=-5",
         "constellation.mist=-1",
         "orbit.mist_altitude_m=100000",
@@ -248,7 +244,6 @@ _NON_FINITE = [
     "link.range_mist_m=inf",
     "link.range_edge_m=inf",
     "link.range_cloud_m=inf",
-    "simulation.tick_s=inf",
     "radio.eps_mp=-inf",
     "task.input_bits=nan",
 ]
@@ -298,13 +293,12 @@ def _without(mapping, layer):
             altitude_by_layer={**ConstellationSpec().altitude_by_layer, Layer.MIST: 1e5})},
         {"profiles": _with_profile(Layer.EDGE_DC, mips=0.0)},
         {"profiles": _with_profile(Layer.MIST, mips=-100.0)},
-        {"profiles": _with_profile(Layer.CLOUD, vms_per_satellite=0)},
         {"profiles": _without(DEFAULT_PROFILES, Layer.MIST)},
     ],
     ids=[
         "duration=nan", "length=inf", "e_elec=0", "eps_fs<0", "eps_mp=0", "bandwidth=0", "speed<0", "range-missing-cloud",
         "mist<0", "no-satellites", "planes=0", "altitude-missing-edge", "altitude<floor",
-        "edge-mips=0", "mist-mips<0", "vms_per_satellite=0", "profile-missing-mist",
+        "edge-mips=0", "mist-mips<0", "profile-missing-mist",
     ],
 )
 def test_validate_rejects_api_built_configs(changes):
@@ -339,28 +333,6 @@ def test_byte_order_mark_accepted(tmp_path):
 
 def test_validate_accepts_defaults():
     validate(SimulationConfig())
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "simulation.tick_s=1e-12\n",
-        "simulation.duration_s=1000001\n",
-        "simulation.duration_s=2\nsimulation.tick_s=1e-6\n",
-    ],
-)
-def test_tick_count_bounded(text):
-    # parse only: tick_s=1e-12 would schedule 6e14 tick events before the run starts
-    with pytest.raises(ConfigurationError, match="mobility ticks"):
-        parse_config(text)
-
-
-def test_tick_count_bound_is_inclusive():
-    # one aggregate rate keeps the 1e6 s run under the expected-task bound
-    assert parse_config(
-        "simulation.duration_s=1000000\ntask.rate_is_global=true\n").duration_s == 1e6
-    with pytest.raises(ConfigurationError, match="mobility ticks"):
-        validate(replace(SimulationConfig(), tick_s=1e-12))
 
 
 @pytest.mark.parametrize(
@@ -409,9 +381,6 @@ def test_vm_count_bound_is_inclusive():
     validate(replace(idle, constellation=at_bound))
     with pytest.raises(ConfigurationError, match=r"at most 100,000 VMs, got 100,001"):
         validate(replace(idle, constellation=replace(at_bound, mist=at_bound.mist + 1)))
-    # 1,000 mist satellites at 100 VMs each, plus 42 others, are 100,042 VMs
-    with pytest.raises(ConfigurationError, match="VMs"):
-        validate(replace(idle, profiles=_with_profile(Layer.MIST, vms_per_satellite=100)))
     validate(replace(idle, constellation=ConstellationSpec(planes=MAX_VMS)))
     with pytest.raises(ConfigurationError, match="planes must be at most"):
         validate(replace(idle, constellation=ConstellationSpec(planes=MAX_VMS + 1)))

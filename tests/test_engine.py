@@ -266,17 +266,6 @@ def test_events_processed_in_time_seq_order():
     assert keys == sorted(keys)
 
 
-def test_mobility_ticks_cover_the_run():
-    cfg = parse_config(
-        "constellation.mist=1\nconstellation.edge_dc=0\nconstellation.cloud=0\n"
-        "task.rate_per_min=0\nsimulation.duration_s=10\nsimulation.tick_s=2.5\n"
-    )
-    sim = Simulation(cfg, record_events=True)
-    sim.run()
-    ticks = [e.time for e in sim.events if e.kind is EventKind.MOBILITY_TICK]
-    assert ticks == [2.5, 5.0, 7.5, 10.0]
-
-
 def test_sim_end_recorded_last():
     cfg = parse_config("constellation.mist=2\nsimulation.duration_s=20\n")
     sim = Simulation(cfg, record_events=True)
@@ -404,12 +393,6 @@ def _reference_distances(elements, origin, t):
     return np.sqrt(np.sum(diff, axis=1))
 
 
-def _two_vms_per_satellite():
-    cfg = parse_config("constellation.mist=40\ntask.rate_per_min=0\n")
-    return replace(cfg, profiles={layer: replace(p, vms_per_satellite=2)
-                                  for layer, p in cfg.profiles.items()})
-
-
 @pytest.mark.parametrize("make_config", [
     pytest.param(lambda: parse_config("task.rate_per_min=0\n"), id="walker_delta"),
     pytest.param(lambda: parse_config("constellation.phasing=random_uniform\ntask.rate_per_min=0\n"),
@@ -417,32 +400,30 @@ def _two_vms_per_satellite():
     # 18 cloud satellites over 8 planes: 3 slots in two planes, 2 in six
     pytest.param(lambda: parse_config("constellation.mist=0\nconstellation.edge_dc=0\n"),
                  id="uneven_planes"),
-    pytest.param(_two_vms_per_satellite, id="two_vms_per_satellite"),
 ])
 def test_pair_distance_equals_snapshot_bit_for_bit(make_config):
     # subsets of lengths either side of the SIMD kernels' vector widths, whose
     # tails they treat differently, with repeated VMs and the origin's own VM
     sim = Simulation(make_config())
     elements = [e for _, e in build_constellation(sim.config.constellation)]
-    vm_host = np.array([vm.host_satellite for vm in sim.vms])
     distances = sim._distances
-    n, n_vms = len(elements), len(vm_host)
+    n = len(elements)
     rng = random.Random(77)
-    column = np.empty(n_vms)
+    column = np.empty(n)
     for _ in range(400):
         now = rng.uniform(0.0, 600.0)
         origin, host = rng.randrange(n), rng.randrange(n)
         expected = _reference_distances(elements, origin, now)
         distances.at(origin, now)
         distances.fill(column)
-        assert np.array_equal(column, expected[vm_host])
+        assert np.array_equal(column, expected)
         assert distances.between(origin, [host], now) == [expected[host]]
-        vms = [rng.randrange(n_vms) for _ in range(rng.choice((1, 2, 3, 7, 8, 9, 16, 17, 41)))]
-        vms[rng.randrange(len(vms))] = sim.nodes[origin].vm_ids[0]
+        vms = [rng.randrange(n) for _ in range(rng.choice((1, 2, 3, 7, 8, 9, 16, 17, 41)))]
+        vms[rng.randrange(len(vms))] = origin
         if len(vms) > 2:
             vms[-1] = vms[0]
         assert distances.to_vms(vms) == column[vms].tolist()
-        other = rng.randrange(n_vms)  # remembered from to_vms or not
+        other = rng.randrange(n)  # remembered from to_vms or not
         assert distances.to_vm(vms[-1]) == column[vms[-1]]
         assert distances.to_vm(other) == column[other]
 
@@ -463,7 +444,7 @@ def test_download_distance_equals_upload_distance_on_an_injected_source():
     assert len(download) > 10
     for task_id, d in download.items():
         task = sim.tasks[task_id]
-        host = sim.vms[task.assigned_vm].host_satellite
+        host = task.assigned_vm
         diff = points - points[task.origin_satellite]
         assert d == upload[task_id] == np.sqrt(np.sum(diff * diff, axis=1))[host]
 
@@ -531,7 +512,7 @@ def test_recording_events_changes_no_result(policy):
         == [repr(astuple(task)) for task in recorded.tasks]  # repr: nan == nan
     kinds = {event.kind for event in recorded.events}
     assert {EventKind.TASK_GENERATED, EventKind.UPLOAD_COMPLETE, EventKind.EXECUTION_COMPLETE,
-            EventKind.DOWNLOAD_COMPLETE, EventKind.MOBILITY_TICK, EventKind.SIM_END} <= kinds
+            EventKind.DOWNLOAD_COMPLETE, EventKind.SIM_END} <= kinds
     assert all(isinstance(event.kind, EventKind) for event in recorded.events)
     causes = {task.failure_cause for task in recorded.tasks}
     assert FailureCause.NO_DESTINATION in causes

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from satmist.config import SimulationConfig, parse_config, validate
+from satmist.config import parse_config
 from satmist.errors import ConfigurationError
 from satmist.infra import (
     DEFAULT_PROFILES,
-    LayerProfile,
     Vm,
     build_nodes,
     utilization_pct,
@@ -20,7 +19,7 @@ from satmist.orbital import ConstellationSpec, build_constellation
 
 
 def make_vm(mips=10_000.0) -> Vm:
-    return Vm(0, 0, Layer.MIST, mips)
+    return Vm(0, Layer.MIST, mips)
 
 
 def test_default_layer_mips():
@@ -91,31 +90,12 @@ def test_build_nodes_layout():
     nodes, vms = build_nodes(layered)
     assert [n.id for n in nodes] == [0, 1, 2, 3, 4, 5]
     assert [n.layer for n in nodes] == [Layer.MIST] * 3 + [Layer.EDGE_DC] * 2 + [Layer.CLOUD]
+    # VM i is on satellite i, with that satellite's layer
     assert [vm.id for vm in vms] == [0, 1, 2, 3, 4, 5]
-    assert [vm.host_satellite for vm in vms] == [0, 1, 2, 3, 4, 5]
+    assert [vm.host_layer for vm in vms] == [n.layer for n in nodes]
     assert vms[0].mips == 10_000.0
     assert vms[3].mips == 40_000.0
     assert vms[5].mips == 100_000.0
-    for node in nodes:
-        assert node.vm_ids == (node.id,)
-
-
-def test_build_nodes_multiple_vms_per_satellite():
-    layered = build_constellation(ConstellationSpec(mist=2, edge_dc=0, cloud=0))
-    profiles = dict(DEFAULT_PROFILES)
-    profiles[Layer.MIST] = LayerProfile(mips=5_000.0, vms_per_satellite=3)
-    nodes, vms = build_nodes(layered, profiles)
-    assert len(vms) == 6
-    assert nodes[0].vm_ids == (0, 1, 2)
-    assert nodes[1].vm_ids == (3, 4, 5)
-    assert all(vm.host_satellite == 0 for vm in vms[:3])
-
-
-def test_build_nodes_rejects_zero_vms():
-    profiles = dict(DEFAULT_PROFILES)
-    profiles[Layer.MIST] = LayerProfile(mips=5_000.0, vms_per_satellite=0)
-    with pytest.raises(ConfigurationError, match="vms_per_satellite"):
-        validate(SimulationConfig(profiles=profiles))
 
 
 @given(st.lists(st.tuples(st.floats(0, 1e4), st.floats(0, 100)), min_size=1, max_size=40))

@@ -67,9 +67,9 @@ def test_avg_e2e():
 
 
 def test_avg_cpu_counts_idle_vms():
-    busy = Vm(0, 0, Layer.MIST, 1e4)
+    busy = Vm(0, Layer.MIST, 1e4)
     busy.enqueue(0.0, 50.0, horizon=100.0)
-    idle = Vm(1, 1, Layer.MIST, 1e4)
+    idle = Vm(1, Layer.MIST, 1e4)
     assert avg_cpu([busy, idle], 100.0) == 25.0
     with pytest.raises(ValueError):
         avg_cpu([], 100.0)
