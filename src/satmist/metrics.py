@@ -124,40 +124,3 @@ def emit_csv(records: Iterable[MetricsRecord]) -> bytes:
             ]
         )
     return out.getvalue().encode("utf-8")
-
-
-def parse_csv(data: bytes | str) -> list[MetricsRecord]:
-    """Inverse of emit_csv, to the printed precision."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty metrics CSV") from None
-    if tuple(header) != CSV_COLUMNS:
-        raise ValueError(f"bad metrics header: {header!r}")
-    records = []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(CSV_COLUMNS):
-            raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
-        records.append(
-            MetricsRecord(
-                policy=PolicyId(row[0]),
-                satellite_count=int(row[1]),
-                seed=int(row[2]),
-                generated=int(row[3]),
-                succeeded=int(row[4]),
-                failed_deadline=int(row[5]),
-                failed_mobility=int(row[6]),
-                failed_no_destination=int(row[7]),
-                unfinished=int(row[8]),
-                success_rate_pct=float(row[9]) if row[9] else None,
-                avg_e2e_s=float(row[10]) if row[10] else None,
-                total_energy_j=float(row[11]),
-                total_energy_db=float(row[12]),
-                avg_vm_cpu_pct=float(row[13]),
-            )
-        )
-    return records

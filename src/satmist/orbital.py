@@ -274,6 +274,11 @@ class OrbitPositions:
         One cos and one sin call on the array of their angles; the rest
         is float arithmetic in the order positions_all uses.
         """
+        if len(ids) == 2:  # the same operations unrolled: an upload or download pair
+            oi, oj = self._by_satellite[ids[0]], self._by_satellite[ids[1]]
+            theta = np.array((oi[1] * t_seconds + oi[2], oj[1] * t_seconds + oj[2]))
+            (cos_i, cos_j), (sin_i, sin_j) = np.cos(theta).tolist(), np.sin(theta).tolist()
+            return [_on_orbit(oi, cos_i, sin_i), _on_orbit(oj, cos_j, sin_j)]
         orbits, theta = [], []
         for i in ids:  # a plain loop: two comprehensions cost more for a pair
             orbit = self._by_satellite[i]

@@ -5,8 +5,8 @@ VM in the constellation held as parallel arrays, and returns the selected
 VM. Infeasible candidates (layer disabled by the architecture mask, or
 farther than the layer's range) are never selected; score ties go to the
 lowest candidate index, except that distance_only keeps a task on the
-origin's own VM. CandidateView.from_candidates builds a view from a list
-of Candidate records.
+origin's own VM, and weight_greedy's shortlist keeps it against a VM of
+the origin's layer within about 5e-9 m of it (see weight_greedy).
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .layers import LAYER_CODE, LAYER_ORDER, Layer
-from .netenergy import DEFAULT_LINK, DEFAULT_RADIO, LinkParams, RadioParams
+from .layers import LAYER_ORDER, Layer
+from .netenergy import DEFAULT_LINK, DEFAULT_RADIO, LinkParams, RadioParams, tx_energy
 
 class PolicyId(str, Enum):
     DISTANCE_ONLY = "distance_only"
@@ -31,25 +31,6 @@ class PolicyId(str, Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-@dataclass(frozen=True)
-class Candidate:
-    """One VM as seen at decision time."""
-
-    vm_id: int
-    host_layer: Layer
-    distance_m: float
-    queue_len: int
-    vm_mips: float
-    assigned_count: int
-
-
-class TaskInfo(NamedTuple):
-    """The task fields placement cares about."""
-
-    length_mi: float
-    input_bits: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -74,7 +55,7 @@ SHORTLIST_MAX = 24  # longest trade_off shortlist scored without the distance co
 
 
 class CandidateView:
-    """Column-oriented candidate snapshot: one array per Candidate field.
+    """Column-oriented candidate snapshot: one array per candidate field.
 
     The distance column can be deferred: after `defer_distances(fill,
     subset)`, the first read of `distances` runs `fill(out)` to write the
@@ -82,7 +63,7 @@ class CandidateView:
     for it; `subset(idx)` gives the same distances for just candidates
     `idx`. Setting `distances_pending` to True defers the column again.
 
-    Three optional facts, set by whoever builds the view for one run's
+    Four optional facts, set by whoever builds the view for one run's
     architecture, link and orbits, let policies place without distances:
 
     - `local`: index of the origin's own first VM, at exactly 0 m and so
@@ -91,11 +72,13 @@ class CandidateView:
       feasibility does not depend on the distances (no enabled candidate
       can be out of range), or None when it must be checked per task.
     - `max_distance`: a bound no distance in the column exceeds, or None.
+    - `far`: a FarSet, the VMs outside the first layer block with their
+      own distance source, or None.
     """
 
     __slots__ = ("vm_ids", "layer_codes", "queue_lens", "mips", "assigned",
-                 "local", "static_feasible", "max_distance", "distances_pending",
-                 "_distances", "_fill", "_subset", "_spread")
+                 "local", "static_feasible", "max_distance", "far", "distances_pending",
+                 "_distances", "_fill", "_subset", "_cache")
 
     def __init__(self, vm_ids, layer_codes, distances, queue_lens, mips, assigned, *,
                  static_feasible: np.ndarray | None = None):
@@ -107,10 +90,11 @@ class CandidateView:
         self.local = -1
         self.static_feasible = static_feasible
         self.max_distance: float | None = None
+        self.far: FarSet | None = None
         self.distances_pending = False
         self._distances = distances
         self._fill = self._subset = None
-        self._spread: dict[str, tuple[object, np.ndarray]] = {}
+        self._cache: dict[str, tuple[object, object]] = {}
 
     def __len__(self) -> int:
         return len(self.vm_ids)
@@ -128,29 +112,49 @@ class CandidateView:
         self._fill, self._subset = fill, subset
         self.distances_pending = True
 
-    @classmethod
-    def from_candidates(cls, cands: Sequence[Candidate]) -> "CandidateView":
-        return cls(
-            vm_ids=np.array([c.vm_id for c in cands], dtype=np.int64),
-            layer_codes=np.array([LAYER_CODE[c.host_layer] for c in cands], dtype=np.int64),
-            distances=np.array([c.distance_m for c in cands], dtype=np.float64),
-            queue_lens=np.array([c.queue_len for c in cands], dtype=np.float64),
-            mips=np.array([c.vm_mips for c in cands], dtype=np.float64),
-            assigned=np.array([c.assigned_count for c in cands], dtype=np.int64),
-        )
+
+class FarSet:
+    """The VMs after the first layer block of a layer-major view, with their own distances.
+
+    `blocks` holds the first index of each non-empty layer block, and the
+    VMs of one block share one MIPS value. `chord` is at least every
+    distance between two VMs of the first block. `fill(out)` writes the
+    distances from the view's origin, a VM of the first block, to VMs
+    blocks[1]: into `out`, each equal to the column's entry bit for bit.
+    `ids` and `distances` are weight_greedy's buffers: the origin's
+    index and its 0 m first, then the far VMs in index order.
+    """
+
+    __slots__ = ("blocks", "start", "chord", "fill", "ids", "distances")
+
+    def __init__(self, blocks, chord: float, fill: Callable[[np.ndarray], None], n: int):
+        self.blocks = np.asarray(blocks, dtype=np.intp)
+        self.start = int(self.blocks[1])
+        self.chord = chord
+        self.fill = fill
+        self.ids = np.arange(self.start - 1, n, dtype=np.intp)
+        self.distances = np.zeros(self.ids.size)
 
 
 def _spread(view: CandidateView, name: str, source, value_of) -> np.ndarray:
     """`value_of(source, layer)` for each candidate's layer, cached on the view.
 
-    The cache holds one column per `name` and is rebuilt when `source` is
-    a different object; sources (architecture, range and weight maps) are
-    never mutated in place.
+    The cache holds one entry per `name` and is rebuilt when `source` is
+    a different object; sources (architecture, radio, range and weight
+    maps) are never mutated in place.
     """
-    hit = view._spread.get(name)
+    hit = view._cache.get(name)
     if hit is None or hit[0] is not source:
         column = np.array([value_of(source, layer) for layer in LAYER_ORDER])[view.layer_codes]
-        hit = view._spread[name] = (source, column)
+        hit = view._cache[name] = (source, column)
+    return hit[1]
+
+
+def _cached(view: CandidateView, name: str, source, make: Callable, *args):
+    """make(*args), cached on the view as _spread caches its columns."""
+    hit = view._cache.get(name)
+    if hit is None or hit[0] is not source:
+        hit = view._cache[name] = (source, make(*args))
     return hit[1]
 
 
@@ -264,23 +268,44 @@ def weight_greedy(view: CandidateView, task, architecture, *, link: LinkParams =
     transmit energy for the task's input at that distance: free-space
     (e_elec + eps_fs * d^2) strictly below the crossover distance,
     multipath (e_elec + eps_mp * d^4) from it on. Each indicator is
-    normalized over the feasible set, from its minimum and maximum value
-    (taken at the first argmin and argmax, the same values as min and
-    max on finite columns); a constant indicator contributes zeros. The
-    weighted terms are summed in indicator order.
+    normalized over the feasible set, from its minimum and maximum; a
+    constant indicator contributes zeros. The weighted terms are summed
+    in indicator order.
+
+    With a `far` set, the column deferred and feasibility static, an
+    origin of the first layer block whose layer is enabled and whose
+    queue is that layer's shortest is scored against the far VMs alone
+    (see _dominance_shortlist): every other VM of its layer has CPU and
+    queue terms at least the origin's and a larger distance, so it
+    cannot score lower. The engine sets a far set, the
+    edge and cloud VMs, for its built-in orbits under static feasibility
+    when they are at most a tenth of the view; with more, scoring them
+    apart costs more than the column it saves. One pick differs from the
+    full argmin's: a VM of the origin's layer with a lower index, within
+    about 5e-9 m of the origin, whose distance term rounds away in the
+    sum, ties with the origin and would win by index; the shortlist keeps
+    the origin, as distance_only does.
     """
-    idx = _feasible_indices(view, architecture, link)
-    every = idx.size == len(view)
-    if every:
-        d, q, mips = view.distances, view.queue_lens, view.mips
+    short = _dominance_shortlist(view, task, architecture, radio, ratios)
+    if short is not None:
+        idx, d, extrema = short
+        every = False
+        q, mips = view.queue_lens[idx], view.mips[idx]
     else:
-        d, q, mips = view.distances[idx], view.queue_lens[idx], view.mips[idx]
-    score = _minmax_into(d, ratios[0], np.empty(d.size))
+        idx = _feasible_indices(view, architecture, link)
+        every = idx.size == len(view)
+        extrema = _UNKNOWN_EXTREMA
+        if every:
+            d, q, mips = view.distances, view.queue_lens, view.mips
+        else:
+            d, q, mips = view.distances[idx], view.queue_lens[idx], view.mips[idx]
+    lo, hi = extrema
+    score = _minmax_into(d, ratios[0], np.empty(d.size), lo[0], hi[0])
     term = q + 1.0  # CPU time
     term *= task.length_mi
     term /= mips
-    score += _minmax_into(term, ratios[1], term)
-    score += _minmax_into(q, ratios[2], term)
+    score += _minmax_into(term, ratios[1], term, lo[1], hi[1])
+    score += _minmax_into(q, ratios[2], term, lo[2], hi[2])
     d2 = d * d
     np.multiply(d2, d2, out=term)  # energy: multipath everywhere, then free-space below
     term *= radio.eps_mp
@@ -288,18 +313,89 @@ def weight_greedy(view: CandidateView, task, architecture, *, link: LinkParams =
     for i in (d < radio.crossover_m).nonzero()[0].tolist():
         term[i] = radio.e_elec + radio.eps_fs * d2[i]
     term *= task.input_bits
-    score += _minmax_into(term, ratios[3], term)
+    score += _minmax_into(term, ratios[3], term, lo[3], hi[3])
     best = int(score.argmin())
     return Selection(int(view.vm_ids[best if every else idx[best]]))
 
 
-def _minmax_into(values: np.ndarray, ratio: float, out: np.ndarray) -> np.ndarray:
-    """((values - min) / (max - min)) * ratio into `out`, which may be `values`.
+def _dominance_shortlist(view: CandidateView, task, architecture, radio: RadioParams,
+                         ratios: Sequence[float]):
+    """(indices, distances, (minima, maxima)) of the candidates weight_greedy must
+    score and of its four indicators over the feasible set, or None.
 
-    A constant column gives exact zeros: values - min is 0 everywhere.
+    None asks for the full path: no far set, a column already read,
+    feasibility per task, an origin outside the first block or in a
+    disabled layer, a VM of the origin's layer with a shorter queue, a
+    negative ratio, an energy that falls across the crossover, or a
+    largest far distance below the first block's chord. Otherwise the
+    candidates are the origin, at 0 m, and the enabled far VMs, and each
+    indicator's (min, max) over the whole feasible set is known without
+    the column: the distance's is (0, largest far distance), since no two
+    VMs of the first block lie farther apart than `chord`; the CPU time's
+    and the queue's come from each enabled block's shortest and longest
+    queue, CPU time being monotone in the queue at one MIPS per block;
+    the energy's are the energies at those two distances.
     """
-    lo = values[values.argmin()]
-    span = values[values.argmax()] - lo
+    far, local = view.far, view.local
+    if far is None or not view.distances_pending or view.static_feasible is None \
+            or not 0 <= local < far.start:
+        return None
+    blocks, mips, keep = _cached(view, "far_blocks", architecture,
+                                 _enabled_blocks, view, architecture)
+    q = view.queue_lens
+    lows = np.minimum.reduceat(q, far.blocks).tolist()
+    if blocks[:1] != [0] or q[local] > lows[0] or min(ratios) < 0.0 \
+            or not _cached(view, "energy_rises", radio, _energy_rises, radio):
+        return None
+    idx, d = far.ids, far.distances
+    idx[0] = local
+    far.fill(d[1:])
+    if keep is not None:
+        idx, d = idx[keep], d[keep]
+    d_max = float(d.max())
+    if d_max < far.chord:
+        return None
+    highs = np.maximum.reduceat(q, far.blocks).tolist()
+    length, bits = task.length_mi, task.input_bits
+    return idx, d, (
+        (0.0, min(((lows[b] + 1.0) * length) / m for b, m in zip(blocks, mips)),
+         min(lows[b] for b in blocks), tx_energy(bits, 0.0, radio)),
+        (d_max, max(((highs[b] + 1.0) * length) / m for b, m in zip(blocks, mips)),
+         max(highs[b] for b in blocks), tx_energy(bits, d_max, radio)))
+
+
+def _enabled_blocks(view: CandidateView, architecture):
+    """(numbers of the far set's blocks whose layer is enabled, their MIPS, mask of
+    the enabled entries of `far.ids`, or None when every entry is)."""
+    far, enabled = view.far, _enabled(view, architecture)
+    blocks = np.flatnonzero(enabled[far.blocks])
+    keep = None if blocks.size == far.blocks.size else enabled[far.ids]
+    return blocks.tolist(), view.mips[far.blocks[blocks]].tolist(), keep
+
+
+def _energy_rises(radio: RadioParams) -> bool:
+    """Whether weight_greedy's float energy never falls as the distance grows.
+
+    Each branch is monotone, so the only place it can fall is across the
+    crossover, from the free-space value one step below it to the
+    multipath value at it.
+    """
+    c = radio.crossover_m
+    return tx_energy(1.0, float(np.nextafter(c, 0.0)), radio) <= tx_energy(1.0, c, radio)
+
+
+_UNKNOWN_EXTREMA = ((None,) * 4, (None,) * 4)
+
+
+def _minmax_into(values: np.ndarray, ratio: float, out: np.ndarray, lo=None, hi=None) -> np.ndarray:
+    """((values - lo) / (hi - lo)) * ratio into `out`, which may be `values`.
+
+    lo and hi are the values' minimum and maximum, found here when None.
+    A constant column gives exact zeros: values - lo is 0 everywhere.
+    """
+    if lo is None:
+        lo, hi = values[values.argmin()], values[values.argmax()]
+    span = hi - lo
     np.subtract(values, lo, out=out)
     if span != 0.0:
         out /= span

@@ -1,0 +1,86 @@
+"""Test-side records and readers: candidate lists, task stand-ins and the CSV reader.
+
+The simulator places over a CandidateView and writes results.csv; the
+tests build views from plain Candidate records and read the CSV back.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
+
+import numpy as np
+
+from satmist.layers import LAYER_CODE, Layer
+from satmist.metrics import CSV_COLUMNS, MetricsRecord
+from satmist.orchestrate import CandidateView, PolicyId
+
+
+@dataclass(frozen=True)
+class Candidate:
+    """One VM as seen at decision time."""
+
+    vm_id: int
+    host_layer: Layer
+    distance_m: float
+    queue_len: int
+    vm_mips: float
+    assigned_count: int
+
+
+class TaskInfo(NamedTuple):
+    """The task fields placement cares about."""
+
+    length_mi: float
+    input_bits: float = 0.0
+
+
+def view_from_candidates(cands: Sequence[Candidate]) -> CandidateView:
+    """A CandidateView holding the candidates' fields, in order."""
+    return CandidateView(
+        vm_ids=np.array([c.vm_id for c in cands], dtype=np.int64),
+        layer_codes=np.array([LAYER_CODE[c.host_layer] for c in cands], dtype=np.int64),
+        distances=np.array([c.distance_m for c in cands], dtype=np.float64),
+        queue_lens=np.array([c.queue_len for c in cands], dtype=np.float64),
+        mips=np.array([c.vm_mips for c in cands], dtype=np.float64),
+        assigned=np.array([c.assigned_count for c in cands], dtype=np.int64),
+    )
+
+
+def parse_csv(data: bytes | str) -> list[MetricsRecord]:
+    """Inverse of metrics.emit_csv, to the printed precision."""
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError("empty metrics CSV") from None
+    if tuple(header) != CSV_COLUMNS:
+        raise ValueError(f"bad metrics header: {header!r}")
+    records = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(CSV_COLUMNS):
+            raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(row)}")
+        records.append(
+            MetricsRecord(
+                policy=PolicyId(row[0]),
+                satellite_count=int(row[1]),
+                seed=int(row[2]),
+                generated=int(row[3]),
+                succeeded=int(row[4]),
+                failed_deadline=int(row[5]),
+                failed_mobility=int(row[6]),
+                failed_no_destination=int(row[7]),
+                unfinished=int(row[8]),
+                success_rate_pct=float(row[9]) if row[9] else None,
+                avg_e2e_s=float(row[10]) if row[10] else None,
+                total_energy_j=float(row[11]),
+                total_energy_db=float(row[12]),
+                avg_vm_cpu_pct=float(row[13]),
+            )
+        )
+    return records

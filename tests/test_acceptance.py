@@ -35,15 +35,9 @@ from satmist.orbital import (
     orbital_period_s,
     position_at,
 )
-from satmist.orchestrate import (
-    Candidate,
-    CandidateView,
-    PlacementError,
-    PolicyId,
-    TaskInfo,
-    select,
-)
+from satmist.orchestrate import PlacementError, PolicyId, select
 from satmist.sweep import PLOT_METRICS, SweepSpec, run_sweep
+from support import Candidate, TaskInfo, view_from_candidates
 
 DESK_COUNTS = (100, 200, 300)
 DESK_SEEDS = (1, 2, 3)
@@ -261,7 +255,7 @@ def test_acceptance_06_oracle_equivalence(capsys):
             )
             for k in range(n)
         ]
-        view = CandidateView.from_candidates(cands)
+        view = view_from_candidates(cands)
         architecture = frozenset(rng.sample(layers, rng.randint(1, 3)))
         task = TaskInfo(rng.choice([10_000.0, 20_000.0]),
                         rng.choice([8e6, 1.6e9]))

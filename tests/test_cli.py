@@ -9,9 +9,10 @@ from satmist import cli
 from satmist.cli import MAX_STEPS, main
 from satmist.config import parse_config
 from satmist.errors import ConfigurationError
-from satmist.metrics import CSV_COLUMNS, parse_csv
+from satmist.metrics import CSV_COLUMNS
 from satmist.orbital import TRACE_HEADER, OrbitPositions, build_constellation
 from satmist.orchestrate import PolicyId
+from support import parse_csv
 
 FAST = "constellation.mist=2\nconstellation.edge_dc=1\nconstellation.cloud=1\nsimulation.duration_s=20\n"
 

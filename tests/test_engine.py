@@ -403,13 +403,21 @@ def _reference_distances(elements, origin, t):
 ])
 def test_pair_distance_equals_snapshot_bit_for_bit(make_config):
     # subsets of lengths either side of the SIMD kernels' vector widths, whose
-    # tails they treat differently, with repeated VMs and the origin's own VM
+    # tails they treat differently, with repeated VMs and the origin's own VM;
+    # and the far set's distances, from its own OrbitPositions (the engine's
+    # after the mist block, or, for the cloud-only shell, one set up here)
     sim = Simulation(make_config())
     elements = [e for _, e in build_constellation(sim.config.constellation)]
     distances = sim._distances
     n = len(elements)
+    if sim._view.far is None:
+        start = 5
+        distances.split_at(start, elements[start:])
+    else:
+        start = sim._view.far.start
     rng = random.Random(77)
     column = np.empty(n)
+    far = np.empty(n - start)
     for _ in range(400):
         now = rng.uniform(0.0, 600.0)
         origin, host = rng.randrange(n), rng.randrange(n)
@@ -426,6 +434,11 @@ def test_pair_distance_equals_snapshot_bit_for_bit(make_config):
         other = rng.randrange(n)  # remembered from to_vms or not
         assert distances.to_vm(vms[-1]) == column[vms[-1]]
         assert distances.to_vm(other) == column[other]
+        distances.at(origin, now)
+        distances.fill_far(far)
+        assert np.array_equal(far, column[start:])
+        for vm in (rng.randrange(start, n), rng.randrange(n)):  # remembered from fill_far or not
+            assert distances.to_vm(vm) == column[vm]
 
 
 def test_download_distance_equals_upload_distance_on_an_injected_source():
@@ -479,6 +492,36 @@ def test_static_feasibility_only_when_no_link_can_break():
         parse_config("constellation.mist=2\nconstellation.edge_dc=0\nconstellation.cloud=0\n"),
         positions=StaticPositions([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
     assert injected._view.static_feasible is None
+
+
+def test_far_set_only_where_it_pays():
+    # the 42 edge and cloud satellites are at most a tenth of the view at 1,000 mist
+    default = Simulation(parse_config("task.rate_per_min=0\n"))._view.far
+    assert default.blocks.tolist() == [0, 1000, 1024] and default.start == 1000
+    assert default.chord == 2 * (6_371e3 + 400e3) * (1.0 + 1e-9)
+    # not at 300 mist (42 of 342), nor where feasibility or positions are not static
+    for text, positions in (("constellation.mist=300\n", None),
+                            ("link.range_cloud_m=32741999\n", None),
+                            ("", StaticPositions(np.zeros((1042, 3))))):
+        sim = Simulation(parse_config(text + "task.rate_per_min=0\n"), positions=positions)
+        assert sim._view.far is None
+
+
+def test_far_set_changes_no_weight_greedy_placement():
+    # with and without the far set: the same VM for every task, the same record,
+    # and most placements made without the distance column
+    cfg = parse_config("policy.name=weight_greedy\nsimulation.duration_s=6\n")
+    shortlisted, full = Simulation(cfg), Simulation(cfg)
+    full._view.far = None
+    fills = {}
+    for name, sim in (("shortlisted", shortlisted), ("full", full)):
+        fill, fills[name] = sim._view._fill, []
+        sim._view._fill = lambda out, fill=fill, calls=fills[name]: calls.append(fill(out))
+    assert shortlisted.run() == full.run()
+    assert [task.assigned_vm for task in shortlisted.tasks] == [task.assigned_vm for task in full.tasks]
+    assert any(task.assigned_vm >= 1000 for task in full.tasks)
+    assert len(fills["full"]) == len(full.tasks)
+    assert len(fills["shortlisted"]) < len(full.tasks) / 2
 
 
 def test_finished_run_is_freed_without_the_cycle_collector():

@@ -15,10 +15,10 @@ from satmist.metrics import (
     avg_e2e,
     emit_csv,
     energy_db_or_neg_inf,
-    parse_csv,
     success_rate,
 )
 from satmist.orchestrate import PolicyId
+from support import parse_csv
 
 
 def record(**overrides) -> MetricsRecord:

@@ -8,11 +8,8 @@ import pytest
 from satmist.layers import Layer
 from satmist.netenergy import DEFAULT_LINK, DEFAULT_RADIO
 from satmist.orchestrate import (
-    Candidate,
-    CandidateView,
     PlacementError,
     PolicyId,
-    TaskInfo,
     distance_only,
     random_vm,
     round_robin,
@@ -20,10 +17,11 @@ from satmist.orchestrate import (
     trade_off,
     weight_greedy,
 )
+from support import Candidate, TaskInfo, view_from_candidates
 
 ALL_LAYERS = frozenset(Layer)
 TASK = TaskInfo(length_mi=20_000.0, input_bits=8e6)
-view = CandidateView.from_candidates
+view = view_from_candidates
 
 
 # -- independent scalar oracles, plain loops and strict-< updates ---------
@@ -384,7 +382,7 @@ def test_oracle_equivalence_on_random_sets():
 
 
 def test_candidate_view_matches_list_path():
-    # from_candidates keeps every field of the candidate list, in order
+    # view_from_candidates keeps every field of the candidate list, in order
     rng = random.Random(404)
     for _ in range(50):
         cands = random_candidates(rng)

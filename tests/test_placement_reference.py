@@ -30,15 +30,16 @@ from satmist.orchestrate import (
     DEFAULT_TRADEOFF_LAYER_WEIGHTS,
     WEIGHT_GREEDY_RATIOS,
     CandidateView,
+    FarSet,
     SHORTLIST_MAX,
     PlacementError,
     Selection,
-    TaskInfo,
     _feasible_indices,
     _spread,
     trade_off,
     weight_greedy,
 )
+from support import TaskInfo
 
 N = 1042  # VMs of the default 1000 + 24 + 18 constellation
 ALL = frozenset(Layer)
@@ -419,3 +420,137 @@ def test_trade_off_shortlist_skips_a_disabled_layer():
     assert v.static_feasible.tolist() == [1, 2, 3, 5]
     assert got == want == v.vm_ids[2]
     assert seen == [3]
+
+
+# -- weight_greedy's dominance shortlist -----------------------------------
+
+R_MIST, R_EDGE, R_CLOUD = 6_771e3, 8_371e3, 16_371e3  # default orbit radii
+CHORD = (R_MIST + R_MIST) * (1.0 + 1e-9)
+MIST_ONLY_CLOUD = frozenset({Layer.MIST, Layer.CLOUD})
+MIST_ONLY_EDGE = frozenset({Layer.MIST, Layer.EDGE_DC})
+NO_MIST = frozenset({Layer.EDGE_DC, Layer.CLOUD})
+
+
+def far_view(rng: np.random.Generator, local: int, *, busy=False, equal_queues=False,
+             equal_mips=False, far_scale=1.0, mist_floor=0):
+    """A layer-major 1,042-VM view, origin `local`, with distances in the ranges the
+    default orbits give: a mist VM within 2·r_mist of the origin, an edge or cloud
+    VM within r_mist of its own radius. Queues are 0-7, mist ones at least
+    `mist_floor`; the origin's is its layer's shortest, or one longer with `busy`."""
+    codes = np.repeat([0, 1, 2], [1000, 24, 18])
+    mips = np.choose(codes, [10_000.0] * 3 if equal_mips else [10_000.0, 40_000.0, 100_000.0])
+    near = np.choose(codes, [0.0, R_EDGE - R_MIST, R_CLOUD - R_MIST])
+    distances = rng.uniform(near, np.choose(codes, [2 * R_MIST, R_EDGE + R_MIST, R_CLOUD + R_MIST]))
+    distances[1000:] *= far_scale
+    distances[local] = 0.0
+    queues = np.full(N, 3.0) if equal_queues else rng.integers(0, 8, N).astype(np.float64)
+    queues[:1000] = np.maximum(queues[:1000], mist_floor)
+    others = np.delete(queues[:1000], local)
+    queues[local] = others.min() + 1.0 if busy else others.min()
+    v = make_view(codes, distances, queues, mips)
+    v.local = local
+    return v
+
+
+def far_picks(v, task, arch, radio=DEFAULT_RADIO):
+    """(pick with v's column deferred behind a far set, reference pick on the filled
+    column, the sources read before the reference: "far" and/or "fill")."""
+    column = v.distances.copy()
+    calls = []
+
+    def fill(out):
+        calls.append("fill")
+        out[:] = column
+
+    def fill_far(out):
+        calls.append("far")
+        out[:] = column[1000:]
+
+    def subset(idx):
+        raise AssertionError("weight_greedy reads no subset")
+
+    v.defer_distances(fill, subset)
+    v.static_feasible = np.flatnonzero(np.isin(v.layer_codes, [LAYER_CODE[x] for x in arch]))
+    v.far = FarSet([0, 1000, 1024], CHORD, fill_far, N)
+    got = weight_greedy(v, task, arch, radio=radio).vm_id
+    seen = list(calls)
+    want = reference_weight_greedy(v, task, arch, radio=radio).vm_id
+    return got, want, seen
+
+
+@pytest.mark.parametrize("arch", [ALL, MIST_ONLY_CLOUD, MIST_ONLY_EDGE, NO_MIST],
+                         ids=["every_layer", "no_edge", "no_cloud", "no_mist"])
+@pytest.mark.parametrize("busy", [False, True], ids=["idle_origin", "busy_origin"])
+def test_weight_greedy_shortlist_picks_as_reference(arch, busy):
+    # an idle origin in an enabled layer is scored against the far VMs alone and
+    # leaves the column unread; a busy one, or a disabled mist layer, fills it
+    rng = np.random.default_rng([17, len(arch), busy])
+    enabled = [LAYER_CODE[layer] for layer in arch]
+    origin_picks = shortlisted = 0
+    for k in range(30):
+        local = 0 if k == 0 else int(rng.integers(1, 1000))
+        v = far_view(rng, local, busy=busy, mist_floor=4 * (k % 2))
+        far_max = v.distances[1000:][np.isin(v.layer_codes[1000:], enabled)].max(initial=0.0)
+        got, want, seen = far_picks(v, random_task(rng), arch)
+        assert got == want
+        if busy or Layer.MIST not in arch:
+            assert seen == ["fill"]
+        else:  # the largest far distance may lie below the mist chord without cloud VMs
+            assert seen == (["far"] if far_max >= CHORD else ["far", "fill"])
+        shortlisted += seen == ["far"]
+        origin_picks += got == v.vm_ids[local]
+    if busy or Layer.MIST not in arch:
+        assert shortlisted == 0
+    else:
+        assert shortlisted >= 20
+        assert 0 < origin_picks < 30, origin_picks  # both the origin and far VMs win
+
+
+@pytest.mark.parametrize("equal_mips", [False, True], ids=["equal_queues", "constant_cpu_and_queue"])
+def test_weight_greedy_shortlist_with_constant_indicators(equal_mips):
+    # equal queues give a zero queue span; equal MIPS as well give a zero CPU span
+    rng = np.random.default_rng([19, equal_mips])
+    for _ in range(10):
+        v = far_view(rng, int(rng.integers(0, 1000)), equal_queues=True, equal_mips=equal_mips)
+        got, want, seen = far_picks(v, random_task(rng), ALL)
+        assert got == want
+        assert seen == ["far"]
+
+
+def test_weight_greedy_shortlist_falls_back_below_the_chord_bound():
+    # far VMs pulled inside the mist chord: their largest distance may not be the
+    # column's, so the column is read
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        v = far_view(rng, int(rng.integers(0, 1000)), far_scale=0.5)
+        assert v.distances[1000:].max() < CHORD
+        got, want, seen = far_picks(v, random_task(rng), ALL)
+        assert got == want
+        assert seen == ["far", "fill"]
+
+
+def test_weight_greedy_shortlist_checks_the_energy_at_the_crossover():
+    # the split radio's energy falls from one step below the crossover to it,
+    # so its extrema may not lie at the distance extrema: the full path runs
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        v = far_view(rng, int(rng.integers(0, 1000)))
+        got, want, seen = far_picks(v, random_task(rng), ALL, radio=SPLIT_RADIO)
+        assert got == want
+        assert seen == ["fill"]
+
+
+def test_weight_greedy_shortlist_keeps_the_origin_against_a_colocated_vm():
+    # VM 499 sits 1e-9 m from origin 500 with the same queue: its distance term,
+    # about 3e-16, rounds away against the origin's score of 6, so the full argmin
+    # picks VM 499 by index and the shortlist keeps the origin
+    rng = np.random.default_rng(31)
+    v = far_view(rng, 500, equal_queues=True)
+    v.queue_lens[:1000] = 5.0  # mist CPU time is the largest: the origin scores 6
+    v.queue_lens[1000:] = 20.0
+    v.distances[499] = 1e-9
+    got, want, seen = far_picks(v, TaskInfo(length_mi=20_000.0, input_bits=8e6), ALL)
+    assert want == v.vm_ids[499]
+    assert got == v.vm_ids[500]
+    assert seen == ["far"]
+

@@ -5,7 +5,6 @@ import pytest
 from satmist import sweep as sweep_mod
 from satmist.config import parse_config, validate
 from satmist.errors import ConfigurationError
-from satmist.metrics import parse_csv
 from satmist.orchestrate import PolicyId
 from satmist.sweep import (
     DEFAULT_COUNTS,
@@ -15,6 +14,7 @@ from satmist.sweep import (
     plot_data,
     run_sweep,
 )
+from support import parse_csv
 
 FAST_BASE = parse_config(
     "constellation.mist=2\nconstellation.edge_dc=1\nconstellation.cloud=1\n"
