@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import (
@@ -26,7 +25,7 @@ from .errors import ConfigurationError
 from .metrics import emit_csv
 from .orbital import OrbitPositions, build_constellation, dump_trace
 from .orchestrate import PolicyId
-from .sweep import DEFAULT_COUNTS, SweepSpec, run_sweep
+from .sweep import DEFAULT_COUNTS, SweepSpec, derive_config, run_sweep
 
 # Upper bound on the steps, duration_s / step, one trace export writes.
 MAX_STEPS = 1_000_000
@@ -94,6 +93,7 @@ def _policy_list(text: str) -> tuple[PolicyId, ...]:
 
 
 def load_cli_config(args: argparse.Namespace) -> SimulationConfig:
+    """The config file, or the defaults, with the flags applied as one grid point."""
     if getattr(args, "config", None) is not None:
         try:
             config = load_config_file(args.config)
@@ -101,15 +101,15 @@ def load_cli_config(args: argparse.Namespace) -> SimulationConfig:
             raise ConfigurationError(f"cannot read config file: {exc}")
     else:
         config = parse_config(None)
-    const = config.constellation
-    if getattr(args, "satellites", None) is not None:
-        const = replace(const, mist=args.satellites)
-    if getattr(args, "seed", None) is not None:
-        const = replace(const, rng_seed=args.seed)
-        config = replace(config, seed=args.seed)
-    config = replace(config, constellation=const)
-    if getattr(args, "policy", None):
-        config = replace(config, policy=parse_policy_name(args.policy))
+    satellites, seed = getattr(args, "satellites", None), getattr(args, "seed", None)
+    policy = getattr(args, "policy", None)
+    config = derive_config(
+        config,
+        config.constellation.mist if satellites is None else satellites,
+        parse_policy_name(policy) if policy else config.policy,
+        config.seed if seed is None else seed,
+        scale_all_layers=False,
+    )
     validate(config)
     return config
 

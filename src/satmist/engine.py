@@ -130,18 +130,21 @@ def generate_tasks(config: SimulationConfig, origin: int,
 
 
 class _Distances:
-    """Origin-to-VM distances at one instant, from a position source.
+    """Origin-to-VM distances at one instant, from a position source; the
+    placement view's `source`, and the only owner of its distances.
 
     VM i is satellite i, so VM indices are satellite indices here.
 
-    `at(origin, now)` sets the instant that `fill`, `fill_far`, `to_vms`
-    and `to_vm` measure from. Holds no reference to the Simulation, so a
-    view that defers to it keeps no finished run alive.
+    `at(origin, now)` sets the instant that `column`, `fill_far`, `to_vms`
+    and `to_vm` measure from; the last three give some of the column's
+    distances alone, each equal to the column's bit for bit. Holds no
+    reference to the Simulation, so its view keeps no finished run alive.
     """
 
     def __init__(self, positions):
         n = len(positions)
         self._positions = positions
+        self._column = np.empty(n)
         self._diff = np.empty((3, n))
         self._acc = np.empty(n)
         self._rows = (positions.positions_of if isinstance(positions, OrbitPositions)
@@ -150,12 +153,17 @@ class _Distances:
         self.at(0, 0.0)
 
     def at(self, origin: int, now: float) -> None:
-        self.origin, self.now, self._known, self._tail = origin, now, None, None
+        self.origin, self.now = origin, now
+        self._filled, self._known, self._tail = False, None, None
 
-    def fill(self, out: np.ndarray) -> None:
-        """Distance from satellite `origin` to every VM, into `out`."""
-        pos = self._positions.positions_all(self.now).T
-        _from_point(pos[:, self.origin].tolist(), pos, self._diff, self._acc, out)
+    def column(self) -> np.ndarray:
+        """Distance from satellite `origin` to every VM, computed once per instant into
+        a buffer the next instant's column overwrites."""
+        if not self._filled:
+            pos = self._positions.positions_all(self.now).T
+            _from_point(pos[:, self.origin].tolist(), pos, self._diff, self._acc, self._column)
+            self._filled = True
+        return self._column
 
     def split_at(self, start: int, elements) -> None:
         """Give satellites start: an OrbitPositions of their own, for fill_far.
@@ -167,24 +175,27 @@ class _Distances:
         self._far_acc = np.empty(len(elements))
 
     def fill_far(self, out: np.ndarray) -> None:
-        """fill's distances to satellites start: alone, into `out`, remembered for to_vm.
+        """column's distances to satellites start: alone, into `out`, kept for to_vm.
 
         Their positions come from their own OrbitPositions and the
         origin's from positions_of, both the same IEEE operations as
-        fill's positions, so each distance equals fill's bit for bit."""
+        column's positions, so each distance equals column's bit for bit."""
         _from_point(self._rows([self.origin], self.now)[0], self._far.positions_all(self.now).T,
                     self._far_diff, self._far_acc, out)
         self._tail = out
 
     def to_vms(self, vms: list[int]) -> list[float]:
-        """fill's distances to VMs `vms` alone, remembered for to_vm."""
-        out = self.between(self.origin, vms, self.now)
+        """column's distances to VMs `vms` alone, kept for to_vm: the same IEEE
+        operations on the same coordinates, so each equals column's."""
+        o, *rows = self._rows([self.origin, *vms], self.now)
+        out = [_apart(o, h) for h in rows]
         self._known = dict(zip(vms, out))
         return out
 
     def to_vm(self, vm: int) -> float:
-        """fill's distance to VM `vm`, from the last to_vms or fill_far at this instant
-        if it had it."""
+        """column's distance to VM `vm`: from what this instant computed, else alone."""
+        if self._filled:
+            return float(self._column[vm])
         known = self._known
         if known is not None and vm in known:
             return known[vm]
@@ -192,14 +203,8 @@ class _Distances:
             return float(self._tail[vm - self._start])
         return self.pair(self.origin, vm, self.now)
 
-    def between(self, origin: int, hosts: list[int], now: float) -> list[float]:
-        """Distances from satellite `origin` to satellites `hosts`, computed alone:
-        the same IEEE operations on the same coordinates, so each equals fill's."""
-        o, *rows = self._rows([origin, *hosts], now)
-        return [_apart(o, h) for h in rows]
-
     def pair(self, origin: int, host: int, now: float) -> float:
-        """`between` for one host."""
+        """column's distance from `origin` to `host` at `now`, computed alone."""
         return _apart(*self._rows((origin, host), now))
 
 
@@ -221,7 +226,7 @@ def _from_point(o, pos: np.ndarray, diff: np.ndarray, acc: np.ndarray, out: np.n
 
 
 def _apart(o, h) -> float:
-    """Distance between points o and h, squares summed in fill's order."""
+    """Distance between points o and h, squares summed in _from_point's order."""
     dx, dy, dz = h[0] - o[0], h[1] - o[1], h[2] - o[2]
     return math.sqrt((dx * dx + dy * dy) + dz * dz)
 
@@ -268,7 +273,7 @@ def _far_set(layered, layer_codes: np.ndarray, distances: _Distances) -> FarSet 
     start = int(blocks[1])
     distances.split_at(start, [elements for _, elements in layered[start:]])
     r = layered[0][1].semi_major_axis_m
-    return FarSet(blocks, (r + r) * (1.0 + 1e-9), distances.fill_far, n)
+    return FarSet(blocks, (r + r) * (1.0 + 1e-9), n)
 
 
 class Simulation:
@@ -308,12 +313,11 @@ class Simulation:
         view = self._view = CandidateView(
             vm_ids=np.arange(n_vms, dtype=np.int64),
             layer_codes=layer_codes,
-            distances=np.empty(n_vms),
+            source=distances,
             queue_lens=np.zeros(n_vms),
             mips=np.array([vm.mips for vm in self.vms]),
             assigned=np.zeros(n_vms, dtype=np.int64),
         )
-        view.defer_distances(distances.fill, distances.to_vms)
         if positions is None:
             view.static_feasible, view.max_distance = _orbit_bounds(config, layered, layer_codes)
             if view.static_feasible is not None:
@@ -393,7 +397,6 @@ class Simulation:
         view = self._view
         view.local = origin
         self._distances.at(origin, now)
-        view.distances_pending = True
         try:
             sel = select(
                 self.config.policy,
@@ -414,10 +417,7 @@ class Simulation:
         if vm_index == origin:
             self._enqueue(task, self.vms[vm_index], now)
             return
-        if view.distances_pending:
-            d = self._distances.to_vm(vm_index)
-        else:
-            d = float(view.distances[vm_index])
+        d = self._distances.to_vm(vm_index)
         bits = task.input_bits
         self._charge_transfer(task, bits, d)
         task.state = TaskState.UPLOADING

@@ -57,14 +57,17 @@ SHORTLIST_MAX = 24  # longest trade_off shortlist scored without the distance co
 class CandidateView:
     """Column-oriented candidate snapshot: one array per candidate field.
 
-    The distance column can be deferred: after `defer_distances(fill,
-    subset)`, the first read of `distances` runs `fill(out)` to write the
-    column into its buffer, so a policy that never reads it never pays
-    for it; `subset(idx)` gives the same distances for just candidates
-    `idx`. Setting `distances_pending` to True defers the column again.
+    The distances come from `source`, which owns them: `distances` is
+    `source.column()`, the distance from the placement's origin to every
+    candidate, computed on its first read for the current placement, so a
+    policy that never reads it never pays for it. `source.to_vms(idx)`
+    gives the same distances for just candidates `idx`, and
+    `source.fill_far(out)` those of the `far` set's VMs.
 
     Four optional facts, set by whoever builds the view for one run's
-    architecture, link and orbits, let policies place without distances:
+    architecture, link and orbits, let policies place without distances.
+    A policy chooses its path from these alone, never from whether the
+    column has been read:
 
     - `local`: index of the origin's own first VM, at exactly 0 m and so
       within any range, or -1 when unknown.
@@ -72,18 +75,18 @@ class CandidateView:
       feasibility does not depend on the distances (no enabled candidate
       can be out of range), or None when it must be checked per task.
     - `max_distance`: a bound no distance in the column exceeds, or None.
-    - `far`: a FarSet, the VMs outside the first layer block with their
-      own distance source, or None.
+    - `far`: a FarSet, the VMs outside the first layer block, whose
+      distances `source.fill_far` gives, or None.
     """
 
-    __slots__ = ("vm_ids", "layer_codes", "queue_lens", "mips", "assigned",
-                 "local", "static_feasible", "max_distance", "far", "distances_pending",
-                 "_distances", "_fill", "_subset", "_cache")
+    __slots__ = ("vm_ids", "layer_codes", "queue_lens", "mips", "assigned", "source",
+                 "local", "static_feasible", "max_distance", "far", "_cache")
 
-    def __init__(self, vm_ids, layer_codes, distances, queue_lens, mips, assigned, *,
+    def __init__(self, vm_ids, layer_codes, source, queue_lens, mips, assigned, *,
                  static_feasible: np.ndarray | None = None):
         self.vm_ids = vm_ids
         self.layer_codes = layer_codes
+        self.source = source
         self.queue_lens = queue_lens
         self.mips = mips
         self.assigned = assigned
@@ -91,9 +94,6 @@ class CandidateView:
         self.static_feasible = static_feasible
         self.max_distance: float | None = None
         self.far: FarSet | None = None
-        self.distances_pending = False
-        self._distances = distances
-        self._fill = self._subset = None
         self._cache: dict[str, tuple[object, object]] = {}
 
     def __len__(self) -> int:
@@ -101,37 +101,28 @@ class CandidateView:
 
     @property
     def distances(self) -> np.ndarray:
-        if self.distances_pending:
-            self._fill(self._distances)
-            self.distances_pending = False
-        return self._distances
-
-    def defer_distances(self, fill: Callable[[np.ndarray], None],
-                        subset: Callable[[list[int]], list[float]]) -> None:
-        """Compute the distance column with `fill(out)` on its next read."""
-        self._fill, self._subset = fill, subset
-        self.distances_pending = True
+        return self.source.column()
 
 
 class FarSet:
-    """The VMs after the first layer block of a layer-major view, with their own distances.
+    """The VMs after the first layer block of a layer-major view.
 
     `blocks` holds the first index of each non-empty layer block, and the
     VMs of one block share one MIPS value. `chord` is at least every
-    distance between two VMs of the first block. `fill(out)` writes the
-    distances from the view's origin, a VM of the first block, to VMs
-    blocks[1]: into `out`, each equal to the column's entry bit for bit.
-    `ids` and `distances` are weight_greedy's buffers: the origin's
-    index and its 0 m first, then the far VMs in index order.
+    distance between two VMs of the first block. The view's
+    `source.fill_far(out)` writes the distances from the view's origin, a
+    VM of the first block, to VMs blocks[1]: into `out`, each equal to
+    the column's entry bit for bit. `ids` and `distances` are
+    weight_greedy's buffers: the origin's index and its 0 m first, then
+    the far VMs in index order.
     """
 
-    __slots__ = ("blocks", "start", "chord", "fill", "ids", "distances")
+    __slots__ = ("blocks", "start", "chord", "ids", "distances")
 
-    def __init__(self, blocks, chord: float, fill: Callable[[np.ndarray], None], n: int):
+    def __init__(self, blocks, chord: float, n: int):
         self.blocks = np.asarray(blocks, dtype=np.intp)
         self.start = int(self.blocks[1])
         self.chord = chord
-        self.fill = fill
         self.ids = np.arange(self.start - 1, n, dtype=np.intp)
         self.distances = np.zeros(self.ids.size)
 
@@ -232,11 +223,12 @@ def trade_off(view: CandidateView, task, architecture, *, link: LinkParams = DEF
     score = layer_weight * (queue_len + 1) * length_mi / vm_mips
             + distance_m / propagation_speed
 
-    With the column deferred and a `max_distance`, only the shortlist with
+    With static feasibility and a `max_distance`, only the shortlist with
     compute term c <= fl(c_min + fl(max_distance / speed)) can win: float
     division and adding a non-negative value are monotone, so any other
     scores above the c_min candidate. One shortlisted VM is the pick; up to
-    SHORTLIST_MAX are scored alone, by the same two IEEE operations.
+    SHORTLIST_MAX are scored alone, on `source.to_vms` distances, by the
+    same two IEEE operations. Longer shortlists read the column.
     """
     idx = _feasible_indices(view, architecture, link)
     score = view.queue_lens + 1.0
@@ -244,15 +236,15 @@ def trade_off(view: CandidateView, task, architecture, *, link: LinkParams = DEF
     score *= task.length_mi
     score /= view.mips
     speed = link.propagation_speed_mps
-    # a column still pending here means feasibility was static
-    if view.distances_pending and view.max_distance is not None:
+    if view.static_feasible is not None and view.max_distance is not None:
         c = score if idx.size == score.size else score[idx]
         short = idx[c <= float(c.min()) + view.max_distance / speed]
         if short.size == 1:
             return Selection(int(view.vm_ids[short[0]]))
         if short.size <= SHORTLIST_MAX:
             short = short.tolist()
-            scores = [cj + d / speed for cj, d in zip(score[short].tolist(), view._subset(short))]
+            distances = view.source.to_vms(short)
+            scores = [cj + d / speed for cj, d in zip(score[short].tolist(), distances)]
             return Selection(int(view.vm_ids[short[scores.index(min(scores))]]))
     score += view.distances / speed
     return Selection(int(view.vm_ids[_pick_min(score, idx)]))
@@ -272,19 +264,19 @@ def weight_greedy(view: CandidateView, task, architecture, *, link: LinkParams =
     constant indicator contributes zeros. The weighted terms are summed
     in indicator order.
 
-    With a `far` set, the column deferred and feasibility static, an
-    origin of the first layer block whose layer is enabled and whose
-    queue is that layer's shortest is scored against the far VMs alone
+    With a `far` set and feasibility static, an origin of the first layer
+    block whose layer is enabled and whose queue is that layer's shortest
+    is scored against the far VMs alone, on `source.fill_far` distances
     (see _dominance_shortlist): every other VM of its layer has CPU and
     queue terms at least the origin's and a larger distance, so it
-    cannot score lower. The engine sets a far set, the
-    edge and cloud VMs, for its built-in orbits under static feasibility
-    when they are at most a tenth of the view; with more, scoring them
-    apart costs more than the column it saves. One pick differs from the
-    full argmin's: a VM of the origin's layer with a lower index, within
-    about 5e-9 m of the origin, whose distance term rounds away in the
-    sum, ties with the origin and would win by index; the shortlist keeps
-    the origin, as distance_only does.
+    cannot score lower. The engine sets a far set, the edge and cloud
+    VMs, for its built-in orbits under static feasibility when they are
+    at most a tenth of the view; with more, scoring them apart costs more
+    than the column it saves. One pick differs from the full argmin's: a
+    VM of the origin's layer with a lower index, within about 5e-9 m of
+    the origin, whose distance term rounds away in the sum, ties with the
+    origin and would win by index; the shortlist keeps the origin, as
+    distance_only does.
     """
     short = _dominance_shortlist(view, task, architecture, radio, ratios)
     if short is not None:
@@ -323,11 +315,11 @@ def _dominance_shortlist(view: CandidateView, task, architecture, radio: RadioPa
     """(indices, distances, (minima, maxima)) of the candidates weight_greedy must
     score and of its four indicators over the feasible set, or None.
 
-    None asks for the full path: no far set, a column already read,
-    feasibility per task, an origin outside the first block or in a
-    disabled layer, a VM of the origin's layer with a shorter queue, a
-    negative ratio, an energy that falls across the crossover, or a
-    largest far distance below the first block's chord. Otherwise the
+    None asks for the full path: no far set, feasibility per task, an
+    origin outside the first block or in a disabled layer, a VM of the
+    origin's layer with a shorter queue, a negative ratio, an energy that
+    falls across the crossover, or a largest far distance below the first
+    block's chord. Otherwise the
     candidates are the origin, at 0 m, and the enabled far VMs, and each
     indicator's (min, max) over the whole feasible set is known without
     the column: the distance's is (0, largest far distance), since no two
@@ -337,8 +329,7 @@ def _dominance_shortlist(view: CandidateView, task, architecture, radio: RadioPa
     the energy's are the energies at those two distances.
     """
     far, local = view.far, view.local
-    if far is None or not view.distances_pending or view.static_feasible is None \
-            or not 0 <= local < far.start:
+    if far is None or view.static_feasible is None or not 0 <= local < far.start:
         return None
     blocks, mips, keep = _cached(view, "far_blocks", architecture,
                                  _enabled_blocks, view, architecture)
@@ -349,7 +340,7 @@ def _dominance_shortlist(view: CandidateView, task, architecture, radio: RadioPa
         return None
     idx, d = far.ids, far.distances
     idx[0] = local
-    far.fill(d[1:])
+    view.source.fill_far(d[1:])
     if keep is not None:
         idx, d = idx[keep], d[keep]
     d_max = float(d.max())

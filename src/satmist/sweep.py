@@ -61,6 +61,7 @@ def derive_config(base: SimulationConfig, count: int, policy: PolicyId,
                   seed: int, scale_all_layers: bool) -> SimulationConfig:
     """Base config specialized to one grid point.
 
+    The seed is the run seed and the constellation's, as in parse_config.
     The count replaces the mist layer; with scale_all_layers the edge and
     cloud counts scale by count / base mist count, rounded, with a floor
     of 1 for a layer whose base count is positive. An empty layer stays

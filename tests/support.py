@@ -1,7 +1,9 @@
-"""Test-side records and readers: candidate lists, task stand-ins and the CSV reader.
+"""Test-side records and readers: candidate lists, task stand-ins, a distance
+source and the CSV reader.
 
 The simulator places over a CandidateView and writes results.csv; the
-tests build views from plain Candidate records and read the CSV back.
+tests build views from plain Candidate records, over a fixed distance
+column, and read the CSV back.
 """
 
 from __future__ import annotations
@@ -37,12 +39,37 @@ class TaskInfo(NamedTuple):
     input_bits: float = 0.0
 
 
+class ColumnSource:
+    """A view's distance source over a fixed column, logging each read in `reads`:
+    "fill" for the first `column()` call, a subset's length for `to_vms`, and
+    "far" for `fill_far`, which serves the column's tail, the far set's VMs."""
+
+    def __init__(self, column):
+        self._column = np.asarray(column, dtype=np.float64)
+        self._filled = False
+        self.reads: list = []
+
+    def column(self) -> np.ndarray:
+        if not self._filled:
+            self._filled = True
+            self.reads.append("fill")
+        return self._column
+
+    def to_vms(self, idx: list[int]) -> list[float]:
+        self.reads.append(len(idx))
+        return self._column[idx].tolist()
+
+    def fill_far(self, out: np.ndarray) -> None:
+        self.reads.append("far")
+        out[:] = self._column[self._column.size - out.size:]
+
+
 def view_from_candidates(cands: Sequence[Candidate]) -> CandidateView:
     """A CandidateView holding the candidates' fields, in order."""
     return CandidateView(
         vm_ids=np.array([c.vm_id for c in cands], dtype=np.int64),
         layer_codes=np.array([LAYER_CODE[c.host_layer] for c in cands], dtype=np.int64),
-        distances=np.array([c.distance_m for c in cands], dtype=np.float64),
+        source=ColumnSource([c.distance_m for c in cands]),
         queue_lens=np.array([c.queue_len for c in cands], dtype=np.float64),
         mips=np.array([c.vm_mips for c in cands], dtype=np.float64),
         assigned=np.array([c.assigned_count for c in cands], dtype=np.int64),

@@ -7,6 +7,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
+from satmist import engine
 from satmist.config import parse_config
 from satmist.engine import (
     EventKind,
@@ -416,29 +417,49 @@ def test_pair_distance_equals_snapshot_bit_for_bit(make_config):
     else:
         start = sim._view.far.start
     rng = random.Random(77)
-    column = np.empty(n)
     far = np.empty(n - start)
     for _ in range(400):
         now = rng.uniform(0.0, 600.0)
         origin, host = rng.randrange(n), rng.randrange(n)
         expected = _reference_distances(elements, origin, now)
+        assert distances.pair(origin, host, now) == expected[host]
         distances.at(origin, now)
-        distances.fill(column)
-        assert np.array_equal(column, expected)
-        assert distances.between(origin, [host], now) == [expected[host]]
         vms = [rng.randrange(n) for _ in range(rng.choice((1, 2, 3, 7, 8, 9, 16, 17, 41)))]
         vms[rng.randrange(len(vms))] = origin
         if len(vms) > 2:
             vms[-1] = vms[0]
-        assert distances.to_vms(vms) == column[vms].tolist()
+        assert distances.to_vms(vms) == expected[vms].tolist()
         other = rng.randrange(n)  # remembered from to_vms or not
-        assert distances.to_vm(vms[-1]) == column[vms[-1]]
-        assert distances.to_vm(other) == column[other]
+        assert distances.to_vm(vms[-1]) == expected[vms[-1]]
+        assert distances.to_vm(other) == expected[other]
         distances.at(origin, now)
         distances.fill_far(far)
-        assert np.array_equal(far, column[start:])
+        assert np.array_equal(far, expected[start:])
         for vm in (rng.randrange(start, n), rng.randrange(n)):  # remembered from fill_far or not
-            assert distances.to_vm(vm) == column[vm]
+            assert distances.to_vm(vm) == expected[vm]
+        assert np.array_equal(distances.column(), expected)
+        assert distances.to_vm(other) == expected[other]  # from the column
+
+
+def test_distance_column_computed_once_per_instant():
+    # column() reads the positions on its first call after each at(), and the
+    # view's distances are that column; the subset reads never read them all
+    sim = Simulation(parse_config("constellation.mist=20\ntask.rate_per_min=0\n"))
+    times = []
+    positions_all = sim.positions.positions_all
+    sim.positions.positions_all = lambda t: times.append(t) or positions_all(t)
+    distances = sim._distances
+    distances.at(3, 5.0)
+    distances.to_vms([1, 2, 40])
+    distances.to_vm(50)
+    assert times == []
+    column = distances.column()
+    assert distances.column() is column and sim._view.distances is column
+    assert times == [5.0]
+    assert distances.to_vm(40) == column[40] and times == [5.0]
+    distances.at(4, 5.0)  # a new placement at the same time fills again
+    assert sim._view.distances[3] == column[3] > 0.0
+    assert times == [5.0, 5.0]
 
 
 def test_download_distance_equals_upload_distance_on_an_injected_source():
@@ -513,15 +534,41 @@ def test_far_set_changes_no_weight_greedy_placement():
     cfg = parse_config("policy.name=weight_greedy\nsimulation.duration_s=6\n")
     shortlisted, full = Simulation(cfg), Simulation(cfg)
     full._view.far = None
-    fills = {}
+    fills = {}  # the column is each run's only positions_all caller
     for name, sim in (("shortlisted", shortlisted), ("full", full)):
-        fill, fills[name] = sim._view._fill, []
-        sim._view._fill = lambda out, fill=fill, calls=fills[name]: calls.append(fill(out))
+        positions_all, fills[name] = sim.positions.positions_all, []
+        sim.positions.positions_all = \
+            lambda t, f=positions_all, calls=fills[name]: calls.append(t) or f(t)
     assert shortlisted.run() == full.run()
     assert [task.assigned_vm for task in shortlisted.tasks] == [task.assigned_vm for task in full.tasks]
     assert any(task.assigned_vm >= 1000 for task in full.tasks)
     assert len(fills["full"]) == len(full.tasks)
     assert len(fills["shortlisted"]) < len(full.tasks) / 2
+
+
+@pytest.mark.parametrize("policy, shortlist", [("trade_off", "to_vms"),
+                                               ("weight_greedy", "fill_far")])
+def test_reading_the_column_before_select_changes_no_placement(monkeypatch, policy, shortlist):
+    # a traced benchmark run reads view.distances before each select, for its
+    # oracle: the policy still takes its shortlist path, picking the same VMs
+    cfg = parse_config(f"policy.name={policy}\nsimulation.duration_s=3\n")
+    plain = Simulation(cfg)
+    plain_record = plain.run()
+    select = engine.select
+
+    def select_after_reading(policy, view, *args, **kwargs):
+        view.distances
+        return select(policy, view, *args, **kwargs)
+
+    calls = []
+    read = getattr(engine._Distances, shortlist)
+    monkeypatch.setattr(engine, "select", select_after_reading)
+    monkeypatch.setattr(engine._Distances, shortlist,
+                        lambda self, arg: calls.append(arg) or read(self, arg))
+    read_first = Simulation(cfg)
+    assert read_first.run() == plain_record
+    assert [t.assigned_vm for t in read_first.tasks] == [t.assigned_vm for t in plain.tasks]
+    assert len(calls) > 100
 
 
 def test_finished_run_is_freed_without_the_cycle_collector():

@@ -403,21 +403,13 @@ def test_select_requires_rng_for_random_policy():
 
 
 def _with_hints(cands, architecture, local):
-    """The same view, its distance column deferred, carrying the three hints."""
+    """The same view, carrying the three hints, and its source's read log."""
     hinted = view(cands)
-    column = hinted.distances.copy()
-    reads = []
-
-    def fill(out):
-        reads.append(1)
-        out[:] = column
-
-    hinted.defer_distances(fill, lambda idx: column[idx].tolist())
     hinted.local = local
     enabled = [c.host_layer in architecture for c in cands]
     hinted.static_feasible = np.flatnonzero(enabled)
-    hinted.max_distance = float(column.max())
-    return hinted, reads
+    hinted.max_distance = max(c.distance_m for c in cands)
+    return hinted, hinted.source.reads
 
 
 def test_static_index_and_local_vm_pick_as_the_full_path():
@@ -452,7 +444,7 @@ def test_static_index_and_local_vm_pick_as_the_full_path():
                 got = None
             assert got == want, (policy, arch, cands)
             if policy is not PolicyId.DISTANCE_ONLY or cands[local].host_layer in arch:
-                assert not reads, policy  # placed without the distance column
+                assert "fill" not in reads, policy  # placed without the distance column
                 skipped_reads += 1
     assert skipped_reads > 900
 
@@ -466,21 +458,3 @@ def test_distance_only_keeps_the_origin_vm_on_a_tie_at_zero():
     assert distance_only(view(cands), TASK, ALL_LAYERS).vm_id == 0
     # with its layer disabled, the origin's VM is not a candidate at all
     assert distance_only(hinted, TASK, frozenset({Layer.EDGE_DC})).vm_id == 2
-
-
-def test_deferred_distances_computed_once_per_deferral():
-    v = view([mk(0, Layer.MIST, 1.0), mk(1, Layer.CLOUD, 2.0)])
-    calls = []
-
-    def fill(out):
-        calls.append(1)
-        out[:] = (3.0, 4.0)
-
-    v.defer_distances(fill, lambda idx: [(3.0, 4.0)[i] for i in idx])
-    assert v.distances_pending
-    assert v.distances.tolist() == [3.0, 4.0]
-    assert v.distances.tolist() == [3.0, 4.0]
-    assert not v.distances_pending and len(calls) == 1
-    v.distances_pending = True  # deferred again: the next read fills again
-    v.distances.tolist()
-    assert len(calls) == 2

@@ -10,10 +10,11 @@ sit exactly on a decision boundary, where one rounding step in any score
 term flips the choice, and on the edge values of each indicator.
 
 trade_off's shortlist, which scores only the candidates whose compute
-term can still win and takes their distances from a subset source, runs
-only while the distance column is deferred; the shortlist tests below
-defer it behind counting sources and compare with the reference on the
-filled column.
+term can still win and takes their distances from the source's
+`to_vms`, and weight_greedy's, which takes the far set's from its
+`fill_far`, run whenever the view's static facts allow them; the
+shortlist tests below put the column behind a logging ColumnSource and
+compare with the reference on the same column.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from satmist.orchestrate import (
     trade_off,
     weight_greedy,
 )
-from support import TaskInfo
+from support import ColumnSource, TaskInfo
 
 N = 1042  # VMs of the default 1000 + 24 + 18 constellation
 ALL = frozenset(Layer)
@@ -100,7 +101,7 @@ def make_view(codes, distances, queues, mips, static_feasible=None) -> Candidate
     return CandidateView(
         vm_ids=np.arange(1000, 1000 + 3 * n, 3, dtype=np.int64),  # ids differ from indices
         layer_codes=np.asarray(codes, dtype=np.int64),
-        distances=np.asarray(distances, dtype=np.float64),
+        source=ColumnSource(distances),
         queue_lens=np.asarray(queues, dtype=np.float64),
         mips=np.asarray(mips, dtype=np.float64),
         assigned=np.zeros(n, dtype=np.int64),
@@ -305,26 +306,16 @@ EQUAL_WEIGHTS = {layer: 1.0 for layer in Layer}
 
 
 def shortlist_picks(v, task, arch, max_distance=None, **kwargs):
-    """(pick with v's column deferred, reference pick on the filled column,
-    the sources' calls before the reference read the column: "fill" or a
-    subset's length)."""
-    column = v.distances.copy()
-    calls = []
-
-    def fill(out):
-        calls.append("fill")
-        out[:] = column
-
-    def subset(idx):
-        calls.append(len(idx))
-        return column[idx].tolist()
-
-    v.defer_distances(fill, subset)
+    """(pick with v's column behind a fresh ColumnSource, reference pick on the
+    same column, the source's reads before the reference read the column:
+    "fill" or a subset's length)."""
+    column = v.distances
     v.max_distance = float(column.max()) if max_distance is None else max_distance
+    v.source = source = ColumnSource(column)
     if v.static_feasible is None:
         v.static_feasible = np.flatnonzero(np.isin(v.layer_codes, [LAYER_CODE[x] for x in arch]))
     got = trade_off(v, task, arch, **kwargs).vm_id
-    seen = list(calls)
+    seen = list(source.reads)
     want = reference_trade_off(v, task, arch, **kwargs).vm_id
     return got, want, seen
 
@@ -453,27 +444,14 @@ def far_view(rng: np.random.Generator, local: int, *, busy=False, equal_queues=F
 
 
 def far_picks(v, task, arch, radio=DEFAULT_RADIO):
-    """(pick with v's column deferred behind a far set, reference pick on the filled
-    column, the sources read before the reference: "far" and/or "fill")."""
-    column = v.distances.copy()
-    calls = []
-
-    def fill(out):
-        calls.append("fill")
-        out[:] = column
-
-    def fill_far(out):
-        calls.append("far")
-        out[:] = column[1000:]
-
-    def subset(idx):
-        raise AssertionError("weight_greedy reads no subset")
-
-    v.defer_distances(fill, subset)
+    """(pick with v's column behind a fresh ColumnSource and a far set, reference
+    pick on the same column, the source's reads before the reference: "far"
+    and/or "fill")."""
+    v.source = source = ColumnSource(v.distances)
     v.static_feasible = np.flatnonzero(np.isin(v.layer_codes, [LAYER_CODE[x] for x in arch]))
-    v.far = FarSet([0, 1000, 1024], CHORD, fill_far, N)
+    v.far = FarSet([0, 1000, 1024], CHORD, N)
     got = weight_greedy(v, task, arch, radio=radio).vm_id
-    seen = list(calls)
+    seen = list(source.reads)
     want = reference_weight_greedy(v, task, arch, radio=radio).vm_id
     return got, want, seen
 
