@@ -137,8 +137,11 @@ class _Distances:
 
     `at(origin, now)` sets the instant that `column`, `fill_far`, `to_vms`
     and `to_vm` measure from; the last three give some of the column's
-    distances alone, each equal to the column's bit for bit. Holds no
-    reference to the Simulation, so its view keeps no finished run alive.
+    distances alone, each equal to the column's bit for bit: on built-in
+    orbits their positions come from positions_of, in Python floats on
+    the C library's cos and sin, which numpy's float64 cos and sin are.
+    Holds no reference to the Simulation, so its view keeps no finished
+    run alive.
     """
 
     def __init__(self, positions):

@@ -202,9 +202,9 @@ class OrbitPositions:
     them per satellite. Positions are written into one preallocated
     (3, n) buffer; positions_all returns its (n, 3) transposed view,
     valid until the next call, so instances are not safe to share across
-    threads. positions_of repeats the same IEEE operations for a few
-    satellites, so its coordinates equal their positions_all rows bit
-    for bit.
+    threads. positions_of computes a few satellites in Python floats on
+    the C library's cos and sin, which numpy's float64 cos and sin are,
+    so its coordinates equal their positions_all rows bit for bit.
     """
 
     def __init__(self, elements: Sequence[OrbitalElements]):
@@ -271,21 +271,15 @@ class OrbitPositions:
     def positions_of(self, ids: Sequence[int], t_seconds: float) -> list[tuple[float, float, float]]:
         """Positions of satellites `ids` at time t as (x, y, z) tuples, in order.
 
-        One cos and one sin call on the array of their angles; the rest
-        is float arithmetic in the order positions_all uses.
+        math.cos and math.sin (the C library's, as numpy's float64 cos and
+        sin are), then float arithmetic in the order positions_all uses.
         """
-        if len(ids) == 2:  # the same operations unrolled: an upload or download pair
-            oi, oj = self._by_satellite[ids[0]], self._by_satellite[ids[1]]
-            theta = np.array((oi[1] * t_seconds + oi[2], oj[1] * t_seconds + oj[2]))
-            (cos_i, cos_j), (sin_i, sin_j) = np.cos(theta).tolist(), np.sin(theta).tolist()
-            return [_on_orbit(oi, cos_i, sin_i), _on_orbit(oj, cos_j, sin_j)]
-        orbits, theta = [], []
-        for i in ids:  # a plain loop: two comprehensions cost more for a pair
+        out = []
+        for i in ids:
             orbit = self._by_satellite[i]
-            orbits.append(orbit)
-            theta.append(orbit[1] * t_seconds + orbit[2])
-        theta = np.array(theta)
-        return list(map(_on_orbit, orbits, np.cos(theta).tolist(), np.sin(theta).tolist()))
+            theta = orbit[1] * t_seconds + orbit[2]
+            out.append(_on_orbit(orbit, math.cos(theta), math.sin(theta)))
+        return out
 
     def position_one(self, index: int, t_seconds: float) -> tuple[float, float, float]:
         return position_at(self._elements[index], t_seconds)

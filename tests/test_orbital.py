@@ -18,6 +18,7 @@ from satmist.orbital import (
     OrbitPositions,
     OrbitalElements,
     Phasing,
+    angular_rate_rad_s,
     build_constellation,
     dump_trace,
     orbital_period_s,
@@ -161,6 +162,47 @@ def test_orbit_positions_matches_scalar_propagator():
             p = position_at(e, t)
             assert np.allclose(block[i], p, rtol=1e-12, atol=1e-6)
             assert provider.position_one(i, t) == p
+
+
+def _bits(rows) -> list[tuple[str, ...]]:
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [tuple(map(float.hex, row)) for row in rows]
+
+
+@pytest.mark.parametrize("spec", [
+    ConstellationSpec(),
+    ConstellationSpec(mist=18, edge_dc=5, cloud=3, planes=8),
+    ConstellationSpec(mist=40, edge_dc=6, cloud=4, phasing=Phasing.RANDOM_UNIFORM, rng_seed=5),
+], ids=["walker_default", "walker_uneven_planes", "random_uniform"])
+def test_positions_of_equals_positions_all_rows_bit_for_bit(spec):
+    provider = OrbitPositions([e for _, e in build_constellation(spec)])
+    n, last = len(provider), len(provider) - 1
+    rng = np.random.default_rng(11)
+    for t in rng.uniform(0.0, 600.0, 300).tolist():
+        block = provider.positions_all(t)
+        for size in (0, 1, 2, 3, 19, 24):
+            ids = rng.integers(0, n, size).tolist()
+            if size:
+                ids[-1] = last
+            if size >= 3:
+                ids[0] = ids[1]  # a repeat
+            assert _bits(provider.positions_of(ids, t)) == _bits(block[ids].tolist()), (t, ids)
+        assert _bits(provider.positions_of([last, last], t)) == _bits(block[[last, last]].tolist())
+
+
+def test_libm_cos_sin_equal_numpy_cos_sin_on_orbit_angles():
+    layered = build_constellation(ConstellationSpec())
+    rate = np.array([angular_rate_rad_s(e) for _, e in layered])
+    phase = np.array([e.phase_rad for _, e in layered])
+    for t in np.random.default_rng(13).uniform(0.0, 600.0, 300).tolist():
+        theta = rate * t + phase
+        for name, libm, vectorised in (("cos", math.cos, np.cos), ("sin", math.sin, np.sin)):
+            assert _bits([list(map(libm, theta.tolist()))]) == _bits([vectorised(theta).tolist()]), (
+                f"math.{name} and np.{name} differ on orbit angles at t={t!r}: "
+                "OrbitPositions.positions_of assumes numpy's float64 cos and sin "
+                "are the C library's (see the OrbitPositions docstring), so its "
+                "positions no longer equal positions_all's bit for bit"
+            )
 
 
 def test_altitude_floor_holds_over_a_period():
