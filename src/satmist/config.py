@@ -194,8 +194,13 @@ def _with_field(obj, path: tuple, value):
 
 def _as_text(source) -> str:
     data = source if isinstance(source, (str, bytes)) else source.read()
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    return text.removeprefix("\ufeff")
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigurationError(
+                f"not UTF-8: byte {data[exc.start]:#04x} at offset {exc.start}") from None
+    return data.removeprefix("\ufeff")
 
 
 def parse_config(source: str | bytes | IO | None = None) -> SimulationConfig:

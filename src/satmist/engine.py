@@ -270,13 +270,12 @@ def _far_set(layered, layer_codes: np.ndarray, distances: _Distances) -> FarSet 
     against 38 at 142.
     """
     n = len(layered)
-    blocks = np.flatnonzero(np.diff(layer_codes, prepend=-1))
-    if blocks.size < 2 or 10 * (n - blocks[1]) > n:
+    start = int(np.count_nonzero(layer_codes == layer_codes[0]))  # layered is layer-major
+    if start == n or 10 * (n - start) > n:
         return None
-    start = int(blocks[1])
     distances.split_at(start, [elements for _, elements in layered[start:]])
     r = layered[0][1].semi_major_axis_m
-    return FarSet(blocks, (r + r) * (1.0 + 1e-9), n)
+    return FarSet(start, (r + r) * (1.0 + 1e-9), n)
 
 
 class Simulation:

@@ -15,7 +15,7 @@ import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -107,23 +107,21 @@ class CandidateView:
 class FarSet:
     """The VMs after the first layer block of a layer-major view.
 
-    `blocks` holds the first index of each non-empty layer block, and the
-    VMs of one block share one MIPS value. `chord` is at least every
-    distance between two VMs of the first block. The view's
-    `source.fill_far(out)` writes the distances from the view's origin, a
-    VM of the first block, to VMs blocks[1]: into `out`, each equal to
-    the column's entry bit for bit. `ids` and `distances` are
+    The first block, the VMs below index `start`, shares one MIPS value,
+    and `chord` is at least every distance between two of its VMs. The
+    view's `source.fill_far(out)` writes the distances from the view's
+    origin, a VM of the first block, to VMs start: into `out`, each equal
+    to the column's entry bit for bit. `ids` and `distances` are
     weight_greedy's buffers: the origin's index and its 0 m first, then
     the far VMs in index order.
     """
 
-    __slots__ = ("blocks", "start", "chord", "ids", "distances")
+    __slots__ = ("start", "chord", "ids", "distances")
 
-    def __init__(self, blocks, chord: float, n: int):
-        self.blocks = np.asarray(blocks, dtype=np.intp)
-        self.start = int(self.blocks[1])
+    def __init__(self, start: int, chord: float, n: int):
+        self.start = start
         self.chord = chord
-        self.ids = np.arange(self.start - 1, n, dtype=np.intp)
+        self.ids = np.arange(start - 1, n, dtype=np.intp)
         self.distances = np.zeros(self.ids.size)
 
 
@@ -251,53 +249,54 @@ def trade_off(view: CandidateView, task, architecture, *, link: LinkParams = DEF
 
 
 def weight_greedy(view: CandidateView, task, architecture, *, link: LinkParams = DEFAULT_LINK,
-                  radio: RadioParams = DEFAULT_RADIO,
-                  ratios: Sequence[float] = WEIGHT_GREEDY_RATIOS) -> Selection:
+                  radio: RadioParams = DEFAULT_RADIO) -> Selection:
     """Weighted sum of min-max normalized indicators, lowest score wins.
 
-    Indicators, weighted 6:6:5:3 by default: transfer distance, CPU time
-    ((queue_len + 1) * length_mi / vm_mips), queued parallel tasks, and
-    transmit energy for the task's input at that distance: free-space
-    (e_elec + eps_fs * d^2) strictly below the crossover distance,
-    multipath (e_elec + eps_mp * d^4) from it on. Each indicator is
-    normalized over the feasible set, from its minimum and maximum; a
-    constant indicator contributes zeros. The weighted terms are summed
-    in indicator order.
+    Indicators, weighted 6:6:5:3 (WEIGHT_GREEDY_RATIOS): transfer
+    distance, CPU time ((queue_len + 1) * length_mi / vm_mips), queued
+    parallel tasks, and transmit energy for the task's input at that
+    distance: free-space (e_elec + eps_fs * d^2) strictly below the
+    crossover distance, multipath (e_elec + eps_mp * d^4) from it on. Each
+    indicator is normalized over the feasible set, from its minimum and
+    maximum; a constant indicator contributes zeros. The weighted terms
+    are summed in indicator order.
 
     With a `far` set and feasibility static, an origin of the first layer
     block whose layer is enabled and whose queue is that layer's shortest
     is scored against the far VMs alone, on `source.fill_far` distances
     (see _dominance_shortlist): every other VM of its layer has CPU and
     queue terms at least the origin's and a larger distance, so it
-    cannot score lower. The engine sets a far set, the edge and cloud
-    VMs, for its built-in orbits under static feasibility when they are
-    at most a tenth of the view; with more, scoring them apart costs more
-    than the column it saves. One pick differs from the full argmin's: a
-    VM of the origin's layer with a lower index, within about 5e-9 m of
-    the origin, whose distance term rounds away in the sum, ties with the
-    origin and would win by index; the shortlist keeps the origin, as
-    distance_only does.
+    cannot score lower. The scored VMs hold every indicator's minimum and
+    maximum over the feasible set, but for the layer's longest queue,
+    which is passed on as a floor on the CPU and queue maxima. The engine
+    sets a far set, the edge and cloud VMs, for its built-in orbits under
+    static feasibility when they are at most a tenth of the view; with
+    more, scoring them apart costs more than the column it saves. One
+    pick differs from the full argmin's: a VM of the origin's layer with
+    a lower index, within about 5e-9 m of the origin, whose distance term
+    rounds away in the sum, ties with the origin and would win by index;
+    the shortlist keeps the origin, as distance_only does.
     """
-    short = _dominance_shortlist(view, task, architecture, radio, ratios)
+    ratios = WEIGHT_GREEDY_RATIOS
+    short = _dominance_shortlist(view, architecture, radio)
+    every, cpu_hi, q_hi = False, None, None
     if short is not None:
-        idx, d, extrema = short
-        every = False
+        idx, d, q_hi = short
         q, mips = view.queue_lens[idx], view.mips[idx]
+        cpu_hi = ((q_hi + 1.0) * task.length_mi) / view.mips[0]  # as the CPU term computes it
     else:
         idx = _feasible_indices(view, architecture, link)
         every = idx.size == len(view)
-        extrema = _UNKNOWN_EXTREMA
         if every:
             d, q, mips = view.distances, view.queue_lens, view.mips
         else:
             d, q, mips = view.distances[idx], view.queue_lens[idx], view.mips[idx]
-    lo, hi = extrema
-    score = _minmax_into(d, ratios[0], np.empty(d.size), lo[0], hi[0])
+    score = _minmax_into(d, ratios[0], np.empty(d.size))
     term = q + 1.0  # CPU time
     term *= task.length_mi
     term /= mips
-    score += _minmax_into(term, ratios[1], term, lo[1], hi[1])
-    score += _minmax_into(q, ratios[2], term, lo[2], hi[2])
+    score += _minmax_into(term, ratios[1], term, cpu_hi)
+    score += _minmax_into(q, ratios[2], term, q_hi)
     d2 = d * d
     np.multiply(d2, d2, out=term)  # energy: multipath everywhere, then free-space below
     term *= radio.eps_mp
@@ -305,63 +304,52 @@ def weight_greedy(view: CandidateView, task, architecture, *, link: LinkParams =
     for i in (d < radio.crossover_m).nonzero()[0].tolist():
         term[i] = radio.e_elec + radio.eps_fs * d2[i]
     term *= task.input_bits
-    score += _minmax_into(term, ratios[3], term, lo[3], hi[3])
+    score += _minmax_into(term, ratios[3], term)
     best = int(score.argmin())
     return Selection(int(view.vm_ids[best if every else idx[best]]))
 
 
-def _dominance_shortlist(view: CandidateView, task, architecture, radio: RadioParams,
-                         ratios: Sequence[float]):
-    """(indices, distances, (minima, maxima)) of the candidates weight_greedy must
-    score and of its four indicators over the feasible set, or None.
+def _dominance_shortlist(view: CandidateView, architecture, radio: RadioParams):
+    """(indices, distances, q_hi) of the candidates weight_greedy must score, and
+    the longest queue of the origin's block, or None.
 
     None asks for the full path: no far set, feasibility per task, an
     origin outside the first block or in a disabled layer, a VM of the
-    origin's layer with a shorter queue, a negative ratio, an energy that
-    falls across the crossover, or a largest far distance below the first
-    block's chord. Otherwise the
-    candidates are the origin, at 0 m, and the enabled far VMs, and each
-    indicator's (min, max) over the whole feasible set is known without
-    the column: the distance's is (0, largest far distance), since no two
-    VMs of the first block lie farther apart than `chord`; the CPU time's
-    and the queue's come from each enabled block's shortest and longest
-    queue, CPU time being monotone in the queue at one MIPS per block;
-    the energy's are the energies at those two distances.
+    origin's layer with a shorter queue, an energy that falls across the
+    crossover, or a largest far distance below the first block's chord.
+    Otherwise the candidates are the origin, at 0 m, and the enabled far
+    VMs, and each indicator's minimum and maximum over the whole feasible
+    set is one of theirs, but for the first block's longest queue q_hi:
+    the distance's are 0, the origin's, and the largest far distance,
+    since no two VMs of the first block lie farther apart than `chord`;
+    the energy's are the energies at those two distances; the CPU time's
+    and the queue's minima are the origin's, whose queue is its block's
+    shortest at the block's one MIPS, or an enabled far VM's; their
+    maxima are an enabled far VM's or those of q_hi.
     """
     far, local = view.far, view.local
-    if far is None or view.static_feasible is None or not 0 <= local < far.start:
+    if far is None or view.static_feasible is None or not 0 <= local < far.start \
+            or not _enabled(view, architecture)[local]:
         return None
-    blocks, mips, keep = _cached(view, "far_blocks", architecture,
-                                 _enabled_blocks, view, architecture)
-    q = view.queue_lens
-    lows = np.minimum.reduceat(q, far.blocks).tolist()
-    if blocks[:1] != [0] or q[local] > lows[0] or min(ratios) < 0.0 \
+    first = view.queue_lens[:far.start]
+    if view.queue_lens[local] > first.min() \
             or not _cached(view, "energy_rises", radio, _energy_rises, radio):
         return None
     idx, d = far.ids, far.distances
     idx[0] = local
     view.source.fill_far(d[1:])
+    keep = _cached(view, "far_keep", architecture, _far_keep, view, architecture)
     if keep is not None:
         idx, d = idx[keep], d[keep]
-    d_max = float(d.max())
-    if d_max < far.chord:
+    if d.max() < far.chord:
         return None
-    highs = np.maximum.reduceat(q, far.blocks).tolist()
-    length, bits = task.length_mi, task.input_bits
-    return idx, d, (
-        (0.0, min(((lows[b] + 1.0) * length) / m for b, m in zip(blocks, mips)),
-         min(lows[b] for b in blocks), tx_energy(bits, 0.0, radio)),
-        (d_max, max(((highs[b] + 1.0) * length) / m for b, m in zip(blocks, mips)),
-         max(highs[b] for b in blocks), tx_energy(bits, d_max, radio)))
+    return idx, d, float(first.max())
 
 
-def _enabled_blocks(view: CandidateView, architecture):
-    """(numbers of the far set's blocks whose layer is enabled, their MIPS, mask of
-    the enabled entries of `far.ids`, or None when every entry is)."""
-    far, enabled = view.far, _enabled(view, architecture)
-    blocks = np.flatnonzero(enabled[far.blocks])
-    keep = None if blocks.size == far.blocks.size else enabled[far.ids]
-    return blocks.tolist(), view.mips[far.blocks[blocks]].tolist(), keep
+def _far_keep(view: CandidateView, architecture):
+    """Mask of the enabled entries of `far.ids`, or None when every entry is."""
+    keep = _enabled(view, architecture)[view.far.ids]
+    return None if keep.all() else keep
 
 
 def _energy_rises(radio: RadioParams) -> bool:
@@ -375,17 +363,17 @@ def _energy_rises(radio: RadioParams) -> bool:
     return tx_energy(1.0, float(np.nextafter(c, 0.0)), radio) <= tx_energy(1.0, c, radio)
 
 
-_UNKNOWN_EXTREMA = ((None,) * 4, (None,) * 4)
-
-
-def _minmax_into(values: np.ndarray, ratio: float, out: np.ndarray, lo=None, hi=None) -> np.ndarray:
+def _minmax_into(values: np.ndarray, ratio: float, out: np.ndarray, floor=None) -> np.ndarray:
     """((values - lo) / (hi - lo)) * ratio into `out`, which may be `values`.
 
-    lo and hi are the values' minimum and maximum, found here when None.
-    A constant column gives exact zeros: values - lo is 0 everywhere.
+    lo and hi are the values' minimum and maximum, hi raised to `floor`
+    when that is larger: the largest value of a feasible VM left out of
+    `values`. A constant column gives exact zeros: values - lo is 0
+    everywhere.
     """
-    if lo is None:
-        lo, hi = values[values.argmin()], values[values.argmax()]
+    lo, hi = values[values.argmin()], values[values.argmax()]
+    if floor is not None and floor > hi:
+        hi = floor
     span = hi - lo
     np.subtract(values, lo, out=out)
     if span != 0.0:

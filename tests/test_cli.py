@@ -132,6 +132,14 @@ def test_bad_config_contents(tmp_path, capsys):
     assert "line 1" in err and "duration_s" in err
 
 
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"simulation.duration_s=1\n\xff\xfe=3\n")
+    code = main(["run", "--config", str(path)])
+    assert code == 1
+    assert "not UTF-8: byte 0xff at offset 24" in capsys.readouterr().err
+
+
 def test_tick_s_is_an_unknown_key(tmp_path, capsys):
     # the simulator schedules no mobility ticks, so it has no tick interval to set
     text = FAST + "simulation.tick_s=1\n"

@@ -331,6 +331,13 @@ def test_byte_order_mark_accepted(tmp_path):
     assert load_config_file(path).constellation.mist == 5
 
 
+def test_non_utf8_bytes_rejected_with_their_offset():
+    with pytest.raises(ConfigurationError, match=r"not UTF-8: byte 0xff at offset 24"):
+        parse_config(b"simulation.duration_s=1\n\xff\xfe=3\n")
+    with pytest.raises(ConfigurationError, match=r"not UTF-8: byte 0xe9 at offset 0"):
+        parse_config(io.BytesIO(b"\xe9=1\n"))
+
+
 def test_validate_accepts_defaults():
     validate(SimulationConfig())
 

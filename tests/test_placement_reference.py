@@ -25,6 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import pytest
 
+from satmist import orchestrate
 from satmist.layers import LAYER_CODE, Layer
 from satmist.netenergy import DEFAULT_LINK, DEFAULT_RADIO, LinkParams, RadioParams
 from satmist.orchestrate import (
@@ -449,7 +450,7 @@ def far_picks(v, task, arch, radio=DEFAULT_RADIO):
     and/or "fill")."""
     v.source = source = ColumnSource(v.distances)
     v.static_feasible = np.flatnonzero(np.isin(v.layer_codes, [LAYER_CODE[x] for x in arch]))
-    v.far = FarSet([0, 1000, 1024], CHORD, N)
+    v.far = FarSet(1000, CHORD, N)
     got = weight_greedy(v, task, arch, radio=radio).vm_id
     seen = list(source.reads)
     want = reference_weight_greedy(v, task, arch, radio=radio).vm_id
@@ -532,3 +533,52 @@ def test_weight_greedy_shortlist_keeps_the_origin_against_a_colocated_vm():
     assert got == v.vm_ids[500]
     assert seen == ["far"]
 
+
+def indicator_extrema(d, q, mips, task, radio):
+    """(min, max) of each of weight_greedy's four indicators, as float.hex strings."""
+    cpu = (q + 1.0) * task.length_mi / mips
+    d2 = d * d
+    energy = task.input_bits * np.where(d < radio.crossover_m, radio.e_elec + radio.eps_fs * d2,
+                                        radio.e_elec + radio.eps_mp * (d2 * d2))
+    return [(float(x.min()).hex(), float(x.max()).hex()) for x in (d, cpu, q, energy)]
+
+
+@pytest.mark.parametrize("arch", [ALL, MIST_ONLY_CLOUD, MIST_ONLY_EDGE],
+                         ids=["every_layer", "no_edge", "no_cloud"])
+@pytest.mark.parametrize("radio", RADIOS, ids=["default_radio", "split_radio"])
+def test_weight_greedy_shortlist_extrema_are_the_feasible_sets(monkeypatch, arch, radio):
+    # The minimum and maximum each indicator is normalized with on the shortlist,
+    # the scored VMs' with the floor from the first block's longest queue, must be
+    # the whole feasible set's, bit for bit: an extremum that is off need not flip
+    # a pick. The split radio's energy falls only between one step below its
+    # crossover (about 91 m) and the crossover, far from these views' extrema at 0 m
+    # and beyond the chord, so its refusal is lifted here to check it as well.
+    monkeypatch.setattr(orchestrate, "_energy_rises", lambda radio: True)
+    minmax_into, used = orchestrate._minmax_into, []
+
+    def recording(values, ratio, out, floor=None):
+        hi = float(values.max()) if floor is None else max(float(values.max()), floor)
+        used.append((float(values.min()).hex(), hi.hex()))
+        return minmax_into(values, ratio, out, floor)
+
+    monkeypatch.setattr(orchestrate, "_minmax_into", recording)
+    rng = np.random.default_rng([37, len(arch), LAYER_CODE[max(arch)], RADIOS.index(radio)])
+    checked = raised = 0
+    for k in range(40):
+        v = far_view(rng, int(rng.integers(0, 1000)), equal_mips=k % 4 == 3,
+                     mist_floor=4 * (k % 2))
+        if k % 3 == 1:  # far queues below the mist ones: the floor sets the queue maximum
+            v.queue_lens[1000:] = rng.integers(0, 3, N - 1000)
+        task = random_task(rng)
+        used.clear()
+        got, want, seen = far_picks(v, task, arch, radio=radio)
+        assert got == want
+        if seen != ["far"]:  # without cloud VMs, the largest far distance may miss the chord
+            assert arch == MIST_ONLY_EDGE
+            continue
+        feasible = v.static_feasible
+        assert used == indicator_extrema(v.distances[feasible], v.queue_lens[feasible],
+                                         v.mips[feasible], task, radio), k
+        checked += 1
+        raised += v.queue_lens[:1000].max() > v.queue_lens[feasible[feasible >= 1000]].max()
+    assert checked >= 20 and raised >= 5, (checked, raised)
