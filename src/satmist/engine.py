@@ -129,34 +129,49 @@ def generate_tasks(config: SimulationConfig, origin: int,
     return tasks
 
 
+# values in a block of far rows: arrivals x far satellites, sized so the
+# block's few working arrays stay in a core's cache
+_BLOCK_VALUES = 4096
+
+
 class _Distances:
-    """Origin-to-VM distances at one instant, from a position source; the
+    """Origin-to-VM distances at one arrival, from a position source; the
     placement view's `source`, and the only owner of its distances.
 
     VM i is satellite i, so VM indices are satellite indices here.
 
-    `at(origin, now)` sets the instant that `column`, `fill_far`, `to_vms`
-    and `to_vm` measure from; the last three give some of the column's
-    distances alone, each equal to the column's bit for bit: on built-in
-    orbits their positions come from positions_of, in Python floats on
-    the C library's cos and sin, which numpy's float64 cos and sin are.
-    Holds no reference to the Simulation, so its view keeps no finished
-    run alive.
+    `at(k)` sets the instant that `column`, `fill_far`, `to_vms` and
+    `to_vm` measure from: arrival k's origin at its creation time. The last
+    three give some of the column's distances alone, each equal to the
+    column's bit for bit. The distances from the origin to the far set's
+    satellites, far.start on, are rows of a block that covers arrivals
+    k to k+B-1 of `tasks`, computed in one numpy pass by
+    OrbitPositions.positions_at on the first far read outside the current
+    block; `fill_far` and a `to_vms` of far satellites only read arrival
+    k's row. Other subsets come from positions_of, in Python floats on the
+    C library's cos and sin, which numpy's float64 cos and sin are. Holds
+    no reference to the Simulation, so its view keeps no finished run
+    alive.
     """
 
-    def __init__(self, positions):
+    def __init__(self, positions, tasks: Sequence[Task], far: FarSet | None = None):
         n = len(positions)
         self._positions = positions
+        self._tasks = tasks
         self._column = np.empty(n)
         self._diff = np.empty((3, n))
         self._acc = np.empty(n)
         self._rows = (positions.positions_of if isinstance(positions, OrbitPositions)
                       else partial(_rows_of_all, positions))
-        self._start = n  # the first satellite fill_far measures to, once split_at sets it
-        self.at(0, 0.0)
+        # the far satellites, whose rows need an OrbitPositions; none without a far set
+        self._start = n if far is None else far.start
+        self._far_ids = np.arange(self._start, n)
+        self._block_rows = max(1, _BLOCK_VALUES // max(1, n - self._start))
+        self._block, self._first = np.empty((0, n - self._start)), 0
 
-    def at(self, origin: int, now: float) -> None:
-        self.origin, self.now = origin, now
+    def at(self, k: int) -> None:
+        task = self._tasks[k]
+        self._k, self.origin, self.now = k, task.origin_satellite, task.created_at
         self._filled, self._known, self._tail = False, None, None
 
     def column(self) -> np.ndarray:
@@ -168,28 +183,42 @@ class _Distances:
             self._filled = True
         return self._column
 
-    def split_at(self, start: int, elements) -> None:
-        """Give satellites start: an OrbitPositions of their own, for fill_far.
+    def _far_row(self) -> np.ndarray:
+        """column's distances to the far satellites at this arrival, kept for to_vm."""
+        i = self._k - self._first
+        if not 0 <= i < len(self._block):
+            self._fill_block()
+            i = 0
+        self._tail = self._block[i]
+        return self._tail
 
-        Only for built-in orbits: `elements` are those satellites' orbits."""
-        self._far = OrbitPositions(elements)
-        self._start = start
-        self._far_diff = np.empty((3, len(elements)))
-        self._far_acc = np.empty(len(elements))
+    def _fill_block(self) -> None:
+        """Far rows of arrivals k to k+B-1, by _from_point's operations, elementwise."""
+        k = self._k
+        tasks = self._tasks[k:k + self._block_rows]
+        origins = np.array([task.origin_satellite for task in tasks])
+        t = np.array([task.created_at for task in tasks])
+        positions_at = self._positions.positions_at
+        origin = positions_at(origins, t)
+        dx, dy, dz = positions_at(self._far_ids, t[:, None])
+        for diff, o in zip((dx, dy, dz), origin):
+            diff -= o[:, None]
+            diff *= diff
+        dx += dy
+        dx += dz
+        self._block, self._first = np.sqrt(dx, out=dx), k
 
     def fill_far(self, out: np.ndarray) -> None:
-        """column's distances to satellites start: alone, into `out`, kept for to_vm.
-
-        Their positions come from their own OrbitPositions and the
-        origin's from positions_of, both the same IEEE operations as
-        column's positions, so each distance equals column's bit for bit."""
-        _from_point(self._rows([self.origin], self.now)[0], self._far.positions_all(self.now).T,
-                    self._far_diff, self._far_acc, out)
-        self._tail = out
+        """column's distances to the far satellites alone, into `out`, kept for to_vm."""
+        out[:] = self._far_row()
 
     def to_vms(self, vms: list[int]) -> list[float]:
         """column's distances to VMs `vms` alone, kept for to_vm: the same IEEE
         operations on the same coordinates, so each equals column's."""
+        start = self._start
+        if min(vms) >= start:
+            row = self._far_row().tolist()
+            return [row[vm - start] for vm in vms]
         o, *rows = self._rows([self.origin, *vms], self.now)
         out = [_apart(o, h) for h in rows]
         self._known = dict(zip(vms, out))
@@ -259,21 +288,21 @@ def _orbit_bounds(config: SimulationConfig, layered, layer_codes: np.ndarray):
     return np.flatnonzero(enabled[layer_codes]), max(needed.values())
 
 
-def _far_set(layered, layer_codes: np.ndarray, distances: _Distances) -> FarSet | None:
-    """weight_greedy's far set: the satellites after the first layer's block, on an
-    OrbitPositions of their own, when they are at most a tenth of the constellation.
+def _far_set(layered, layer_codes: np.ndarray) -> FarSet | None:
+    """The far set: the satellites after the first layer's block, or None when
+    there are none.
 
-    Scoring the origin against them alone beats filling the column only
-    when they are few. weight_greedy on shortlisted placements, shortlist
-    against full path, best of 25 interleaved repeats on a 2-vCPU host:
-    47 against 59 µs at 1,042 VMs (42 far), 45 against 43 at 342 and 46
-    against 38 at 142.
+    weight_greedy and trade_off score shortlisted placements on the far
+    VMs' block rows (see _Distances) in place of the column, which pays at
+    every size: weight_greedy on its shortlisted placements of a 10 s run,
+    best of 6 interleaved repeats each, on a 2-vCPU host, took 26-28 µs
+    plus a 1.6 µs block row against 34 µs for the full path at 142 VMs,
+    39 at 342 and 54-56 at 1,042.
     """
     n = len(layered)
     start = int(np.count_nonzero(layer_codes == layer_codes[0]))  # layered is layer-major
-    if start == n or 10 * (n - start) > n:
+    if start == n:
         return None
-    distances.split_at(start, [elements for _, elements in layered[start:]])
     r = layered[0][1].semi_major_axis_m
     return FarSet(start, (r + r) * (1.0 + 1e-9), n)
 
@@ -309,25 +338,6 @@ class Simulation:
         self.record_events = record_events
         self.events: list[Event] = []
 
-        layer_codes = np.array([LAYER_CODE[vm.host_layer] for vm in self.vms], dtype=np.int64)
-        n_vms = len(self.vms)
-        distances = self._distances = _Distances(self.positions)
-        view = self._view = CandidateView(
-            vm_ids=np.arange(n_vms, dtype=np.int64),
-            layer_codes=layer_codes,
-            source=distances,
-            queue_lens=np.zeros(n_vms),
-            mips=np.array([vm.mips for vm in self.vms]),
-            assigned=np.zeros(n_vms, dtype=np.int64),
-        )
-        if positions is None:
-            view.static_feasible, view.max_distance = _orbit_bounds(config, layered, layer_codes)
-            if view.static_feasible is not None:
-                view.far = _far_set(layered, layer_codes, distances)
-        self._layer_weights = {**DEFAULT_TRADEOFF_LAYER_WEIGHTS,
-                               Layer.CLOUD: config.tradeoff_cloud_weight}
-        self._policy_rng = random.Random(f"{config.seed}:policy")
-
         if tasks is None:
             self.tasks = self._generated_tasks()
         else:
@@ -337,6 +347,25 @@ class Simulation:
                     raise ConfigurationError("injected task ids must be 0..n-1 in order")
                 if i and not self.tasks[i - 1].created_at <= task.created_at:
                     raise ConfigurationError("injected tasks must be in creation order")
+
+        layer_codes = np.array([LAYER_CODE[vm.host_layer] for vm in self.vms], dtype=np.int64)
+        n_vms = len(self.vms)
+        view = self._view = CandidateView(
+            vm_ids=np.arange(n_vms, dtype=np.int64),
+            layer_codes=layer_codes,
+            source=None,
+            queue_lens=np.zeros(n_vms),
+            mips=np.array([vm.mips for vm in self.vms]),
+            assigned=np.zeros(n_vms, dtype=np.int64),
+        )
+        if positions is None:
+            view.static_feasible, view.max_distance = _orbit_bounds(config, layered, layer_codes)
+            if view.static_feasible is not None:
+                view.far = _far_set(layered, layer_codes)
+        view.source = self._distances = _Distances(self.positions, self.tasks, view.far)
+        self._layer_weights = {**DEFAULT_TRADEOFF_LAYER_WEIGHTS,
+                               Layer.CLOUD: config.tradeoff_cloud_weight}
+        self._policy_rng = random.Random(f"{config.seed}:policy")
 
         # arrival i is (created_at, i): only the first is pushed here, run() pushes the rest
         self._heap: list[tuple[float, int, int, int]] = []
@@ -398,7 +427,7 @@ class Simulation:
         origin = task.origin_satellite
         view = self._view
         view.local = origin
-        self._distances.at(origin, now)
+        self._distances.at(task.id)
         try:
             sel = select(
                 self.config.policy,

@@ -202,9 +202,11 @@ class OrbitPositions:
     them per satellite. Positions are written into one preallocated
     (3, n) buffer; positions_all returns its (n, 3) transposed view,
     valid until the next call, so instances are not safe to share across
-    threads. positions_of computes a few satellites in Python floats on
-    the C library's cos and sin, which numpy's float64 cos and sin are,
-    so its coordinates equal their positions_all rows bit for bit.
+    threads. positions_at gives satellites at times of their own, one
+    angle each, in the same numpy operations; positions_of computes a few
+    satellites in Python floats on the C library's cos and sin, which
+    numpy's float64 cos and sin are. The coordinates of both equal their
+    positions_all rows bit for bit.
     """
 
     def __init__(self, elements: Sequence[OrbitalElements]):
@@ -221,6 +223,7 @@ class OrbitPositions:
             [math.cos(e.raan_rad) for e in elements],
             [math.sin(e.raan_rad) for e in elements],
         ])
+        self._orbits = orbits
         a, rate, phase, ci, si, co, so = orbits
         # one tuple of floats per satellite; such tuples drop out of the cycle collector's tracking
         self._by_satellite = tuple(map(tuple, orbits.T.tolist()))
@@ -267,6 +270,26 @@ class OrbitPositions:
         np.multiply(trig[3], self._si, out=xyz[2])
         xyz *= self._a3
         return xyz.T
+
+    def positions_at(self, ids: np.ndarray, t_seconds: np.ndarray):
+        """Arrays x, y, z of satellite ids[i] at time t_seconds[i], the two broadcast together.
+
+        The float operations of positions_all and _on_orbit, elementwise.
+        """
+        a, rate, phase, ci, si, co, so = self._orbits[:, ids]
+        theta = rate * t_seconds
+        theta += phase
+        ct, st = np.cos(theta), np.sin(theta)
+        buf = st * ci
+        x = ct * co
+        x -= buf * so
+        x *= a
+        y = ct * so
+        y += buf * co
+        y *= a
+        z = st * si
+        z *= a
+        return x, y, z
 
     def positions_of(self, ids: Sequence[int], t_seconds: float) -> list[tuple[float, float, float]]:
         """Positions of satellites `ids` at time t as (x, y, z) tuples, in order.

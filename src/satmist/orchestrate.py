@@ -62,7 +62,8 @@ class CandidateView:
     candidate, computed on its first read for the current placement, so a
     policy that never reads it never pays for it. `source.to_vms(idx)`
     gives the same distances for just candidates `idx`, and
-    `source.fill_far(out)` those of the `far` set's VMs.
+    `source.fill_far(out)` those of the `far` set's VMs; both read the
+    source's far row for this placement when `idx` are all far VMs.
 
     Four optional facts, set by whoever builds the view for one run's
     architecture, link and orbits, let policies place without distances.
@@ -76,7 +77,8 @@ class CandidateView:
       can be out of range), or None when it must be checked per task.
     - `max_distance`: a bound no distance in the column exceeds, or None.
     - `far`: a FarSet, the VMs outside the first layer block, whose
-      distances `source.fill_far` gives, or None.
+      distances `source.fill_far` and an all-far `source.to_vms` read
+      from one row the source keeps per placement, or None.
     """
 
     __slots__ = ("vm_ids", "layer_codes", "queue_lens", "mips", "assigned", "source",
@@ -225,8 +227,9 @@ def trade_off(view: CandidateView, task, architecture, *, link: LinkParams = DEF
     compute term c <= fl(c_min + fl(max_distance / speed)) can win: float
     division and adding a non-negative value are monotone, so any other
     scores above the c_min candidate. One shortlisted VM is the pick; up to
-    SHORTLIST_MAX are scored alone, on `source.to_vms` distances, by the
-    same two IEEE operations. Longer shortlists read the column.
+    SHORTLIST_MAX, or any number from the `far` set alone, are scored alone,
+    on `source.to_vms` distances, by the same two IEEE operations. Longer
+    shortlists with a VM of the first layer block read the column.
     """
     idx = _feasible_indices(view, architecture, link)
     score = view.queue_lens + 1.0
@@ -239,7 +242,8 @@ def trade_off(view: CandidateView, task, architecture, *, link: LinkParams = DEF
         short = idx[c <= float(c.min()) + view.max_distance / speed]
         if short.size == 1:
             return Selection(int(view.vm_ids[short[0]]))
-        if short.size <= SHORTLIST_MAX:
+        far = view.far
+        if short.size <= SHORTLIST_MAX or far is not None and short[0] >= far.start:
             short = short.tolist()
             distances = view.source.to_vms(short)
             scores = [cj + d / speed for cj, d in zip(score[short].tolist(), distances)]
@@ -270,12 +274,13 @@ def weight_greedy(view: CandidateView, task, architecture, *, link: LinkParams =
     maximum over the feasible set, but for the layer's longest queue,
     which is passed on as a floor on the CPU and queue maxima. The engine
     sets a far set, the edge and cloud VMs, for its built-in orbits under
-    static feasibility when they are at most a tenth of the view; with
-    more, scoring them apart costs more than the column it saves. One
-    pick differs from the full argmin's: a VM of the origin's layer with
-    a lower index, within about 5e-9 m of the origin, whose distance term
-    rounds away in the sum, ties with the origin and would win by index;
-    the shortlist keeps the origin, as distance_only does.
+    static feasibility; at 142 to 1,042 VMs its shortlisted placements cost
+    about 28 µs against 34 to 56 µs for the full path (see
+    engine._far_set). One pick differs from the full argmin's: a VM of
+    the origin's layer with a lower index, within about 5e-9 m of the
+    origin, whose distance term rounds away in the sum, ties with the
+    origin and would win by index; the shortlist keeps the origin, as
+    distance_only does.
     """
     ratios = WEIGHT_GREEDY_RATIOS
     short = _dominance_shortlist(view, architecture, radio)

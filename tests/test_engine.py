@@ -21,6 +21,7 @@ from satmist.errors import ConfigurationError
 from satmist.layers import Layer
 from satmist.netenergy import rx_energy, tx_energy
 from satmist.orbital import angular_rate_rad_s, build_constellation
+from satmist.orchestrate import FarSet
 
 
 class StaticPositions:
@@ -394,36 +395,39 @@ def _reference_distances(elements, origin, t):
     return np.sqrt(np.sum(diff, axis=1))
 
 
-@pytest.mark.parametrize("make_config", [
+_GEOMETRIES = [
     pytest.param(lambda: parse_config("task.rate_per_min=0\n"), id="walker_delta"),
     pytest.param(lambda: parse_config("constellation.phasing=random_uniform\ntask.rate_per_min=0\n"),
                  id="random_uniform"),
     # 18 cloud satellites over 8 planes: 3 slots in two planes, 2 in six
     pytest.param(lambda: parse_config("constellation.mist=0\nconstellation.edge_dc=0\n"),
                  id="uneven_planes"),
-])
+]
+
+
+def _far_set(sim):
+    """The engine's far set, or one from satellite 5 on where it sets none (the cloud-only shell)."""
+    return sim._view.far or FarSet(5, 0.0, len(sim.positions))
+
+
+@pytest.mark.parametrize("make_config", _GEOMETRIES)
 def test_pair_distance_equals_snapshot_bit_for_bit(make_config):
     # subsets of lengths either side of the SIMD kernels' vector widths, whose
     # tails they treat differently, with repeated VMs and the origin's own VM;
-    # and the far set's distances, from its own OrbitPositions (the engine's
-    # after the mist block, or, for the cloud-only shell, one set up here)
+    # and the far satellites' block rows, read in a random arrival order
     sim = Simulation(make_config())
     elements = [e for _, e in build_constellation(sim.config.constellation)]
-    distances = sim._distances
-    n = len(elements)
-    if sim._view.far is None:
-        start = 5
-        distances.split_at(start, elements[start:])
-    else:
-        start = sim._view.far.start
+    n, far_set = len(elements), _far_set(sim)
+    start = far_set.start
     rng = random.Random(77)
+    tasks = [heavy_task(k, rng.randrange(n), rng.uniform(0.0, 600.0)) for k in range(400)]
+    distances = engine._Distances(sim.positions, tasks, far_set)
     far = np.empty(n - start)
-    for _ in range(400):
-        now = rng.uniform(0.0, 600.0)
-        origin, host = rng.randrange(n), rng.randrange(n)
+    for k in rng.sample(range(len(tasks)), len(tasks)):
+        origin, now, host = tasks[k].origin_satellite, tasks[k].created_at, rng.randrange(n)
         expected = _reference_distances(elements, origin, now)
         assert distances.pair(origin, host, now) == expected[host]
-        distances.at(origin, now)
+        distances.at(k)
         vms = [rng.randrange(n) for _ in range(rng.choice((1, 2, 3, 7, 8, 9, 16, 17, 41)))]
         vms[rng.randrange(len(vms))] = origin
         if len(vms) > 2:
@@ -432,7 +436,10 @@ def test_pair_distance_equals_snapshot_bit_for_bit(make_config):
         other = rng.randrange(n)  # remembered from to_vms or not
         assert distances.to_vm(vms[-1]) == expected[vms[-1]]
         assert distances.to_vm(other) == expected[other]
-        distances.at(origin, now)
+        distances.at(k)
+        far_vms = [rng.randrange(start, n) for _ in range(rng.choice((2, 9, 29)))]
+        assert distances.to_vms(far_vms) == expected[far_vms].tolist()
+        distances.at(k)
         distances.fill_far(far)
         assert np.array_equal(far, expected[start:])
         for vm in (rng.randrange(start, n), rng.randrange(n)):  # remembered from fill_far or not
@@ -441,25 +448,95 @@ def test_pair_distance_equals_snapshot_bit_for_bit(make_config):
         assert distances.to_vm(other) == expected[other]  # from the column
 
 
+def _hex(values: np.ndarray) -> list[str]:
+    return [float.hex(x) for x in values.tolist()]
+
+
+@pytest.mark.parametrize("make_config", _GEOMETRIES)
+def test_every_far_row_equals_the_column_bit_for_bit(make_config):
+    # every arrival of a seeded run, read in order as the engine reads them,
+    # so rows 0, B-1 and B of each block and the last, partial block are all read
+    cfg = make_config()
+    sim = Simulation(replace(cfg, duration_s=1.5, task=replace(cfg.task, rate_per_min=20.0)))
+    n, far_set = len(sim.positions), _far_set(sim)
+    start = far_set.start
+    distances = engine._Distances(sim.positions, sim.tasks, far_set)
+    rows = distances._block_rows
+    if not sim.tasks:  # the cloud-only shell generates none: every satellite originates some
+        sim.tasks[:] = [heavy_task(k, k % n, 0.05 * k) for k in range(2 * rows + rows // 2)]
+    assert len(sim.tasks) > 2 * rows and len(sim.tasks) % rows
+    far = np.empty(n - start)
+    for k in range(len(sim.tasks)):
+        distances.at(k)
+        distances.fill_far(far)
+        assert distances._first == k - k % rows
+        assert _hex(far) == _hex(distances.column()[start:]), k
+
+
+def test_far_rows_of_injected_tasks_equal_the_column_bit_for_bit():
+    cfg = parse_config("constellation.mist=40\npolicy.name=weight_greedy\n")
+    rng = random.Random(3)
+    times = sorted(rng.uniform(0.0, 60.0) for _ in range(150))
+    tasks = [heavy_task(k, rng.randrange(40), t) for k, t in enumerate(times)]
+    sim = Simulation(cfg, tasks=tasks)
+    distances, start = sim._distances, sim._view.far.start
+    far = np.empty(len(sim.positions) - start)
+    for k in (0, 1, 149, 40, 41, 42, 99, 100):  # blocks start wherever a read misses
+        distances.at(k)
+        distances.fill_far(far)
+        assert _hex(far) == _hex(distances.column()[start:]), k
+
+
 def test_distance_column_computed_once_per_instant():
     # column() reads the positions on its first call after each at(), and the
     # view's distances are that column; the subset reads never read them all
-    sim = Simulation(parse_config("constellation.mist=20\ntask.rate_per_min=0\n"))
+    sim = Simulation(parse_config("constellation.mist=20\ntask.rate_per_min=0\n"),
+                     tasks=[heavy_task(0, origin=3, created=5.0), heavy_task(1, origin=4, created=5.0)])
     times = []
     positions_all = sim.positions.positions_all
     sim.positions.positions_all = lambda t: times.append(t) or positions_all(t)
     distances = sim._distances
-    distances.at(3, 5.0)
+    distances.at(0)
     distances.to_vms([1, 2, 40])
+    distances.to_vms([40, 50])
+    distances.fill_far(np.empty(42))
     distances.to_vm(50)
     assert times == []
     column = distances.column()
     assert distances.column() is column and sim._view.distances is column
     assert times == [5.0]
     assert distances.to_vm(40) == column[40] and times == [5.0]
-    distances.at(4, 5.0)  # a new placement at the same time fills again
+    distances.at(1)  # a new placement at the same time fills again
     assert sim._view.distances[3] == column[3] > 0.0
     assert times == [5.0, 5.0]
+
+
+def test_to_vm_reads_a_far_row_only_when_the_placement_read_it(monkeypatch):
+    blocks = []
+    fill_block = engine._Distances._fill_block
+    monkeypatch.setattr(engine._Distances, "_fill_block",
+                        lambda self: blocks.append(self._k) or fill_block(self))
+    sim = Simulation(parse_config("constellation.mist=20\ntask.rate_per_min=0\n"),
+                     tasks=[heavy_task(k, origin=k, created=float(k)) for k in range(3)])
+    distances = sim._distances
+    distances.at(0)
+    assert distances.to_vm(30) == distances.pair(0, 30, 0.0)
+    assert blocks == []
+    distances.to_vms([30, 40])
+    assert blocks == [0]
+    distances.at(1)  # the block holds arrival 1's row, but this placement has not read it
+    distances._block[1, 30 - 20] = -1.0
+    assert distances.to_vm(30) == distances.pair(1, 30, 1.0) > 0.0
+    distances.fill_far(np.empty(42))
+    assert distances.to_vm(30) == -1.0 and blocks == [0]
+
+
+@pytest.mark.parametrize("policy", ["round_robin", "random_vm"])
+def test_policies_that_read_no_far_distance_compute_no_block(monkeypatch, policy):
+    monkeypatch.setattr(engine._Distances, "_fill_block", lambda self: pytest.fail("block"))
+    sim = Simulation(parse_config(f"policy.name={policy}\nsimulation.duration_s=2\n"))
+    assert sim._view.far is not None
+    assert sim.run().generated > 100
 
 
 def test_download_distance_equals_upload_distance_on_an_injected_source():
@@ -516,12 +593,16 @@ def test_static_feasibility_only_when_no_link_can_break():
 
 
 def test_far_set_only_where_it_pays():
-    # the 42 edge and cloud satellites are at most a tenth of the view at 1,000 mist
+    # the VMs after the first layer's block: the 42 edge and cloud satellites
     default = Simulation(parse_config("task.rate_per_min=0\n"))._view.far
     assert default.start == 1000
     assert default.chord == 2 * (6_371e3 + 400e3) * (1.0 + 1e-9)
-    # not at 300 mist (42 of 342), nor where feasibility or positions are not static
-    for text, positions in (("constellation.mist=300\n", None),
+    # at 100 mist too (42 of 142), and after the edge block without mist
+    assert Simulation(parse_config("constellation.mist=100\ntask.rate_per_min=0\n"))._view.far.start == 100
+    no_mist = Simulation(parse_config("constellation.mist=0\ntask.rate_per_min=0\n"))._view.far
+    assert no_mist.start == 24 and no_mist.chord == 2 * (6_371e3 + 2_000e3) * (1.0 + 1e-9)
+    # not in a one-layer shell, nor where feasibility or positions are not static
+    for text, positions in (("constellation.mist=0\nconstellation.edge_dc=0\n", None),
                             ("link.range_cloud_m=32741999\n", None),
                             ("", StaticPositions(np.zeros((1042, 3))))):
         sim = Simulation(parse_config(text + "task.rate_per_min=0\n"), positions=positions)

@@ -175,9 +175,11 @@ def _bits(rows) -> list[tuple[str, ...]]:
     ConstellationSpec(mist=40, edge_dc=6, cloud=4, phasing=Phasing.RANDOM_UNIFORM, rng_seed=5),
 ], ids=["walker_default", "walker_uneven_planes", "random_uniform"])
 def test_positions_of_equals_positions_all_rows_bit_for_bit(spec):
+    # and positions_at, satellite ids[i] at times[i], over every (id, t) drawn here
     provider = OrbitPositions([e for _, e in build_constellation(spec)])
     n, last = len(provider), len(provider) - 1
     rng = np.random.default_rng(11)
+    drawn, rows = [], []
     for t in rng.uniform(0.0, 600.0, 300).tolist():
         block = provider.positions_all(t)
         for size in (0, 1, 2, 3, 19, 24):
@@ -187,7 +189,15 @@ def test_positions_of_equals_positions_all_rows_bit_for_bit(spec):
             if size >= 3:
                 ids[0] = ids[1]  # a repeat
             assert _bits(provider.positions_of(ids, t)) == _bits(block[ids].tolist()), (t, ids)
+            drawn += [(i, t) for i in ids]
+            rows += block[ids].tolist()
         assert _bits(provider.positions_of([last, last], t)) == _bits(block[[last, last]].tolist())
+    ids, times = map(np.array, zip(*drawn))
+    assert _bits(np.transpose(provider.positions_at(ids, times)).tolist()) == _bits(rows)
+    x, y, z = provider.positions_at(ids[:50], times[:7, None])  # broadcast: (7, 50)
+    for k in range(7):
+        assert _bits(np.transpose([x[k], y[k], z[k]]).tolist()) == \
+            _bits(provider.positions_all(float(times[k]))[ids[:50]].tolist())
 
 
 def test_libm_cos_sin_equal_numpy_cos_sin_on_orbit_angles():

@@ -414,6 +414,29 @@ def test_trade_off_shortlist_skips_a_disabled_layer():
     assert seen == [3]
 
 
+@pytest.mark.parametrize("size", [SHORTLIST_MAX + 1, 29, 42])
+@pytest.mark.parametrize("mist_member", [False, True], ids=["all_far", "with_mist"])
+def test_trade_off_far_shortlist_scored_from_the_row_at_any_length(size, mist_member):
+    # a 1,042-VM layer-major view whose shortlist is `size` edge and cloud VMs
+    # tying on the compute term, with tied distances among them; with a far set
+    # the source scores them as one subset of far VMs, however many, unless a
+    # mist VM joins them, which makes a shortlist past SHORTLIST_MAX read the column
+    codes = np.repeat([0, 1, 2], [1000, 24, 18])
+    for seed in range(20):
+        rng = np.random.default_rng([seed, size])
+        queues = np.full(N, 9.0)
+        queues[1000 + rng.choice(42, size, replace=False)] = 0.0
+        if mist_member:
+            queues[rng.integers(1000)] = 0.0
+        distances = rng.choice(rng.uniform(R_EDGE - R_MIST, R_CLOUD + R_MIST, 3), N)
+        v = make_view(codes, distances, queues, [10_000.0] * N)
+        v.far = FarSet(1000, CHORD, N)
+        got, want, seen = shortlist_picks(v, TaskInfo(length_mi=20_000.0), ALL, max_distance=2.4e7,
+                                          layer_weights=EQUAL_WEIGHTS)
+        assert got == want
+        assert seen == (["fill"] if mist_member else [size])
+
+
 # -- weight_greedy's dominance shortlist -----------------------------------
 
 R_MIST, R_EDGE, R_CLOUD = 6_771e3, 8_371e3, 16_371e3  # default orbit radii
