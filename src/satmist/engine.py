@@ -34,7 +34,7 @@ from .layers import LAYER_CODE, LAYER_ORDER, Layer
 from .netenergy import rx_energy, tx_energy
 from .orbital import OrbitPositions, build_constellation
 from .orchestrate import (DEFAULT_TRADEOFF_LAYER_WEIGHTS, CandidateView, FarSet, PlacementError,
-                          select)
+                          PolicyId, far_term_hook, select)
 
 
 class TaskState(str, Enum):
@@ -140,34 +140,41 @@ class _Distances:
 
     VM i is satellite i, so VM indices are satellite indices here.
 
-    `at(k)` sets the instant that `column`, `fill_far`, `to_vms` and
-    `to_vm` measure from: arrival k's origin at its creation time. The last
-    three give some of the column's distances alone, each equal to the
-    column's bit for bit. The distances from the origin to the far set's
-    satellites, far.start on, are rows of a block that covers arrivals
-    k to k+B-1 of `tasks`, computed in one numpy pass by
+    `at(k)` sets the instant that `column`, `to_vms`, `to_vm` and
+    `far_terms` measure from: arrival k's origin at its creation time.
+    `to_vms` and `to_vm` give some of the column's distances alone, each
+    equal to the column's bit for bit. The distances from the origin to
+    the far set's satellites, far.start on, are rows of a block that
+    covers arrivals k to k+B-1 of `tasks`, computed in one numpy pass by
     OrbitPositions.positions_at on the first far read outside the current
-    block; `fill_far` and a `to_vms` of far satellites only read arrival
-    k's row. Other subsets come from positions_of, in Python floats on the
-    C library's cos and sin, which numpy's float64 cos and sin are. Holds
-    no reference to the Simulation, so its view keeps no finished run
-    alive.
+    block; a `to_vms` of far satellites only and `far_terms` read arrival
+    k's row. With the hook `terms`, which orchestrate.far_term_hook makes,
+    the same pass computes weight_greedy's distance and energy terms from
+    the block's rows and its tasks' input bits, and `far_terms` reads
+    arrival k's. Other subsets come from positions_of,
+    and `pair` from the two satellites' orbit rows, in Python floats on
+    the C library's cos and sin, which numpy's float64 cos and sin are.
+    Holds no reference to the Simulation, so its view keeps no finished
+    run alive.
     """
 
-    def __init__(self, positions, tasks: Sequence[Task], far: FarSet | None = None):
+    def __init__(self, positions, tasks: Sequence[Task], far: FarSet | None = None,
+                 terms: Callable | None = None):
         n = len(positions)
         self._positions = positions
         self._tasks = tasks
         self._column = np.empty(n)
         self._diff = np.empty((3, n))
         self._acc = np.empty(n)
-        self._rows = (positions.positions_of if isinstance(positions, OrbitPositions)
-                      else partial(_rows_of_all, positions))
+        orbits = isinstance(positions, OrbitPositions)
+        self._rows = positions.positions_of if orbits else partial(_rows_of_all, positions)
+        self._orbits = positions._by_satellite if orbits else None
         # the far satellites, whose rows need an OrbitPositions; none without a far set
         self._start = n if far is None else far.start
         self._far_ids = np.arange(self._start, n)
         self._block_rows = max(1, _BLOCK_VALUES // max(1, n - self._start))
         self._block, self._first = np.empty((0, n - self._start)), 0
+        self._terms_of, self._terms = terms, None
 
     def at(self, k: int) -> None:
         task = self._tasks[k]
@@ -183,17 +190,19 @@ class _Distances:
             self._filled = True
         return self._column
 
-    def _far_row(self) -> np.ndarray:
-        """column's distances to the far satellites at this arrival, kept for to_vm."""
+    def _far_index(self) -> int:
+        """This arrival's row in the block, filling the block on a miss; keeps the
+        row of column's distances to the far satellites for to_vm."""
         i = self._k - self._first
         if not 0 <= i < len(self._block):
             self._fill_block()
             i = 0
         self._tail = self._block[i]
-        return self._tail
+        return i
 
     def _fill_block(self) -> None:
-        """Far rows of arrivals k to k+B-1, by _from_point's operations, elementwise."""
+        """Far rows of arrivals k to k+B-1, by _from_point's operations, elementwise,
+        and their terms when the hook `terms` is set."""
         k = self._k
         tasks = self._tasks[k:k + self._block_rows]
         origins = np.array([task.origin_satellite for task in tasks])
@@ -207,17 +216,23 @@ class _Distances:
         dx += dy
         dx += dz
         self._block, self._first = np.sqrt(dx, out=dx), k
+        if self._terms_of is not None:
+            self._terms = self._terms_of(self._block, [task.input_bits for task in tasks])
 
-    def fill_far(self, out: np.ndarray) -> None:
-        """column's distances to the far satellites alone, into `out`, kept for to_vm."""
-        out[:] = self._far_row()
+    def far_terms(self):
+        """weight_greedy's (distance terms, energy terms, reaches the chord) for this
+        arrival: its row of what the hook `terms` computed with the block."""
+        i = self._far_index()
+        dn, en, reaches = self._terms
+        return dn[i], en[i], reaches[i]
 
     def to_vms(self, vms: list[int]) -> list[float]:
         """column's distances to VMs `vms` alone, kept for to_vm: the same IEEE
         operations on the same coordinates, so each equals column's."""
         start = self._start
         if min(vms) >= start:
-            row = self._far_row().tolist()
+            self._far_index()
+            row = self._tail.tolist()
             return [row[vm - start] for vm in vms]
         o, *rows = self._rows([self.origin, *vms], self.now)
         out = [_apart(o, h) for h in rows]
@@ -237,7 +252,9 @@ class _Distances:
 
     def pair(self, origin: int, host: int, now: float) -> float:
         """column's distance from `origin` to `host` at `now`, computed alone."""
-        return _apart(*self._rows((origin, host), now))
+        if self._orbits is not None:
+            return _orbits_apart(self._orbits[origin], self._orbits[host], now)
+        return _apart(*_rows_of_all(self._positions, (origin, host), now))
 
 
 def _from_point(o, pos: np.ndarray, diff: np.ndarray, acc: np.ndarray, out: np.ndarray) -> None:
@@ -260,6 +277,24 @@ def _from_point(o, pos: np.ndarray, diff: np.ndarray, acc: np.ndarray, out: np.n
 def _apart(o, h) -> float:
     """Distance between points o and h, squares summed in _from_point's order."""
     dx, dy, dz = h[0] - o[0], h[1] - o[1], h[2] - o[2]
+    return math.sqrt((dx * dx + dy * dy) + dz * dz)
+
+
+def _orbits_apart(o, h, now: float) -> float:
+    """Distance at `now` between the satellites on OrbitPositions orbit rows o
+    and h: positions_of's float operations for each, then _apart's."""
+    a, rate, phase, ci, si, co, so = o
+    theta = rate * now + phase
+    ct, st = math.cos(theta), math.sin(theta)
+    buf = st * ci
+    ox, oy, oz = a * (ct * co - buf * so), a * (buf * co + ct * so), a * (st * si)
+    a, rate, phase, ci, si, co, so = h
+    theta = rate * now + phase
+    ct, st = math.cos(theta), math.sin(theta)
+    buf = st * ci
+    dx = a * (ct * co - buf * so) - ox
+    dy = a * (buf * co + ct * so) - oy
+    dz = a * (st * si) - oz
     return math.sqrt((dx * dx + dy * dy) + dz * dz)
 
 
@@ -294,10 +329,11 @@ def _far_set(layered, layer_codes: np.ndarray) -> FarSet | None:
 
     weight_greedy and trade_off score shortlisted placements on the far
     VMs' block rows (see _Distances) in place of the column, which pays at
-    every size: weight_greedy on its shortlisted placements of a 10 s run,
-    best of 6 interleaved repeats each, on a 2-vCPU host, took 26-28 µs
-    plus a 1.6 µs block row against 34 µs for the full path at 142 VMs,
-    39 at 342 and 54-56 at 1,042.
+    every size: weight_greedy's `select` on its shortlisted placements of
+    a 10 s run, best of 6 repeats each under a timing wrapper, on a 2-vCPU
+    host, took 14-16 µs plus a 2.9 µs block row, its distance and energy
+    terms included, against 33 µs for the full path at 142 VMs, 38 at 342
+    and 54 at 1,042.
     """
     n = len(layered)
     start = int(np.count_nonzero(layer_codes == layer_codes[0]))  # layered is layer-major
@@ -362,7 +398,9 @@ class Simulation:
             view.static_feasible, view.max_distance = _orbit_bounds(config, layered, layer_codes)
             if view.static_feasible is not None:
                 view.far = _far_set(layered, layer_codes)
-        view.source = self._distances = _Distances(self.positions, self.tasks, view.far)
+        terms = (far_term_hook(view, config.architecture, config.radio)
+                 if config.policy is PolicyId.WEIGHT_GREEDY else None)
+        view.source = self._distances = _Distances(self.positions, self.tasks, view.far, terms)
         self._layer_weights = {**DEFAULT_TRADEOFF_LAYER_WEIGHTS,
                                Layer.CLOUD: config.tradeoff_cloud_weight}
         self._policy_rng = random.Random(f"{config.seed}:policy")

@@ -15,6 +15,7 @@ import operator
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
@@ -61,9 +62,10 @@ class CandidateView:
     `source.column()`, the distance from the placement's origin to every
     candidate, computed on its first read for the current placement, so a
     policy that never reads it never pays for it. `source.to_vms(idx)`
-    gives the same distances for just candidates `idx`, and
-    `source.fill_far(out)` those of the `far` set's VMs; both read the
-    source's far row for this placement when `idx` are all far VMs.
+    gives the same distances for just candidates `idx`, from the source's
+    far row for this placement when `idx` are all far VMs, and
+    `source.far_terms()` gives weight_greedy's distance and energy terms
+    over the origin and the `far` set's enabled VMs (see far_terms).
 
     Four optional facts, set by whoever builds the view for one run's
     architecture, link and orbits, let policies place without distances.
@@ -77,7 +79,7 @@ class CandidateView:
       can be out of range), or None when it must be checked per task.
     - `max_distance`: a bound no distance in the column exceeds, or None.
     - `far`: a FarSet, the VMs outside the first layer block, whose
-      distances `source.fill_far` and an all-far `source.to_vms` read
+      distances an all-far `source.to_vms` and `source.far_terms` read
       from one row the source keeps per placement, or None.
     """
 
@@ -110,21 +112,18 @@ class FarSet:
     """The VMs after the first layer block of a layer-major view.
 
     The first block, the VMs below index `start`, shares one MIPS value,
-    and `chord` is at least every distance between two of its VMs. The
-    view's `source.fill_far(out)` writes the distances from the view's
-    origin, a VM of the first block, to VMs start: into `out`, each equal
-    to the column's entry bit for bit. `ids` and `distances` are
-    weight_greedy's buffers: the origin's index and its 0 m first, then
-    the far VMs in index order.
+    and `chord` is at least every distance between two of its VMs. `ids`
+    is weight_greedy's buffer of the VMs it scores, in the columns of
+    far_terms' rows: the origin's index first, then the far VMs in index
+    order.
     """
 
-    __slots__ = ("start", "chord", "ids", "distances")
+    __slots__ = ("start", "chord", "ids")
 
     def __init__(self, start: int, chord: float, n: int):
         self.start = start
         self.chord = chord
         self.ids = np.arange(start - 1, n, dtype=np.intp)
-        self.distances = np.zeros(self.ids.size)
 
 
 def _spread(view: CandidateView, name: str, source, value_of) -> np.ndarray:
@@ -267,41 +266,45 @@ def weight_greedy(view: CandidateView, task, architecture, *, link: LinkParams =
 
     With a `far` set and feasibility static, an origin of the first layer
     block whose layer is enabled and whose queue is that layer's shortest
-    is scored against the far VMs alone, on `source.fill_far` distances
-    (see _dominance_shortlist): every other VM of its layer has CPU and
-    queue terms at least the origin's and a larger distance, so it
-    cannot score lower. The scored VMs hold every indicator's minimum and
-    maximum over the feasible set, but for the layer's longest queue,
-    which is passed on as a floor on the CPU and queue maxima. The engine
+    is scored against the enabled far VMs alone (see _dominance_shortlist):
+    every other VM of its layer has CPU and queue terms at least the
+    origin's and a larger distance, so it cannot score lower. The scored
+    VMs hold every indicator's minimum and maximum over the feasible set,
+    but for the layer's longest queue, which is passed on as a floor on
+    the CPU and queue maxima. Their distance and energy terms depend only
+    on the arrival's far row and the task's input bits, so the source
+    computes them for a block of arrivals at once (`source.far_terms`, see
+    far_terms); the CPU and queue terms are normalized here. The engine
     sets a far set, the edge and cloud VMs, for its built-in orbits under
-    static feasibility; at 142 to 1,042 VMs its shortlisted placements cost
-    about 28 µs against 34 to 56 µs for the full path (see
-    engine._far_set). One pick differs from the full argmin's: a VM of
-    the origin's layer with a lower index, within about 5e-9 m of the
-    origin, whose distance term rounds away in the sum, ties with the
-    origin and would win by index; the shortlist keeps the origin, as
-    distance_only does.
+    static feasibility; at 142 to 1,042 VMs its shortlisted placements
+    cost about 15 to 16 µs and a 2.9 µs block row against 33 to 54 µs for
+    the full path (see engine._far_set). One pick differs from the full
+    argmin's: a VM of the origin's layer with a lower index, within about
+    5e-9 m of the origin, whose distance term rounds away in the sum, ties
+    with the origin and would win by index; the shortlist keeps the
+    origin, as distance_only does.
     """
     ratios = WEIGHT_GREEDY_RATIOS
     short = _dominance_shortlist(view, architecture, radio)
-    every, cpu_hi, q_hi = False, None, None
     if short is not None:
-        idx, d, q_hi = short
-        q, mips = view.queue_lens[idx], view.mips[idx]
-        cpu_hi = ((q_hi + 1.0) * task.length_mi) / view.mips[0]  # as the CPU term computes it
+        idx, dn, en, q_hi = short
+        q = view.queue_lens[idx]
+        term = _cpu_time(q, task.length_mi, view.mips[idx])
+        cpu_hi = ((q_hi + 1.0) * task.length_mi) / view.mips[0]  # as _cpu_time computes it
+        score = dn + _minmax_into(term, ratios[1], term, cpu_hi)
+        score += _minmax_into(q, ratios[2], term, q_hi)
+        score += en
+        return Selection(int(view.vm_ids[idx[score.argmin()]]))
+    idx = _feasible_indices(view, architecture, link)
+    every = idx.size == len(view)
+    if every:
+        d, q, mips = view.distances, view.queue_lens, view.mips
     else:
-        idx = _feasible_indices(view, architecture, link)
-        every = idx.size == len(view)
-        if every:
-            d, q, mips = view.distances, view.queue_lens, view.mips
-        else:
-            d, q, mips = view.distances[idx], view.queue_lens[idx], view.mips[idx]
+        d, q, mips = view.distances[idx], view.queue_lens[idx], view.mips[idx]
     score = _minmax_into(d, ratios[0], np.empty(d.size))
-    term = q + 1.0  # CPU time
-    term *= task.length_mi
-    term /= mips
-    score += _minmax_into(term, ratios[1], term, cpu_hi)
-    score += _minmax_into(q, ratios[2], term, q_hi)
+    term = _cpu_time(q, task.length_mi, mips)
+    score += _minmax_into(term, ratios[1], term)
+    score += _minmax_into(q, ratios[2], term)
     d2 = d * d
     np.multiply(d2, d2, out=term)  # energy: multipath everywhere, then free-space below
     term *= radio.eps_mp
@@ -314,23 +317,34 @@ def weight_greedy(view: CandidateView, task, architecture, *, link: LinkParams =
     return Selection(int(view.vm_ids[best if every else idx[best]]))
 
 
+def _cpu_time(q: np.ndarray, length_mi: float, mips: np.ndarray) -> np.ndarray:
+    """weight_greedy's CPU-time indicator ((q + 1) * length_mi) / mips, in a new array."""
+    term = q + 1.0
+    term *= length_mi
+    term /= mips
+    return term
+
+
 def _dominance_shortlist(view: CandidateView, architecture, radio: RadioParams):
-    """(indices, distances, q_hi) of the candidates weight_greedy must score, and
-    the longest queue of the origin's block, or None.
+    """(indices, distance terms, energy terms, q_hi) of the candidates
+    weight_greedy must score, and the longest queue of the origin's block,
+    or None.
 
     None asks for the full path: no far set, feasibility per task, an
     origin outside the first block or in a disabled layer, a VM of the
     origin's layer with a shorter queue, an energy that falls across the
-    crossover, or a largest far distance below the first block's chord.
-    Otherwise the candidates are the origin, at 0 m, and the enabled far
-    VMs, and each indicator's minimum and maximum over the whole feasible
-    set is one of theirs, but for the first block's longest queue q_hi:
-    the distance's are 0, the origin's, and the largest far distance,
-    since no two VMs of the first block lie farther apart than `chord`;
-    the energy's are the energies at those two distances; the CPU time's
-    and the queue's minima are the origin's, whose queue is its block's
-    shortest at the block's one MIPS, or an enabled far VM's; their
-    maxima are an enabled far VM's or those of q_hi.
+    crossover, no enabled far VM, or a largest far distance below the
+    first block's chord. Otherwise the candidates are the origin, at 0 m,
+    and the enabled far VMs, and each indicator's minimum and maximum over
+    the whole feasible set is one of theirs, but for the first block's
+    longest queue q_hi: the distance's are 0, the origin's, and the
+    largest far distance, since no two VMs of the first block lie farther
+    apart than `chord`; the energy's are the energies at those two
+    distances; the CPU time's and the queue's minima are the origin's,
+    whose queue is its block's shortest at the block's one MIPS, or an
+    enabled far VM's; their maxima are an enabled far VM's or those of
+    q_hi. The distance and energy terms, normalized over the candidates,
+    come from `source.far_terms()`.
     """
     far, local = view.far, view.local
     if far is None or view.static_feasible is None or not 0 <= local < far.start \
@@ -340,21 +354,86 @@ def _dominance_shortlist(view: CandidateView, architecture, radio: RadioParams):
     if view.queue_lens[local] > first.min() \
             or not _cached(view, "energy_rises", radio, _energy_rises, radio):
         return None
-    idx, d = far.ids, far.distances
-    idx[0] = local
-    view.source.fill_far(d[1:])
-    keep = _cached(view, "far_keep", architecture, _far_keep, view, architecture)
-    if keep is not None:
-        idx, d = idx[keep], d[keep]
-    if d.max() < far.chord:
+    keep, any_far = _cached(view, "far_keep", architecture, _far_keep, view, architecture)
+    if not any_far:
         return None
-    return idx, d, float(first.max())
+    dn, en, reaches = view.source.far_terms()
+    if not reaches:
+        return None
+    idx = far.ids
+    idx[0] = local
+    if keep is not None:
+        idx, dn, en = idx[keep], dn[keep], en[keep]
+    return idx, dn, en, float(first.max())
 
 
 def _far_keep(view: CandidateView, architecture):
-    """Mask of the enabled entries of `far.ids`, or None when every entry is."""
+    """(mask of the enabled entries of `far.ids`, or None when every entry is,
+    whether any far VM is enabled)."""
     keep = _enabled(view, architecture)[view.far.ids]
-    return None if keep.all() else keep
+    return (None, True) if keep.all() else (keep, bool(keep[1:].any()))
+
+
+def far_term_hook(view: CandidateView, architecture, radio: RadioParams):
+    """far_terms with the view's far set, mask and `radio` bound, taking a block's
+    (far rows, input bits), or None where weight_greedy's shortlist never reads
+    terms: no far set, feasibility per task, an energy that falls across the
+    crossover, or no enabled far VM."""
+    far = view.far
+    if far is None or view.static_feasible is None or not _energy_rises(radio):
+        return None
+    keep, any_far = _far_keep(view, architecture)
+    if not any_far:
+        return None
+    return partial(far_terms, radio=radio, keep=keep, chord=far.chord)
+
+
+def far_terms(rows: np.ndarray, bits: list[float], radio: RadioParams, keep, chord: float):
+    """weight_greedy's distance and energy terms on the shortlists of a block of arrivals.
+
+    rows[i] holds arrival i's distances to the far VMs, bits[i] its task's
+    input bits, and `keep` is the _far_keep mask of the scored columns,
+    or None when all are. Returns (dn, en, reaches): dn and en are
+    (B, far + 1) arrays, the origin, at 0 m, in column 0, whose scored
+    columns hold what _minmax_into gives the distance (ratio 6) and the
+    energy (ratio 3) over the scored columns of their row, by the same
+    IEEE operations; reaches[i] is whether row i's largest scored far
+    distance is at least `chord`, and False when no far column is scored.
+    """
+    b, m = rows.shape
+    d = np.zeros((b, m + 1))
+    d[:, 1:] = rows
+    d2 = d * d
+    energy = d2 * d2  # as weight_greedy's energy lines compute it
+    energy *= radio.eps_mp
+    energy += radio.e_elec
+    d2 *= radio.eps_fs  # the free-space energy below the crossover
+    d2 += radio.e_elec
+    np.copyto(energy, d2, where=d < radio.crossover_m)
+    energy *= np.asarray(bits, dtype=np.float64)[:, None]
+    scored = True if keep is None else keep
+    d_hi = _minmax_rows(d, WEIGHT_GREEDY_RATIOS[0], scored)
+    _minmax_rows(energy, WEIGHT_GREEDY_RATIOS[3], scored)
+    reaches = d_hi >= chord
+    if keep is not None and not keep[1:].any():
+        reaches[:] = False
+    return d, energy, reaches.tolist()
+
+
+def _minmax_rows(values: np.ndarray, ratio: float, scored) -> np.ndarray:
+    """_minmax_into on each row of `values` in place, from the extrema of the
+    columns `scored` selects; returns the rows' maxima.
+
+    A row whose span is 0 keeps values - lo, with no divide.
+    """
+    lo = values.min(axis=1, where=scored, initial=np.inf)[:, None]
+    hi = values.max(axis=1, where=scored, initial=-np.inf)
+    span = hi[:, None] - lo
+    values -= lo
+    spread = span != 0.0
+    np.divide(values, span, out=values, where=spread)
+    np.multiply(values, ratio, out=values, where=spread)
+    return hi
 
 
 def _energy_rises(radio: RadioParams) -> bool:

@@ -17,7 +17,7 @@ import numpy as np
 
 from satmist.layers import LAYER_CODE, Layer
 from satmist.metrics import CSV_COLUMNS, MetricsRecord
-from satmist.orchestrate import CandidateView, PolicyId
+from satmist.orchestrate import CandidateView, PolicyId, far_term_hook
 
 
 @dataclass(frozen=True)
@@ -42,12 +42,16 @@ class TaskInfo(NamedTuple):
 class ColumnSource:
     """A view's distance source over a fixed column, logging each read in `reads`:
     "fill" for the first `column()` call, a subset's length for `to_vms`, and
-    "far" for `fill_far`, which serves the column's tail, the far set's VMs."""
+    "terms" for `far_terms`, which gives weight_greedy's term rows from the
+    column's tail, the distances to the far set's VMs, as the engine's block
+    does: `terms` is (far.start, the task's input bits, the engine's hook), set
+    by far_term_source."""
 
     def __init__(self, column):
         self._column = np.asarray(column, dtype=np.float64)
         self._filled = False
         self.reads: list = []
+        self.terms = None
 
     def column(self) -> np.ndarray:
         if not self._filled:
@@ -59,9 +63,22 @@ class ColumnSource:
         self.reads.append(len(idx))
         return self._column[idx].tolist()
 
-    def fill_far(self, out: np.ndarray) -> None:
-        self.reads.append("far")
-        out[:] = self._column[self._column.size - out.size:]
+    def far_terms(self):
+        self.reads.append("terms")
+        start, bits, hook = self.terms
+        dn, en, reaches = hook(self._column[None, start:], [bits])
+        return dn[0], en[0], reaches[0]
+
+
+def far_term_source(view: CandidateView, task, architecture, radio) -> ColumnSource:
+    """A ColumnSource over the view's column whose `far_terms` gives the
+    engine's rows for `task`: orchestrate.far_term_hook's function on the
+    column's far tail. The view must have its far set and static facts."""
+    source = ColumnSource(view.distances)
+    hook = far_term_hook(view, architecture, radio)
+    if hook is not None:
+        source.terms = (view.far.start, task.input_bits, hook)
+    return source
 
 
 def view_from_candidates(cands: Sequence[Candidate]) -> CandidateView:

@@ -7,7 +7,7 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from satmist import engine
+from satmist import engine, orchestrate
 from satmist.config import parse_config
 from satmist.engine import (
     EventKind,
@@ -18,7 +18,7 @@ from satmist.engine import (
     generate_tasks,
 )
 from satmist.errors import ConfigurationError
-from satmist.layers import Layer
+from satmist.layers import LAYER_CODE, Layer
 from satmist.netenergy import rx_energy, tx_energy
 from satmist.orbital import angular_rate_rad_s, build_constellation
 from satmist.orchestrate import FarSet
@@ -422,7 +422,6 @@ def test_pair_distance_equals_snapshot_bit_for_bit(make_config):
     rng = random.Random(77)
     tasks = [heavy_task(k, rng.randrange(n), rng.uniform(0.0, 600.0)) for k in range(400)]
     distances = engine._Distances(sim.positions, tasks, far_set)
-    far = np.empty(n - start)
     for k in rng.sample(range(len(tasks)), len(tasks)):
         origin, now, host = tasks[k].origin_satellite, tasks[k].created_at, rng.randrange(n)
         expected = _reference_distances(elements, origin, now)
@@ -440,9 +439,8 @@ def test_pair_distance_equals_snapshot_bit_for_bit(make_config):
         far_vms = [rng.randrange(start, n) for _ in range(rng.choice((2, 9, 29)))]
         assert distances.to_vms(far_vms) == expected[far_vms].tolist()
         distances.at(k)
-        distances.fill_far(far)
-        assert np.array_equal(far, expected[start:])
-        for vm in (rng.randrange(start, n), rng.randrange(n)):  # remembered from fill_far or not
+        assert distances.to_vms(list(range(start, n))) == expected[start:].tolist()
+        for vm in (rng.randrange(start, n), rng.randrange(n)):  # remembered from the far row or not
             assert distances.to_vm(vm) == expected[vm]
         assert np.array_equal(distances.column(), expected)
         assert distances.to_vm(other) == expected[other]  # from the column
@@ -465,10 +463,10 @@ def test_every_far_row_equals_the_column_bit_for_bit(make_config):
     if not sim.tasks:  # the cloud-only shell generates none: every satellite originates some
         sim.tasks[:] = [heavy_task(k, k % n, 0.05 * k) for k in range(2 * rows + rows // 2)]
     assert len(sim.tasks) > 2 * rows and len(sim.tasks) % rows
-    far = np.empty(n - start)
+    far_ids = list(range(start, n))
     for k in range(len(sim.tasks)):
         distances.at(k)
-        distances.fill_far(far)
+        far = np.array(distances.to_vms(far_ids))
         assert distances._first == k - k % rows
         assert _hex(far) == _hex(distances.column()[start:]), k
 
@@ -480,17 +478,17 @@ def test_far_rows_of_injected_tasks_equal_the_column_bit_for_bit():
     tasks = [heavy_task(k, rng.randrange(40), t) for k, t in enumerate(times)]
     sim = Simulation(cfg, tasks=tasks)
     distances, start = sim._distances, sim._view.far.start
-    far = np.empty(len(sim.positions) - start)
+    far_ids = list(range(start, len(sim.positions)))
     for k in (0, 1, 149, 40, 41, 42, 99, 100):  # blocks start wherever a read misses
         distances.at(k)
-        distances.fill_far(far)
+        far = np.array(distances.to_vms(far_ids))
         assert _hex(far) == _hex(distances.column()[start:]), k
 
 
 def test_distance_column_computed_once_per_instant():
     # column() reads the positions on its first call after each at(), and the
     # view's distances are that column; the subset reads never read them all
-    sim = Simulation(parse_config("constellation.mist=20\ntask.rate_per_min=0\n"),
+    sim = Simulation(parse_config("constellation.mist=20\ntask.rate_per_min=0\npolicy.name=weight_greedy\n"),
                      tasks=[heavy_task(0, origin=3, created=5.0), heavy_task(1, origin=4, created=5.0)])
     times = []
     positions_all = sim.positions.positions_all
@@ -499,7 +497,7 @@ def test_distance_column_computed_once_per_instant():
     distances.at(0)
     distances.to_vms([1, 2, 40])
     distances.to_vms([40, 50])
-    distances.fill_far(np.empty(42))
+    distances.far_terms()
     distances.to_vm(50)
     assert times == []
     column = distances.column()
@@ -527,7 +525,7 @@ def test_to_vm_reads_a_far_row_only_when_the_placement_read_it(monkeypatch):
     distances.at(1)  # the block holds arrival 1's row, but this placement has not read it
     distances._block[1, 30 - 20] = -1.0
     assert distances.to_vm(30) == distances.pair(1, 30, 1.0) > 0.0
-    distances.fill_far(np.empty(42))
+    distances.to_vms([40])
     assert distances.to_vm(30) == -1.0 and blocks == [0]
 
 
@@ -537,6 +535,66 @@ def test_policies_that_read_no_far_distance_compute_no_block(monkeypatch, policy
     sim = Simulation(parse_config(f"policy.name={policy}\nsimulation.duration_s=2\n"))
     assert sim._view.far is not None
     assert sim.run().generated > 100
+
+
+@pytest.mark.parametrize("text", [
+    "architecture.layers=mist,edge_dc,cloud\n",
+    "architecture.layers=mist,cloud\n",
+    # two edge VMs alone: from some origins and times both lie within the mist chord
+    "architecture.layers=mist,edge_dc\nconstellation.edge_dc=2\n",
+], ids=["every_layer", "no_edge", "no_cloud"])
+def test_far_term_rows_equal_minmax_on_the_scored_set(text):
+    # every arrival's distance and energy terms, read in order as the engine reads
+    # them (rows 0, B-1 and B of each block and the last, partial block), against
+    # _minmax_into on that placement's scored set: the origin and the enabled far
+    # VMs, with its own task's input bits, 0 among them
+    cfg = parse_config("constellation.mist=100\npolicy.name=weight_greedy\n" + text)
+    rng = random.Random(41)
+    rows = engine._BLOCK_VALUES // (len(build_constellation(cfg.constellation)) - 100)
+    times = sorted(rng.uniform(0.0, 600.0) for _ in range(2 * rows + rows // 2))
+    bits = (0.0, 8e6, 1.6e9, 3.3e5, 1.0)
+    tasks = [replace(heavy_task(k, rng.randrange(100), t), input_bits=rng.choice(bits))
+             for k, t in enumerate(times)]
+    sim = Simulation(cfg, tasks=tasks)
+    distances, far, radio = sim._distances, sim._view.far, cfg.radio
+    assert distances._block_rows == rows
+    enabled = [LAYER_CODE[layer] for layer in cfg.architecture]
+    scored = np.concatenate(([True], np.isin(sim._view.layer_codes[far.start:], enabled)))
+    short = 0
+    for k, task in enumerate(tasks):
+        distances.at(k)
+        dn, en, reaches = distances.far_terms()
+        assert distances._first == k - k % rows
+        d = np.concatenate(([0.0], distances.column()[far.start:]))[scored]
+        energy = np.array([tx_energy(task.input_bits, x, radio) for x in d])
+        assert _hex(dn[scored]) == _hex(orchestrate._minmax_into(d, 6.0, np.empty(d.size))), k
+        assert _hex(en[scored]) == _hex(orchestrate._minmax_into(energy, 3.0, energy)), k
+        assert reaches == (d.max() >= far.chord), k
+        short += not reaches
+    assert short < len(tasks) and (short > 0) == ("cloud" not in text), short
+
+
+@pytest.mark.parametrize("text", [
+    "policy.name=distance_only\n",
+    "policy.name=round_robin\n",
+    "policy.name=trade_off\n",
+    "policy.name=random_vm\n",
+    "policy.name=weight_greedy\nlink.range_cloud_m=32741999\n",  # feasibility per task
+    "policy.name=weight_greedy\nradio.eps_mp=1.2e-15\n",  # energy falls at the crossover
+    "policy.name=weight_greedy\narchitecture.layers=mist\n",  # no far VM enabled
+    "policy.name=weight_greedy\n",
+], ids=["distance_only", "round_robin", "trade_off", "random_vm", "per_task_feasibility",
+        "split_radio", "no_far_layer", "weight_greedy"])
+def test_term_rows_computed_only_where_weight_greedy_reads_them(monkeypatch, text):
+    calls = []
+    far_terms = orchestrate.far_terms
+    monkeypatch.setattr(orchestrate, "far_terms",
+                        lambda *args, **kwargs: calls.append(len(args[0])) or far_terms(*args, **kwargs))
+    sim = Simulation(parse_config(text + "simulation.duration_s=2\n"))
+    assert sim.run().generated > 100
+    reads = text == "policy.name=weight_greedy\n"
+    assert (sim._distances._terms_of is not None) == reads
+    assert bool(calls) == reads
 
 
 def test_download_distance_equals_upload_distance_on_an_injected_source():
@@ -628,7 +686,7 @@ def test_far_set_changes_no_weight_greedy_placement():
 
 
 @pytest.mark.parametrize("policy, shortlist", [("trade_off", "to_vms"),
-                                               ("weight_greedy", "fill_far")])
+                                               ("weight_greedy", "far_terms")])
 def test_reading_the_column_before_select_changes_no_placement(monkeypatch, policy, shortlist):
     # a traced benchmark run reads view.distances before each select, for its
     # oracle: the policy still takes its shortlist path, picking the same VMs
@@ -645,7 +703,7 @@ def test_reading_the_column_before_select_changes_no_placement(monkeypatch, poli
     read = getattr(engine._Distances, shortlist)
     monkeypatch.setattr(engine, "select", select_after_reading)
     monkeypatch.setattr(engine._Distances, shortlist,
-                        lambda self, arg: calls.append(arg) or read(self, arg))
+                        lambda self, *args: calls.append(args) or read(self, *args))
     read_first = Simulation(cfg)
     assert read_first.run() == plain_record
     assert [t.assigned_vm for t in read_first.tasks] == [t.assigned_vm for t in plain.tasks]

@@ -11,10 +11,10 @@ term flips the choice, and on the edge values of each indicator.
 
 trade_off's shortlist, which scores only the candidates whose compute
 term can still win and takes their distances from the source's
-`to_vms`, and weight_greedy's, which takes the far set's from its
-`fill_far`, run whenever the view's static facts allow them; the
-shortlist tests below put the column behind a logging ColumnSource and
-compare with the reference on the same column.
+`to_vms`, and weight_greedy's, which takes the far set's distance and
+energy terms from its `far_terms`, run whenever the view's static facts
+allow them; the shortlist tests below put the column behind a logging
+ColumnSource and compare with the reference on the same column.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from satmist.orchestrate import (
     trade_off,
     weight_greedy,
 )
-from support import ColumnSource, TaskInfo
+from support import ColumnSource, TaskInfo, far_term_source
 
 N = 1042  # VMs of the default 1000 + 24 + 18 constellation
 ALL = frozenset(Layer)
@@ -469,11 +469,11 @@ def far_view(rng: np.random.Generator, local: int, *, busy=False, equal_queues=F
 
 def far_picks(v, task, arch, radio=DEFAULT_RADIO):
     """(pick with v's column behind a fresh ColumnSource and a far set, reference
-    pick on the same column, the source's reads before the reference: "far"
+    pick on the same column, the source's reads before the reference: "terms"
     and/or "fill")."""
-    v.source = source = ColumnSource(v.distances)
     v.static_feasible = np.flatnonzero(np.isin(v.layer_codes, [LAYER_CODE[x] for x in arch]))
     v.far = FarSet(1000, CHORD, N)
+    v.source = source = far_term_source(v, task, arch, radio)
     got = weight_greedy(v, task, arch, radio=radio).vm_id
     seen = list(source.reads)
     want = reference_weight_greedy(v, task, arch, radio=radio).vm_id
@@ -498,8 +498,8 @@ def test_weight_greedy_shortlist_picks_as_reference(arch, busy):
         if busy or Layer.MIST not in arch:
             assert seen == ["fill"]
         else:  # the largest far distance may lie below the mist chord without cloud VMs
-            assert seen == (["far"] if far_max >= CHORD else ["far", "fill"])
-        shortlisted += seen == ["far"]
+            assert seen == (["terms"] if far_max >= CHORD else ["terms", "fill"])
+        shortlisted += seen == ["terms"]
         origin_picks += got == v.vm_ids[local]
     if busy or Layer.MIST not in arch:
         assert shortlisted == 0
@@ -516,7 +516,7 @@ def test_weight_greedy_shortlist_with_constant_indicators(equal_mips):
         v = far_view(rng, int(rng.integers(0, 1000)), equal_queues=True, equal_mips=equal_mips)
         got, want, seen = far_picks(v, random_task(rng), ALL)
         assert got == want
-        assert seen == ["far"]
+        assert seen == ["terms"]
 
 
 def test_weight_greedy_shortlist_falls_back_below_the_chord_bound():
@@ -528,7 +528,7 @@ def test_weight_greedy_shortlist_falls_back_below_the_chord_bound():
         assert v.distances[1000:].max() < CHORD
         got, want, seen = far_picks(v, random_task(rng), ALL)
         assert got == want
-        assert seen == ["far", "fill"]
+        assert seen == ["terms", "fill"]
 
 
 def test_weight_greedy_shortlist_checks_the_energy_at_the_crossover():
@@ -540,6 +540,33 @@ def test_weight_greedy_shortlist_checks_the_energy_at_the_crossover():
         got, want, seen = far_picks(v, random_task(rng), ALL, radio=SPLIT_RADIO)
         assert got == want
         assert seen == ["fill"]
+
+
+def test_weight_greedy_shortlist_picks_as_reference_on_decision_boundaries():
+    # An idle far VM moves outward from its layer's nearest distance until it stops
+    # winning; on the two views either side of that switch its score and the
+    # winner's are one rounding step apart, so a change in the rounding of the
+    # block's distance or energy terms, or in the order of the sum, shows.
+    rng = np.random.default_rng(2026)
+    checked = 0
+    for _ in range(40):
+        local, task = int(rng.integers(0, 1000)), random_task(rng)
+        v = far_view(rng, local, mist_floor=2)
+        distances, queues = v.distances.tolist(), v.queue_lens.tolist()
+        j = 1000 + int(rng.integers(0, 42))
+        queues[j] = 0.0
+        distances[j] = R_EDGE - R_MIST if j < 1024 else R_CLOUD - R_MIST
+        try:
+            views = boundary_views(reference_weight_greedy, v.layer_codes, distances, queues,
+                                   v.mips, j, R_CLOUD + R_MIST, task)
+        except AssertionError:
+            continue  # the far VM keeps winning all the way out
+        for w in views:
+            w.local = local
+            got, want, seen = far_picks(w, task, ALL)
+            assert got == want
+            checked += seen == ["terms"]
+    assert checked >= 30, checked
 
 
 def test_weight_greedy_shortlist_keeps_the_origin_against_a_colocated_vm():
@@ -554,7 +581,7 @@ def test_weight_greedy_shortlist_keeps_the_origin_against_a_colocated_vm():
     got, want, seen = far_picks(v, TaskInfo(length_mi=20_000.0, input_bits=8e6), ALL)
     assert want == v.vm_ids[499]
     assert got == v.vm_ids[500]
-    assert seen == ["far"]
+    assert seen == ["terms"]
 
 
 def indicator_extrema(d, q, mips, task, radio):
@@ -573,18 +600,27 @@ def test_weight_greedy_shortlist_extrema_are_the_feasible_sets(monkeypatch, arch
     # The minimum and maximum each indicator is normalized with on the shortlist,
     # the scored VMs' with the floor from the first block's longest queue, must be
     # the whole feasible set's, bit for bit: an extremum that is off need not flip
-    # a pick. The split radio's energy falls only between one step below its
+    # a pick. The distance's and the energy's are taken per block row by
+    # far_terms (_minmax_rows over the scored columns), before the placement
+    # normalizes the CPU time and the queue (_minmax_into); test_engine checks the
+    # rows' values. The split radio's energy falls only between one step below its
     # crossover (about 91 m) and the crossover, far from these views' extrema at 0 m
     # and beyond the chord, so its refusal is lifted here to check it as well.
     monkeypatch.setattr(orchestrate, "_energy_rises", lambda radio: True)
-    minmax_into, used = orchestrate._minmax_into, []
+    minmax_into, minmax_rows, used = orchestrate._minmax_into, orchestrate._minmax_rows, []
 
     def recording(values, ratio, out, floor=None):
         hi = float(values.max()) if floor is None else max(float(values.max()), floor)
         used.append((float(values.min()).hex(), hi.hex()))
         return minmax_into(values, ratio, out, floor)
 
+    def recording_rows(values, ratio, scored):
+        (row,) = values if scored is True else values[:, scored]
+        used.append((float(row.min()).hex(), float(row.max()).hex()))
+        return minmax_rows(values, ratio, scored)
+
     monkeypatch.setattr(orchestrate, "_minmax_into", recording)
+    monkeypatch.setattr(orchestrate, "_minmax_rows", recording_rows)
     rng = np.random.default_rng([37, len(arch), LAYER_CODE[max(arch)], RADIOS.index(radio)])
     checked = raised = 0
     for k in range(40):
@@ -596,12 +632,13 @@ def test_weight_greedy_shortlist_extrema_are_the_feasible_sets(monkeypatch, arch
         used.clear()
         got, want, seen = far_picks(v, task, arch, radio=radio)
         assert got == want
-        if seen != ["far"]:  # without cloud VMs, the largest far distance may miss the chord
+        if seen != ["terms"]:  # without cloud VMs, the largest far distance may miss the chord
             assert arch == MIST_ONLY_EDGE
             continue
         feasible = v.static_feasible
-        assert used == indicator_extrema(v.distances[feasible], v.queue_lens[feasible],
-                                         v.mips[feasible], task, radio), k
+        d, cpu, q, energy = indicator_extrema(v.distances[feasible], v.queue_lens[feasible],
+                                              v.mips[feasible], task, radio)
+        assert used == [d, energy, cpu, q], k
         checked += 1
         raised += v.queue_lens[:1000].max() > v.queue_lens[feasible[feasible >= 1000]].max()
     assert checked >= 20 and raised >= 5, (checked, raised)

@@ -21,14 +21,14 @@ LAYER_SETS = ("mist", "edge_dc", "cloud", "mist,edge_dc", "edge_dc,cloud", "mist
 
 
 @st.composite
-def config_texts(draw) -> str:
+def config_texts(draw, policies=POLICIES, layer_sets=LAYER_SETS) -> str:
     lines = [
         f"constellation.mist={draw(st.integers(1, 8))}",
         f"constellation.edge_dc={draw(st.integers(0, 3))}",
         f"constellation.cloud={draw(st.integers(0, 3))}",
         f"constellation.phasing={draw(st.sampled_from(['walker_delta', 'random_uniform']))}",
-        f"policy.name={draw(st.sampled_from(POLICIES))}",
-        f"architecture.layers={draw(st.sampled_from(LAYER_SETS))}",
+        f"policy.name={draw(st.sampled_from(policies))}",
+        f"architecture.layers={draw(st.sampled_from(layer_sets))}",
         f"task.rate_per_min={draw(st.integers(5, 60))}",
         f"task.length_mi={draw(st.sampled_from([10_000, 100_000, 400_000]))}",
         f"task.max_latency_s={draw(st.sampled_from([2, 5, 12, 60]))}",
@@ -133,3 +133,20 @@ def test_same_config_gives_byte_identical_results_rows(text):
     _, first = _run(text)
     _, second = _run(text)
     assert emit_csv([first]) == emit_csv([second])
+
+
+@settings(max_examples=80, deadline=None)
+@given(config_texts(policies=("weight_greedy",),
+                    layer_sets=("mist", "mist,edge_dc", "mist,cloud", "mist,edge_dc,cloud"))
+       .filter(lambda text: "link.range" not in text),
+       st.sampled_from([0.0, 8e6, 1.6e9]), st.sampled_from([1.3e-15, 1.2e-15]))
+def test_weight_greedy_far_set_changes_no_placement(text, input_bits, eps_mp):
+    # the shortlist over the far set, with its per-block distance and energy
+    # terms, picks what the full path over every feasible VM picks; the configs
+    # have the static feasibility and the enabled first layer it needs, and
+    # "mist" alone disables every far layer
+    text += f"task.input_bits={input_bits}\nradio.eps_mp={eps_mp}\n"
+    shortlisted, full = Simulation(parse_config(text)), Simulation(parse_config(text))
+    full._view.far = None
+    assert shortlisted.run() == full.run()
+    assert [task.assigned_vm for task in shortlisted.tasks] == [task.assigned_vm for task in full.tasks]
