@@ -1,17 +1,22 @@
 """Event-driven simulation of task generation, placement, and execution.
 
-The run is a single priority queue of (time, seq) ordered events, so
-simultaneous events resolve by seq and a run is a pure function of its
-configuration. Every event changes some task's state: of n tasks, task
-i's arrival has seq i and enters the heap only when arrival i-1 leaves
-it, and in-flight events (uploads, executions, downloads) take seqs n,
-n+1, ... in push order. Satellite i hosts VM i, a FIFO clock whose queue
-length lives only in the candidate view that placement reads. Mist
-satellites generate tasks from seeded Poisson streams; each task is
-placed once, at creation time, over a snapshot of every VM in the
-constellation whose distance column is computed only if the policy reads
-it; transfers charge radio energy on both ends; results are censored,
-not extrapolated, at the simulation horizon.
+Events are ordered by (time, seq), so simultaneous events resolve by seq
+and a run is a pure function of its configuration. Every event changes
+some task's state. Of n tasks, task i's arrival has seq i and is read in
+place from the task list, which is in creation order; only in-flight
+events (uploads, executions, downloads) enter a heap, with seqs n, n+1,
+... in push order. The run takes the earlier of the next arrival and the
+heap's first event, the arrival on a time tie, as its seq is the lower.
+Satellite i hosts VM i, a FIFO clock whose queue length lives only in
+the candidate view that placement reads. Mist satellites generate tasks
+from Poisson streams seeded by (seed, origin) alone, so the arrivals
+drawn at one mist count hold those of every smaller count (unless
+task.rate_is_global splits the rate by the count); sweep.run_sweep draws
+them once per seed and passes them to each run. Each task is placed
+once, at creation time, over a snapshot of every VM in the constellation
+whose distance column is computed only if the policy reads it; transfers
+charge radio energy on both ends; results are censored, not
+extrapolated, at the simulation horizon.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import partial
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,8 +68,8 @@ class EventKind(IntEnum):
     SIM_END = 4
 
 
-# Heap entries carry the kind as a plain int; Simulation.run dispatches on it.
-_TASK_GENERATED = EventKind.TASK_GENERATED.value
+# Heap entries, in-flight events only, carry the kind as a plain int; Simulation.run
+# dispatches on it.
 _UPLOAD_COMPLETE = EventKind.UPLOAD_COMPLETE.value
 _EXECUTION_COMPLETE = EventKind.EXECUTION_COMPLETE.value
 _DOWNLOAD_COMPLETE = EventKind.DOWNLOAD_COMPLETE.value
@@ -97,36 +103,59 @@ class Event:
     task_id: int
 
 
-def generate_tasks(config: SimulationConfig, origin: int,
-                   rng: random.Random) -> list[Task]:
-    """Poisson arrivals for mist satellite `origin` over [0, duration).
+def generate_tasks(config: SimulationConfig, rng: random.Random) -> list[float]:
+    """Poisson arrival times of one mist satellite over [0, duration), drawn from `rng`.
 
-    Task ids are local placeholders; the runner renumbers globally by
-    (created_at, origin). With rate_is_global set, the profile rate is
-    split evenly across mist satellites.
+    With rate_is_global set, the profile rate is split evenly across mist
+    satellites.
     """
     profile = config.task
     rate_per_s = profile.rate_per_min / 60.0
     if profile.rate_is_global and config.constellation.mist > 0:
         rate_per_s /= config.constellation.mist
-    tasks: list[Task] = []
+    times: list[float] = []
     if rate_per_s <= 0:
-        return tasks
+        return times
     t = rng.expovariate(rate_per_s)
     while t < config.duration_s:
-        tasks.append(
-            Task(
-                id=len(tasks),
-                origin_satellite=origin,
-                created_at=t,
-                length_mi=profile.length_mi,
-                input_bits=profile.input_bits,
-                output_bits=profile.output_bits,
-                max_latency_s=profile.max_latency_s,
-            )
-        )
+        times.append(t)
         t += rng.expovariate(rate_per_s)
-    return tasks
+    return times
+
+
+def draw_arrivals(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(created_at, origin) arrays of every arrival at config's mist satellites,
+    sorted by (created_at, origin).
+
+    Mist satellite i is satellite i, and its stream is generate_tasks' from
+    an RNG seeded by (seed, i) alone, so the arrivals of a smaller mist
+    count are those whose origin is below it, still in order, unless
+    rate_is_global ties the rate to the count.
+    """
+    times: list[float] = []
+    origins: list[int] = []
+    for origin in range(config.constellation.mist):
+        stream = generate_tasks(config, random.Random(f"{config.seed}:arrivals:{origin}"))
+        times += stream
+        origins += [origin] * len(stream)
+    created_at, origin = np.array(times, dtype=np.float64), np.array(origins, dtype=np.int64)
+    order = np.lexsort((origin, created_at))
+    return created_at[order], origin[order]
+
+
+def _arrival_tasks(config: SimulationConfig, arrivals) -> list[Task]:
+    """Fresh tasks, ids 0..n-1 in order, for the `arrivals` whose origin is one of
+    config's mist satellites."""
+    created_at, origins = arrivals
+    mist = config.constellation.mist
+    keep = origins < mist
+    n, p = int(np.count_nonzero(keep)), config.task
+    # one int object per origin, shared by its tasks: an int per task would add
+    # about 150 KB to a 5,000-task run's peak memory
+    origin = list(range(mist)).__getitem__
+    return list(map(Task, range(n), map(origin, origins[keep].tolist()), created_at[keep].tolist(),
+                    repeat(p.length_mi, n), repeat(p.input_bits, n), repeat(p.output_bits, n),
+                    repeat(p.max_latency_s, n)))
 
 
 # values in a block of far rows: arrivals x far satellites, sized so the
@@ -346,15 +375,24 @@ def _far_set(layered, layer_codes: np.ndarray) -> FarSet | None:
 class Simulation:
     """One configured run; single use, call run() once.
 
-    Injected `tasks` must have ids 0..n-1 and be in creation order
-    (created_at non-decreasing). An injected `positions` source replaces
-    the built-in orbits. It needs only `__len__`, one entry per satellite,
-    and `positions_all(t)`, which returns an (n, 3) array of coordinates
-    in meters.
+    The run's tasks come from one of three places. By default they are
+    drawn with draw_arrivals. `arrivals` passes draw_arrivals' arrays for
+    this config's seed, task profile and duration at this mist count or a
+    larger one (this one when task.rate_is_global), as sweep.run_sweep
+    does, and the run takes fresh tasks for its own origins. Injected
+    `tasks` must have ids 0..n-1, be in creation order (created_at
+    non-decreasing) and originate at satellites of the constellation.
+    run() reads arrivals from `tasks` in order; its heap holds in-flight
+    events only.
+
+    An injected `positions` source replaces the built-in orbits. It needs
+    only `__len__`, one entry per satellite, and `positions_all(t)`, which
+    returns an (n, 3) array of coordinates in meters.
     """
 
     def __init__(self, config: SimulationConfig, *,
                  tasks: Sequence[Task] | None = None,
+                 arrivals: tuple[np.ndarray, np.ndarray] | None = None,
                  positions=None,
                  on_transfer: Callable[[int, float, float, float, float], None] | None = None,
                  record_events: bool = False):
@@ -375,14 +413,22 @@ class Simulation:
         self.events: list[Event] = []
 
         if tasks is None:
-            self.tasks = self._generated_tasks()
+            self.tasks = _arrival_tasks(config, draw_arrivals(config) if arrivals is None
+                                        else arrivals)
+        elif arrivals is not None:
+            raise ConfigurationError("pass injected tasks or arrivals, not both")
         else:
             self.tasks = list(tasks)
+            n_satellites = len(self.nodes)
             for i, task in enumerate(self.tasks):
                 if task.id != i:
                     raise ConfigurationError("injected task ids must be 0..n-1 in order")
                 if i and not self.tasks[i - 1].created_at <= task.created_at:
                     raise ConfigurationError("injected tasks must be in creation order")
+                if not 0 <= task.origin_satellite < n_satellites:
+                    raise ConfigurationError(
+                        f"injected task {i} originates at satellite {task.origin_satellite}, "
+                        f"outside 0..{n_satellites - 1}")
 
         layer_codes = np.array([LAYER_CODE[vm.host_layer] for vm in self.vms], dtype=np.int64)
         n_vms = len(self.vms)
@@ -405,27 +451,13 @@ class Simulation:
                                Layer.CLOUD: config.tradeoff_cloud_weight}
         self._policy_rng = random.Random(f"{config.seed}:policy")
 
-        # arrival i is (created_at, i): only the first is pushed here, run() pushes the rest
+        # in-flight events (time, seq, kind, task id); arrival i, seq i, is read from tasks
         self._heap: list[tuple[float, int, int, int]] = []
-        if self.tasks:
-            self._heap.append((self.tasks[0].created_at, 0, _TASK_GENERATED, 0))
         self._seq = len(self.tasks)
 
         self.total_energy_j = 0.0
         self._e2e: list[float] = []
         self._ran = False
-
-    def _generated_tasks(self) -> list[Task]:
-        raw: list[Task] = []
-        for node in self.nodes:
-            if node.layer is not Layer.MIST:
-                continue
-            rng = random.Random(f"{self.config.seed}:arrivals:{node.id}")
-            raw.extend(generate_tasks(self.config, node.id, rng))
-        raw.sort(key=lambda task: (task.created_at, task.origin_satellite))
-        for i, task in enumerate(raw):
-            task.id = i
-        return raw
 
     def _push(self, time: float, kind: int, task_id: int) -> None:
         heapq.heappush(self._heap, (time, self._seq, kind, task_id))
@@ -436,19 +468,29 @@ class Simulation:
             raise RuntimeError("Simulation.run() is single use")
         self._ran = True
         duration = self.config.duration_s
-        heap, tasks, pop, push = self._heap, self.tasks, heapq.heappop, heapq.heappush
-        last_arrival = len(tasks) - 1
-        # indexed by the heap entries' kind codes 0-3
-        handlers = (self.on_task_generated, self.on_upload_complete,
+        heap, tasks, pop = self._heap, self.tasks, heapq.heappop
+        on_task_generated = self.on_task_generated
+        # indexed by the heap entries' kind codes 1-3
+        handlers = (None, self.on_upload_complete,
                     self.on_execution_complete, self.on_download_complete)
         events = self.events if self.record_events else None
+        for task in tasks:
+            now = task.created_at
+            if not now <= duration:
+                break
+            # in-flight events before this arrival; one at its time has a higher seq
+            while heap and heap[0][0] < now:
+                time, seq, kind, task_id = pop(heap)
+                if events is not None:
+                    events.append(Event(time, seq, EventKind(kind), task_id))
+                handlers[kind](tasks[task_id], time)
+            if events is not None:
+                events.append(Event(now, task.id, EventKind.TASK_GENERATED, task.id))
+            on_task_generated(task, now)
         while heap and heap[0][0] <= duration:
             time, seq, kind, task_id = pop(heap)
             if events is not None:
                 events.append(Event(time, seq, EventKind(kind), task_id))
-            if kind == _TASK_GENERATED and task_id < last_arrival:
-                following = task_id + 1
-                push(heap, (tasks[following].created_at, following, _TASK_GENERATED, following))
             handlers[kind](tasks[task_id], time)
         for task in tasks:
             # a queued task started when its predecessor's EXECUTION_COMPLETE,

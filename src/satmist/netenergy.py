@@ -11,7 +11,8 @@ are reported on a log scale relative to 1 J, labeled dB(J).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Mapping
 
 from .layers import Layer
@@ -25,10 +26,15 @@ class RadioParams:
     eps_fs: float = 1e-11
     eps_mp: float = 1.3e-15
 
-    @property
+    @cached_property
     def crossover_m(self) -> float:
-        """Distance where the free-space and multipath terms meet."""
+        """Distance where the free-space and multipath terms meet; computed on the
+        first read, which tx_energy makes for every transfer."""
         return math.sqrt(self.eps_fs / self.eps_mp)
+
+    def __getstate__(self):
+        # the constants alone, as a pickle held before crossover_m was cached
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 DEFAULT_RANGE_BY_LAYER: Mapping[Layer, float] = {

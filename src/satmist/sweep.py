@@ -2,9 +2,12 @@
 
 Produces one MetricsRecord per grid point in construction order
 (count-major, then policy, then seed), regardless of how many worker
-processes execute the runs. Writers emit results.csv plus one
-plot_<metric>.csv per headline metric, shaped for line charts: a
-satellites column and one column per policy, averaged over seeds.
+processes execute the runs. Runs that share a seed share their arrivals:
+they are drawn once, at the grid's largest mist count, and each run takes
+those of its own mist satellites (see engine.draw_arrivals). Writers emit
+results.csv plus one plot_<metric>.csv per headline metric, shaped for
+line charts: a satellites column and one column per policy, averaged
+over seeds.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .config import SimulationConfig, validate
-from .engine import Simulation
+from .engine import Simulation, draw_arrivals
 from .errors import ConfigurationError
 from .metrics import MetricsRecord, emit_csv
 from .orchestrate import PolicyId
@@ -88,8 +91,16 @@ def _scaled(base_count: int, factor: float) -> int:
     return max(1, round(base_count * factor)) if base_count > 0 else 0
 
 
-def _run_one(config: SimulationConfig) -> MetricsRecord:
-    return Simulation(config).run()
+def _arrival_key(config: SimulationConfig):
+    """What a run's arrivals depend on, beyond which mist satellites it has."""
+    task = config.task
+    count = config.constellation.mist if task.rate_is_global else None
+    return config.seed, task, config.duration_s, count
+
+
+def _run_one(job) -> MetricsRecord:
+    config, arrivals = job
+    return Simulation(config, arrivals=arrivals).run()
 
 
 def run_sweep(spec: SweepSpec, base: SimulationConfig,
@@ -108,12 +119,19 @@ def run_sweep(spec: SweepSpec, base: SimulationConfig,
     ]
     for config in configs:
         validate(config)
+    # configs are count-major with counts increasing, so a key's last config has its
+    # largest mist count, whose arrivals hold those of the key's other runs
+    largest = {_arrival_key(config): config for config in configs}
+    arrivals = {key: draw_arrivals(config) for key, config in largest.items()}
+    # a worker receives its run's arrivals: pickling them costs about 2% of drawing
+    # them (3 against 153 ms for 1,000 mist over 600 s on a 2-core host)
+    jobs = [(config, arrivals[_arrival_key(config)]) for config in configs]
     workers = min(parallel, len(configs), os.cpu_count() or 1)
     if workers == 1:
-        records = [_run_one(config) for config in configs]
+        records = [_run_one(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_one, configs))
+            records = list(pool.map(_run_one, jobs))
     if spec.output_dir is not None:
         write_outputs(spec, records)
     return records

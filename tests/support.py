@@ -1,20 +1,23 @@
 """Test-side records and readers: candidate lists, task stand-ins, a distance
-source and the CSV reader.
+source, a reference event loop and the CSV reader.
 
 The simulator places over a CandidateView and writes results.csv; the
 tests build views from plain Candidate records, over a fixed distance
-column, and read the CSV back.
+column, run a Simulation by the single-heap loop its two-source loop
+replaced, and read the CSV back.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from satmist.engine import Event, EventKind, TaskState
 from satmist.layers import LAYER_CODE, Layer
 from satmist.metrics import CSV_COLUMNS, MetricsRecord
 from satmist.orchestrate import CandidateView, PolicyId, far_term_hook
@@ -91,6 +94,37 @@ def view_from_candidates(cands: Sequence[Candidate]) -> CandidateView:
         mips=np.array([c.vm_mips for c in cands], dtype=np.float64),
         assigned=np.array([c.assigned_count for c in cands], dtype=np.int64),
     )
+
+
+def run_single_heap(sim):
+    """Run `sim` as Simulation.run did while arrivals went through its heap, and
+    return the record.
+
+    One heap holds every event: arrival i, keyed (created_at, i), is pushed
+    when arrival i-1 is popped, and in-flight events take seqs n, n+1, ...
+    So this is the reference for run()'s event order and its record_events log.
+    """
+    tasks, heap, duration = sim.tasks, sim._heap, sim.config.duration_s
+    generated = EventKind.TASK_GENERATED.value
+    if tasks:
+        heap.append((tasks[0].created_at, 0, generated, 0))
+    handlers = (sim.on_task_generated, sim.on_upload_complete,
+                sim.on_execution_complete, sim.on_download_complete)
+    sim._ran = True
+    while heap and heap[0][0] <= duration:
+        time, seq, kind, task_id = heapq.heappop(heap)
+        if sim.record_events:
+            sim.events.append(Event(time, seq, EventKind(kind), task_id))
+        if kind == generated and task_id < len(tasks) - 1:
+            following = task_id + 1
+            heapq.heappush(heap, (tasks[following].created_at, following, generated, following))
+        handlers[kind](tasks[task_id], time)
+    for task in tasks:
+        if task.state is TaskState.QUEUED and task.service_start_s <= duration:
+            task.state = TaskState.EXECUTING
+    if sim.record_events:
+        sim.events.append(Event(duration, sim._seq, EventKind.SIM_END, -1))
+    return sim._build_record()
 
 
 def parse_csv(data: bytes | str) -> list[MetricsRecord]:

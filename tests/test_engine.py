@@ -278,27 +278,27 @@ def test_sim_end_recorded_last():
 
 def test_generate_tasks_zero_rate():
     cfg = parse_config("task.rate_per_min=0\n")
-    assert generate_tasks(cfg, 0, random.Random(1)) == []
+    assert generate_tasks(cfg, random.Random(1)) == []
 
 
 def test_generate_tasks_seed_replay():
     cfg = parse_config("constellation.mist=4\n")
-    a = generate_tasks(cfg, 2, random.Random("x"))
-    b = generate_tasks(cfg, 2, random.Random("x"))
-    assert [t.created_at for t in a] == [t.created_at for t in b]
+    a = generate_tasks(cfg, random.Random("x"))
+    assert a and a == generate_tasks(cfg, random.Random("x"))
 
 
 def test_generate_tasks_poisson_envelope():
     # rate 20/min over 600 s: mean 200, +/-5 sigma envelope
     cfg = parse_config("")
     for seed in (1, 2, 3):
-        n = len(generate_tasks(cfg, 0, random.Random(seed)))
+        n = len(generate_tasks(cfg, random.Random(seed)))
         assert 200 - 5 * math.sqrt(200) <= n <= 200 + 5 * math.sqrt(200)
-    tasks = generate_tasks(cfg, 0, random.Random(1))
-    times = [t.created_at for t in tasks]
+    times = generate_tasks(cfg, random.Random(1))
     assert times == sorted(times)
     assert all(0 <= t < 600 for t in times)
-    assert all(t.length_mi == cfg.task.length_mi for t in tasks)
+    task = Simulation(replace(cfg, duration_s=30.0)).tasks[0]
+    assert (task.length_mi, task.input_bits, task.output_bits, task.max_latency_s) == (
+        cfg.task.length_mi, cfg.task.input_bits, cfg.task.output_bits, cfg.task.max_latency_s)
 
 
 def test_global_rate_splits_across_origins():
@@ -307,10 +307,10 @@ def test_global_rate_splits_across_origins():
         "constellation.mist=10\ntask.rate_per_min=20\ntask.rate_is_global=true\n"
     )
     n_local = sum(
-        len(generate_tasks(local, i, random.Random(i))) for i in range(10)
+        len(generate_tasks(local, random.Random(i))) for i in range(10)
     )
     n_shared = sum(
-        len(generate_tasks(shared, i, random.Random(i))) for i in range(10)
+        len(generate_tasks(shared, random.Random(i))) for i in range(10)
     )
     # 10x rate difference: ~2000 vs ~200 expected tasks
     assert n_local > 5 * n_shared
@@ -342,6 +342,45 @@ def test_injected_tasks_must_be_in_creation_order():
     cfg = parse_config("constellation.mist=1\nconstellation.edge_dc=0\nconstellation.cloud=0\ntask.rate_per_min=0\n")
     with pytest.raises(ConfigurationError, match="creation order"):
         Simulation(cfg, tasks=[heavy_task(0, created=2.0), heavy_task(1, created=1.0)])
+
+
+@pytest.mark.parametrize("origin", [-1, 52, 9999])
+def test_injected_tasks_must_originate_at_a_satellite(origin):
+    # 10 mist + 24 edge + 18 cloud: satellites 0..51
+    cfg = parse_config("constellation.mist=10\ntask.rate_per_min=0\n")
+    with pytest.raises(ConfigurationError, match="originates at satellite"):
+        Simulation(cfg, tasks=[heavy_task(0, origin=3), heavy_task(1, origin=origin, created=1.0)])
+
+
+def test_injected_tasks_and_arrivals_are_exclusive():
+    cfg = parse_config("constellation.mist=1\nconstellation.edge_dc=0\nconstellation.cloud=0\n")
+    with pytest.raises(ConfigurationError, match="not both"):
+        Simulation(cfg, tasks=[heavy_task()], arrivals=engine.draw_arrivals(cfg))
+
+
+def test_arrival_at_a_completion_time_is_handled_before_it(monkeypatch):
+    # task 0 runs 2 s on its own satellite; task 1 arrives as it completes, so
+    # its placement still sees task 0 in the queue, and its arrival is logged first
+    cfg = parse_config(
+        "constellation.mist=1\nconstellation.edge_dc=0\nconstellation.cloud=0\n"
+        "simulation.duration_s=10\n")
+    seen = []
+    select = engine.select
+
+    def select_seeing_queues(policy, view, *args, **kwargs):
+        seen.append(view.queue_lens.tolist())
+        return select(policy, view, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "select", select_seeing_queues)
+    sim = Simulation(cfg, tasks=[heavy_task(0), heavy_task(1, created=2.0)], record_events=True)
+    sim.run()
+    assert seen == [[0.0], [1.0]]
+    assert [(e.time, e.seq, e.kind, e.task_id) for e in sim.events[:3]] == [
+        (0.0, 0, EventKind.TASK_GENERATED, 0),
+        (2.0, 1, EventKind.TASK_GENERATED, 1),
+        (2.0, 2, EventKind.EXECUTION_COMPLETE, 0),
+    ]
+    assert sim.tasks[1].service_start_s == 2.0
 
 
 def test_position_source_length_must_match_constellation():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import pickle
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -10,6 +12,7 @@ from satmist.config import parse_config
 from satmist.errors import ConfigurationError
 from satmist.netenergy import (
     DEFAULT_RADIO,
+    RadioParams,
     energy_db,
     rx_energy,
     tx_energy,
@@ -25,6 +28,16 @@ def test_default_radio_constants():
 def test_crossover_is_sqrt_of_amplifier_ratio():
     assert DEFAULT_RADIO.crossover_m == math.sqrt(1e-11 / 1.3e-15)
     assert DEFAULT_RADIO.crossover_m == pytest.approx(87.7058, abs=1e-4)
+
+
+def test_cached_crossover_leaves_equality_and_pickles_unchanged():
+    radio = RadioParams(eps_mp=1.2e-15)
+    fresh = pickle.dumps(radio)
+    assert radio.crossover_m == math.sqrt(1e-11 / 1.2e-15)
+    assert pickle.dumps(radio) == fresh
+    assert radio == RadioParams(eps_mp=1.2e-15) == pickle.loads(fresh)
+    assert hash(radio) == hash(RadioParams(eps_mp=1.2e-15))
+    assert replace(radio, eps_fs=2e-11).crossover_m == math.sqrt(2e-11 / 1.2e-15)
 
 
 def test_tx_energy_zero_distance_is_electronics_only():

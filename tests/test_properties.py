@@ -8,13 +8,17 @@ each event, over both Walker and random phasing.
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import astuple, replace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satmist.config import parse_config
-from satmist.engine import EventKind, FailureCause, Simulation, TaskState
+from satmist.engine import EventKind, FailureCause, Simulation, Task, TaskState
+from satmist.layers import Layer
 from satmist.metrics import emit_csv
+from satmist.orchestrate import PolicyId
+from support import run_single_heap
 
 POLICIES = ("distance_only", "round_robin", "trade_off", "random_vm", "weight_greedy")
 LAYER_SETS = ("mist", "edge_dc", "cloud", "mist,edge_dc", "edge_dc,cloud", "mist,edge_dc,cloud")
@@ -150,3 +154,32 @@ def test_weight_greedy_far_set_changes_no_placement(text, input_bits, eps_mp):
     full._view.far = None
     assert shortlisted.run() == full.run()
     assert [task.assigned_vm for task in shortlisted.tasks] == [task.assigned_vm for task in full.tasks]
+
+
+@settings(max_examples=60, deadline=None)
+@given(config_texts(),
+       st.none() | st.lists(st.tuples(st.integers(0, 80), st.integers(0, 7),
+                                      st.sampled_from([10_000.0, 20_000.0, 40_000.0])),
+                            max_size=40),
+       st.booleans())
+def test_event_log_equals_the_single_heap_loops(text, grid, local):
+    # the two-source loop against the loop that pushed each arrival into its heap:
+    # the same log, record and task states. Injected arrivals sit on a 0.25 s
+    # grid, and with `local` distance_only runs each on its own mist VM in 1, 2
+    # or 4 s, so arrivals tie with completions
+    config = parse_config(text)
+    if grid is not None and local:
+        config = replace(config, policy=PolicyId.DISTANCE_ONLY, architecture=frozenset(Layer))
+
+    def injected():
+        mist, deadline = config.constellation.mist, config.task.max_latency_s
+        return None if grid is None else [
+            Task(i, origin % mist, 0.25 * step, length, 8e6, 8e5, deadline)
+            for i, (step, origin, length) in enumerate(sorted(grid))]
+
+    two = Simulation(config, tasks=injected(), record_events=True)
+    one = Simulation(config, tasks=injected(), record_events=True)
+    assert two.run() == run_single_heap(one)
+    assert two.events == one.events
+    assert [repr(astuple(task)) for task in two.tasks] \
+        == [repr(astuple(task)) for task in one.tasks]  # repr: nan == nan

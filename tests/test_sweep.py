@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+from dataclasses import astuple, replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satmist import sweep as sweep_mod
 from satmist.config import parse_config, validate
+from satmist.engine import Simulation, draw_arrivals
 from satmist.errors import ConfigurationError
 from satmist.orchestrate import PolicyId
 from satmist.sweep import (
@@ -115,6 +120,42 @@ def test_parallel_matches_sequential():
     assert pooled == sequential
     with pytest.raises(ConfigurationError):
         run_sweep(SMALL, FAST_BASE, parallel=0)
+
+
+@pytest.mark.parametrize("text", [
+    "constellation.phasing=random_uniform\n",
+    "constellation.phasing=random_uniform\ntask.rate_is_global=true\ntask.rate_per_min=90\n",
+    "task.rate_per_min=0\n",
+], ids=["per_satellite_rate", "global_rate", "zero_rate"])
+def test_sweep_records_equal_standalone_runs(text):
+    # shared arrivals, drawn at 12 mist and filtered for 3 and 7, give each run
+    # the record it gets alone, inline and in worker processes
+    base = parse_config("constellation.mist=7\nconstellation.edge_dc=3\nconstellation.cloud=2\n"
+                        "simulation.duration_s=15\n" + text)
+    spec = SweepSpec(satellite_counts=(3, 7, 12),
+                     policies=(PolicyId.DISTANCE_ONLY, PolicyId.RANDOM_VM, PolicyId.WEIGHT_GREEDY),
+                     seeds=(1, 2), scale_all_layers=True)
+    standalone = [Simulation(derive_config(base, count, policy, seed, True)).run()
+                  for count in spec.satellite_counts for policy in spec.policies
+                  for seed in spec.seeds]
+    assert any(record.generated for record in standalone) == ("rate_per_min=0" not in text)
+    assert run_sweep(spec, base, parallel=1) == standalone
+    assert run_sweep(spec, base, parallel=2) == standalone
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(0, 30), st.integers(0, 30),
+       st.sampled_from([0, 7, 20, 60]), st.integers(1, 40))
+def test_arrivals_drawn_at_a_larger_count_hold_a_fresh_draw(seed, count, extra, rate, duration):
+    # the top count's arrivals, filtered to origins below `count`, are the tasks
+    # a run at `count` draws itself: times, origins, ids and order
+    config = parse_config(f"constellation.mist={count}\ntask.rate_per_min={rate}\n"
+                          f"simulation.duration_s={duration}\nrng.seed={seed}\n")
+    top = replace(config, constellation=replace(config.constellation, mist=count + extra))
+    fresh = Simulation(config).tasks
+    shared = Simulation(config, arrivals=draw_arrivals(top)).tasks
+    assert [repr(astuple(task)) for task in shared] == [repr(astuple(task)) for task in fresh]
+    assert all(task.origin_satellite < count for task in fresh)
 
 
 class RecordingPool:
