@@ -26,7 +26,6 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from functools import partial
 from itertools import repeat
 from typing import Callable, Sequence
 
@@ -169,22 +168,21 @@ class _Distances:
 
     VM i is satellite i, so VM indices are satellite indices here.
 
-    `at(k)` sets the instant that `column`, `to_vms`, `to_vm` and
-    `far_terms` measure from: arrival k's origin at its creation time.
-    `to_vms` and `to_vm` give some of the column's distances alone, each
-    equal to the column's bit for bit. The distances from the origin to
-    the far set's satellites, far.start on, are rows of a block that
-    covers arrivals k to k+B-1 of `tasks`, computed in one numpy pass by
-    OrbitPositions.positions_at on the first far read outside the current
-    block; a `to_vms` of far satellites only and `far_terms` read arrival
-    k's row. With the hook `terms`, which orchestrate.far_term_hook makes,
-    the same pass computes weight_greedy's distance and energy terms from
-    the block's rows and its tasks' input bits, and `far_terms` reads
-    arrival k's. Other subsets come from positions_of,
-    and `pair` from the two satellites' orbit rows, in Python floats on
-    the C library's cos and sin, which numpy's float64 cos and sin are.
-    Holds no reference to the Simulation, so its view keeps no finished
-    run alive.
+    `at(k)` sets the instant that `column`, `far_row`, `far_terms` and
+    `to_vm` measure from: arrival k's origin at its creation time. There
+    are three reads, each equal to the others bit for bit where they
+    overlap. `column` is the distance to every satellite. `far_row` is the
+    distance to the far set's satellites, far.start on: arrival k's row of
+    a block that covers arrivals k to k+B-1 of `tasks`, computed in one
+    numpy pass by OrbitPositions.positions_at on the first far read
+    outside the current block. With the hook `terms`, which
+    orchestrate.far_term_hook makes, the same pass computes weight_greedy's
+    distance and energy terms from the block's rows and its tasks' input
+    bits, and `far_terms` reads arrival k's. `pair` is one distance at any
+    time, from the two satellites' orbit rows in Python floats on the C
+    library's cos and sin, which numpy's float64 cos and sin are; `to_vm`
+    reads what this placement computed, else `pair`. Holds no reference
+    to the Simulation, so its view keeps no finished run alive.
     """
 
     def __init__(self, positions, tasks: Sequence[Task], far: FarSet | None = None,
@@ -195,9 +193,7 @@ class _Distances:
         self._column = np.empty(n)
         self._diff = np.empty((3, n))
         self._acc = np.empty(n)
-        orbits = isinstance(positions, OrbitPositions)
-        self._rows = positions.positions_of if orbits else partial(_rows_of_all, positions)
-        self._orbits = positions._by_satellite if orbits else None
+        self._orbits = positions._by_satellite if isinstance(positions, OrbitPositions) else None
         # the far satellites, whose rows need an OrbitPositions; none without a far set
         self._start = n if far is None else far.start
         self._far_ids = np.arange(self._start, n)
@@ -208,7 +204,7 @@ class _Distances:
     def at(self, k: int) -> None:
         task = self._tasks[k]
         self._k, self.origin, self.now = k, task.origin_satellite, task.created_at
-        self._filled, self._known, self._tail = False, None, None
+        self._filled, self._tail = False, None
 
     def column(self) -> np.ndarray:
         """Distance from satellite `origin` to every VM, computed once per instant into
@@ -221,7 +217,7 @@ class _Distances:
 
     def _far_index(self) -> int:
         """This arrival's row in the block, filling the block on a miss; keeps the
-        row of column's distances to the far satellites for to_vm."""
+        row for far_row and to_vm."""
         i = self._k - self._first
         if not 0 <= i < len(self._block):
             self._fill_block()
@@ -255,26 +251,17 @@ class _Distances:
         dn, en, reaches = self._terms
         return dn[i], en[i], reaches[i]
 
-    def to_vms(self, vms: list[int]) -> list[float]:
-        """column's distances to VMs `vms` alone, kept for to_vm: the same IEEE
-        operations on the same coordinates, so each equals column's."""
-        start = self._start
-        if min(vms) >= start:
-            self._far_index()
-            row = self._tail.tolist()
-            return [row[vm - start] for vm in vms]
-        o, *rows = self._rows([self.origin, *vms], self.now)
-        out = [_apart(o, h) for h in rows]
-        self._known = dict(zip(vms, out))
-        return out
+    def far_row(self) -> np.ndarray:
+        """column's distances to the far satellites, far.start on, alone: this
+        arrival's row of the block, the same IEEE operations on the same
+        coordinates. Index i is satellite far.start + i."""
+        self._far_index()
+        return self._tail
 
     def to_vm(self, vm: int) -> float:
         """column's distance to VM `vm`: from what this instant computed, else alone."""
         if self._filled:
             return float(self._column[vm])
-        known = self._known
-        if known is not None and vm in known:
-            return known[vm]
         if self._tail is not None and vm >= self._start:
             return float(self._tail[vm - self._start])
         return self.pair(self.origin, vm, self.now)
@@ -283,7 +270,7 @@ class _Distances:
         """column's distance from `origin` to `host` at `now`, computed alone."""
         if self._orbits is not None:
             return _orbits_apart(self._orbits[origin], self._orbits[host], now)
-        return _apart(*_rows_of_all(self._positions, (origin, host), now))
+        return _apart(*self._positions.positions_all(now)[[origin, host]].tolist())
 
 
 def _from_point(o, pos: np.ndarray, diff: np.ndarray, acc: np.ndarray, out: np.ndarray) -> None:
@@ -311,7 +298,8 @@ def _apart(o, h) -> float:
 
 def _orbits_apart(o, h, now: float) -> float:
     """Distance at `now` between the satellites on OrbitPositions orbit rows o
-    and h: positions_of's float operations for each, then _apart's."""
+    and h: positions_all's float operations for each, in Python floats on
+    math.cos and math.sin, then _apart's."""
     a, rate, phase, ci, si, co, so = o
     theta = rate * now + phase
     ct, st = math.cos(theta), math.sin(theta)
@@ -325,11 +313,6 @@ def _orbits_apart(o, h, now: float) -> float:
     dy = a * (buf * co + ct * so) - oy
     dz = a * (st * si) - oz
     return math.sqrt((dx * dx + dy * dy) + dz * dz)
-
-
-def _rows_of_all(positions, ids, now: float):
-    """Rows `ids` of any position source's positions_all(now)."""
-    return positions.positions_all(now)[list(ids)].tolist()
 
 
 def _orbit_bounds(config: SimulationConfig, layered, layer_codes: np.ndarray):
@@ -369,7 +352,7 @@ def _far_set(layered, layer_codes: np.ndarray) -> FarSet | None:
     if start == n:
         return None
     r = layered[0][1].semi_major_axis_m
-    return FarSet(start, (r + r) * (1.0 + 1e-9), n)
+    return FarSet(start, (r + r) * (1.0 + 1e-9))
 
 
 class Simulation:

@@ -185,13 +185,6 @@ def build_constellation(spec: ConstellationSpec) -> list[tuple[Layer, OrbitalEle
     return out
 
 
-def _on_orbit(orbit, ct: float, st: float) -> tuple[float, float, float]:
-    """One satellite's position from its orbit row and the cos/sin of its angle."""
-    a, _, _, ci, si, co, so = orbit
-    buf = st * ci
-    return a * (ct * co - buf * so), a * (buf * co + ct * so), a * (st * si)
-
-
 class OrbitPositions:
     """Vectorized position source for a fixed satellite list.
 
@@ -203,10 +196,10 @@ class OrbitPositions:
     (3, n) buffer; positions_all returns its (n, 3) transposed view,
     valid until the next call, so instances are not safe to share across
     threads. positions_at gives satellites at times of their own, one
-    angle each, in the same numpy operations; positions_of computes a few
-    satellites in Python floats on the C library's cos and sin, which
-    numpy's float64 cos and sin are. The coordinates of both equal their
-    positions_all rows bit for bit.
+    angle each, in the same numpy operations, so its coordinates equal
+    their positions_all rows bit for bit. `_by_satellite` holds each
+    satellite's orbit row as a tuple of floats, for distances computed in
+    Python floats (engine._orbits_apart).
     """
 
     def __init__(self, elements: Sequence[OrbitalElements]):
@@ -274,7 +267,7 @@ class OrbitPositions:
     def positions_at(self, ids: np.ndarray, t_seconds: np.ndarray):
         """Arrays x, y, z of satellite ids[i] at time t_seconds[i], the two broadcast together.
 
-        The float operations of positions_all and _on_orbit, elementwise.
+        The float operations of positions_all, elementwise.
         """
         a, rate, phase, ci, si, co, so = self._orbits[:, ids]
         theta = rate * t_seconds
@@ -290,19 +283,6 @@ class OrbitPositions:
         z = st * si
         z *= a
         return x, y, z
-
-    def positions_of(self, ids: Sequence[int], t_seconds: float) -> list[tuple[float, float, float]]:
-        """Positions of satellites `ids` at time t as (x, y, z) tuples, in order.
-
-        math.cos and math.sin (the C library's, as numpy's float64 cos and
-        sin are), then float arithmetic in the order positions_all uses.
-        """
-        out = []
-        for i in ids:
-            orbit = self._by_satellite[i]
-            theta = orbit[1] * t_seconds + orbit[2]
-            out.append(_on_orbit(orbit, math.cos(theta), math.sin(theta)))
-        return out
 
     def position_one(self, index: int, t_seconds: float) -> tuple[float, float, float]:
         return position_at(self._elements[index], t_seconds)

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -52,7 +52,6 @@ DEFAULT_TRADEOFF_LAYER_WEIGHTS: Mapping[Layer, float] = {
 }
 
 WEIGHT_GREEDY_RATIOS = (6.0, 6.0, 5.0, 3.0)
-SHORTLIST_MAX = 24  # longest trade_off shortlist scored without the distance column
 
 
 class CandidateView:
@@ -61,11 +60,10 @@ class CandidateView:
     The distances come from `source`, which owns them: `distances` is
     `source.column()`, the distance from the placement's origin to every
     candidate, computed on its first read for the current placement, so a
-    policy that never reads it never pays for it. `source.to_vms(idx)`
-    gives the same distances for just candidates `idx`, from the source's
-    far row for this placement when `idx` are all far VMs, and
+    policy that never reads it never pays for it. `source.far_row()` gives
+    the same distances to the `far` set's VMs alone, far.start on, and
     `source.far_terms()` gives weight_greedy's distance and energy terms
-    over the origin and the `far` set's enabled VMs (see far_terms).
+    over the origin and the far VMs it scores (see far_terms).
 
     Four optional facts, set by whoever builds the view for one run's
     architecture, link and orbits, let policies place without distances.
@@ -79,8 +77,8 @@ class CandidateView:
       can be out of range), or None when it must be checked per task.
     - `max_distance`: a bound no distance in the column exceeds, or None.
     - `far`: a FarSet, the VMs outside the first layer block, whose
-      distances an all-far `source.to_vms` and `source.far_terms` read
-      from one row the source keeps per placement, or None.
+      distances `source.far_row` and `source.far_terms` read from one
+      row the source keeps per placement, or None.
     """
 
     __slots__ = ("vm_ids", "layer_codes", "queue_lens", "mips", "assigned", "source",
@@ -114,16 +112,17 @@ class FarSet:
     The first block, the VMs below index `start`, shares one MIPS value,
     and `chord` is at least every distance between two of its VMs. `ids`
     is weight_greedy's buffer of the VMs it scores, in the columns of
-    far_terms' rows: the origin's index first, then the far VMs in index
-    order.
+    far_terms' rows: the origin's index first, then the enabled far VMs in
+    index order. far_term_hook sets it where the shortlist runs; None
+    leaves weight_greedy on its full path.
     """
 
     __slots__ = ("start", "chord", "ids")
 
-    def __init__(self, start: int, chord: float, n: int):
+    def __init__(self, start: int, chord: float):
         self.start = start
         self.chord = chord
-        self.ids = np.arange(start - 1, n, dtype=np.intp)
+        self.ids: np.ndarray | None = None
 
 
 def _spread(view: CandidateView, name: str, source, value_of) -> np.ndarray:
@@ -137,14 +136,6 @@ def _spread(view: CandidateView, name: str, source, value_of) -> np.ndarray:
     if hit is None or hit[0] is not source:
         column = np.array([value_of(source, layer) for layer in LAYER_ORDER])[view.layer_codes]
         hit = view._cache[name] = (source, column)
-    return hit[1]
-
-
-def _cached(view: CandidateView, name: str, source, make: Callable, *args):
-    """make(*args), cached on the view as _spread caches its columns."""
-    hit = view._cache.get(name)
-    if hit is None or hit[0] is not source:
-        hit = view._cache[name] = (source, make(*args))
     return hit[1]
 
 
@@ -225,10 +216,10 @@ def trade_off(view: CandidateView, task, architecture, *, link: LinkParams = DEF
     With static feasibility and a `max_distance`, only the shortlist with
     compute term c <= fl(c_min + fl(max_distance / speed)) can win: float
     division and adding a non-negative value are monotone, so any other
-    scores above the c_min candidate. One shortlisted VM is the pick; up to
-    SHORTLIST_MAX, or any number from the `far` set alone, are scored alone,
-    on `source.to_vms` distances, by the same two IEEE operations. Longer
-    shortlists with a VM of the first layer block read the column.
+    scores above the c_min candidate. One shortlisted VM is the pick; a
+    shortlist of `far` VMs alone is scored alone, on the distances of
+    `source.far_row`, by the same two IEEE operations. Any other shortlist
+    reads the column.
     """
     idx = _feasible_indices(view, architecture, link)
     score = view.queue_lens + 1.0
@@ -242,10 +233,10 @@ def trade_off(view: CandidateView, task, architecture, *, link: LinkParams = DEF
         if short.size == 1:
             return Selection(int(view.vm_ids[short[0]]))
         far = view.far
-        if short.size <= SHORTLIST_MAX or far is not None and short[0] >= far.start:
-            short = short.tolist()
-            distances = view.source.to_vms(short)
-            scores = [cj + d / speed for cj, d in zip(score[short].tolist(), distances)]
+        if far is not None and short[0] >= far.start:  # short is sorted: every VM is far
+            start, short = far.start, short.tolist()
+            row = view.source.far_row().tolist()
+            scores = [cj + row[j - start] / speed for cj, j in zip(score[short].tolist(), short)]
             return Selection(int(view.vm_ids[short[scores.index(min(scores))]]))
     score += view.distances / speed
     return Selection(int(view.vm_ids[_pick_min(score, idx)]))
@@ -285,7 +276,7 @@ def weight_greedy(view: CandidateView, task, architecture, *, link: LinkParams =
     origin, as distance_only does.
     """
     ratios = WEIGHT_GREEDY_RATIOS
-    short = _dominance_shortlist(view, architecture, radio)
+    short = _dominance_shortlist(view, architecture)
     if short is not None:
         idx, dn, en, q_hi = short
         q = view.queue_lens[idx]
@@ -325,84 +316,73 @@ def _cpu_time(q: np.ndarray, length_mi: float, mips: np.ndarray) -> np.ndarray:
     return term
 
 
-def _dominance_shortlist(view: CandidateView, architecture, radio: RadioParams):
+def _dominance_shortlist(view: CandidateView, architecture):
     """(indices, distance terms, energy terms, q_hi) of the candidates
     weight_greedy must score, and the longest queue of the origin's block,
     or None.
 
-    None asks for the full path: no far set, feasibility per task, an
-    origin outside the first block or in a disabled layer, a VM of the
-    origin's layer with a shorter queue, an energy that falls across the
-    crossover, no enabled far VM, or a largest far distance below the
-    first block's chord. Otherwise the candidates are the origin, at 0 m,
-    and the enabled far VMs, and each indicator's minimum and maximum over
-    the whole feasible set is one of theirs, but for the first block's
-    longest queue q_hi: the distance's are 0, the origin's, and the
-    largest far distance, since no two VMs of the first block lie farther
-    apart than `chord`; the energy's are the energies at those two
-    distances; the CPU time's and the queue's minima are the origin's,
-    whose queue is its block's shortest at the block's one MIPS, or an
-    enabled far VM's; their maxima are an enabled far VM's or those of
-    q_hi. The distance and energy terms, normalized over the candidates,
-    come from `source.far_terms()`.
+    far_term_hook decides once per run whether the shortlist can run at
+    all, and which far VMs it scores: None unless it set `far.ids`. Each
+    placement then asks for the full path when the origin lies outside the
+    first block or in a disabled layer, a VM of the origin's layer has a
+    shorter queue, or the largest scored far distance is below the first
+    block's chord. Otherwise the candidates are the origin, at 0 m, and
+    the enabled far VMs, and each indicator's minimum and maximum over the
+    whole feasible set is one of theirs, but for the first block's longest
+    queue q_hi: the distance's are 0, the origin's, and the largest far
+    distance, since no two VMs of the first block lie farther apart than
+    `chord`; the energy's are the energies at those two distances; the CPU
+    time's and the queue's minima are the origin's, whose queue is its
+    block's shortest at the block's one MIPS, or an enabled far VM's;
+    their maxima are an enabled far VM's or those of q_hi. The distance
+    and energy terms, normalized over the candidates, come from
+    `source.far_terms()`.
     """
     far, local = view.far, view.local
-    if far is None or view.static_feasible is None or not 0 <= local < far.start \
+    if far is None or far.ids is None or not 0 <= local < far.start \
             or not _enabled(view, architecture)[local]:
         return None
     first = view.queue_lens[:far.start]
-    if view.queue_lens[local] > first.min() \
-            or not _cached(view, "energy_rises", radio, _energy_rises, radio):
-        return None
-    keep, any_far = _cached(view, "far_keep", architecture, _far_keep, view, architecture)
-    if not any_far:
+    if view.queue_lens[local] > first.min():
         return None
     dn, en, reaches = view.source.far_terms()
     if not reaches:
         return None
     idx = far.ids
     idx[0] = local
-    if keep is not None:
-        idx, dn, en = idx[keep], dn[keep], en[keep]
     return idx, dn, en, float(first.max())
 
 
-def _far_keep(view: CandidateView, architecture):
-    """(mask of the enabled entries of `far.ids`, or None when every entry is,
-    whether any far VM is enabled)."""
-    keep = _enabled(view, architecture)[view.far.ids]
-    return (None, True) if keep.all() else (keep, bool(keep[1:].any()))
-
-
 def far_term_hook(view: CandidateView, architecture, radio: RadioParams):
-    """far_terms with the view's far set, mask and `radio` bound, taking a block's
-    (far rows, input bits), or None where weight_greedy's shortlist never reads
-    terms: no far set, feasibility per task, an energy that falls across the
-    crossover, or no enabled far VM."""
+    """far_terms with the view's enabled far columns, chord and `radio` bound,
+    taking a block's (far rows, input bits), or None where weight_greedy's
+    shortlist never runs: no far set, feasibility per task, an energy that
+    falls across the crossover, or no enabled far VM. Where it runs, sets
+    `far.ids` to the VMs the shortlist scores, for this architecture."""
     far = view.far
     if far is None or view.static_feasible is None or not _energy_rises(radio):
         return None
-    keep, any_far = _far_keep(view, architecture)
-    if not any_far:
+    columns = np.flatnonzero(_enabled(view, architecture)[far.start:])
+    if columns.size == 0:
         return None
-    return partial(far_terms, radio=radio, keep=keep, chord=far.chord)
+    far.ids = np.concatenate(([far.start - 1], columns + far.start))
+    return partial(far_terms, radio=radio, columns=columns, chord=far.chord)
 
 
-def far_terms(rows: np.ndarray, bits: list[float], radio: RadioParams, keep, chord: float):
+def far_terms(rows: np.ndarray, bits: list[float], radio: RadioParams, columns: np.ndarray,
+              chord: float):
     """weight_greedy's distance and energy terms on the shortlists of a block of arrivals.
 
     rows[i] holds arrival i's distances to the far VMs, bits[i] its task's
-    input bits, and `keep` is the _far_keep mask of the scored columns,
-    or None when all are. Returns (dn, en, reaches): dn and en are
-    (B, far + 1) arrays, the origin, at 0 m, in column 0, whose scored
-    columns hold what _minmax_into gives the distance (ratio 6) and the
-    energy (ratio 3) over the scored columns of their row, by the same
-    IEEE operations; reaches[i] is whether row i's largest scored far
-    distance is at least `chord`, and False when no far column is scored.
+    input bits, and `columns` are the rows' enabled entries, the ones
+    scored. Returns (dn, en, reaches): dn and en are (B, len(columns) + 1)
+    arrays, the origin, at 0 m, in column 0, holding what _minmax_into
+    gives the distance (ratio 6) and the energy (ratio 3) over their row,
+    by the same IEEE operations; reaches[i] is whether row i's largest
+    scored far distance is at least `chord`.
     """
-    b, m = rows.shape
-    d = np.zeros((b, m + 1))
-    d[:, 1:] = rows
+    d = np.zeros((len(rows), columns.size + 1))
+    d[:, 1:] = rows[:, columns]
     d2 = d * d
     energy = d2 * d2  # as weight_greedy's energy lines compute it
     energy *= radio.eps_mp
@@ -411,23 +391,18 @@ def far_terms(rows: np.ndarray, bits: list[float], radio: RadioParams, keep, cho
     d2 += radio.e_elec
     np.copyto(energy, d2, where=d < radio.crossover_m)
     energy *= np.asarray(bits, dtype=np.float64)[:, None]
-    scored = True if keep is None else keep
-    d_hi = _minmax_rows(d, WEIGHT_GREEDY_RATIOS[0], scored)
-    _minmax_rows(energy, WEIGHT_GREEDY_RATIOS[3], scored)
-    reaches = d_hi >= chord
-    if keep is not None and not keep[1:].any():
-        reaches[:] = False
-    return d, energy, reaches.tolist()
+    d_hi = _minmax_rows(d, WEIGHT_GREEDY_RATIOS[0])
+    _minmax_rows(energy, WEIGHT_GREEDY_RATIOS[3])
+    return d, energy, (d_hi >= chord).tolist()
 
 
-def _minmax_rows(values: np.ndarray, ratio: float, scored) -> np.ndarray:
-    """_minmax_into on each row of `values` in place, from the extrema of the
-    columns `scored` selects; returns the rows' maxima.
+def _minmax_rows(values: np.ndarray, ratio: float) -> np.ndarray:
+    """_minmax_into on each row of `values` in place; returns the rows' maxima.
 
     A row whose span is 0 keeps values - lo, with no divide.
     """
-    lo = values.min(axis=1, where=scored, initial=np.inf)[:, None]
-    hi = values.max(axis=1, where=scored, initial=-np.inf)
+    lo = values.min(axis=1)[:, None]
+    hi = values.max(axis=1)
     span = hi[:, None] - lo
     values -= lo
     spread = span != 0.0

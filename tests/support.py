@@ -44,15 +44,17 @@ class TaskInfo(NamedTuple):
 
 class ColumnSource:
     """A view's distance source over a fixed column, logging each read in `reads`:
-    "fill" for the first `column()` call, a subset's length for `to_vms`, and
-    "terms" for `far_terms`, which gives weight_greedy's term rows from the
-    column's tail, the distances to the far set's VMs, as the engine's block
-    does: `terms` is (far.start, the task's input bits, the engine's hook), set
-    by far_term_source."""
+    "fill" for the first `column()` call, "row" for `far_row`, and "terms" for
+    `far_terms`. Like the engine's source it serves the column, the column's
+    tail from `far_start`, the distances to the far set's VMs, and
+    weight_greedy's term rows from that tail, as the engine's block does:
+    `terms` is (the task's input bits, the engine's hook), set by
+    far_term_source. Without a far set there is no far read."""
 
-    def __init__(self, column):
+    def __init__(self, column, far_start: int | None = None):
         self._column = np.asarray(column, dtype=np.float64)
         self._filled = False
+        self.far_start = far_start
         self.reads: list = []
         self.terms = None
 
@@ -62,14 +64,15 @@ class ColumnSource:
             self.reads.append("fill")
         return self._column
 
-    def to_vms(self, idx: list[int]) -> list[float]:
-        self.reads.append(len(idx))
-        return self._column[idx].tolist()
+    def far_row(self) -> np.ndarray:
+        assert self.far_start is not None, "far row read without a far set"
+        self.reads.append("row")
+        return self._column[self.far_start:]
 
     def far_terms(self):
         self.reads.append("terms")
-        start, bits, hook = self.terms
-        dn, en, reaches = hook(self._column[None, start:], [bits])
+        bits, hook = self.terms
+        dn, en, reaches = hook(self._column[None, self.far_start:], [bits])
         return dn[0], en[0], reaches[0]
 
 
@@ -77,10 +80,10 @@ def far_term_source(view: CandidateView, task, architecture, radio) -> ColumnSou
     """A ColumnSource over the view's column whose `far_terms` gives the
     engine's rows for `task`: orchestrate.far_term_hook's function on the
     column's far tail. The view must have its far set and static facts."""
-    source = ColumnSource(view.distances)
+    source = ColumnSource(view.distances, view.far.start)
     hook = far_term_hook(view, architecture, radio)
     if hook is not None:
-        source.terms = (view.far.start, task.input_bits, hook)
+        source.terms = (task.input_bits, hook)
     return source
 
 

@@ -446,14 +446,14 @@ _GEOMETRIES = [
 
 def _far_set(sim):
     """The engine's far set, or one from satellite 5 on where it sets none (the cloud-only shell)."""
-    return sim._view.far or FarSet(5, 0.0, len(sim.positions))
+    return sim._view.far or FarSet(5, 0.0)
 
 
 @pytest.mark.parametrize("make_config", _GEOMETRIES)
 def test_pair_distance_equals_snapshot_bit_for_bit(make_config):
-    # subsets of lengths either side of the SIMD kernels' vector widths, whose
-    # tails they treat differently, with repeated VMs and the origin's own VM;
-    # and the far satellites' block rows, read in a random arrival order
+    # pair and to_vm before any read of the placement, including the origin's own
+    # VM; the far satellites' block rows, read in a random arrival order, and
+    # to_vm from them; then the column
     sim = Simulation(make_config())
     elements = [e for _, e in build_constellation(sim.config.constellation)]
     n, far_set = len(elements), _far_set(sim)
@@ -466,20 +466,11 @@ def test_pair_distance_equals_snapshot_bit_for_bit(make_config):
         expected = _reference_distances(elements, origin, now)
         assert distances.pair(origin, host, now) == expected[host]
         distances.at(k)
-        vms = [rng.randrange(n) for _ in range(rng.choice((1, 2, 3, 7, 8, 9, 16, 17, 41)))]
-        vms[rng.randrange(len(vms))] = origin
-        if len(vms) > 2:
-            vms[-1] = vms[0]
-        assert distances.to_vms(vms) == expected[vms].tolist()
-        other = rng.randrange(n)  # remembered from to_vms or not
-        assert distances.to_vm(vms[-1]) == expected[vms[-1]]
+        other = rng.randrange(n)
+        assert distances.to_vm(origin) == expected[origin] == 0.0
         assert distances.to_vm(other) == expected[other]
-        distances.at(k)
-        far_vms = [rng.randrange(start, n) for _ in range(rng.choice((2, 9, 29)))]
-        assert distances.to_vms(far_vms) == expected[far_vms].tolist()
-        distances.at(k)
-        assert distances.to_vms(list(range(start, n))) == expected[start:].tolist()
-        for vm in (rng.randrange(start, n), rng.randrange(n)):  # remembered from the far row or not
+        assert distances.far_row().tolist() == expected[start:].tolist()
+        for vm in (rng.randrange(start, n), rng.randrange(n)):  # from the far row or alone
             assert distances.to_vm(vm) == expected[vm]
         assert np.array_equal(distances.column(), expected)
         assert distances.to_vm(other) == expected[other]  # from the column
@@ -502,10 +493,9 @@ def test_every_far_row_equals_the_column_bit_for_bit(make_config):
     if not sim.tasks:  # the cloud-only shell generates none: every satellite originates some
         sim.tasks[:] = [heavy_task(k, k % n, 0.05 * k) for k in range(2 * rows + rows // 2)]
     assert len(sim.tasks) > 2 * rows and len(sim.tasks) % rows
-    far_ids = list(range(start, n))
     for k in range(len(sim.tasks)):
         distances.at(k)
-        far = np.array(distances.to_vms(far_ids))
+        far = distances.far_row()
         assert distances._first == k - k % rows
         assert _hex(far) == _hex(distances.column()[start:]), k
 
@@ -517,16 +507,15 @@ def test_far_rows_of_injected_tasks_equal_the_column_bit_for_bit():
     tasks = [heavy_task(k, rng.randrange(40), t) for k, t in enumerate(times)]
     sim = Simulation(cfg, tasks=tasks)
     distances, start = sim._distances, sim._view.far.start
-    far_ids = list(range(start, len(sim.positions)))
     for k in (0, 1, 149, 40, 41, 42, 99, 100):  # blocks start wherever a read misses
         distances.at(k)
-        far = np.array(distances.to_vms(far_ids))
+        far = distances.far_row()
         assert _hex(far) == _hex(distances.column()[start:]), k
 
 
 def test_distance_column_computed_once_per_instant():
     # column() reads the positions on its first call after each at(), and the
-    # view's distances are that column; the subset reads never read them all
+    # view's distances are that column; the far reads never read them all
     sim = Simulation(parse_config("constellation.mist=20\ntask.rate_per_min=0\npolicy.name=weight_greedy\n"),
                      tasks=[heavy_task(0, origin=3, created=5.0), heavy_task(1, origin=4, created=5.0)])
     times = []
@@ -534,8 +523,7 @@ def test_distance_column_computed_once_per_instant():
     sim.positions.positions_all = lambda t: times.append(t) or positions_all(t)
     distances = sim._distances
     distances.at(0)
-    distances.to_vms([1, 2, 40])
-    distances.to_vms([40, 50])
+    distances.far_row()
     distances.far_terms()
     distances.to_vm(50)
     assert times == []
@@ -559,12 +547,12 @@ def test_to_vm_reads_a_far_row_only_when_the_placement_read_it(monkeypatch):
     distances.at(0)
     assert distances.to_vm(30) == distances.pair(0, 30, 0.0)
     assert blocks == []
-    distances.to_vms([30, 40])
+    distances.far_row()
     assert blocks == [0]
     distances.at(1)  # the block holds arrival 1's row, but this placement has not read it
     distances._block[1, 30 - 20] = -1.0
     assert distances.to_vm(30) == distances.pair(1, 30, 1.0) > 0.0
-    distances.to_vms([40])
+    distances.far_row()
     assert distances.to_vm(30) == -1.0 and blocks == [0]
 
 
@@ -599,6 +587,7 @@ def test_far_term_rows_equal_minmax_on_the_scored_set(text):
     assert distances._block_rows == rows
     enabled = [LAYER_CODE[layer] for layer in cfg.architecture]
     scored = np.concatenate(([True], np.isin(sim._view.layer_codes[far.start:], enabled)))
+    assert far.ids[1:].tolist() == (np.flatnonzero(scored[1:]) + far.start).tolist()
     short = 0
     for k, task in enumerate(tasks):
         distances.at(k)
@@ -606,8 +595,8 @@ def test_far_term_rows_equal_minmax_on_the_scored_set(text):
         assert distances._first == k - k % rows
         d = np.concatenate(([0.0], distances.column()[far.start:]))[scored]
         energy = np.array([tx_energy(task.input_bits, x, radio) for x in d])
-        assert _hex(dn[scored]) == _hex(orchestrate._minmax_into(d, 6.0, np.empty(d.size))), k
-        assert _hex(en[scored]) == _hex(orchestrate._minmax_into(energy, 3.0, energy)), k
+        assert _hex(dn) == _hex(orchestrate._minmax_into(d, 6.0, np.empty(d.size))), k
+        assert _hex(en) == _hex(orchestrate._minmax_into(energy, 3.0, energy)), k
         assert reaches == (d.max() >= far.chord), k
         short += not reaches
     assert short < len(tasks) and (short > 0) == ("cloud" not in text), short
@@ -724,7 +713,7 @@ def test_far_set_changes_no_weight_greedy_placement():
     assert len(fills["shortlisted"]) < len(full.tasks) / 2
 
 
-@pytest.mark.parametrize("policy, shortlist", [("trade_off", "to_vms"),
+@pytest.mark.parametrize("policy, shortlist", [("trade_off", "far_row"),
                                                ("weight_greedy", "far_terms")])
 def test_reading_the_column_before_select_changes_no_placement(monkeypatch, policy, shortlist):
     # a traced benchmark run reads view.distances before each select, for its

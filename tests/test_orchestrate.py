@@ -443,7 +443,11 @@ def test_static_index_and_local_vm_pick_as_the_full_path():
             except PlacementError:
                 got = None
             assert got == want, (policy, arch, cands)
-            if policy is not PolicyId.DISTANCE_ONLY or cands[local].host_layer in arch:
+            if policy is PolicyId.TRADE_OFF:
+                # no far set: a shortlist of one is the pick, a longer one reads the column
+                assert reads in ([], ["fill"]), reads
+                skipped_reads += not reads
+            elif policy is not PolicyId.DISTANCE_ONLY or cands[local].host_layer in arch:
                 assert "fill" not in reads, policy  # placed without the distance column
                 skipped_reads += 1
     assert skipped_reads > 900

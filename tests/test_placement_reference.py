@@ -10,11 +10,12 @@ sit exactly on a decision boundary, where one rounding step in any score
 term flips the choice, and on the edge values of each indicator.
 
 trade_off's shortlist, which scores only the candidates whose compute
-term can still win and takes their distances from the source's
-`to_vms`, and weight_greedy's, which takes the far set's distance and
-energy terms from its `far_terms`, run whenever the view's static facts
-allow them; the shortlist tests below put the column behind a logging
-ColumnSource and compare with the reference on the same column.
+term can still win and, when they are all far VMs, takes their
+distances from the source's `far_row`, and weight_greedy's, which takes
+the far set's distance and energy terms from its `far_terms`, run
+whenever the view's static facts allow them; the shortlist tests below
+put the column behind a logging ColumnSource and compare with the
+reference on the same column.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from satmist.orchestrate import (
     WEIGHT_GREEDY_RATIOS,
     CandidateView,
     FarSet,
-    SHORTLIST_MAX,
     PlacementError,
     Selection,
     _feasible_indices,
@@ -309,10 +309,10 @@ EQUAL_WEIGHTS = {layer: 1.0 for layer in Layer}
 def shortlist_picks(v, task, arch, max_distance=None, **kwargs):
     """(pick with v's column behind a fresh ColumnSource, reference pick on the
     same column, the source's reads before the reference read the column:
-    "fill" or a subset's length)."""
+    "fill" or "row")."""
     column = v.distances
     v.max_distance = float(column.max()) if max_distance is None else max_distance
-    v.source = source = ColumnSource(column)
+    v.source = source = ColumnSource(column, None if v.far is None else v.far.start)
     if v.static_feasible is None:
         v.static_feasible = np.flatnonzero(np.isin(v.layer_codes, [LAYER_CODE[x] for x in arch]))
     got = trade_off(v, task, arch, **kwargs).vm_id
@@ -327,23 +327,27 @@ def shortlist_picks(v, task, arch, max_distance=None, **kwargs):
 def test_trade_off_shortlist_picks_as_reference_on_tied_views(arch):
     # Equal weights and mips shared across layers give exact compute-term ties
     # between layers; few queue lengths make shortlists of every size from one
-    # up past SHORTLIST_MAX, and few distances give ties inside them.
+    # up to about 100, and few distances give ties inside them. The far set
+    # starts at a random index: trade_off reads its row only when every
+    # shortlisted VM lies there, whatever their layers.
     rng = np.random.default_rng([13, len(arch), LAYER_CODE[min(arch)]])
-    paths = {"one": 0, "subset": 0, "fill": 0}
+    paths = {"one": 0, "row": 0, "fill": 0}
     for _ in range(400):
-        n = int(rng.integers(2, 4 * SHORTLIST_MAX))
+        n = int(rng.integers(2, 96))
         codes = rng.integers(0, 3, n)
         codes[rng.integers(n)] = LAYER_CODE[min(arch)]  # at least one feasible
         queues = rng.integers(0, int(rng.integers(1, 6)), n).astype(np.float64)
         mips = rng.choice([10_000.0, 40_000.0], n)
         distances = rng.choice(rng.uniform(0.0, 2.4e7, 4), n)
         task = TaskInfo(length_mi=float(rng.choice([2e3, 2e4, 7_777.0])))
-        got, want, seen = shortlist_picks(make_view(codes, distances, queues, mips), task, arch,
+        v = make_view(codes, distances, queues, mips)
+        v.far = FarSet(int(rng.integers(1, n)), 0.0)
+        got, want, seen = shortlist_picks(v, task, arch,
                                           max_distance=float(rng.choice([2.4e7, 3.3e7])),
                                           layer_weights=EQUAL_WEIGHTS)
         assert got == want
-        paths["one" if not seen else "fill" if seen == ["fill"] else "subset"] += 1
-        assert seen in ([], ["fill"]) or 1 < seen[0] <= SHORTLIST_MAX and len(seen) == 1
+        assert seen in ([], ["fill"], ["row"])
+        paths[seen[0] if seen else "one"] += 1
     assert min(paths.values()) >= 15, paths
 
 
@@ -361,6 +365,7 @@ def test_trade_off_shortlist_bound_is_exact(step, order):
     # With unit length, weight and mips the compute term is queue_len + 1. The
     # c_min candidate sits at max_distance, so its score is fl(c_min + D); the
     # other, at 0 m, has its compute term at that bound or one ulp either side.
+    # Both are far VMs; the mist VM before them lies beyond the bound.
     max_distance = 2e8
     c_min = 2.0
     bound = c_min + max_distance / DEFAULT_LINK.propagation_speed_mps
@@ -369,58 +374,48 @@ def test_trade_off_shortlist_bound_is_exact(step, order):
     queues, distances = [c_min - 1.0, c - 1.0], [max_distance, 0.0]
     if order == "min_last":
         queues, distances = queues[::-1], distances[::-1]
-    v = make_view([0, 0], distances, queues, [1.0, 1.0])
+    v = make_view([0, 1, 1], [0.0, *distances], [9.0, *queues], [1.0, 1.0, 1.0])
+    v.far = FarSet(1, CHORD)
     got, want, seen = shortlist_picks(v, UNIT_TASK, ALL, max_distance=max_distance)
     assert got == want
-    assert seen == ([] if step > 0 else [2])
+    assert seen == ([] if step > 0 else ["row"])
     if step == 0:  # an exact tie: the first index wins
-        assert got == v.vm_ids[0]
-
-
-@pytest.mark.parametrize("size", [SHORTLIST_MAX, SHORTLIST_MAX + 1])
-def test_trade_off_shortlist_longest_scored_alone(size):
-    # `size` candidates tie on the compute term; the rest lie beyond the bound
-    rng = np.random.default_rng(size)
-    n = size + 10
-    queues = np.full(n, 9.0)
-    queues[rng.choice(n, size, replace=False)] = 0.0
-    v = make_view(rng.integers(0, 3, n), rng.uniform(0.0, 2.4e7, n), queues, [10_000.0] * n)
-    got, want, seen = shortlist_picks(v, TaskInfo(length_mi=20_000.0), ALL, max_distance=2.4e7,
-                                      layer_weights=EQUAL_WEIGHTS)
-    assert got == want
-    assert seen == ([size] if size <= SHORTLIST_MAX else ["fill"])
+        assert got == v.vm_ids[1]
 
 
 def test_trade_off_shortlist_distance_ties_go_to_the_first_index():
-    # candidates 1, 3 and 4 tie on both terms, below 0 and 2; 5 lies beyond the bound
-    distances = [5e6, 2e6, 4e6, 2e6, 2e6, 0.0]
-    v = make_view([0, 2, 1, 0, 2, 0], distances, [1.0, 1.0, 1.0, 1.0, 1.0, 9.0], [10_000.0] * 6)
+    # far candidates 2, 4 and 5 tie on both terms, below 1 and 3; mist VM 0 lies
+    # beyond the bound
+    distances = [0.0, 5e6, 2e6, 4e6, 2e6, 2e6]
+    v = make_view([0, 1, 1, 2, 2, 2], distances, [9.0, 1.0, 1.0, 1.0, 1.0, 1.0], [10_000.0] * 6)
+    v.far = FarSet(1, CHORD)
     got, want, seen = shortlist_picks(v, TaskInfo(length_mi=20_000.0), ALL, max_distance=2.4e7,
                                       layer_weights=EQUAL_WEIGHTS)
-    assert got == want == v.vm_ids[1]
-    assert seen == [5]
+    assert got == want == v.vm_ids[2]
+    assert seen == ["row"]
 
 
 def test_trade_off_shortlist_skips_a_disabled_layer():
-    # the cloud VMs have the smallest compute terms but their layer is disabled
-    codes = [2, 0, 0, 1, 2, 0]
-    queues = [0.0, 3.0, 3.0, 3.0, 0.0, 8.0]
-    mips = [100_000.0, 10_000.0, 10_000.0, 10_000.0, 100_000.0, 10_000.0]
-    arch = frozenset({Layer.MIST, Layer.EDGE_DC})
-    v = make_view(codes, [0.0, 9e6, 3e6, 6e6, 0.0, 0.0], queues, mips)
+    # the edge VMs, between the mist and cloud blocks, have the smallest compute
+    # terms but their layer is disabled; the mist VMs lie beyond the bound
+    codes = [0, 0, 1, 1, 2, 2]
+    queues = [8.0, 8.0, 0.0, 0.0, 1.0, 1.0]
+    arch = MIST_ONLY_CLOUD
+    v = make_view(codes, [0.0, 1e6, 0.0, 0.0, 9e6, 3e6], queues, [10_000.0] * 6)
+    v.far = FarSet(2, CHORD)
     got, want, seen = shortlist_picks(v, TaskInfo(length_mi=20_000.0), arch, max_distance=2.4e7)
-    assert v.static_feasible.tolist() == [1, 2, 3, 5]
-    assert got == want == v.vm_ids[2]
-    assert seen == [3]
+    assert v.static_feasible.tolist() == [0, 1, 4, 5]
+    assert got == want == v.vm_ids[5]
+    assert seen == ["row"]
 
 
-@pytest.mark.parametrize("size", [SHORTLIST_MAX + 1, 29, 42])
+@pytest.mark.parametrize("size", [2, 9, 24, 25, 29, 42])
 @pytest.mark.parametrize("mist_member", [False, True], ids=["all_far", "with_mist"])
 def test_trade_off_far_shortlist_scored_from_the_row_at_any_length(size, mist_member):
     # a 1,042-VM layer-major view whose shortlist is `size` edge and cloud VMs
     # tying on the compute term, with tied distances among them; with a far set
-    # the source scores them as one subset of far VMs, however many, unless a
-    # mist VM joins them, which makes a shortlist past SHORTLIST_MAX read the column
+    # the source scores them from the arrival's far row, however many, unless a
+    # mist VM joins them, which makes the shortlist read the column
     codes = np.repeat([0, 1, 2], [1000, 24, 18])
     for seed in range(20):
         rng = np.random.default_rng([seed, size])
@@ -430,11 +425,11 @@ def test_trade_off_far_shortlist_scored_from_the_row_at_any_length(size, mist_me
             queues[rng.integers(1000)] = 0.0
         distances = rng.choice(rng.uniform(R_EDGE - R_MIST, R_CLOUD + R_MIST, 3), N)
         v = make_view(codes, distances, queues, [10_000.0] * N)
-        v.far = FarSet(1000, CHORD, N)
+        v.far = FarSet(1000, CHORD)
         got, want, seen = shortlist_picks(v, TaskInfo(length_mi=20_000.0), ALL, max_distance=2.4e7,
                                           layer_weights=EQUAL_WEIGHTS)
         assert got == want
-        assert seen == (["fill"] if mist_member else [size])
+        assert seen == (["fill"] if mist_member else ["row"])
 
 
 # -- weight_greedy's dominance shortlist -----------------------------------
@@ -472,7 +467,7 @@ def far_picks(v, task, arch, radio=DEFAULT_RADIO):
     pick on the same column, the source's reads before the reference: "terms"
     and/or "fill")."""
     v.static_feasible = np.flatnonzero(np.isin(v.layer_codes, [LAYER_CODE[x] for x in arch]))
-    v.far = FarSet(1000, CHORD, N)
+    v.far = FarSet(1000, CHORD)
     v.source = source = far_term_source(v, task, arch, radio)
     got = weight_greedy(v, task, arch, radio=radio).vm_id
     seen = list(source.reads)
@@ -601,7 +596,7 @@ def test_weight_greedy_shortlist_extrema_are_the_feasible_sets(monkeypatch, arch
     # the scored VMs' with the floor from the first block's longest queue, must be
     # the whole feasible set's, bit for bit: an extremum that is off need not flip
     # a pick. The distance's and the energy's are taken per block row by
-    # far_terms (_minmax_rows over the scored columns), before the placement
+    # far_terms (_minmax_rows over the scored columns alone), before the placement
     # normalizes the CPU time and the queue (_minmax_into); test_engine checks the
     # rows' values. The split radio's energy falls only between one step below its
     # crossover (about 91 m) and the crossover, far from these views' extrema at 0 m
@@ -614,10 +609,10 @@ def test_weight_greedy_shortlist_extrema_are_the_feasible_sets(monkeypatch, arch
         used.append((float(values.min()).hex(), hi.hex()))
         return minmax_into(values, ratio, out, floor)
 
-    def recording_rows(values, ratio, scored):
-        (row,) = values if scored is True else values[:, scored]
+    def recording_rows(values, ratio):
+        (row,) = values
         used.append((float(row.min()).hex(), float(row.max()).hex()))
-        return minmax_rows(values, ratio, scored)
+        return minmax_rows(values, ratio)
 
     monkeypatch.setattr(orchestrate, "_minmax_into", recording)
     monkeypatch.setattr(orchestrate, "_minmax_rows", recording_rows)
