@@ -12,11 +12,14 @@ the candidate view that placement reads. Mist satellites generate tasks
 from Poisson streams seeded by (seed, origin) alone, so the arrivals
 drawn at one mist count hold those of every smaller count (unless
 task.rate_is_global splits the rate by the count); sweep.run_sweep draws
-them once per seed and passes them to each run. Each task is placed
-once, at creation time, over a snapshot of every VM in the constellation
-whose distance column is computed only if the policy reads it; transfers
-charge radio energy on both ends; results are censored, not
-extrapolated, at the simulation horizon.
+them once per seed and passes them to each run. What a constellation
+fixes, its orbits, nodes and layer codes, is a Geometry; run_sweep
+builds one per constellation and shares it among that constellation's
+runs, each of which keeps its own VMs and placement state. Each task is
+placed once, at creation time, over a snapshot of every VM in the
+constellation whose distance column is computed only if the policy reads
+it; transfers charge radio energy on both ends; results are censored,
+not extrapolated, at the simulation horizon.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .errors import ConfigurationError
 from .infra import Vm, build_nodes
 from .layers import LAYER_CODE, LAYER_ORDER, Layer
 from .netenergy import rx_energy, tx_energy
-from .orbital import OrbitPositions, build_constellation
+from .orbital import ConstellationSpec, OrbitPositions, build_constellation, constellation_key
 from .orchestrate import (DEFAULT_TRADEOFF_LAYER_WEIGHTS, CandidateView, FarSet, PlacementError,
                           PolicyId, far_term_hook, select)
 
@@ -315,7 +318,30 @@ def _orbits_apart(o, h, now: float) -> float:
     return math.sqrt((dx * dx + dy * dy) + dz * dz)
 
 
-def _orbit_bounds(config: SimulationConfig, layered, layer_codes: np.ndarray):
+class Geometry:
+    """What one constellation fixes for every run of it: the build_constellation
+    list, the nodes, the orbits and each satellite's layer code.
+
+    sweep.run_sweep builds one per constellation_key and hands it to that
+    key's runs. Runs only read it: each keeps its VMs, view, distances and
+    far set to itself, and the geometry refers to none of them. Its
+    OrbitPositions reuses one buffer per call, so it is not for runs on
+    other threads.
+    """
+
+    def __init__(self, spec: ConstellationSpec):
+        self.key = constellation_key(spec)
+        self.layered = build_constellation(spec)
+        self.nodes, _ = build_nodes(self.layered)  # VMs are each run's own
+        self.positions = OrbitPositions([elements for _, elements in self.layered])
+        self.layer_codes = np.array([LAYER_CODE[node.layer] for node in self.nodes],
+                                    dtype=np.int64)
+        self.layer_codes.flags.writeable = False  # every run's view shares it
+        # orbit radius of each layer that has satellites
+        self.radius = {layer: elements.semi_major_axis_m for layer, elements in self.layered}
+
+
+def _orbit_bounds(config: SimulationConfig, geometry: Geometry):
     """(static feasible index or None, bound on every distance), from the orbit radii.
 
     On circular orbits |p| is the orbit radius, so no origin lies farther
@@ -325,17 +351,17 @@ def _orbit_bounds(config: SimulationConfig, layered, layer_codes: np.ndarray):
     VM of an enabled layer, is None when some enabled layer's range falls
     short of its bound: feasibility is then checked per task.
     """
-    radius = {layer: elements.semi_major_axis_m for layer, elements in layered}
+    radius = geometry.radius
     r_max = max(radius.values())
     needed = {layer: (r_max + r) * (1.0 + 1e-9) for layer, r in radius.items()}
     reach = config.link.range_by_layer
     if any(reach[layer] < bound for layer, bound in needed.items() if layer in config.architecture):
         return None, max(needed.values())
     enabled = np.array([layer in config.architecture for layer in LAYER_ORDER])
-    return np.flatnonzero(enabled[layer_codes]), max(needed.values())
+    return np.flatnonzero(enabled[geometry.layer_codes]), max(needed.values())
 
 
-def _far_set(layered, layer_codes: np.ndarray) -> FarSet | None:
+def _far_set(geometry: Geometry) -> FarSet | None:
     """The far set: the satellites after the first layer's block, or None when
     there are none.
 
@@ -347,6 +373,7 @@ def _far_set(layered, layer_codes: np.ndarray) -> FarSet | None:
     terms included, against 33 µs for the full path at 142 VMs, 38 at 342
     and 54 at 1,042.
     """
+    layered, layer_codes = geometry.layered, geometry.layer_codes
     n = len(layered)
     start = int(np.count_nonzero(layer_codes == layer_codes[0]))  # layered is layer-major
     if start == n:
@@ -368,6 +395,12 @@ class Simulation:
     run() reads arrivals from `tasks` in order; its heap holds in-flight
     events only.
 
+    `geometry` passes a Geometry built for this config's constellation (a
+    different constellation_key raises ConfigurationError), as run_sweep
+    does for the runs of one constellation; by default the run builds its
+    own. The run reads it and writes none of it: VMs, queue lengths,
+    distances and the far set are made fresh per run.
+
     An injected `positions` source replaces the built-in orbits. It needs
     only `__len__`, one entry per satellite, and `positions_all(t)`, which
     returns an (n, 3) array of coordinates in meters.
@@ -376,16 +409,20 @@ class Simulation:
     def __init__(self, config: SimulationConfig, *,
                  tasks: Sequence[Task] | None = None,
                  arrivals: tuple[np.ndarray, np.ndarray] | None = None,
+                 geometry: Geometry | None = None,
                  positions=None,
                  on_transfer: Callable[[int, float, float, float, float], None] | None = None,
                  record_events: bool = False):
         validate(config)
         self.config = config
-        layered = build_constellation(config.constellation)
-        self.nodes, self.vms = build_nodes(layered, config.profiles)
-        self.positions = positions if positions is not None else OrbitPositions(
-            [elements for _, elements in layered]
-        )
+        if geometry is None:
+            geometry = Geometry(config.constellation)
+        elif geometry.key != constellation_key(config.constellation):
+            raise ConfigurationError("geometry was built for another constellation than the config's")
+        self.nodes = geometry.nodes
+        profiles = config.profiles
+        self.vms = [Vm(node.id, node.layer, profiles[node.layer].mips) for node in self.nodes]
+        self.positions = positions if positions is not None else geometry.positions
         if len(self.positions) != len(self.nodes):
             raise ConfigurationError(
                 f"position source covers {len(self.positions)} satellites, "
@@ -413,20 +450,20 @@ class Simulation:
                         f"injected task {i} originates at satellite {task.origin_satellite}, "
                         f"outside 0..{n_satellites - 1}")
 
-        layer_codes = np.array([LAYER_CODE[vm.host_layer] for vm in self.vms], dtype=np.int64)
+        layer_codes = geometry.layer_codes
         n_vms = len(self.vms)
         view = self._view = CandidateView(
             vm_ids=np.arange(n_vms, dtype=np.int64),
             layer_codes=layer_codes,
             source=None,
             queue_lens=np.zeros(n_vms),
-            mips=np.array([vm.mips for vm in self.vms]),
+            mips=np.array([profiles[layer].mips for layer in LAYER_ORDER])[layer_codes],
             assigned=np.zeros(n_vms, dtype=np.int64),
         )
         if positions is None:
-            view.static_feasible, view.max_distance = _orbit_bounds(config, layered, layer_codes)
+            view.static_feasible, view.max_distance = _orbit_bounds(config, geometry)
             if view.static_feasible is not None:
-                view.far = _far_set(layered, layer_codes)
+                view.far = _far_set(geometry)
         terms = (far_term_hook(view, config.architecture, config.radio)
                  if config.policy is PolicyId.WEIGHT_GREEDY else None)
         view.source = self._distances = _Distances(self.positions, self.tasks, view.far, terms)

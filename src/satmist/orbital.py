@@ -185,6 +185,22 @@ def build_constellation(spec: ConstellationSpec) -> list[tuple[Layer, OrbitalEle
     return out
 
 
+def constellation_key(spec: ConstellationSpec) -> tuple:
+    """The spec fields build_constellation reads, as a hashable key: specs with
+    equal keys build equal constellations.
+
+    Each layer's count, with its altitude when the layer has satellites, in
+    LAYER_ORDER whatever the mapping's order; then planes and inclination
+    under walker_delta, or rng_seed under random_uniform, the only phasing
+    that draws.
+    """
+    layers = tuple((spec.count_for(layer), spec.altitude_by_layer[layer] if spec.count_for(layer)
+                    else None) for layer in LAYER_ORDER)
+    if spec.phasing is Phasing.WALKER_DELTA:
+        return spec.phasing, layers, spec.planes, spec.inclination_rad
+    return spec.phasing, layers, spec.rng_seed
+
+
 class OrbitPositions:
     """Vectorized position source for a fixed satellite list.
 

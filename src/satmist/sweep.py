@@ -4,7 +4,9 @@ Produces one MetricsRecord per grid point in construction order
 (count-major, then policy, then seed), regardless of how many worker
 processes execute the runs. Runs that share a seed share their arrivals:
 they are drawn once, at the grid's largest mist count, and each run takes
-those of its own mist satellites (see engine.draw_arrivals). Writers emit
+those of its own mist satellites (see engine.draw_arrivals). In one
+process, runs that share a constellation share its engine.Geometry, built
+at the first of them and dropped after the last. Writers emit
 results.csv plus one plot_<metric>.csv per headline metric, shaped for
 line charts: a satellites column and one column per policy, averaged
 over seeds.
@@ -21,9 +23,10 @@ from pathlib import Path
 from typing import Sequence
 
 from .config import SimulationConfig, validate
-from .engine import Simulation, draw_arrivals
+from .engine import Geometry, Simulation, draw_arrivals
 from .errors import ConfigurationError
 from .metrics import MetricsRecord, emit_csv
+from .orbital import constellation_key
 from .orchestrate import PolicyId
 
 DEFAULT_COUNTS = tuple(range(100, 1001, 100))
@@ -103,6 +106,23 @@ def _run_one(job) -> MetricsRecord:
     return Simulation(config, arrivals=arrivals).run()
 
 
+def _run_sharing_geometry(jobs) -> list[MetricsRecord]:
+    """The jobs' records, in order, each constellation_key's runs on one Geometry
+    built at the key's first run and dropped after its last."""
+    keys = [constellation_key(config.constellation) for config, _ in jobs]
+    last = {key: i for i, key in enumerate(keys)}
+    geometries: dict[tuple, Geometry] = {}
+    records = []
+    for i, ((config, arrivals), key) in enumerate(zip(jobs, keys)):
+        geometry = geometries.get(key)
+        if geometry is None:
+            geometry = geometries[key] = Geometry(config.constellation)
+        records.append(Simulation(config, arrivals=arrivals, geometry=geometry).run())
+        if last[key] == i:
+            del geometries[key]
+    return records
+
+
 def run_sweep(spec: SweepSpec, base: SimulationConfig,
               parallel: int = 1) -> list[MetricsRecord]:
     """Run the grid; optionally write CSV artifacts to spec.output_dir.
@@ -128,8 +148,11 @@ def run_sweep(spec: SweepSpec, base: SimulationConfig,
     jobs = [(config, arrivals[_arrival_key(config)]) for config in configs]
     workers = min(parallel, len(configs), os.cpu_count() or 1)
     if workers == 1:
-        records = [_run_one(job) for job in jobs]
+        records = _run_sharing_geometry(jobs)
     else:
+        # a worker builds each run's geometry: a pickle round trip of one costs about
+        # as much as building it (2.2 against 2.3 ms at 300 mist, 4.6 against 3.5 ms
+        # at 1,000, on a 2-core host)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_one, jobs))
     if spec.output_dir is not None:

@@ -743,15 +743,86 @@ def test_finished_run_is_freed_without_the_cycle_collector():
     import weakref
 
     cfg = parse_config("constellation.mist=10\nsimulation.duration_s=30\npolicy.name=round_robin\n")
-    sim = Simulation(cfg)
-    sim.run()
-    ref = weakref.ref(sim)
+    geometry = engine.Geometry(cfg.constellation)
+    # a run that builds its own geometry, then one built on a shared geometry
+    for shared in (None, geometry):
+        sim = Simulation(cfg, geometry=shared)
+        sim.run()
+        ref = weakref.ref(sim)
+        gc.disable()
+        try:
+            del sim
+            assert ref() is None
+        finally:
+            gc.enable()
+    geometry_ref = weakref.ref(geometry)
     gc.disable()
     try:
-        del sim
-        assert ref() is None
+        del geometry, shared
+        assert geometry_ref() is None
     finally:
         gc.enable()
+
+
+# run back to back on one geometry: every variant a run may change without
+# changing the constellation, and weight_greedy, which sets the far set's ids
+# from the architecture, before and after each architecture
+_SHARED_GEOMETRY_RUNS = [
+    *(f"policy.name={policy.value}\n" for policy in orchestrate.PolicyId),
+    "policy.name=weight_greedy\narchitecture.layers=mist\n",
+    "policy.name=trade_off\narchitecture.layers=mist,edge_dc\n",
+    "policy.name=weight_greedy\narchitecture.layers=mist,edge_dc\n",
+    "policy.name=weight_greedy\n",
+    "policy.name=trade_off\nvm.mist_mips=20000\nvm.edge_mips=30000\nvm.cloud_mips=50000\n",
+    "policy.name=weight_greedy\nvm.mist_mips=20000\nvm.edge_mips=30000\nvm.cloud_mips=50000\n",
+    "policy.name=weight_greedy\nradio.eps_mp=1.2e-15\n",
+    "policy.name=trade_off\n",
+    "policy.name=random_vm\nlink.range_mist_m=6e6\nlink.range_edge_m=9e6\n",
+    "policy.name=weight_greedy\nrng.seed=2\n",
+]
+
+
+@pytest.mark.parametrize("phasing", ["walker_delta", "random_uniform"])
+def test_runs_sharing_a_geometry_equal_runs_made_alone(phasing):
+    base = ("constellation.mist=40\nconstellation.edge_dc=6\nconstellation.cloud=4\n"
+            f"constellation.phasing={phasing}\nsimulation.duration_s=30\n")
+    geometry = engine.Geometry(parse_config(base).constellation)
+    fresh = engine.OrbitPositions([elements for _, elements in geometry.layered])
+
+    def snapshot():
+        return (geometry.layer_codes.tobytes(), geometry.positions._orbits.tobytes(),
+                geometry.positions.positions_all(17.0).tobytes(), list(geometry.layered),
+                list(geometry.nodes), dict(geometry.radius))
+
+    before = snapshot()
+    assert before[2] == fresh.positions_all(17.0).tobytes()
+    for text in _SHARED_GEOMETRY_RUNS:
+        if phasing == "random_uniform" and "rng.seed" in text:
+            continue  # another constellation under random phasing
+        cfg = parse_config(base + text)
+        shared = Simulation(cfg, geometry=geometry)
+        alone = Simulation(cfg)
+        assert shared.run() == alone.run(), text
+        assert [task.assigned_vm for task in shared.tasks] \
+            == [task.assigned_vm for task in alone.tasks], text
+    assert snapshot() == before
+
+
+def test_geometry_of_another_constellation_is_refused():
+    # without the check, the run would simulate the geometry's constellation
+    walker = parse_config("constellation.mist=10\nsimulation.duration_s=5\n")
+    shuffled = parse_config("constellation.mist=10\nsimulation.duration_s=5\n"
+                            "constellation.phasing=random_uniform\n")
+    for cfg, spec in [(walker, replace(walker.constellation, mist=11)),
+                      (walker, replace(walker.constellation, planes=4)),
+                      (walker, shuffled.constellation),
+                      (shuffled, walker.constellation),
+                      (shuffled, replace(shuffled.constellation, rng_seed=2))]:
+        with pytest.raises(ConfigurationError, match="another constellation"):
+            Simulation(cfg, geometry=engine.Geometry(spec))
+    # walker phasing never reads the seed, so runs of other seeds share the geometry
+    Simulation(replace(walker, seed=2, constellation=replace(walker.constellation, rng_seed=2)),
+               geometry=engine.Geometry(walker.constellation)).run()
 
 
 @pytest.mark.parametrize("policy", ["random_vm", "weight_greedy"])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 
@@ -20,6 +21,7 @@ from satmist.orbital import (
     Phasing,
     angular_rate_rad_s,
     build_constellation,
+    constellation_key,
     dump_trace,
     orbital_period_s,
     position_at,
@@ -133,6 +135,57 @@ def test_build_constellation_is_deterministic():
     spec = ConstellationSpec(mist=7, edge_dc=3, cloud=2,
                              phasing=Phasing.RANDOM_UNIFORM, rng_seed=42)
     assert build_constellation(spec) == build_constellation(spec)
+
+
+# per ConstellationSpec field, values to swap in one at a time
+_KEY_VARIANTS = {
+    "mist": [7, 0],
+    "edge_dc": [4, 0],
+    "cloud": [5],
+    "altitude_by_layer": [{Layer.MIST: 500_000.0}, {Layer.EDGE_DC: 2_500_000.0},
+                          {Layer.CLOUD: 9_000_000.0}],
+    "planes": [4, 1],
+    "inclination_rad": [0.5],
+    "phasing": list(Phasing),
+    "rng_seed": [2, 42],
+}
+
+
+@pytest.mark.parametrize("base", [
+    ConstellationSpec(mist=6, edge_dc=3, cloud=2, planes=3),
+    ConstellationSpec(mist=6, edge_dc=3, cloud=2, planes=3, phasing=Phasing.RANDOM_UNIFORM),
+    ConstellationSpec(mist=6, edge_dc=0, cloud=2, planes=3),
+    ConstellationSpec(mist=6, edge_dc=0, cloud=2, phasing=Phasing.RANDOM_UNIFORM),
+], ids=["walker", "random", "walker_no_edge", "random_no_edge"])
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ConstellationSpec)])
+def test_constellation_key_differs_exactly_when_the_constellation_does(base, name):
+    # sweep.run_sweep shares one geometry among runs of equal keys, so equal
+    # keys must build equal constellations; unequal ones should not
+    for value in _KEY_VARIANTS[name]:
+        if name == "altitude_by_layer":
+            value = {**base.altitude_by_layer, **value}
+        spec = dataclasses.replace(base, **{name: value})
+        same_key = constellation_key(spec) == constellation_key(base)
+        assert same_key == (build_constellation(spec) == build_constellation(base)), (name, value)
+
+
+def test_constellation_key_reads_the_seed_under_random_phasing_only():
+    walker = ConstellationSpec(mist=6, edge_dc=3, cloud=2, rng_seed=1)
+    shuffled = ConstellationSpec(mist=6, edge_dc=3, cloud=2, rng_seed=1,
+                                 phasing=Phasing.RANDOM_UNIFORM)
+    for spec in (walker, shuffled):
+        hash(constellation_key(spec))
+    assert constellation_key(walker) == constellation_key(dataclasses.replace(walker, rng_seed=2))
+    assert constellation_key(shuffled) != constellation_key(
+        dataclasses.replace(shuffled, rng_seed=2))
+
+
+def test_constellation_key_ignores_the_altitude_mapping_order():
+    spec = ConstellationSpec(mist=6, edge_dc=3, cloud=2)
+    reversed_order = dict(reversed(list(spec.altitude_by_layer.items())))
+    assert list(reversed_order) != list(spec.altitude_by_layer)
+    assert constellation_key(dataclasses.replace(spec, altitude_by_layer=reversed_order)) \
+        == constellation_key(spec)
 
 
 def test_random_uniform_respects_altitude_and_angle_ranges():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satmist import engine
 from satmist import sweep as sweep_mod
 from satmist.config import parse_config, validate
 from satmist.engine import Simulation, draw_arrivals
@@ -156,6 +157,54 @@ def test_arrivals_drawn_at_a_larger_count_hold_a_fresh_draw(seed, count, extra, 
     shared = Simulation(config, arrivals=draw_arrivals(top)).tasks
     assert [repr(astuple(task)) for task in shared] == [repr(astuple(task)) for task in fresh]
     assert all(task.origin_satellite < count for task in fresh)
+
+
+@pytest.mark.parametrize("text, counts, seeds, builds", [
+    ("", (100, 200, 300), (1, 2), 3),  # the benchmark's desk_sweep grid
+    ("", (1000,), (1,), 1),  # full_walker's
+    ("constellation.phasing=random_uniform\n", (300,), (1,), 1),  # sparse_links'
+    ("constellation.phasing=random_uniform\n", (100, 200), (1, 2), 4),
+], ids=["desk_sweep", "full_walker", "sparse_links", "random_two_seeds"])
+def test_each_constellation_is_built_once_per_sweep(monkeypatch, text, counts, seeds, builds):
+    built = []
+    build = engine.build_constellation
+    monkeypatch.setattr(engine, "build_constellation", lambda spec: built.append(spec) or build(spec))
+    spec = SweepSpec(satellite_counts=counts, seeds=seeds)
+    records = run_sweep(spec, parse_config("simulation.duration_s=1\n" + text))
+    assert len(records) == len(counts) * len(PolicyId) * len(seeds)
+    assert len(built) == builds
+
+
+def test_sweep_twice_gives_the_same_records_and_keeps_no_geometry(monkeypatch):
+    import gc
+    import weakref
+
+    refs, alive_at_build = [], []
+
+    class Tracked(engine.Geometry):
+        def __init__(self, spec):
+            alive_at_build.append(sum(ref() is not None for ref in refs))
+            super().__init__(spec)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(sweep_mod, "Geometry", Tracked)
+    # random phasing: the two seeds' constellations differ, and alternate in grid order
+    base = parse_config("constellation.mist=7\nconstellation.edge_dc=3\nconstellation.cloud=2\n"
+                        "simulation.duration_s=15\nconstellation.phasing=random_uniform\n")
+    spec = SweepSpec(satellite_counts=(3, 7),
+                     policies=(PolicyId.WEIGHT_GREEDY, PolicyId.TRADE_OFF, PolicyId.RANDOM_VM),
+                     seeds=(1, 2))
+    gc.disable()
+    try:
+        first = run_sweep(spec, base)
+        assert len(refs) == 4 and all(ref() is None for ref in refs)
+        second = run_sweep(spec, base)
+        assert len(refs) == 8 and all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+    assert first == second
+    # a count's geometries are dropped after its last run, before the next count's are built
+    assert alive_at_build == [0, 1, 0, 1] * 2
 
 
 class RecordingPool:
