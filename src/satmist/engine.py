@@ -17,9 +17,11 @@ fixes, its orbits, nodes and layer codes, is a Geometry; run_sweep
 builds one per constellation and shares it among that constellation's
 runs, each of which keeps its own VMs and placement state. Each task is
 placed once, at creation time, over a snapshot of every VM in the
-constellation whose distance column is computed only if the policy reads
-it; transfers charge radio energy on both ends; results are censored,
-not extrapolated, at the simulation horizon.
+constellation. Its distance column is computed only if the policy reads
+it, or, where feasibility is checked per task on the built-in orbits and
+nearly every policy reads it, with the columns of the next arrivals in
+one block; transfers charge radio energy on both ends; results are
+censored, not extrapolated, at the simulation horizon.
 """
 
 from __future__ import annotations
@@ -163,6 +165,11 @@ def _arrival_tasks(config: SimulationConfig, arrivals) -> list[Task]:
 # values in a block of far rows: arrivals x far satellites, sized so the
 # block's few working arrays stay in a core's cache
 _BLOCK_VALUES = 4096
+# values in a block of whole columns: arrivals x satellites. Its working
+# arrays, 6 to 8 values per block value (at most 0.5 MB), stay within a
+# 2 MB cache; at 1,042 satellites 7 columns a block cost 20-25% less per
+# column than 3, at 342 about 10% less for 23 than 11
+_COLUMN_BLOCK_VALUES = 8192
 
 
 class _Distances:
@@ -175,21 +182,30 @@ class _Distances:
     `to_vm` measure from: arrival k's origin at its creation time. There
     are three reads, each equal to the others bit for bit where they
     overlap. `column` is the distance to every satellite. `far_row` is the
-    distance to the far set's satellites, far.start on: arrival k's row of
-    a block that covers arrivals k to k+B-1 of `tasks`, computed in one
-    numpy pass by OrbitPositions.positions_at on the first far read
-    outside the current block. With the hook `terms`, which
-    orchestrate.far_term_hook makes, the same pass computes weight_greedy's
-    distance and energy terms from the block's rows and its tasks' input
-    bits, and `far_terms` reads arrival k's. `pair` is one distance at any
-    time, from the two satellites' orbit rows in Python floats on the C
-    library's cos and sin, which numpy's float64 cos and sin are; `to_vm`
-    reads what this placement computed, else `pair`. Holds no reference
-    to the Simulation, so its view keeps no finished run alive.
+    distance to the far set's satellites, far.start on. Both come from
+    arrival k's row of a block that covers arrivals k to k+B-1 of `tasks`,
+    computed in one numpy pass on the first read outside the current
+    block; its rows are valid until the next fill. With `whole` set, for
+    runs that check feasibility per task on an OrbitPositions, the block
+    holds every satellite, by OrbitPositions.positions_over, and `column`
+    is its row: nearly every such placement reads its column. Otherwise
+    the block holds the far satellites alone, by positions_at, and
+    `column` is computed on its first read at each instant, by one
+    positions_all call, into a buffer the next instant's column
+    overwrites: with static feasibility most placements read no column,
+    and a block would compute rows nobody reads. With the hook `terms`,
+    which orchestrate.far_term_hook makes, the far block's pass computes
+    weight_greedy's distance and energy terms from its rows and its
+    tasks' input bits, and `far_terms` reads arrival k's. `pair` is one
+    distance at any time, from the two satellites' orbit rows in Python
+    floats on the C library's cos and sin, which numpy's float64 cos and
+    sin are; `to_vm` reads what this placement computed, else `pair`.
+    Holds no reference to the Simulation, so its view keeps no finished
+    run alive.
     """
 
     def __init__(self, positions, tasks: Sequence[Task], far: FarSet | None = None,
-                 terms: Callable | None = None):
+                 terms: Callable | None = None, *, whole: bool = False):
         n = len(positions)
         self._positions = positions
         self._tasks = tasks
@@ -197,11 +213,15 @@ class _Distances:
         self._diff = np.empty((3, n))
         self._acc = np.empty(n)
         self._orbits = positions._by_satellite if isinstance(positions, OrbitPositions) else None
-        # the far satellites, whose rows need an OrbitPositions; none without a far set
-        self._start = n if far is None else far.start
+        # the block's satellites, start on: every one when whole, else the far
+        # set's, none without one
+        self._whole = whole
+        self._start = 0 if whole else n if far is None else far.start
         self._far_ids = np.arange(self._start, n)
-        self._block_rows = max(1, _BLOCK_VALUES // max(1, n - self._start))
+        self._block_rows = max(1, (_COLUMN_BLOCK_VALUES if whole else _BLOCK_VALUES)
+                               // max(1, n - self._start))
         self._block, self._first = np.empty((0, n - self._start)), 0
+        self._work = None  # the whole block's buffer, made at its first fill
         self._terms_of, self._terms = terms, None
 
     def at(self, k: int) -> None:
@@ -210,23 +230,48 @@ class _Distances:
         self._filled, self._tail = False, None
 
     def column(self) -> np.ndarray:
-        """Distance from satellite `origin` to every VM, computed once per instant into
-        a buffer the next instant's column overwrites."""
+        """Distance from satellite `origin` to every VM: this arrival's block row when
+        `whole`, else computed once per instant into a buffer the next instant's
+        column overwrites."""
+        if self._whole:
+            if self._tail is None:
+                self._block_index()
+            return self._tail
         if not self._filled:
             pos = self._positions.positions_all(self.now).T
             _from_point(pos[:, self.origin].tolist(), pos, self._diff, self._acc, self._column)
             self._filled = True
         return self._column
 
-    def _far_index(self) -> int:
+    def _block_index(self) -> int:
         """This arrival's row in the block, filling the block on a miss; keeps the
-        row for far_row and to_vm."""
+        row for column, far_row and to_vm."""
         i = self._k - self._first
         if not 0 <= i < len(self._block):
-            self._fill_block()
+            if self._whole:
+                self._fill_whole()
+            else:
+                self._fill_block()
             i = 0
         self._tail = self._block[i]
         return i
+
+    def _fill_whole(self) -> None:
+        """Columns of arrivals k to k+B-1: positions_over at their times, then
+        _from_point's operations, elementwise, each row from its own origin."""
+        k = self._k
+        tasks = self._tasks[k:k + self._block_rows]
+        m = len(tasks)
+        if self._work is None:
+            self._work = np.empty((self._block_rows, len(self._positions)))
+        block = self._work[:m]
+        # the differences are taken in positions_over's buffer, which it lets callers overwrite
+        diff = self._positions.positions_over([task.created_at for task in tasks])
+        diff -= diff[:, np.arange(m), [task.origin_satellite for task in tasks]][:, :, None]
+        diff *= diff
+        np.add(diff[0], diff[1], out=block)
+        block += diff[2]
+        self._block, self._first = np.sqrt(block, out=block), k
 
     def _fill_block(self) -> None:
         """Far rows of arrivals k to k+B-1, by _from_point's operations, elementwise,
@@ -250,7 +295,7 @@ class _Distances:
     def far_terms(self):
         """weight_greedy's (distance terms, energy terms, reaches the chord) for this
         arrival: its row of what the hook `terms` computed with the block."""
-        i = self._far_index()
+        i = self._block_index()
         dn, en, reaches = self._terms
         return dn[i], en[i], reaches[i]
 
@@ -258,7 +303,7 @@ class _Distances:
         """column's distances to the far satellites, far.start on, alone: this
         arrival's row of the block, the same IEEE operations on the same
         coordinates. Index i is satellite far.start + i."""
-        self._far_index()
+        self._block_index()
         return self._tail
 
     def to_vm(self, vm: int) -> float:
@@ -323,10 +368,10 @@ class Geometry:
     list, the nodes, the orbits and each satellite's layer code.
 
     sweep.run_sweep builds one per constellation_key and hands it to that
-    key's runs. Runs only read it: each keeps its VMs, view, distances and
-    far set to itself, and the geometry refers to none of them. Its
-    OrbitPositions reuses one buffer per call, so it is not for runs on
-    other threads.
+    key's runs. Runs only read it: each keeps its VMs, view, distances,
+    blocks of distances and far set to itself, and the geometry refers to
+    none of them. Its OrbitPositions reuses its buffers on every call, so
+    it is not for runs on other threads.
     """
 
     def __init__(self, spec: ConstellationSpec):
@@ -466,7 +511,11 @@ class Simulation:
                 view.far = _far_set(geometry)
         terms = (far_term_hook(view, config.architecture, config.radio)
                  if config.policy is PolicyId.WEIGHT_GREEDY else None)
-        view.source = self._distances = _Distances(self.positions, self.tasks, view.far, terms)
+        # with feasibility per task on the built-in orbits, nearly every placement
+        # reads its column, so the source computes them a block of arrivals at a time
+        whole = positions is None and view.static_feasible is None
+        view.source = self._distances = _Distances(self.positions, self.tasks, view.far, terms,
+                                                   whole=whole)
         self._layer_weights = {**DEFAULT_TRADEOFF_LAYER_WEIGHTS,
                                Layer.CLOUD: config.tradeoff_cloud_weight}
         self._policy_rng = random.Random(f"{config.seed}:policy")

@@ -211,9 +211,10 @@ class OrbitPositions:
     them per satellite. Positions are written into one preallocated
     (3, n) buffer; positions_all returns its (n, 3) transposed view,
     valid until the next call, so instances are not safe to share across
-    threads. positions_at gives satellites at times of their own, one
-    angle each, in the same numpy operations, so its coordinates equal
-    their positions_all rows bit for bit. `_by_satellite` holds each
+    threads. positions_over does the same at several times at once, into
+    buffers of its own. positions_at gives satellites at times of their
+    own, one angle each. Both use positions_all's numpy operations, so
+    their coordinates equal its rows bit for bit. `_by_satellite` holds each
     satellite's orbit row as a tuple of floats, for distances computed in
     Python floats (engine._orbits_apart).
     """
@@ -246,6 +247,7 @@ class OrbitPositions:
         # flat indices into _trig_by_angle that fill _trig with the rows
         # cos, cos, sin, sin of each satellite's angle
         self._gather = np.concatenate((group, group, group + g, group + g))
+        self._group = group
         self._trig = np.empty((4, n))
         # constants tiled to the shapes they multiply, so no operand broadcasts
         self._ci2 = np.array([ci, ci])
@@ -255,6 +257,8 @@ class OrbitPositions:
         self._a3 = np.array([a, a, a])
         self._terms = np.empty((2, n))
         self._xyz = np.empty((3, n))
+        # positions_over's buffers, made at its first call
+        self._over: tuple[np.ndarray, ...] = ()
 
     def __len__(self) -> int:
         return len(self._elements)
@@ -279,6 +283,39 @@ class OrbitPositions:
         np.multiply(trig[3], self._si, out=xyz[2])
         xyz *= self._a3
         return xyz.T
+
+    def positions_over(self, times: Sequence[float] | np.ndarray) -> np.ndarray:
+        """positions_all at each of m `times`, as a (3, m, n) view of reused buffers:
+        [:, i] is positions_all(times[i]).T, bit for bit. It is valid until the
+        next call, and the caller may overwrite it.
+
+        positions_all's operations with a leading axis of times: one cos and one
+        sin per distinct (rate, phase) and time, gathered per satellite. The
+        buffers are made at the first call, for its m times, and remade only
+        for a call of more times than any before.
+        """
+        m, n, g = len(times), len(self), len(self._rate)
+        if not self._over or self._over[0].shape[1] < m:
+            self._over = np.empty((2, m, g)), np.empty((2, m, n)), np.empty((3, m, n))
+        by_angle, trig, xyz = self._over
+        by_angle, trig, xyz = by_angle[:, :m], trig[:, :m], xyz[:, :m]
+        theta = by_angle[1]  # the angles, which sin then overwrites in place
+        np.multiply(self._rate, np.asarray(times, dtype=np.float64)[:, None], out=theta)
+        theta += self._phase
+        np.cos(theta, out=by_angle[0])
+        np.sin(theta, out=theta)
+        # trig[0] holds each satellite's cos, trig[1] its sin
+        by_angle.take(self._group, axis=2, out=trig, mode="clip")
+        ct, st = trig
+        np.multiply(st, self._si, out=xyz[2])
+        np.multiply(ct, self._co_so[:, None], out=xyz[:2])
+        # positions_all's terms rows, (st*ci)*(-so) and (st*ci)*co, in trig's place
+        st *= self._ci2[0]
+        np.multiply(st, self._neg_so_co[0], out=ct)
+        st *= self._neg_so_co[1]
+        xyz[:2] += trig
+        xyz *= self._a3[:, None]
+        return xyz
 
     def positions_at(self, ids: np.ndarray, t_seconds: np.ndarray):
         """Arrays x, y, z of satellite ids[i] at time t_seconds[i], the two broadcast together.

@@ -59,11 +59,16 @@ class CandidateView:
 
     The distances come from `source`, which owns them: `distances` is
     `source.column()`, the distance from the placement's origin to every
-    candidate, computed on its first read for the current placement, so a
-    policy that never reads it never pays for it. `source.far_row()` gives
-    the same distances to the `far` set's VMs alone, far.start on, and
-    `source.far_terms()` gives weight_greedy's distance and energy terms
-    over the origin and the far VMs it scores (see far_terms).
+    candidate. The engine's source computes it on its first read for the
+    current placement, so a policy that never reads it never pays for it,
+    into a buffer the next placement overwrites; where feasibility is
+    checked per task, it reads the placement's row of a block of columns
+    computed for several arrivals at once, valid until the block is
+    refilled. Either way, policies read it and never write it.
+    `source.far_row()` gives the same distances to the `far` set's VMs
+    alone, far.start on, and `source.far_terms()` gives weight_greedy's
+    distance and energy terms over the origin and the far VMs it scores
+    (see far_terms).
 
     Four optional facts, set by whoever builds the view for one run's
     architecture, link and orbits, let policies place without distances.

@@ -1,10 +1,11 @@
 """Test-side records and readers: candidate lists, task stand-ins, a distance
-source, a reference event loop and the CSV reader.
+source, a reference event loop, a reference distance source and the CSV reader.
 
 The simulator places over a CandidateView and writes results.csv; the
 tests build views from plain Candidate records, over a fixed distance
 column, run a Simulation by the single-heap loop its two-source loop
-replaced, and read the CSV back.
+replaced or on columns computed one placement at a time, and read the
+CSV back.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from satmist.engine import Event, EventKind, TaskState
+from satmist.engine import Event, EventKind, TaskState, _Distances
 from satmist.layers import LAYER_CODE, Layer
 from satmist.metrics import CSV_COLUMNS, MetricsRecord
 from satmist.orchestrate import CandidateView, PolicyId, far_term_hook
@@ -128,6 +129,16 @@ def run_single_heap(sim):
     if sim.record_events:
         sim.events.append(Event(duration, sim._seq, EventKind.SIM_END, -1))
     return sim._build_record()
+
+
+def columns_per_placement(sim):
+    """`sim`, not yet run, with a distance source that computes each placement's
+    column alone, by one positions_all call, as runs with static feasibility
+    do. The reference for the blocks of columns that runs checking
+    feasibility per task read; everything else is sim's own."""
+    terms = sim._distances._terms_of
+    sim._distances = sim._view.source = _Distances(sim.positions, sim.tasks, sim._view.far, terms)
+    return sim
 
 
 def parse_csv(data: bytes | str) -> list[MetricsRecord]:

@@ -513,6 +513,112 @@ def test_far_rows_of_injected_tasks_equal_the_column_bit_for_bit():
         assert _hex(far) == _hex(distances.column()[start:]), k
 
 
+# ranges below the inter-shell distances, so feasibility is checked per task
+_SHORT_LINKS = "link.range_mist_m=6e6\nlink.range_edge_m=9e6\nlink.range_cloud_m=17e6\n"
+
+
+def _column_alone(positions, origin: int, now: float) -> np.ndarray:
+    """The column as a placement computes it alone: positions_all, then _from_point."""
+    pos = positions.positions_all(now).T
+    n = pos.shape[1]
+    out = np.empty(n)
+    engine._from_point(pos[:, origin].tolist(), pos, np.empty((3, n)), np.empty(n), out)
+    return out
+
+
+@pytest.mark.parametrize("mist, phasing, duration", [
+    (40, "walker_delta", 18.0), (40, "random_uniform", 18.0),
+    (1000, "walker_delta", 0.55), (1000, "random_uniform", 0.55),
+])
+def test_every_column_block_row_equals_the_column_alone_bit_for_bit(mist, phasing, duration):
+    # every arrival of a seeded run, read in order as the engine reads them, so
+    # rows 0, B-1 and B of each block and the last, partial block are all read
+    cfg = parse_config(f"constellation.mist={mist}\nconstellation.phasing={phasing}\n"
+                       f"simulation.duration_s={duration}\n" + _SHORT_LINKS)
+    sim = Simulation(cfg)
+    distances, n = sim._distances, len(sim.positions)
+    rows = distances._block_rows
+    assert sim._view.static_feasible is None and distances._whole
+    assert rows == engine._COLUMN_BLOCK_VALUES // n
+    assert len(sim.tasks) > 2 * rows and len(sim.tasks) % rows
+    for k, task in enumerate(sim.tasks):
+        distances.at(k)
+        column = distances.column()
+        assert distances._first == k - k % rows
+        expected = _column_alone(sim.positions, task.origin_satellite, task.created_at)
+        assert _hex(column) == _hex(expected), k
+        vm = (7 * k) % n
+        assert distances.to_vm(vm) == expected[vm]
+
+
+def test_column_block_rows_of_injected_tasks_equal_the_column_alone_bit_for_bit():
+    # injected tasks from satellites of every layer, with ties in time; blocks start
+    # wherever a read misses, and the read order goes back and forth
+    cfg = parse_config("constellation.mist=40\nconstellation.phasing=random_uniform\n"
+                       "policy.name=trade_off\n" + _SHORT_LINKS)
+    rng = random.Random(5)
+    times = sorted(round(rng.uniform(0.0, 60.0), 1) for _ in range(250))
+    tasks = [heavy_task(k, rng.randrange(82), t) for k, t in enumerate(times)]
+    sim = Simulation(cfg, tasks=tasks)
+    distances = sim._distances
+    rows = distances._block_rows
+    assert rows == engine._COLUMN_BLOCK_VALUES // 82
+    for k in (0, 1, 249, rows - 1, rows, rows + 1, 2, 2 * rows - 1, 2 * rows, 248):
+        distances.at(k)
+        column = distances.column()
+        assert distances.column() is column and sim._view.distances is column
+        assert _hex(column) == _hex(_column_alone(sim.positions, tasks[k].origin_satellite,
+                                                  tasks[k].created_at)), k
+
+
+def test_column_blocks_of_one_row_past_the_block_size():
+    # more satellites than a block holds values: each block is one arrival's column
+    cfg = parse_config("constellation.mist=8200\n" + _SHORT_LINKS)
+    tasks = [heavy_task(k, origin, 2.5 * (k // 2)) for k, origin in enumerate((0, 8199, 8241, 17))]
+    sim = Simulation(cfg, tasks=tasks)
+    distances, n = sim._distances, len(sim.positions)
+    assert n > engine._COLUMN_BLOCK_VALUES and distances._block_rows == 1
+    for k in (0, 1, 3, 2):
+        distances.at(k)
+        column = distances.column()
+        assert distances._first == k
+        assert _hex(column) == _hex(_column_alone(sim.positions, tasks[k].origin_satellite,
+                                                  tasks[k].created_at)), k
+
+
+@pytest.mark.parametrize("policy", list(orchestrate.PolicyId))
+def test_feasibility_per_task_reads_every_column_from_blocks(monkeypatch, policy):
+    # the column comes from positions_over, a block at a time, and never from positions_all;
+    # distance_only keeps each task on its own enabled mist VM and reads none
+    cfg = parse_config(f"constellation.mist=100\nconstellation.phasing=random_uniform\n"
+                       f"policy.name={policy.value}\nsimulation.duration_s=5\n" + _SHORT_LINKS)
+    sim = Simulation(cfg)
+    calls = []
+    positions_over = sim.positions.positions_over
+    sim.positions.positions_all = lambda t: pytest.fail("a column from positions_all")
+    sim.positions.positions_over = lambda times: calls.append(len(times)) or positions_over(times)
+    assert sim._view.static_feasible is None
+    record = sim.run()
+    assert record.generated > 100
+    rows = sim._distances._block_rows
+    assert bool(calls) == (policy is not orchestrate.PolicyId.DISTANCE_ONLY)
+    assert len(calls) <= -(-record.generated // rows) and all(0 < m <= rows for m in calls)
+
+
+@pytest.mark.parametrize("text, positions", [
+    *((f"policy.name={policy.value}\n", None) for policy in orchestrate.PolicyId),
+    ("policy.name=random_vm\n" + _SHORT_LINKS, StaticPositions(np.zeros((142, 3)))),
+], ids=[*(policy.value for policy in orchestrate.PolicyId), "injected_positions"])
+def test_only_feasibility_per_task_on_the_orbits_fills_column_blocks(monkeypatch, text, positions):
+    # with static feasibility, as with an injected position source, each placement
+    # computes the column it reads, and no block of columns is filled
+    monkeypatch.setattr(engine._Distances, "_fill_whole", lambda self: pytest.fail("column block"))
+    sim = Simulation(parse_config("constellation.mist=100\nsimulation.duration_s=3\n" + text),
+                     positions=positions)
+    assert not sim._distances._whole
+    assert sim.run().generated > 100
+
+
 def test_distance_column_computed_once_per_instant():
     # column() reads the positions on its first call after each at(), and the
     # view's distances are that column; the far reads never read them all

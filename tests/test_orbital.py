@@ -222,11 +222,14 @@ def _bits(rows) -> list[tuple[str, ...]]:
     return [tuple(map(float.hex, row)) for row in rows]
 
 
-@pytest.mark.parametrize("spec", [
+_POSITION_SPECS = pytest.mark.parametrize("spec", [
     ConstellationSpec(),
     ConstellationSpec(mist=18, edge_dc=5, cloud=3, planes=8),
     ConstellationSpec(mist=40, edge_dc=6, cloud=4, phasing=Phasing.RANDOM_UNIFORM, rng_seed=5),
 ], ids=["walker_default", "walker_uneven_planes", "random_uniform"])
+
+
+@_POSITION_SPECS
 def test_positions_at_equals_positions_all_rows_bit_for_bit(spec):
     # satellite ids[i] at times[i], over every (id, t) drawn here, repeats and the
     # last satellite among them
@@ -251,6 +254,19 @@ def test_positions_at_equals_positions_all_rows_bit_for_bit(spec):
         assert _bits(np.transpose([x[k], y[k], z[k]]).tolist()) == \
             _bits(provider.positions_all(float(times[k]))[ids[:50]].tolist())
 
+
+@_POSITION_SPECS
+def test_positions_over_equals_positions_all_bit_for_bit(spec):
+    # a one-time vector first, then vectors longer and shorter than any before it,
+    # so the buffers are made, remade and read in part
+    provider = OrbitPositions([e for _, e in build_constellation(spec)])
+    rng = np.random.default_rng(17)
+    for m in (1, 12, 5, 30, 1, 30):
+        times = rng.uniform(0.0, 600.0, m)
+        over = provider.positions_over(times)
+        assert over.shape == (3, m, len(provider))
+        rows = [_bits(np.transpose(over[:, i]).tolist()) for i in range(m)]
+        assert rows == [_bits(provider.positions_all(float(t)).tolist()) for t in times]
 
 def test_libm_cos_sin_equal_numpy_cos_sin_on_orbit_angles():
     layered = build_constellation(ConstellationSpec())

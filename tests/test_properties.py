@@ -18,7 +18,7 @@ from satmist.engine import EventKind, FailureCause, Simulation, Task, TaskState
 from satmist.layers import Layer
 from satmist.metrics import emit_csv
 from satmist.orchestrate import PolicyId
-from support import run_single_heap
+from support import columns_per_placement, run_single_heap
 
 POLICIES = ("distance_only", "round_robin", "trade_off", "random_vm", "weight_greedy")
 LAYER_SETS = ("mist", "edge_dc", "cloud", "mist,edge_dc", "edge_dc,cloud", "mist,edge_dc,cloud")
@@ -137,6 +137,21 @@ def test_same_config_gives_byte_identical_results_rows(text):
     _, first = _run(text)
     _, second = _run(text)
     assert emit_csv([first]) == emit_csv([second])
+
+
+@settings(max_examples=60, deadline=None)
+@given(config_texts())
+@example(MOBILITY_LOSS)
+def test_column_blocks_change_no_result(text):
+    # where feasibility is checked per task, placements read their columns from
+    # blocks of arrivals; the same run with a column computed per placement
+    # gives the same record and places every task on the same VM
+    blocks = Simulation(parse_config(text))
+    alone = columns_per_placement(Simulation(parse_config(text)))
+    assert blocks._distances._whole == (blocks._view.static_feasible is None)
+    assert not alone._distances._whole
+    assert blocks.run() == alone.run()
+    assert [task.assigned_vm for task in blocks.tasks] == [task.assigned_vm for task in alone.tasks]
 
 
 @settings(max_examples=80, deadline=None)

@@ -127,12 +127,16 @@ def test_parallel_matches_sequential():
     "constellation.phasing=random_uniform\n",
     "constellation.phasing=random_uniform\ntask.rate_is_global=true\ntask.rate_per_min=90\n",
     "task.rate_per_min=0\n",
-], ids=["per_satellite_rate", "global_rate", "zero_rate"])
+    # feasibility per task: the runs of both seeds share a Walker geometry, and
+    # each fills its own blocks of distance columns
+    "link.range_mist_m=6e6\nlink.range_edge_m=9e6\nlink.range_cloud_m=17e6\n",
+], ids=["per_satellite_rate", "global_rate", "zero_rate", "short_links"])
 def test_sweep_records_equal_standalone_runs(text):
     # shared arrivals, drawn at 12 mist and filtered for 3 and 7, give each run
     # the record it gets alone, inline and in worker processes
     base = parse_config("constellation.mist=7\nconstellation.edge_dc=3\nconstellation.cloud=2\n"
                         "simulation.duration_s=15\n" + text)
+    assert (Simulation(base)._view.static_feasible is None) == ("link.range" in text)
     spec = SweepSpec(satellite_counts=(3, 7, 12),
                      policies=(PolicyId.DISTANCE_ONLY, PolicyId.RANDOM_VM, PolicyId.WEIGHT_GREEDY),
                      seeds=(1, 2), scale_all_layers=True)
