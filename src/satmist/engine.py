@@ -20,8 +20,10 @@ placed once, at creation time, over a snapshot of every VM in the
 constellation. Its distance column is computed only if the policy reads
 it, or, where feasibility is checked per task on the built-in orbits and
 nearly every policy reads it, with the columns of the next arrivals in
-one block; transfers charge radio energy on both ends; results are
-censored, not extrapolated, at the simulation horizon.
+one block, which also yields each arrival's feasible set and, for
+weight_greedy, its distance and energy terms over that set; transfers
+charge radio energy on both ends; results are censored, not
+extrapolated, at the simulation horizon.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from functools import partial
 from itertools import repeat
 from typing import Callable, Sequence
 
@@ -44,7 +47,7 @@ from .layers import LAYER_CODE, LAYER_ORDER, Layer
 from .netenergy import rx_energy, tx_energy
 from .orbital import ConstellationSpec, OrbitPositions, build_constellation, constellation_key
 from .orchestrate import (DEFAULT_TRADEOFF_LAYER_WEIGHTS, CandidateView, FarSet, PlacementError,
-                          PolicyId, far_term_hook, select)
+                          PolicyId, far_term_hook, feasible_terms, reach_row, select)
 
 
 class TaskState(str, Enum):
@@ -178,17 +181,23 @@ class _Distances:
 
     VM i is satellite i, so VM indices are satellite indices here.
 
-    `at(k)` sets the instant that `column`, `far_row`, `far_terms` and
-    `to_vm` measure from: arrival k's origin at its creation time. There
+    `at(k)` sets the instant that `column`, `far_row`, `far_terms`,
+    `feasible`, `feasible_terms` and `to_vm` measure from: arrival k's
+    origin at its creation time. There
     are three reads, each equal to the others bit for bit where they
     overlap. `column` is the distance to every satellite. `far_row` is the
     distance to the far set's satellites, far.start on. Both come from
     arrival k's row of a block that covers arrivals k to k+B-1 of `tasks`,
     computed in one numpy pass on the first read outside the current
-    block; its rows are valid until the next fill. With `whole` set, for
-    runs that check feasibility per task on an OrbitPositions, the block
-    holds every satellite, by OrbitPositions.positions_over, and `column`
-    is its row: nearly every such placement reads its column. Otherwise
+    block; its rows are valid until the next fill. With `reach` set (see
+    orchestrate.reach_row), for runs that check feasibility per task on an
+    OrbitPositions, the block holds every satellite, by
+    OrbitPositions.positions_over, and `column` is its row: nearly every
+    such placement reads its column. The same fill compares the block with
+    `reach` and keeps every row's feasible VMs and their distances, ragged,
+    row after row, which `feasible` slices; with the hook `feasible_terms`
+    (weight_greedy runs) it also computes weight_greedy's distance and
+    energy terms over those entries, which `feasible_terms` slices. Otherwise
     the block holds the far satellites alone, by positions_at, and
     `column` is computed on its first read at each instant, by one
     positions_all call, into a buffer the next instant's column
@@ -205,7 +214,8 @@ class _Distances:
     """
 
     def __init__(self, positions, tasks: Sequence[Task], far: FarSet | None = None,
-                 terms: Callable | None = None, *, whole: bool = False):
+                 terms: Callable | None = None, *, reach: np.ndarray | None = None,
+                 feasible_terms: Callable | None = None):
         n = len(positions)
         self._positions = positions
         self._tasks = tasks
@@ -215,14 +225,15 @@ class _Distances:
         self._orbits = positions._by_satellite if isinstance(positions, OrbitPositions) else None
         # the block's satellites, start on: every one when whole, else the far
         # set's, none without one
-        self._whole = whole
+        self._whole = whole = reach is not None
         self._start = 0 if whole else n if far is None else far.start
         self._far_ids = np.arange(self._start, n)
         self._block_rows = max(1, (_COLUMN_BLOCK_VALUES if whole else _BLOCK_VALUES)
                                // max(1, n - self._start))
         self._block, self._first = np.empty((0, n - self._start)), 0
-        self._work = None  # the whole block's buffer, made at its first fill
+        self._work = None  # the whole block's buffers, made at its first fill
         self._terms_of, self._terms = terms, None
+        self._reach, self._feasible_terms_of, self._sets = reach, feasible_terms, None
 
     def at(self, k: int) -> None:
         task = self._tasks[k]
@@ -262,16 +273,29 @@ class _Distances:
         k = self._k
         tasks = self._tasks[k:k + self._block_rows]
         m = len(tasks)
+        n = len(self._positions)
         if self._work is None:
-            self._work = np.empty((self._block_rows, len(self._positions)))
-        block = self._work[:m]
+            shape = (self._block_rows, n)
+            self._work = np.empty(shape), np.empty(shape, dtype=bool), np.arange(shape[0] + 1)
+        block, feasible, arrivals = self._work
+        block, feasible = block[:m], feasible[:m]
         # the differences are taken in positions_over's buffer, which it lets callers overwrite
         diff = self._positions.positions_over([task.created_at for task in tasks])
-        diff -= diff[:, np.arange(m), [task.origin_satellite for task in tasks]][:, :, None]
+        diff -= diff[:, arrivals[:m], [task.origin_satellite for task in tasks]][:, :, None]
         diff *= diff
         np.add(diff[0], diff[1], out=block)
         block += diff[2]
         self._block, self._first = np.sqrt(block, out=block), k
+        # every row's feasible VMs, row by row in index order, as flat block indices
+        np.less_equal(block, self._reach, out=feasible)
+        idx = np.flatnonzero(feasible)
+        d = block.ravel().take(idx)
+        bounds = np.searchsorted(idx, arrivals[:m + 1] * n)  # row i's entries: bounds[i] on
+        rows = idx // n
+        idx -= rows * n  # each entry's VM
+        terms = (None if self._feasible_terms_of is None
+                 else self._feasible_terms_of(d, rows, bounds, [task.input_bits for task in tasks]))
+        self._sets = bounds.tolist(), idx, d, terms
 
     def _fill_block(self) -> None:
         """Far rows of arrivals k to k+B-1, by _from_point's operations, elementwise,
@@ -291,6 +315,22 @@ class _Distances:
         self._block, self._first = np.sqrt(dx, out=dx), k
         if self._terms_of is not None:
             self._terms = self._terms_of(self._block, [task.input_bits for task in tasks])
+
+    def feasible(self):
+        """(indices, distances) of this arrival's feasible VMs: its slice of the
+        feasible sets computed with the block."""
+        i = self._block_index()
+        bounds, idx, d, _ = self._sets
+        lo, hi = bounds[i], bounds[i + 1]
+        return idx[lo:hi], d[lo:hi]
+
+    def feasible_terms(self):
+        """(indices, distance terms, energy terms) of this arrival's feasible VMs:
+        its slice of what the hook `feasible_terms` computed with the block."""
+        i = self._block_index()
+        bounds, idx, _, (dn, en) = self._sets
+        lo, hi = bounds[i], bounds[i + 1]
+        return idx[lo:hi], dn[lo:hi], en[lo:hi]
 
     def far_terms(self):
         """weight_greedy's (distance terms, energy terms, reaches the chord) for this
@@ -509,13 +549,19 @@ class Simulation:
             view.static_feasible, view.max_distance = _orbit_bounds(config, geometry)
             if view.static_feasible is not None:
                 view.far = _far_set(geometry)
-        terms = (far_term_hook(view, config.architecture, config.radio)
-                 if config.policy is PolicyId.WEIGHT_GREEDY else None)
+        weight_greedy = config.policy is PolicyId.WEIGHT_GREEDY
+        terms = far_term_hook(view, config.architecture, config.radio) if weight_greedy else None
         # with feasibility per task on the built-in orbits, nearly every placement
-        # reads its column, so the source computes them a block of arrivals at a time
-        whole = positions is None and view.static_feasible is None
+        # reads its column and feasible set, so the source computes them a block of
+        # arrivals at a time, and weight_greedy's distance and energy terms with them
+        reach = set_terms = None
+        if positions is None and view.static_feasible is None:
+            view.feasible_sets = True
+            reach = reach_row(view, config.architecture, config.link)
+            if weight_greedy:
+                set_terms = partial(feasible_terms, radio=config.radio)
         view.source = self._distances = _Distances(self.positions, self.tasks, view.far, terms,
-                                                   whole=whole)
+                                                   reach=reach, feasible_terms=set_terms)
         self._layer_weights = {**DEFAULT_TRADEOFF_LAYER_WEIGHTS,
                                Layer.CLOUD: config.tradeoff_cloud_weight}
         self._policy_rng = random.Random(f"{config.seed}:policy")

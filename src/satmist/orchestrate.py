@@ -68,12 +68,17 @@ class CandidateView:
     `source.far_row()` gives the same distances to the `far` set's VMs
     alone, far.start on, and `source.far_terms()` gives weight_greedy's
     distance and energy terms over the origin and the far VMs it scores
-    (see far_terms).
+    (see far_terms). Where `feasible_sets` is set, `source.feasible()`
+    gives (indices, distances) of the placement's feasible VMs, in index
+    order, the column's values at those indices, and, in weight_greedy
+    runs, `source.feasible_terms()` gives (indices, distance terms,
+    energy terms) over them (see feasible_terms); both are valid until
+    the block they come from is refilled.
 
-    Four optional facts, set by whoever builds the view for one run's
-    architecture, link and orbits, let policies place without distances.
-    A policy chooses its path from these alone, never from whether the
-    column has been read:
+    Five optional facts, set by whoever builds the view for one run's
+    architecture, link and orbits, let policies place without distances
+    or read them from the source in a cheaper form. A policy chooses its
+    path from these alone, never from whether the column has been read:
 
     - `local`: index of the origin's own first VM, at exactly 0 m and so
       within any range, or -1 when unknown.
@@ -84,10 +89,13 @@ class CandidateView:
     - `far`: a FarSet, the VMs outside the first layer block, whose
       distances `source.far_row` and `source.far_terms` read from one
       row the source keeps per placement, or None.
+    - `feasible_sets`: whether the source gives each placement's feasible
+      set, computed against reach_row, when feasibility is checked per
+      task; False by default.
     """
 
     __slots__ = ("vm_ids", "layer_codes", "queue_lens", "mips", "assigned", "source",
-                 "local", "static_feasible", "max_distance", "far", "_cache")
+                 "local", "static_feasible", "max_distance", "far", "feasible_sets", "_cache")
 
     def __init__(self, vm_ids, layer_codes, source, queue_lens, mips, assigned, *,
                  static_feasible: np.ndarray | None = None):
@@ -101,6 +109,7 @@ class CandidateView:
         self.static_feasible = static_feasible
         self.max_distance: float | None = None
         self.far: FarSet | None = None
+        self.feasible_sets = False
         self._cache: dict[str, tuple[object, object]] = {}
 
     def __len__(self) -> int:
@@ -148,13 +157,21 @@ def _enabled(view: CandidateView, architecture) -> np.ndarray:
     return _spread(view, "enabled", architecture, operator.contains)
 
 
+def reach_row(view: CandidateView, architecture, link: LinkParams) -> np.ndarray:
+    """Each candidate's range, -inf where its layer is disabled: a candidate
+    is feasible exactly when its distance is at most this."""
+    return np.where(_enabled(view, architecture),
+                    _spread(view, "reach", link.range_by_layer, operator.getitem), -np.inf)
+
+
 def _feasible_indices(view: CandidateView, architecture, link: LinkParams) -> np.ndarray:
-    """Candidates whose layer is enabled and that lie within its range (inclusive)."""
+    """Candidates whose layer is enabled and that lie within its range (inclusive),
+    in index order: the static set, the source's set, or the column's against
+    reach_row."""
     idx = view.static_feasible
     if idx is None:
-        mask = _enabled(view, architecture) \
-            & (view.distances <= _spread(view, "reach", link.range_by_layer, operator.getitem))
-        idx = np.flatnonzero(mask)
+        idx = (view.source.feasible()[0] if view.feasible_sets
+               else np.flatnonzero(view.distances <= reach_row(view, architecture, link)))
     if idx.size == 0:
         raise PlacementError("no feasible candidate")
     return idx
@@ -224,9 +241,15 @@ def trade_off(view: CandidateView, task, architecture, *, link: LinkParams = DEF
     scores above the c_min candidate. One shortlisted VM is the pick; a
     shortlist of `far` VMs alone is scored alone, on the distances of
     `source.far_row`, by the same two IEEE operations. Any other shortlist
-    reads the column.
+    reads the column. With `feasible_sets`, the feasible VMs alone are
+    scored, on the distances `source.feasible()` gives with them.
     """
-    idx = _feasible_indices(view, architecture, link)
+    if view.feasible_sets:
+        idx, d = view.source.feasible()
+        if idx.size == 0:
+            raise PlacementError("no feasible candidate")
+    else:
+        idx, d = _feasible_indices(view, architecture, link), None
     score = view.queue_lens + 1.0
     score *= _spread(view, "weights", layer_weights, operator.getitem)
     score *= task.length_mi
@@ -243,6 +266,10 @@ def trade_off(view: CandidateView, task, architecture, *, link: LinkParams = DEF
             row = view.source.far_row().tolist()
             scores = [cj + row[j - start] / speed for cj, j in zip(score[short].tolist(), short)]
             return Selection(int(view.vm_ids[short[scores.index(min(scores))]]))
+    if d is not None:
+        score = score[idx]
+        score += d / speed
+        return Selection(int(view.vm_ids[idx[score.argmin()]]))
     score += view.distances / speed
     return Selection(int(view.vm_ids[_pick_min(score, idx)]))
 
@@ -279,14 +306,28 @@ def weight_greedy(view: CandidateView, task, architecture, *, link: LinkParams =
     5e-9 m of the origin, whose distance term rounds away in the sum, ties
     with the origin and would win by index; the shortlist keeps the
     origin, as distance_only does.
+
+    With `feasible_sets`, the distance and energy terms over the feasible
+    set come from the source too (`source.feasible_terms()`), computed for
+    a block of arrivals at once by feasible_terms from the block's
+    feasible distances, and the CPU and queue terms are normalized here,
+    with no floor: every placement is scored over its feasible set, as on
+    the full path, by the same IEEE operations.
     """
     ratios = WEIGHT_GREEDY_RATIOS
-    short = _dominance_shortlist(view, architecture)
+    if view.feasible_sets:
+        idx, dn, en = view.source.feasible_terms()
+        if idx.size == 0:
+            raise PlacementError("no feasible candidate")
+        short = idx, dn, en, None
+    else:
+        short = _dominance_shortlist(view, architecture)
     if short is not None:
         idx, dn, en, q_hi = short
         q = view.queue_lens[idx]
         term = _cpu_time(q, task.length_mi, view.mips[idx])
-        cpu_hi = ((q_hi + 1.0) * task.length_mi) / view.mips[0]  # as _cpu_time computes it
+        # as _cpu_time computes it
+        cpu_hi = None if q_hi is None else ((q_hi + 1.0) * task.length_mi) / view.mips[0]
         score = dn + _minmax_into(term, ratios[1], term, cpu_hi)
         score += _minmax_into(q, ratios[2], term, q_hi)
         score += en
@@ -388,17 +429,63 @@ def far_terms(rows: np.ndarray, bits: list[float], radio: RadioParams, columns: 
     """
     d = np.zeros((len(rows), columns.size + 1))
     d[:, 1:] = rows[:, columns]
-    d2 = d * d
-    energy = d2 * d2  # as weight_greedy's energy lines compute it
-    energy *= radio.eps_mp
-    energy += radio.e_elec
-    d2 *= radio.eps_fs  # the free-space energy below the crossover
-    d2 += radio.e_elec
-    np.copyto(energy, d2, where=d < radio.crossover_m)
+    energy = _energy_per_bit(d, radio)
     energy *= np.asarray(bits, dtype=np.float64)[:, None]
     d_hi = _minmax_rows(d, WEIGHT_GREEDY_RATIOS[0])
     _minmax_rows(energy, WEIGHT_GREEDY_RATIOS[3])
     return d, energy, (d_hi >= chord).tolist()
+
+
+def feasible_terms(d: np.ndarray, rows: np.ndarray, bounds: np.ndarray, bits: list[float],
+                   radio: RadioParams):
+    """weight_greedy's distance and energy terms over the feasible sets of a block of arrivals.
+
+    `d` holds the feasible VMs' distances of every arrival, arrival by
+    arrival: entry j belongs to arrival rows[j], and arrival i's entries are
+    bounds[i] to bounds[i + 1]. bits[i] is arrival i's task's input bits.
+    Returns (dn, en), aligned with `d`: each arrival's entries hold what
+    _minmax_into gives the distance (ratio 6) and the energy (ratio 3) over
+    them, by the same IEEE operations, the energy computed as
+    weight_greedy's lines compute it. The extremes are the entries' own, so
+    an energy that falls at the crossover needs no check; arrivals with no
+    feasible VM have no entries and are left out of the reductions.
+    """
+    counts = np.diff(bounds)
+    some = counts > 0
+    starts, counts = bounds[:-1][some], counts[some]
+    energy = _energy_per_bit(d, radio)
+    energy *= np.asarray(bits, dtype=np.float64)[rows]
+    dn = _minmax_runs(d, WEIGHT_GREEDY_RATIOS[0], starts, counts, np.empty(d.size))
+    return dn, _minmax_runs(energy, WEIGHT_GREEDY_RATIOS[3], starts, counts, energy)
+
+
+def _energy_per_bit(d: np.ndarray, radio: RadioParams) -> np.ndarray:
+    """Transmit energy per bit at distances `d`, in a new array, as weight_greedy's
+    energy lines compute it: multipath everywhere, then free-space strictly
+    below the crossover."""
+    d2 = d * d
+    energy = d2 * d2
+    energy *= radio.eps_mp
+    energy += radio.e_elec
+    d2 *= radio.eps_fs
+    d2 += radio.e_elec
+    np.copyto(energy, d2, where=d < radio.crossover_m)
+    return energy
+
+
+def _minmax_runs(values: np.ndarray, ratio: float, starts: np.ndarray, counts: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """_minmax_into on each run of `values`, counts[i] entries from starts[i],
+    into `out`, which may be `values`. The runs are non-empty and cover
+    `values` in order; a run whose span is 0 keeps values - lo, all +0.0."""
+    lo = np.minimum.reduceat(values, starts)
+    span = np.maximum.reduceat(values, starts)
+    span -= lo
+    span[span == 0.0] = 1.0  # values - lo is +0.0 there, and stays so, as with no divide
+    np.subtract(values, np.repeat(lo, counts), out=out)
+    out /= np.repeat(span, counts)
+    out *= ratio
+    return out
 
 
 def _minmax_rows(values: np.ndarray, ratio: float) -> np.ndarray:

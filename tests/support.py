@@ -134,10 +134,13 @@ def run_single_heap(sim):
 def columns_per_placement(sim):
     """`sim`, not yet run, with a distance source that computes each placement's
     column alone, by one positions_all call, as runs with static feasibility
-    do. The reference for the blocks of columns that runs checking
-    feasibility per task read; everything else is sim's own."""
+    do, and policies that find the feasible set and weight_greedy's terms in
+    it. The reference for the blocks of columns, feasible sets and terms
+    that runs checking feasibility per task read; everything else is sim's
+    own."""
     terms = sim._distances._terms_of
     sim._distances = sim._view.source = _Distances(sim.positions, sim.tasks, sim._view.far, terms)
+    sim._view.feasible_sets = False
     return sim
 
 

@@ -18,10 +18,11 @@ from satmist.engine import (
     generate_tasks,
 )
 from satmist.errors import ConfigurationError
-from satmist.layers import LAYER_CODE, Layer
+from satmist.layers import LAYER_CODE, LAYER_ORDER, Layer
 from satmist.netenergy import rx_energy, tx_energy
 from satmist.orbital import angular_rate_rad_s, build_constellation
 from satmist.orchestrate import FarSet
+from support import columns_per_placement
 
 
 class StaticPositions:
@@ -586,6 +587,127 @@ def test_column_blocks_of_one_row_past_the_block_size():
                                                   tasks[k].created_at)), k
 
 
+def _check_feasible_row(sim, k: int) -> int:
+    """Arrival k's feasible set from the source against the column computed alone:
+    the VMs of an enabled layer within its range, their distances, and, in a
+    weight_greedy run, the distance and energy terms weight_greedy's full path
+    gives over them, bit for bit. Returns the set's size."""
+    cfg, task, distances = sim.config, sim.tasks[k], sim._distances
+    column = _column_alone(sim.positions, task.origin_satellite, task.created_at)
+    codes = sim._view.layer_codes
+    enabled = np.isin(codes, [LAYER_CODE[layer] for layer in cfg.architecture])
+    reach = np.array([cfg.link.range_by_layer[layer] for layer in LAYER_ORDER])[codes]
+    expected = np.flatnonzero(enabled & (column <= reach))
+    distances.at(k)
+    idx, d = distances.feasible()
+    assert idx.tolist() == expected.tolist(), k
+    assert _hex(d) == _hex(column[expected]), k
+    if cfg.policy is orchestrate.PolicyId.WEIGHT_GREEDY:
+        same, dn, en = distances.feasible_terms()
+        assert same.tolist() == expected.tolist(), k
+        if d.size == 0:
+            assert dn.size == en.size == 0, k
+            return 0
+        energy = np.array([tx_energy(task.input_bits, x, cfg.radio) for x in d.tolist()])
+        assert _hex(dn) == _hex(orchestrate._minmax_into(d, 6.0, np.empty(d.size))), k
+        assert _hex(en) == _hex(orchestrate._minmax_into(energy, 3.0, energy)), k
+    return expected.size
+
+
+@pytest.mark.parametrize("mist, phasing, duration, text", [
+    (40, "walker_delta", 18.0, ""),
+    (40, "random_uniform", 18.0, "radio.eps_mp=1.2e-15\n"),  # energy falls at the crossover
+    (40, "random_uniform", 18.0, "architecture.layers=mist,cloud\npolicy.name=trade_off\n"),
+    (1000, "random_uniform", 0.55, ""),
+])
+def test_every_block_row_feasible_set_and_terms_equal_the_full_path(mist, phasing, duration, text):
+    # every arrival of a seeded run, read in order as the engine reads them, so
+    # rows 0, B-1 and B of each block and the last, partial block are all read;
+    # the tasks' input bits vary, 0 among them
+    cfg = parse_config(f"constellation.mist={mist}\nconstellation.phasing={phasing}\n"
+                       f"simulation.duration_s={duration}\npolicy.name=weight_greedy\n"
+                       + _SHORT_LINKS + text)
+    sim = Simulation(cfg)
+    rows = sim._distances._block_rows
+    assert sim._view.feasible_sets and len(sim.tasks) > 2 * rows and len(sim.tasks) % rows
+    assert (sim._distances._feasible_terms_of is not None) == (cfg.policy.value == "weight_greedy")
+    rng = random.Random(mist)
+    for task in sim.tasks:
+        task.input_bits = rng.choice((0.0, 8e6, 1.6e9, 3.3e5, 1.0))
+    sizes = [_check_feasible_row(sim, k) for k in range(len(sim.tasks))]
+    assert min(sizes) > 0 and max(sizes) > 1
+
+
+# every mist origin finds no VM: no mist VM is enabled, and the edge and cloud
+# shells lie farther than their ranges (1.6e6 and 9.6e6 m up); every edge or
+# cloud origin finds its own VM, at 0 m
+_NO_VM_FROM_MIST = ("architecture.layers=edge_dc,cloud\npolicy.name=weight_greedy\n"
+                    "link.range_edge_m=1e6\nlink.range_cloud_m=9e6\n")
+
+
+def test_block_rows_with_no_feasible_vm_inside_and_at_the_end_of_a_block():
+    # B = 99 rows at 82 satellites. Block 0 has empty rows in its middle and as
+    # its last row, block 1 has none but empty rows, and the last, partial block
+    # ends with two; each raises PlacementError in the run, a NO_DESTINATION failure
+    cfg = parse_config("constellation.mist=40\nconstellation.phasing=random_uniform\n"
+                       + _NO_VM_FROM_MIST)
+    rows = engine._COLUMN_BLOCK_VALUES // 82
+    empty = {0: {50, 51, 98}, 1: set(range(rows)), 2: {1, 3, 4}}
+    rng = random.Random(9)
+    tasks = [heavy_task(k, rng.randrange(40) if k % rows in empty[k // rows] else rng.randrange(40, 82),
+                        0.1 * k) for k in range(2 * rows + 5)]
+    sim = Simulation(cfg, tasks=tasks)
+    assert sim._distances._block_rows == rows
+    sizes = [_check_feasible_row(sim, k) for k in range(len(tasks))]
+    assert [k for k, size in enumerate(sizes) if size == 0] \
+        == [k for k in range(len(tasks)) if k % rows in empty[k // rows]]
+    assert max(sizes) > 1
+    record = Simulation(cfg, tasks=[replace(task) for task in tasks]).run()
+    assert record.failed_no_destination == sizes.count(0)
+
+
+def test_block_feasible_sets_keep_a_vm_at_exactly_its_range():
+    # the range is inclusive: the edge range set to one arrival's distance to an
+    # edge VM keeps that VM in the arrival's set, and one step less drops it
+    text = "constellation.mist=40\nconstellation.phasing=random_uniform\n" + _SHORT_LINKS
+    probe = Simulation(parse_config(text))
+    task = probe.tasks[5]
+    column = _column_alone(probe.positions, task.origin_satellite, task.created_at)
+    edge = 40 + int(column[40:64].argmin())
+    for reach, kept in ((column[edge], True), (np.nextafter(column[edge], 0.0), False)):
+        sim = Simulation(parse_config(text + f"link.range_edge_m={float(reach)!r}\n"))
+        _check_feasible_row(sim, 5)
+        assert (edge in sim._distances.feasible()[0].tolist()) == kept
+
+
+def test_one_row_block_feasible_sets_past_the_block_size():
+    # more satellites than a block holds values: each block is one arrival's row,
+    # and the mist origins' rows are empty
+    cfg = parse_config("constellation.mist=8200\n" + _NO_VM_FROM_MIST)
+    tasks = [heavy_task(k, origin, 2.5 * (k // 2))
+             for k, origin in enumerate((0, 8241, 8200, 17, 8199))]
+    sim = Simulation(cfg, tasks=tasks)
+    assert len(sim.positions) > engine._COLUMN_BLOCK_VALUES and sim._distances._block_rows == 1
+    sizes = {k: _check_feasible_row(sim, k) for k in (0, 1, 4, 3, 2)}
+    assert [k for k in sorted(sizes) if sizes[k] == 0] == [0, 3, 4]  # the mist origins
+
+
+def test_random_vm_draws_alike_on_blocks_and_per_placement_when_placements_fail():
+    # one draw per call, before the feasible set is read, also when no VM is
+    # feasible: the policy RNG ends in the same state on both sources
+    text = ("constellation.mist=100\nconstellation.phasing=random_uniform\npolicy.name=random_vm\n"
+            "architecture.layers=edge_dc,cloud\nsimulation.duration_s=10\n"
+            "link.range_edge_m=4e6\nlink.range_cloud_m=6e6\n")
+    blocks = Simulation(parse_config(text))
+    alone = columns_per_placement(Simulation(parse_config(text)))
+    record = blocks.run()
+    assert record == alone.run()
+    assert 0 < record.failed_no_destination < record.generated
+    assert [task.assigned_vm for task in blocks.tasks] == [task.assigned_vm for task in alone.tasks]
+    assert blocks._policy_rng.getstate() == alone._policy_rng.getstate()
+    assert blocks._view.feasible_sets and not alone._view.feasible_sets
+
+
 @pytest.mark.parametrize("policy", list(orchestrate.PolicyId))
 def test_feasibility_per_task_reads_every_column_from_blocks(monkeypatch, policy):
     # the column comes from positions_over, a block at a time, and never from positions_all;
@@ -611,11 +733,11 @@ def test_feasibility_per_task_reads_every_column_from_blocks(monkeypatch, policy
 ], ids=[*(policy.value for policy in orchestrate.PolicyId), "injected_positions"])
 def test_only_feasibility_per_task_on_the_orbits_fills_column_blocks(monkeypatch, text, positions):
     # with static feasibility, as with an injected position source, each placement
-    # computes the column it reads, and no block of columns is filled
+    # computes the column it reads, and no block of columns or feasible sets is filled
     monkeypatch.setattr(engine._Distances, "_fill_whole", lambda self: pytest.fail("column block"))
     sim = Simulation(parse_config("constellation.mist=100\nsimulation.duration_s=3\n" + text),
                      positions=positions)
-    assert not sim._distances._whole
+    assert not sim._distances._whole and not sim._view.feasible_sets
     assert sim.run().generated > 100
 
 

@@ -54,6 +54,27 @@ MOBILITY_LOSS = (
 )
 
 
+# with no mist VM enabled and short edge and cloud ranges, many tasks find no
+# feasible VM: placements fail with NO_DESTINATION, on blocks and per placement
+NO_DESTINATION = tuple(
+    "constellation.mist=8\nconstellation.edge_dc=3\nconstellation.cloud=3\n"
+    f"constellation.phasing=random_uniform\npolicy.name={policy}\n"
+    "architecture.layers=edge_dc,cloud\ntask.rate_per_min=60\nsimulation.duration_s=30\n"
+    "link.range_mist_m=6e6\nlink.range_edge_m=4e6\nlink.range_cloud_m=9e6\n"
+    for policy in ("weight_greedy", "random_vm", "trade_off"))
+# short links with a radio whose energy falls at the crossover distance
+SPLIT_RADIO = (
+    "constellation.mist=8\nconstellation.edge_dc=3\nconstellation.cloud=3\n"
+    "policy.name=weight_greedy\ntask.rate_per_min=60\nsimulation.duration_s=30\n"
+    "task.input_bits=8e6\nradio.eps_mp=1.2e-15\n"
+    "link.range_mist_m=9e6\nlink.range_edge_m=12e6\nlink.range_cloud_m=17e6\n"
+)
+
+
+def _outcomes(sim) -> list[tuple]:
+    return [(task.assigned_vm, task.state, task.failure_cause) for task in sim.tasks]
+
+
 def _run(text: str):
     sim = Simulation(parse_config(text), record_events=True)
     return sim, sim.run()
@@ -142,16 +163,28 @@ def test_same_config_gives_byte_identical_results_rows(text):
 @settings(max_examples=60, deadline=None)
 @given(config_texts())
 @example(MOBILITY_LOSS)
+@example(NO_DESTINATION[0])
+@example(NO_DESTINATION[1])
+@example(NO_DESTINATION[2])
+@example(SPLIT_RADIO)
 def test_column_blocks_change_no_result(text):
-    # where feasibility is checked per task, placements read their columns from
-    # blocks of arrivals; the same run with a column computed per placement
-    # gives the same record and places every task on the same VM
+    # where feasibility is checked per task, placements read their columns,
+    # feasible sets and weight_greedy's distance and energy terms from blocks of
+    # arrivals; the same run with a column computed per placement, and the set
+    # and terms found in it, gives the same record, and every task the same VM,
+    # state and failure cause
     blocks = Simulation(parse_config(text))
     alone = columns_per_placement(Simulation(parse_config(text)))
-    assert blocks._distances._whole == (blocks._view.static_feasible is None)
-    assert not alone._distances._whole
-    assert blocks.run() == alone.run()
-    assert [task.assigned_vm for task in blocks.tasks] == [task.assigned_vm for task in alone.tasks]
+    per_task = blocks._view.static_feasible is None
+    assert blocks._distances._whole == blocks._view.feasible_sets == per_task
+    assert not alone._distances._whole and not alone._view.feasible_sets
+    record = blocks.run()
+    assert record == alone.run()
+    assert _outcomes(blocks) == _outcomes(alone)
+    if text in NO_DESTINATION:
+        assert 0 < record.failed_no_destination < record.generated
+    if text == SPLIT_RADIO:
+        assert per_task and record.per_layer_task_counts[Layer.EDGE_DC] > 0
 
 
 @settings(max_examples=80, deadline=None)
