@@ -18,12 +18,13 @@ builds one per constellation and shares it among that constellation's
 runs, each of which keeps its own VMs and placement state. Each task is
 placed once, at creation time, over a snapshot of every VM in the
 constellation. Its distance column is computed only if the policy reads
-it, or, where feasibility is checked per task on the built-in orbits and
-nearly every policy reads it, with the columns of the next arrivals in
-one block, which also yields each arrival's feasible set and, for
-weight_greedy, its distance and energy terms over that set; transfers
-charge radio energy on both ends; results are censored, not
-extrapolated, at the simulation horizon.
+it. Where feasibility is checked per task on the built-in orbits, nearly
+every policy reads the arrival's feasible set instead, computed with
+those of the next arrivals in one block of columns, and run_sweep keeps
+the blocks in a SetStore that the runs of one constellation and one draw
+of arrivals share; weight_greedy computes its distance and energy terms
+over each block. Transfers charge radio energy on both ends; results are
+censored, not extrapolated, at the simulation horizon.
 """
 
 from __future__ import annotations
@@ -173,6 +174,68 @@ _BLOCK_VALUES = 4096
 # 2 MB cache; at 1,042 satellites 7 columns a block cost 20-25% less per
 # column than 3, at 342 about 10% less for 23 than 11
 _COLUMN_BLOCK_VALUES = 8192
+# bytes every live SetStore of one SetBudget holds together, at most: 10 B a
+# feasible entry below 65,537 satellites (a uint16 VM index and a float64
+# distance) and 8 B an arrival, so about 400,000 entries; a sparse_links
+# sweep key holds about 304,000 over its 20 s
+_SET_STORE_BYTES = 4 << 20
+
+
+class SetBudget:
+    """The bytes left to the SetStores that draw on it; _SET_STORE_BYTES at first."""
+
+    def __init__(self):
+        self.left = _SET_STORE_BYTES
+
+
+class SetStore:
+    """Each arrival's feasible set, kept for the runs of one sweep key: one
+    constellation and one draw of arrivals, so one reach row and one task
+    list, whatever the policy.
+
+    Block b holds arrivals bB to bB+B-1, B being _Distances' whole-column
+    block rows, as (bounds, idx, d): arrival bB+i's entries are bounds[i]
+    to bounds[i+1], idx holds their VMs, in index order and the smallest
+    unsigned dtype that holds n-1, and d their float64 distances. The
+    first run that reads a block fills it and keeps it here while `budget`
+    has room; later runs slice it. Past the budget they fill their own
+    blocks, so what is kept stays bounded however long the run. `release`
+    gives the bytes back. The arrays are read-only, and the store holds no
+    block rows, no per-run terms and no reference to a run.
+    """
+
+    def __init__(self, budget: SetBudget | None = None):
+        self.blocks: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self.nbytes = 0
+        self._budget = SetBudget() if budget is None else budget
+        self._bound = None  # the reach row and task list the blocks were filled for
+
+    def bind(self, reach: np.ndarray, tasks: Sequence[Task]) -> None:
+        """Ties the store to its first run's reach row and task list, by their
+        count and first and last arrivals; raises ConfigurationError for a run
+        with others."""
+        ends = [(task.created_at, task.origin_satellite) for task in (tasks[0], tasks[-1])] \
+            if tasks else []
+        if self._bound is None:
+            self._bound = reach.copy(), len(tasks), ends
+        elif not (np.array_equal(reach, self._bound[0]) and (len(tasks), ends) == self._bound[1:]):
+            raise ConfigurationError("set store was filled for another reach row or task list")
+
+    def keep(self, b: int, bounds: np.ndarray, idx: np.ndarray, d: np.ndarray) -> None:
+        """Keeps block b if the budget has room for it."""
+        size = bounds.nbytes + idx.nbytes + d.nbytes
+        if size <= self._budget.left:
+            for a in (bounds, idx, d):
+                a.flags.writeable = False
+            self._budget.left -= size
+            self.nbytes += size
+            self.blocks[b] = bounds, idx, d
+
+    def release(self) -> None:
+        """Drops every block and gives its bytes back to the budget."""
+        self._budget.left += self.nbytes
+        self.nbytes = 0
+        self.blocks.clear()
 
 
 class _Distances:
@@ -183,39 +246,43 @@ class _Distances:
 
     `at(k)` sets the instant that `column`, `far_row`, `far_terms`,
     `feasible`, `feasible_terms` and `to_vm` measure from: arrival k's
-    origin at its creation time. There
-    are three reads, each equal to the others bit for bit where they
-    overlap. `column` is the distance to every satellite. `far_row` is the
-    distance to the far set's satellites, far.start on. Both come from
-    arrival k's row of a block that covers arrivals k to k+B-1 of `tasks`,
-    computed in one numpy pass on the first read outside the current
-    block; its rows are valid until the next fill. With `reach` set (see
-    orchestrate.reach_row), for runs that check feasibility per task on an
-    OrbitPositions, the block holds every satellite, by
-    OrbitPositions.positions_over, and `column` is its row: nearly every
-    such placement reads its column. The same fill compares the block with
-    `reach` and keeps every row's feasible VMs and their distances, ragged,
-    row after row, which `feasible` slices; with the hook `feasible_terms`
-    (weight_greedy runs) it also computes weight_greedy's distance and
-    energy terms over those entries, which `feasible_terms` slices. Otherwise
-    the block holds the far satellites alone, by positions_at, and
-    `column` is computed on its first read at each instant, by one
+    origin at its creation time. `column` is the distance to every
+    satellite, computed on its first read at each instant, by one
     positions_all call, into a buffer the next instant's column
-    overwrites: with static feasibility most placements read no column,
-    and a block would compute rows nobody reads. With the hook `terms`,
-    which orchestrate.far_term_hook makes, the far block's pass computes
-    weight_greedy's distance and energy terms from its rows and its
-    tasks' input bits, and `far_terms` reads arrival k's. `pair` is one
-    distance at any time, from the two satellites' orbit rows in Python
-    floats on the C library's cos and sin, which numpy's float64 cos and
-    sin are; `to_vm` reads what this placement computed, else `pair`.
-    Holds no reference to the Simulation, so its view keeps no finished
-    run alive.
+    overwrites. `pair` is one distance at any time, from the two
+    satellites' orbit rows in Python floats on the C library's cos and sin,
+    which numpy's float64 cos and sin are. Every read equals the others bit
+    for bit where they overlap.
+
+    With `reach` set (see orchestrate.reach_row), for runs that check
+    feasibility per task on an OrbitPositions, nearly every placement
+    reads its feasible set, and `feasible` slices it from a block of them
+    that covers arrivals bB to bB+B-1, b being k // B: the columns of those
+    arrivals, by OrbitPositions.positions_over in one numpy pass, compared
+    with `reach`, leave every row's feasible VMs and their distances,
+    ragged, row after row. With a SetStore `shared` the block is read from
+    it when a run of the same sweep key has kept it there, and else filled
+    and offered to it; the first reader pays the compact copy the store
+    keeps. With the hook `feasible_terms` (weight_greedy runs) each run
+    computes weight_greedy's distance and energy terms over a block's
+    entries as it loads the block, which `feasible_terms` slices. `to_vm`
+    reads the pick's distance from its feasible slice, where every pick
+    lies, so no placement on this path reads a column.
+
+    Otherwise, with a far set, `far_row` is the distance to the far set's
+    satellites, far.start on, from arrival k's row of a block that covers
+    arrivals k to k+B-1 of `tasks`, computed by positions_at on the first
+    read outside the current block; its rows are valid until the next
+    fill. With the hook `terms`, which orchestrate.far_term_hook makes,
+    that pass computes weight_greedy's distance and energy terms from its
+    rows and its tasks' input bits, and `far_terms` reads arrival k's.
+    `to_vm` reads what this placement computed, else `pair`. Holds no
+    reference to the Simulation, so its view keeps no finished run alive.
     """
 
     def __init__(self, positions, tasks: Sequence[Task], far: FarSet | None = None,
                  terms: Callable | None = None, *, reach: np.ndarray | None = None,
-                 feasible_terms: Callable | None = None):
+                 feasible_terms: Callable | None = None, shared: SetStore | None = None):
         n = len(positions)
         self._positions = positions
         self._tasks = tasks
@@ -223,17 +290,16 @@ class _Distances:
         self._diff = np.empty((3, n))
         self._acc = np.empty(n)
         self._orbits = positions._by_satellite if isinstance(positions, OrbitPositions) else None
-        # the block's satellites, start on: every one when whole, else the far
-        # set's, none without one
         self._whole = whole = reach is not None
-        self._start = 0 if whole else n if far is None else far.start
+        self._start = n if far is None else far.start  # the far block's satellites, start on
         self._far_ids = np.arange(self._start, n)
-        self._block_rows = max(1, (_COLUMN_BLOCK_VALUES if whole else _BLOCK_VALUES)
-                               // max(1, n - self._start))
+        values, width = (_COLUMN_BLOCK_VALUES, n) if whole else (_BLOCK_VALUES, n - self._start)
+        self._block_rows = max(1, values // max(1, width))
         self._block, self._first = np.empty((0, n - self._start)), 0
         self._work = None  # the whole block's buffers, made at its first fill
         self._terms_of, self._terms = terms, None
-        self._reach, self._feasible_terms_of, self._sets = reach, feasible_terms, None
+        self._reach, self._feasible_terms_of, self._shared = reach, feasible_terms, shared
+        self._sets, self._set_block = None, -1  # the loaded block of feasible sets, and its b
 
     def at(self, k: int) -> None:
         task = self._tasks[k]
@@ -241,13 +307,8 @@ class _Distances:
         self._filled, self._tail = False, None
 
     def column(self) -> np.ndarray:
-        """Distance from satellite `origin` to every VM: this arrival's block row when
-        `whole`, else computed once per instant into a buffer the next instant's
-        column overwrites."""
-        if self._whole:
-            if self._tail is None:
-                self._block_index()
-            return self._tail
+        """Distance from satellite `origin` to every VM, computed once per instant
+        into a buffer the next instant's column overwrites."""
         if not self._filled:
             pos = self._positions.positions_all(self.now).T
             _from_point(pos[:, self.origin].tolist(), pos, self._diff, self._acc, self._column)
@@ -255,23 +316,48 @@ class _Distances:
         return self._column
 
     def _block_index(self) -> int:
-        """This arrival's row in the block, filling the block on a miss; keeps the
-        row for column, far_row and to_vm."""
+        """This arrival's row in the far block, filling the block on a miss; keeps
+        the row for far_row and to_vm (with `reach`, `_tail` keeps the arrival's
+        feasible slice instead)."""
         i = self._k - self._first
         if not 0 <= i < len(self._block):
-            if self._whole:
-                self._fill_whole()
-            else:
-                self._fill_block()
+            self._fill_block()
             i = 0
         self._tail = self._block[i]
         return i
 
-    def _fill_whole(self) -> None:
-        """Columns of arrivals k to k+B-1: positions_over at their times, then
-        _from_point's operations, elementwise, each row from its own origin."""
-        k = self._k
-        tasks = self._tasks[k:k + self._block_rows]
+    def _set_row(self) -> int:
+        """This arrival's row in its block of feasible sets, loading the block on a miss."""
+        b, i = divmod(self._k, self._block_rows)
+        if b != self._set_block:
+            self._load_sets(b)
+        return i
+
+    def _load_sets(self, b: int) -> None:
+        """Block b of feasible sets, from the store or filled, with this run's terms."""
+        shared = self._shared
+        kept = None if shared is None else shared.blocks.get(b)
+        if kept is None:
+            bounds, idx, d = self._fill_whole(b)
+            if shared is not None:
+                shared.keep(b, bounds, idx.astype(np.min_scalar_type(len(self._positions) - 1)), d)
+        else:
+            bounds, idx, d = kept
+            idx = idx.astype(np.intp)  # numpy gathers by intp indices fastest
+        terms = None
+        if self._feasible_terms_of is not None:
+            first = b * self._block_rows
+            bits = [task.input_bits for task in self._tasks[first:first + len(bounds) - 1]]
+            rows = np.repeat(np.arange(len(bits)), np.diff(bounds))
+            terms = self._feasible_terms_of(d, rows, bounds, bits)
+        self._sets, self._set_block = (bounds.tolist(), idx, d, terms), b
+
+    def _fill_whole(self, b: int):
+        """(bounds, idx, d) of block b, arrivals bB to bB+B-1: their columns by
+        positions_over at their times, then _from_point's operations,
+        elementwise, each row from its own origin, compared with `reach`."""
+        first = b * self._block_rows
+        tasks = self._tasks[first:first + self._block_rows]
         m = len(tasks)
         n = len(self._positions)
         if self._work is None:
@@ -285,17 +371,14 @@ class _Distances:
         diff *= diff
         np.add(diff[0], diff[1], out=block)
         block += diff[2]
-        self._block, self._first = np.sqrt(block, out=block), k
+        np.sqrt(block, out=block)
         # every row's feasible VMs, row by row in index order, as flat block indices
         np.less_equal(block, self._reach, out=feasible)
         idx = np.flatnonzero(feasible)
         d = block.ravel().take(idx)
         bounds = np.searchsorted(idx, arrivals[:m + 1] * n)  # row i's entries: bounds[i] on
-        rows = idx // n
-        idx -= rows * n  # each entry's VM
-        terms = (None if self._feasible_terms_of is None
-                 else self._feasible_terms_of(d, rows, bounds, [task.input_bits for task in tasks]))
-        self._sets = bounds.tolist(), idx, d, terms
+        idx %= n  # each entry's VM
+        return bounds, idx, d
 
     def _fill_block(self) -> None:
         """Far rows of arrivals k to k+B-1, by _from_point's operations, elementwise,
@@ -317,17 +400,19 @@ class _Distances:
             self._terms = self._terms_of(self._block, [task.input_bits for task in tasks])
 
     def feasible(self):
-        """(indices, distances) of this arrival's feasible VMs: its slice of the
-        feasible sets computed with the block."""
-        i = self._block_index()
-        bounds, idx, d, _ = self._sets
-        lo, hi = bounds[i], bounds[i + 1]
-        return idx[lo:hi], d[lo:hi]
+        """(indices, distances) of this arrival's feasible VMs: its slice of its
+        block of feasible sets, kept for to_vm."""
+        if self._tail is None:
+            i = self._set_row()
+            bounds, idx, d, _ = self._sets
+            lo, hi = bounds[i], bounds[i + 1]
+            self._tail = idx[lo:hi], d[lo:hi]
+        return self._tail
 
     def feasible_terms(self):
         """(indices, distance terms, energy terms) of this arrival's feasible VMs:
-        its slice of what the hook `feasible_terms` computed with the block."""
-        i = self._block_index()
+        its slice of what the hook `feasible_terms` computed over its block."""
+        i = self._set_row()
         bounds, idx, _, (dn, en) = self._sets
         lo, hi = bounds[i], bounds[i + 1]
         return idx[lo:hi], dn[lo:hi], en[lo:hi]
@@ -347,7 +432,11 @@ class _Distances:
         return self._tail
 
     def to_vm(self, vm: int) -> float:
-        """column's distance to VM `vm`: from what this instant computed, else alone."""
+        """column's distance to VM `vm`: with `reach`, from this arrival's feasible
+        slice, which must hold `vm`; else from what this instant computed, else alone."""
+        if self._whole:
+            idx, d = self.feasible()
+            return float(d[idx.searchsorted(vm)])
         if self._filled:
             return float(self._column[vm])
         if self._tail is not None and vm >= self._start:
@@ -486,6 +575,13 @@ class Simulation:
     own. The run reads it and writes none of it: VMs, queue lengths,
     distances and the far set are made fresh per run.
 
+    `set_store` passes a SetStore shared by runs of this constellation and
+    these arrivals, as run_sweep does for the runs of one sweep key. Where
+    feasibility is checked per task on the built-in orbits, the run reads
+    the feasible sets other runs kept there and keeps those it fills;
+    elsewhere it reads none. A store filled for another reach row (orchestrate.reach_row)
+    or task list raises ConfigurationError.
+
     An injected `positions` source replaces the built-in orbits. It needs
     only `__len__`, one entry per satellite, and `positions_all(t)`, which
     returns an (n, 3) array of coordinates in meters.
@@ -495,6 +591,7 @@ class Simulation:
                  tasks: Sequence[Task] | None = None,
                  arrivals: tuple[np.ndarray, np.ndarray] | None = None,
                  geometry: Geometry | None = None,
+                 set_store: SetStore | None = None,
                  positions=None,
                  on_transfer: Callable[[int, float, float, float, float], None] | None = None,
                  record_events: bool = False):
@@ -552,16 +649,22 @@ class Simulation:
         weight_greedy = config.policy is PolicyId.WEIGHT_GREEDY
         terms = far_term_hook(view, config.architecture, config.radio) if weight_greedy else None
         # with feasibility per task on the built-in orbits, nearly every placement
-        # reads its column and feasible set, so the source computes them a block of
-        # arrivals at a time, and weight_greedy's distance and energy terms with them
+        # reads its feasible set, so the source computes them a block of arrivals at
+        # a time, or reads them from the store, and weight_greedy's distance and
+        # energy terms with them
         reach = set_terms = None
         if positions is None and view.static_feasible is None:
             view.feasible_sets = True
             reach = reach_row(view, config.architecture, config.link)
+            if set_store is not None:
+                set_store.bind(reach, self.tasks)
             if weight_greedy:
                 set_terms = partial(feasible_terms, radio=config.radio)
+        else:
+            set_store = None
         view.source = self._distances = _Distances(self.positions, self.tasks, view.far, terms,
-                                                   reach=reach, feasible_terms=set_terms)
+                                                   reach=reach, feasible_terms=set_terms,
+                                                   shared=set_store)
         self._layer_weights = {**DEFAULT_TRADEOFF_LAYER_WEIGHTS,
                                Layer.CLOUD: config.tradeoff_cloud_weight}
         self._policy_rng = random.Random(f"{config.seed}:policy")

@@ -61,10 +61,8 @@ class CandidateView:
     `source.column()`, the distance from the placement's origin to every
     candidate. The engine's source computes it on its first read for the
     current placement, so a policy that never reads it never pays for it,
-    into a buffer the next placement overwrites; where feasibility is
-    checked per task, it reads the placement's row of a block of columns
-    computed for several arrivals at once, valid until the block is
-    refilled. Either way, policies read it and never write it.
+    into a buffer the next placement overwrites; policies read it and
+    never write it.
     `source.far_row()` gives the same distances to the `far` set's VMs
     alone, far.start on, and `source.far_terms()` gives weight_greedy's
     distance and energy terms over the origin and the far VMs it scores
@@ -73,7 +71,8 @@ class CandidateView:
     order, the column's values at those indices, and, in weight_greedy
     runs, `source.feasible_terms()` gives (indices, distance terms,
     energy terms) over them (see feasible_terms); both are valid until
-    the block they come from is refilled.
+    the source loads another block of sets, which a sweep's runs may
+    share, so policies never write them.
 
     Five optional facts, set by whoever builds the view for one run's
     architecture, link and orbits, let policies place without distances
@@ -195,11 +194,18 @@ def distance_only(view: CandidateView, task, architecture, *,
     The origin's VM is feasible at exactly 0 m, so it is a nearest
     candidate; it also wins the tie against any other VM at 0 m (another
     satellite at a bit-identical position). Other ties go to the lowest
-    index.
+    index. With `feasible_sets`, the nearest is taken over the distances
+    `source.feasible()` gives, in index order, so the first minimum is the
+    column's.
     """
     local = view.local
     if local >= 0 and _enabled(view, architecture)[local]:
         return Selection(int(view.vm_ids[local]))
+    if view.feasible_sets:
+        idx, d = view.source.feasible()
+        if idx.size == 0:
+            raise PlacementError("no feasible candidate")
+        return Selection(int(view.vm_ids[idx[d.argmin()]]))
     idx = _feasible_indices(view, architecture, link)
     return Selection(int(view.vm_ids[_pick_min(view.distances, idx)]))
 

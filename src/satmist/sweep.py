@@ -6,10 +6,12 @@ processes execute the runs. Runs that share a seed share their arrivals:
 they are drawn once, at the grid's largest mist count, and each run takes
 those of its own mist satellites (see engine.draw_arrivals). In one
 process, runs that share a constellation share its engine.Geometry, built
-at the first of them and dropped after the last. Writers emit
-results.csv plus one plot_<metric>.csv per headline metric, shaped for
-line charts: a satellites column and one column per policy, averaged
-over seeds.
+at the first of them and dropped after the last; runs that also share
+their arrivals, one sweep key, share an engine.SetStore of the arrivals'
+feasible sets the same way, all live stores within one engine.SetBudget.
+Writers emit results.csv plus one plot_<metric>.csv per headline metric,
+shaped for line charts: a satellites column and one column per policy,
+averaged over seeds.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .config import SimulationConfig, validate
-from .engine import Geometry, Simulation, draw_arrivals
+from .engine import Geometry, SetBudget, SetStore, Simulation, draw_arrivals
 from .errors import ConfigurationError
 from .metrics import MetricsRecord, emit_csv
 from .orbital import constellation_key
@@ -107,19 +109,31 @@ def _run_one(job) -> MetricsRecord:
 
 
 def _run_sharing_geometry(jobs) -> list[MetricsRecord]:
-    """The jobs' records, in order, each constellation_key's runs on one Geometry
-    built at the key's first run and dropped after its last."""
-    keys = [constellation_key(config.constellation) for config, _ in jobs]
-    last = {key: i for i, key in enumerate(keys)}
+    """The jobs' records, in order. The runs of each constellation_key share one
+    Geometry, and those of each sweep key, (constellation_key, arrival key),
+    one SetStore; each is made at its key's first run and dropped after its
+    last."""
+    keys = [(constellation_key(config.constellation), _arrival_key(config)) for config, _ in jobs]
+    last_geometry = {shape: i for i, (shape, _) in enumerate(keys)}
+    last_store = {key: i for i, key in enumerate(keys)}
     geometries: dict[tuple, Geometry] = {}
+    stores: dict[tuple, SetStore] = {}
+    budget = SetBudget()
     records = []
     for i, ((config, arrivals), key) in enumerate(zip(jobs, keys)):
-        geometry = geometries.get(key)
+        shape = key[0]
+        geometry = geometries.get(shape)
         if geometry is None:
-            geometry = geometries[key] = Geometry(config.constellation)
-        records.append(Simulation(config, arrivals=arrivals, geometry=geometry).run())
-        if last[key] == i:
-            del geometries[key]
+            geometry = geometries[shape] = Geometry(config.constellation)
+        store = stores.get(key)
+        if store is None:
+            store = stores[key] = SetStore(budget)
+        records.append(Simulation(config, arrivals=arrivals, geometry=geometry,
+                                  set_store=store).run())
+        if last_geometry[shape] == i:
+            del geometries[shape]
+        if last_store[key] == i:
+            stores.pop(key).release()
     return records
 
 

@@ -527,13 +527,32 @@ def _column_alone(positions, origin: int, now: float) -> np.ndarray:
     return out
 
 
+def _check_block_row(sim, k: int, rows: int) -> np.ndarray:
+    """Arrival k's column computed alone; its feasible slice, read from block
+    k // rows, and to_vm of each feasible VM must equal it bit for bit."""
+    task, distances = sim.tasks[k], sim._distances
+    expected = _column_alone(sim.positions, task.origin_satellite, task.created_at)
+    distances.at(k)
+    idx, d = distances.feasible()
+    assert distances._set_block == k // rows, k
+    assert _hex(d) == _hex(expected[idx]), k
+    assert [distances.to_vm(vm) for vm in idx.tolist()] == expected[idx].tolist(), k
+    column = distances.column()
+    assert distances.column() is column and sim._view.distances is column
+    assert _hex(column) == _hex(expected), k
+    return idx
+
+
 @pytest.mark.parametrize("mist, phasing, duration", [
     (40, "walker_delta", 18.0), (40, "random_uniform", 18.0),
     (1000, "walker_delta", 0.55), (1000, "random_uniform", 0.55),
 ])
-def test_every_column_block_row_equals_the_column_alone_bit_for_bit(mist, phasing, duration):
+def test_every_block_feasible_slice_and_to_vm_equal_the_column_alone_bit_for_bit(mist, phasing,
+                                                                                  duration):
     # every arrival of a seeded run, read in order as the engine reads them, so
-    # rows 0, B-1 and B of each block and the last, partial block are all read
+    # rows 0, B-1 and B of each block and the last, partial block are all read;
+    # blocks start at multiples of B, and to_vm reads each feasible VM's distance
+    # from the arrival's slice
     cfg = parse_config(f"constellation.mist={mist}\nconstellation.phasing={phasing}\n"
                        f"simulation.duration_s={duration}\n" + _SHORT_LINKS)
     sim = Simulation(cfg)
@@ -542,49 +561,34 @@ def test_every_column_block_row_equals_the_column_alone_bit_for_bit(mist, phasin
     assert sim._view.static_feasible is None and distances._whole
     assert rows == engine._COLUMN_BLOCK_VALUES // n
     assert len(sim.tasks) > 2 * rows and len(sim.tasks) % rows
-    for k, task in enumerate(sim.tasks):
-        distances.at(k)
-        column = distances.column()
-        assert distances._first == k - k % rows
-        expected = _column_alone(sim.positions, task.origin_satellite, task.created_at)
-        assert _hex(column) == _hex(expected), k
-        vm = (7 * k) % n
-        assert distances.to_vm(vm) == expected[vm]
+    sizes = [_check_block_row(sim, k, rows).size for k in range(len(sim.tasks))]
+    assert min(sizes) > 0 and max(sizes) > 1
 
 
-def test_column_block_rows_of_injected_tasks_equal_the_column_alone_bit_for_bit():
-    # injected tasks from satellites of every layer, with ties in time; blocks start
-    # wherever a read misses, and the read order goes back and forth
+def test_feasible_slices_of_injected_tasks_read_back_and_forth_equal_the_column_alone():
+    # injected tasks from satellites of every layer, with ties in time; the read
+    # order goes back and forth, and each read finds its arrival's block at k // B
     cfg = parse_config("constellation.mist=40\nconstellation.phasing=random_uniform\n"
                        "policy.name=trade_off\n" + _SHORT_LINKS)
     rng = random.Random(5)
     times = sorted(round(rng.uniform(0.0, 60.0), 1) for _ in range(250))
     tasks = [heavy_task(k, rng.randrange(82), t) for k, t in enumerate(times)]
     sim = Simulation(cfg, tasks=tasks)
-    distances = sim._distances
-    rows = distances._block_rows
+    rows = sim._distances._block_rows
     assert rows == engine._COLUMN_BLOCK_VALUES // 82
     for k in (0, 1, 249, rows - 1, rows, rows + 1, 2, 2 * rows - 1, 2 * rows, 248):
-        distances.at(k)
-        column = distances.column()
-        assert distances.column() is column and sim._view.distances is column
-        assert _hex(column) == _hex(_column_alone(sim.positions, tasks[k].origin_satellite,
-                                                  tasks[k].created_at)), k
+        _check_block_row(sim, k, rows)
 
 
-def test_column_blocks_of_one_row_past_the_block_size():
-    # more satellites than a block holds values: each block is one arrival's column
+def test_feasible_slices_of_one_row_blocks_past_the_block_size():
+    # more satellites than a block holds values: each block is one arrival's set
     cfg = parse_config("constellation.mist=8200\n" + _SHORT_LINKS)
     tasks = [heavy_task(k, origin, 2.5 * (k // 2)) for k, origin in enumerate((0, 8199, 8241, 17))]
     sim = Simulation(cfg, tasks=tasks)
-    distances, n = sim._distances, len(sim.positions)
-    assert n > engine._COLUMN_BLOCK_VALUES and distances._block_rows == 1
+    n = len(sim.positions)
+    assert n > engine._COLUMN_BLOCK_VALUES and sim._distances._block_rows == 1
     for k in (0, 1, 3, 2):
-        distances.at(k)
-        column = distances.column()
-        assert distances._first == k
-        assert _hex(column) == _hex(_column_alone(sim.positions, tasks[k].origin_satellite,
-                                                  tasks[k].created_at)), k
+        assert _check_block_row(sim, k, 1).size > 0
 
 
 def _check_feasible_row(sim, k: int) -> int:
@@ -708,10 +712,73 @@ def test_random_vm_draws_alike_on_blocks_and_per_placement_when_placements_fail(
     assert blocks._view.feasible_sets and not alone._view.feasible_sets
 
 
+def _outcomes(sim) -> list[tuple]:
+    return [(task.assigned_vm, task.state, task.failure_cause) for task in sim.tasks]
+
+
+def test_distance_only_off_its_origins_layer_picks_from_the_feasible_set():
+    # no mist VM is enabled, so every placement leaves the origin: the nearest VM
+    # of the arrival's feasible slice, first of equal minima, is the column's
+    # nearest, and no placement reads a column
+    text = ("constellation.mist=100\nconstellation.phasing=random_uniform\n"
+            "policy.name=distance_only\narchitecture.layers=edge_dc,cloud\n"
+            "simulation.duration_s=10\nlink.range_edge_m=4e6\nlink.range_cloud_m=6e6\n")
+    sets = Simulation(parse_config(text))
+    alone = columns_per_placement(Simulation(parse_config(text)))
+    sets.positions.positions_all = lambda t: pytest.fail("a column read on the per-task path")
+    record = sets.run()
+    assert sets._view.feasible_sets and not alone._view.feasible_sets
+    assert record == alone.run()
+    assert 0 < record.failed_no_destination < record.generated
+    assert _outcomes(sets) == _outcomes(alone)
+
+
+# configs with per-task feasibility: a radio whose energy falls at the crossover,
+# tasks with no input, a short mist range with no edge layer, and no mist layer
+# with short edge and cloud ranges (NO_DESTINATION failures)
+_PER_TASK_CONFIGS = [
+    "radio.eps_mp=1.2e-15\n",
+    "task.input_bits=0\n",
+    "architecture.layers=mist,cloud\nlink.range_mist_m=1e6\n",
+    "architecture.layers=edge_dc,cloud\nlink.range_edge_m=4e6\nlink.range_cloud_m=6e6\n",
+]
+
+
+@pytest.mark.parametrize("text", _PER_TASK_CONFIGS, ids=["split_radio", "no_input", "mist_cloud",
+                                                         "edge_cloud"])
+@pytest.mark.parametrize("policy", list(orchestrate.PolicyId))
+def test_to_vm_on_the_per_task_path_equals_the_column_alone_bit_for_bit(text, policy):
+    # every upload's distance, from the pick's feasible slice, against the column
+    # computed alone for that arrival
+    cfg = parse_config("constellation.mist=60\nconstellation.phasing=random_uniform\n"
+                       f"simulation.duration_s=20\npolicy.name={policy.value}\n"
+                       + _SHORT_LINKS + text)
+    sim = Simulation(cfg)
+    distances = sim._distances
+    assert distances._whole
+    to_vm, checked = distances.to_vm, []
+
+    def checked_to_vm(vm):
+        got = to_vm(vm)
+        task = sim.tasks[distances._k]
+        expected = _column_alone(sim.positions, task.origin_satellite, task.created_at)[vm]
+        assert float.hex(got) == float.hex(float(expected)), (distances._k, vm)
+        checked.append(vm)
+        return got
+
+    distances.to_vm = checked_to_vm
+    record = sim.run()
+    uploads = sum(task.assigned_vm not in (-1, task.origin_satellite) for task in sim.tasks)
+    assert len(checked) == uploads
+    assert uploads > 0 or (policy is orchestrate.PolicyId.DISTANCE_ONLY and "edge_dc" not in text)
+    assert record.generated > 50
+
+
 @pytest.mark.parametrize("policy", list(orchestrate.PolicyId))
 def test_feasibility_per_task_reads_every_column_from_blocks(monkeypatch, policy):
-    # the column comes from positions_over, a block at a time, and never from positions_all;
-    # distance_only keeps each task on its own enabled mist VM and reads none
+    # the feasible sets come from positions_over, a block at a time, and no placement
+    # reads positions_all; distance_only keeps each task on its own enabled mist VM
+    # and reads none
     cfg = parse_config(f"constellation.mist=100\nconstellation.phasing=random_uniform\n"
                        f"policy.name={policy.value}\nsimulation.duration_s=5\n" + _SHORT_LINKS)
     sim = Simulation(cfg)
@@ -734,7 +801,7 @@ def test_feasibility_per_task_reads_every_column_from_blocks(monkeypatch, policy
 def test_only_feasibility_per_task_on_the_orbits_fills_column_blocks(monkeypatch, text, positions):
     # with static feasibility, as with an injected position source, each placement
     # computes the column it reads, and no block of columns or feasible sets is filled
-    monkeypatch.setattr(engine._Distances, "_fill_whole", lambda self: pytest.fail("column block"))
+    monkeypatch.setattr(engine._Distances, "_fill_whole", lambda self, b: pytest.fail("column block"))
     sim = Simulation(parse_config("constellation.mist=100\nsimulation.duration_s=3\n" + text),
                      positions=positions)
     assert not sim._distances._whole and not sim._view.feasible_sets

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from dataclasses import astuple, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -123,29 +124,119 @@ def test_parallel_matches_sequential():
         run_sweep(SMALL, FAST_BASE, parallel=0)
 
 
+_SHORT_LINKS = "link.range_mist_m=6e6\nlink.range_edge_m=9e6\nlink.range_cloud_m=17e6\n"
+# no mist VM enabled and short edge and cloud ranges: many placements find no VM
+_NO_DESTINATION = ("architecture.layers=edge_dc,cloud\n"
+                   "link.range_mist_m=6e6\nlink.range_edge_m=4e6\nlink.range_cloud_m=9e6\n")
+
+
 @pytest.mark.parametrize("text", [
     "constellation.phasing=random_uniform\n",
     "constellation.phasing=random_uniform\ntask.rate_is_global=true\ntask.rate_per_min=90\n",
     "task.rate_per_min=0\n",
-    # feasibility per task: the runs of both seeds share a Walker geometry, and
-    # each fills its own blocks of distance columns
-    "link.range_mist_m=6e6\nlink.range_edge_m=9e6\nlink.range_cloud_m=17e6\n",
-], ids=["per_satellite_rate", "global_rate", "zero_rate", "short_links"])
+    # feasibility per task: the runs of both seeds share a Walker geometry, and the
+    # runs of each seed one store of feasible sets
+    _SHORT_LINKS,
+    # random phasing: each seed has its own constellation
+    "constellation.phasing=random_uniform\n" + _SHORT_LINKS,
+    "constellation.phasing=random_uniform\n" + _NO_DESTINATION,
+], ids=["per_satellite_rate", "global_rate", "zero_rate", "short_links", "random_short_links",
+        "no_destination"])
 def test_sweep_records_equal_standalone_runs(text):
     # shared arrivals, drawn at 12 mist and filtered for 3 and 7, give each run
     # the record it gets alone, inline and in worker processes
     base = parse_config("constellation.mist=7\nconstellation.edge_dc=3\nconstellation.cloud=2\n"
                         "simulation.duration_s=15\n" + text)
-    assert (Simulation(base)._view.static_feasible is None) == ("link.range" in text)
-    spec = SweepSpec(satellite_counts=(3, 7, 12),
-                     policies=(PolicyId.DISTANCE_ONLY, PolicyId.RANDOM_VM, PolicyId.WEIGHT_GREEDY),
-                     seeds=(1, 2), scale_all_layers=True)
+    per_task = "link.range" in text
+    assert (Simulation(base)._view.static_feasible is None) == per_task
+    policies = (tuple(PolicyId) if per_task
+                else (PolicyId.DISTANCE_ONLY, PolicyId.RANDOM_VM, PolicyId.WEIGHT_GREEDY))
+    spec = SweepSpec(satellite_counts=(3, 7, 12), policies=policies, seeds=(1, 2),
+                     scale_all_layers=True)
     standalone = [Simulation(derive_config(base, count, policy, seed, True)).run()
                   for count in spec.satellite_counts for policy in spec.policies
                   for seed in spec.seeds]
     assert any(record.generated for record in standalone) == ("rate_per_min=0" not in text)
+    if "edge_dc,cloud" in text:
+        assert any(record.failed_no_destination for record in standalone)
     assert run_sweep(spec, base, parallel=1) == standalone
     assert run_sweep(spec, base, parallel=2) == standalone
+
+
+class Outcomes(Simulation):
+    """A Simulation that logs each finished run's tasks' (assigned_vm, state,
+    failure_cause), its set store's bytes, and the bytes of every store made so far."""
+
+    log: list = []
+    stores: list = []
+
+    def __init__(self, config, **kwargs):
+        super().__init__(config, **kwargs)
+        self._store = kwargs["set_store"]
+
+    def run(self):
+        record = super().run()
+        Outcomes.log.append(([(task.assigned_vm, task.state, task.failure_cause)
+                              for task in self.tasks], self._store.nbytes,
+                             sum(store.nbytes for store in Outcomes.stores)))
+        return record
+
+
+class ListedStore(engine.SetStore):
+    def __init__(self, budget):
+        super().__init__(budget)
+        Outcomes.stores.append(self)
+
+
+@pytest.mark.parametrize("budget", ["none", "half", "ample"])
+def test_sweep_outcomes_equal_unshared_runs_whatever_the_store_budget(monkeypatch, budget):
+    # with no budget every run fills its own blocks; with half a key's sets the
+    # first reader keeps the first blocks, and the later runs read those and
+    # fill the rest: the records and every task's outcome are the runs' alone
+    base = parse_config("constellation.mist=20\nsimulation.duration_s=60\n"
+                        "constellation.phasing=random_uniform\n" + _SHORT_LINKS)
+    spec = SweepSpec(satellite_counts=(20,), policies=tuple(PolicyId), seeds=(1, 2))
+    unshared, blocks, nbytes = [], [], []
+    for seed in spec.seeds:
+        for policy in spec.policies:
+            sim = Simulation(derive_config(base, 20, policy, seed, False))
+            unshared.append((sim.run(), [(task.assigned_vm, task.state, task.failure_cause)
+                                         for task in sim.tasks]))
+        full = engine.SetStore()
+        sim = Simulation(derive_config(base, 20, PolicyId.ROUND_ROBIN, seed, False), set_store=full)
+        sim.run()
+        assert len(full.blocks) == -(-len(sim.tasks) // sim._distances._block_rows) > 2
+        blocks.append(len(full.blocks))
+        nbytes.append(full.nbytes)
+    # the grid runs seed 2 between seed 1's runs, so half of seed 1's bytes run
+    # out during its first reader's run, and seed 2's first reader finds little room
+    limit = {"none": 0, "half": nbytes[0] // 2, "ample": sum(nbytes)}[budget]
+    monkeypatch.setattr(engine, "_SET_STORE_BYTES", limit)
+    monkeypatch.setattr(sweep_mod, "Simulation", Outcomes)
+    monkeypatch.setattr(sweep_mod, "SetStore", ListedStore)
+    fills = []
+    fill_whole = engine._Distances._fill_whole
+    monkeypatch.setattr(engine._Distances, "_fill_whole",
+                        lambda self, b: fills.append(b) or fill_whole(self, b))
+    Outcomes.log, Outcomes.stores = [], []
+    records = run_sweep(spec, base)
+    order = [(seed, policy) for policy in spec.policies for seed in spec.seeds]
+    by_run = dict(zip(order, zip(records, Outcomes.log)))
+    for (record, tasks), (seed, policy) in zip(unshared, [(s, p) for s in spec.seeds
+                                                           for p in spec.policies]):
+        assert by_run[seed, policy][0] == record
+        assert by_run[seed, policy][1][0] == tasks
+    kept = [kept for _, kept, _ in Outcomes.log]
+    assert len(Outcomes.stores) == 2 and all(store.nbytes == 0 for store in Outcomes.stores)
+    assert max(live for _, _, live in Outcomes.log) <= limit  # released stores hold 0
+    every = 4 * sum(blocks)  # every policy but distance_only reads each block
+    if budget == "none":
+        assert len(fills) == every and max(kept) == 0
+    elif budget == "half":
+        assert 0 < kept[-2] < nbytes[0]
+        assert sum(blocks) < len(fills) < every
+    else:
+        assert len(fills) == sum(blocks) and kept[-2:] == nbytes  # one fill per block
 
 
 @settings(max_examples=40, deadline=None)
@@ -179,11 +270,12 @@ def test_each_constellation_is_built_once_per_sweep(monkeypatch, text, counts, s
     assert len(built) == builds
 
 
-def test_sweep_twice_gives_the_same_records_and_keeps_no_geometry(monkeypatch):
+def test_sweep_twice_gives_the_same_records_and_keeps_no_geometry_or_store(monkeypatch):
     import gc
     import weakref
 
     refs, alive_at_build = [], []
+    stores, live_at_run = [], []
 
     class Tracked(engine.Geometry):
         def __init__(self, spec):
@@ -191,10 +283,25 @@ def test_sweep_twice_gives_the_same_records_and_keeps_no_geometry(monkeypatch):
             super().__init__(spec)
             refs.append(weakref.ref(self))
 
+    class TrackedStore(engine.SetStore):
+        def __init__(self, budget):
+            super().__init__(budget)
+            stores.append(weakref.ref(self))
+
+    class Logged(Simulation):
+        def __init__(self, config, **kwargs):
+            # the sweep keys whose stores are alive as this run starts
+            live_at_run.append(sum(ref() is not None for ref in stores))
+            super().__init__(config, **kwargs)
+
     monkeypatch.setattr(sweep_mod, "Geometry", Tracked)
-    # random phasing: the two seeds' constellations differ, and alternate in grid order
+    monkeypatch.setattr(sweep_mod, "SetStore", TrackedStore)
+    monkeypatch.setattr(sweep_mod, "Simulation", Logged)
+    # random phasing: the two seeds' constellations differ, and alternate in grid
+    # order; short links, so the runs read their feasible sets from the stores
     base = parse_config("constellation.mist=7\nconstellation.edge_dc=3\nconstellation.cloud=2\n"
-                        "simulation.duration_s=15\nconstellation.phasing=random_uniform\n")
+                        "simulation.duration_s=15\nconstellation.phasing=random_uniform\n"
+                        + _SHORT_LINKS)
     spec = SweepSpec(satellite_counts=(3, 7),
                      policies=(PolicyId.WEIGHT_GREEDY, PolicyId.TRADE_OFF, PolicyId.RANDOM_VM),
                      seeds=(1, 2))
@@ -202,13 +309,60 @@ def test_sweep_twice_gives_the_same_records_and_keeps_no_geometry(monkeypatch):
     try:
         first = run_sweep(spec, base)
         assert len(refs) == 4 and all(ref() is None for ref in refs)
+        assert len(stores) == 4 and all(ref() is None for ref in stores)
         second = run_sweep(spec, base)
         assert len(refs) == 8 and all(ref() is None for ref in refs)
+        assert len(stores) == 8 and all(ref() is None for ref in stores)
     finally:
         gc.enable()
     assert first == second
-    # a count's geometries are dropped after its last run, before the next count's are built
+    # a count's geometries are dropped after its last run, before the next count's
+    # are built; each store after its own key's last run: a count's last run, seed
+    # 2's, finds seed 1's store gone
     assert alive_at_build == [0, 1, 0, 1] * 2
+    assert live_at_run == [1, 2, 2, 2, 2, 1] * 4
+
+
+def test_stores_of_one_budget_keep_blocks_only_within_it():
+    # a block is kept whole or not at all, read-only; a released store's bytes
+    # go back to the budget, for the stores that draw on it later
+    budget = engine.SetBudget()
+    budget.left = 100
+
+    def block():  # 16 + 6 + 24 = 46 bytes
+        return np.array([0, 3]), np.array([1, 4, 9], dtype=np.uint16), np.array([1.0, 2.0, 3.0])
+
+    first, second = engine.SetStore(budget), engine.SetStore(budget)
+    for b in range(3):
+        first.keep(b, *block())
+    assert sorted(first.blocks) == [0, 1] and first.nbytes == 92 and budget.left == 8
+    assert not any(a.flags.writeable for a in first.blocks[1])
+    second.keep(0, *block())
+    assert not second.blocks and second.nbytes == 0
+    first.release()
+    assert not first.blocks and first.nbytes == 0 and budget.left == 100
+    second.keep(5, *block())
+    assert list(second.blocks) == [5] and budget.left == 54
+
+
+def test_store_refuses_a_run_with_another_reach_row_or_task_list():
+    # a store's blocks are one reach row's sets of one task list's arrivals
+    text = ("constellation.mist=20\nsimulation.duration_s=10\npolicy.name=round_robin\n"
+            "constellation.phasing=random_uniform\n" + _SHORT_LINKS)
+    cfg = parse_config(text)
+    store = engine.SetStore()
+    Simulation(cfg, set_store=store).run()
+    assert store.blocks
+    Simulation(replace(cfg, policy=PolicyId.TRADE_OFF), set_store=store).run()  # the same key
+    # another range, another layer set; fewer arrivals, other arrivals
+    for extra in ("link.range_edge_m=8e6\n", "architecture.layers=mist,edge_dc\n",
+                  "simulation.duration_s=9\n", "task.rate_per_min=40\n"):
+        with pytest.raises(ConfigurationError, match="another reach row or task list"):
+            Simulation(parse_config(text + extra), set_store=store)
+    tasks = Simulation(cfg).tasks
+    tasks[-1] = replace(tasks[-1], origin_satellite=(tasks[-1].origin_satellite + 1) % 20)
+    with pytest.raises(ConfigurationError, match="another reach row or task list"):
+        Simulation(cfg, tasks=tasks, set_store=store)
 
 
 class RecordingPool:
