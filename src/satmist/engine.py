@@ -174,18 +174,11 @@ _BLOCK_VALUES = 4096
 # 2 MB cache; at 1,042 satellites 7 columns a block cost 20-25% less per
 # column than 3, at 342 about 10% less for 23 than 11
 _COLUMN_BLOCK_VALUES = 8192
-# bytes every live SetStore of one SetBudget holds together, at most: 10 B a
-# feasible entry below 65,537 satellites (a uint16 VM index and a float64
-# distance) and 8 B an arrival, so about 400,000 entries; a sparse_links
+# bytes a SetStore keeps, at most: a feasible entry takes 10 B (a uint16 VM
+# index and a float64 distance) at 257 to 65,536 satellites, 9 B (uint8) at
+# 256 or fewer, and an arrival 8 B, so about 400,000 entries; a sparse_links
 # sweep key holds about 304,000 over its 20 s
 _SET_STORE_BYTES = 4 << 20
-
-
-class SetBudget:
-    """The bytes left to the SetStores that draw on it; _SET_STORE_BYTES at first."""
-
-    def __init__(self):
-        self.left = _SET_STORE_BYTES
 
 
 class SetStore:
@@ -197,45 +190,42 @@ class SetStore:
     block rows, as (bounds, idx, d): arrival bB+i's entries are bounds[i]
     to bounds[i+1], idx holds their VMs, in index order and the smallest
     unsigned dtype that holds n-1, and d their float64 distances. The
-    first run that reads a block fills it and keeps it here while `budget`
-    has room; later runs slice it. Past the budget they fill their own
-    blocks, so what is kept stays bounded however long the run. `release`
-    gives the bytes back. The arrays are read-only, and the store holds no
-    block rows, no per-run terms and no reference to a run.
+    first run that reads a block fills it and keeps it here if the store
+    then holds at most _SET_STORE_BYTES; later runs slice it. Past that
+    they fill their own blocks, so what is kept stays bounded however long
+    the run. The arrays are read-only, and the store holds no block
+    rows, no per-run terms and no reference to a run. `bind` also keeps,
+    outside that cap, what it checks runs against: the constellation_key,
+    the reach row and each arrival's time and origin, 16 B an arrival.
     """
 
-    def __init__(self, budget: SetBudget | None = None):
+    def __init__(self):
         self.blocks: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self.nbytes = 0
-        self._budget = SetBudget() if budget is None else budget
-        self._bound = None  # the reach row and task list the blocks were filled for
+        self._bound = None  # the constellation, reach row and arrivals the blocks are for
 
-    def bind(self, reach: np.ndarray, tasks: Sequence[Task]) -> None:
-        """Ties the store to its first run's reach row and task list, by their
-        count and first and last arrivals; raises ConfigurationError for a run
-        with others."""
-        ends = [(task.created_at, task.origin_satellite) for task in (tasks[0], tasks[-1])] \
-            if tasks else []
+    def bind(self, key: tuple, reach: np.ndarray, created_at: np.ndarray,
+             origins: np.ndarray) -> None:
+        """Ties the store to its first run's constellation_key, reach row and
+        arrivals' (created_at, origin) arrays; raises ConfigurationError for a
+        run with others."""
         if self._bound is None:
-            self._bound = reach.copy(), len(tasks), ends
-        elif not (np.array_equal(reach, self._bound[0]) and (len(tasks), ends) == self._bound[1:]):
-            raise ConfigurationError("set store was filled for another reach row or task list")
+            self._bound = key, reach.copy(), created_at, origins
+            self._dtype = np.min_scalar_type(len(reach) - 1)
+        elif not (key == self._bound[0] and all(
+                np.array_equal(a, b) for a, b in zip(self._bound[1:], (reach, created_at, origins)))):
+            raise ConfigurationError(
+                "set store was filled for another constellation, reach row or task list")
 
     def keep(self, b: int, bounds: np.ndarray, idx: np.ndarray, d: np.ndarray) -> None:
-        """Keeps block b if the budget has room for it."""
-        size = bounds.nbytes + idx.nbytes + d.nbytes
-        if size <= self._budget.left:
+        """Keeps block b, its VM indices in the store's dtype, if it fits."""
+        size = bounds.nbytes + idx.size * self._dtype.itemsize + d.nbytes
+        if self.nbytes + size <= _SET_STORE_BYTES:
+            idx = idx.astype(self._dtype)
             for a in (bounds, idx, d):
                 a.flags.writeable = False
-            self._budget.left -= size
             self.nbytes += size
             self.blocks[b] = bounds, idx, d
-
-    def release(self) -> None:
-        """Drops every block and gives its bytes back to the budget."""
-        self._budget.left += self.nbytes
-        self.nbytes = 0
-        self.blocks.clear()
 
 
 class _Distances:
@@ -266,8 +256,9 @@ class _Distances:
     keeps. With the hook `feasible_terms` (weight_greedy runs) each run
     computes weight_greedy's distance and energy terms over a block's
     entries as it loads the block, which `feasible_terms` slices. `to_vm`
-    reads the pick's distance from its feasible slice, where every pick
-    lies, so no placement on this path reads a column.
+    reads the pick's distance from the block's row where this run filled
+    the block, else from its feasible slice, where every pick lies, so no
+    placement on this path reads a column.
 
     Otherwise, with a far set, `far_row` is the distance to the far set's
     satellites, far.start on, from arrival k's row of a block that covers
@@ -340,7 +331,7 @@ class _Distances:
         if kept is None:
             bounds, idx, d = self._fill_whole(b)
             if shared is not None:
-                shared.keep(b, bounds, idx.astype(np.min_scalar_type(len(self._positions) - 1)), d)
+                shared.keep(b, bounds, idx, d)
         else:
             bounds, idx, d = kept
             idx = idx.astype(np.intp)  # numpy gathers by intp indices fastest
@@ -351,6 +342,7 @@ class _Distances:
             rows = np.repeat(np.arange(len(bits)), np.diff(bounds))
             terms = self._feasible_terms_of(d, rows, bounds, bits)
         self._sets, self._set_block = (bounds.tolist(), idx, d, terms), b
+        self._own_rows = kept is None  # the block's rows are in _work until the next fill
 
     def _fill_whole(self, b: int):
         """(bounds, idx, d) of block b, arrivals bB to bB+B-1: their columns by
@@ -432,11 +424,15 @@ class _Distances:
         return self._tail
 
     def to_vm(self, vm: int) -> float:
-        """column's distance to VM `vm`: with `reach`, from this arrival's feasible
-        slice, which must hold `vm`; else from what this instant computed, else alone."""
+        """column's distance to VM `vm`: with `reach`, from this arrival's block row
+        if this run filled the block, else from its feasible slice, which must
+        hold `vm`; else from what this instant computed, else alone."""
         if self._whole:
+            i = self._set_row()
+            if self._own_rows:
+                return self._work[0].item(i, vm)
             idx, d = self.feasible()
-            return float(d[idx.searchsorted(vm)])
+            return d.item(idx.searchsorted(vm))
         if self._filled:
             return float(self._column[vm])
         if self._tail is not None and vm >= self._start:
@@ -579,8 +575,9 @@ class Simulation:
     these arrivals, as run_sweep does for the runs of one sweep key. Where
     feasibility is checked per task on the built-in orbits, the run reads
     the feasible sets other runs kept there and keeps those it fills;
-    elsewhere it reads none. A store filled for another reach row (orchestrate.reach_row)
-    or task list raises ConfigurationError.
+    elsewhere it reads none. A store filled for another constellation_key,
+    reach row (orchestrate.reach_row) or task list, compared arrival by
+    arrival, raises ConfigurationError.
 
     An injected `positions` source replaces the built-in orbits. It needs
     only `__len__`, one entry per satellite, and `positions_all(t)`, which
@@ -657,7 +654,13 @@ class Simulation:
             view.feasible_sets = True
             reach = reach_row(view, config.architecture, config.link)
             if set_store is not None:
-                set_store.bind(reach, self.tasks)
+                if arrivals is None:  # drawn here, or injected tasks
+                    arrivals = (np.array([task.created_at for task in self.tasks]),
+                                np.array([task.origin_satellite for task in self.tasks]))
+                else:
+                    keep = arrivals[1] < config.constellation.mist
+                    arrivals = arrivals[0][keep], arrivals[1][keep]
+                set_store.bind(geometry.key, reach, *arrivals)
             if weight_greedy:
                 set_terms = partial(feasible_terms, radio=config.radio)
         else:

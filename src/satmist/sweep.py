@@ -8,7 +8,8 @@ those of its own mist satellites (see engine.draw_arrivals). In one
 process, runs that share a constellation share its engine.Geometry, built
 at the first of them and dropped after the last; runs that also share
 their arrivals, one sweep key, share an engine.SetStore of the arrivals'
-feasible sets the same way, all live stores within one engine.SetBudget.
+feasible sets the same way; there the runs go key by key, each seed's
+runs of a count together, so one store is live at a time.
 Writers emit results.csv plus one plot_<metric>.csv per headline metric,
 shaped for line charts: a satellites column and one column per policy,
 averaged over seeds.
@@ -25,7 +26,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .config import SimulationConfig, validate
-from .engine import Geometry, SetBudget, SetStore, Simulation, draw_arrivals
+from .engine import Geometry, SetStore, Simulation, draw_arrivals
 from .errors import ConfigurationError
 from .metrics import MetricsRecord, emit_csv
 from .orbital import constellation_key
@@ -111,29 +112,33 @@ def _run_one(job) -> MetricsRecord:
 def _run_sharing_geometry(jobs) -> list[MetricsRecord]:
     """The jobs' records, in order. The runs of each constellation_key share one
     Geometry, and those of each sweep key, (constellation_key, arrival key),
-    one SetStore; each is made at its key's first run and dropped after its
-    last."""
+    one SetStore. The runs go key by key, in the order of each key's first
+    job, so a key's runs are consecutive; a geometry or store is made at its
+    key's first run and dropped after its last."""
     keys = [(constellation_key(config.constellation), _arrival_key(config)) for config, _ in jobs]
-    last_geometry = {shape: i for i, (shape, _) in enumerate(keys)}
-    last_store = {key: i for i, key in enumerate(keys)}
+    first = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    order = sorted(range(len(jobs)), key=lambda i: first[keys[i]])
+    last_geometry = {keys[i][0]: i for i in order}
+    last_store = {keys[i]: i for i in order}
     geometries: dict[tuple, Geometry] = {}
-    stores: dict[tuple, SetStore] = {}
-    budget = SetBudget()
-    records = []
-    for i, ((config, arrivals), key) in enumerate(zip(jobs, keys)):
+    store = None  # the current key's
+    records: list = [None] * len(jobs)
+    for i in order:
+        (config, arrivals), key = jobs[i], keys[i]
         shape = key[0]
         geometry = geometries.get(shape)
         if geometry is None:
             geometry = geometries[shape] = Geometry(config.constellation)
-        store = stores.get(key)
         if store is None:
-            store = stores[key] = SetStore(budget)
-        records.append(Simulation(config, arrivals=arrivals, geometry=geometry,
-                                  set_store=store).run())
+            store = SetStore()
+        records[i] = Simulation(config, arrivals=arrivals, geometry=geometry,
+                                set_store=store).run()
         if last_geometry[shape] == i:
             del geometries[shape]
         if last_store[key] == i:
-            stores.pop(key).release()
+            store = None
     return records
 
 

@@ -747,19 +747,26 @@ _PER_TASK_CONFIGS = [
 @pytest.mark.parametrize("text", _PER_TASK_CONFIGS, ids=["split_radio", "no_input", "mist_cloud",
                                                          "edge_cloud"])
 @pytest.mark.parametrize("policy", list(orchestrate.PolicyId))
-def test_to_vm_on_the_per_task_path_equals_the_column_alone_bit_for_bit(text, policy):
-    # every upload's distance, from the pick's feasible slice, against the column
-    # computed alone for that arrival
+@pytest.mark.parametrize("shared", [False, True], ids=["own_rows", "stored_slices"])
+def test_to_vm_on_the_per_task_path_equals_the_column_alone_bit_for_bit(text, policy, shared):
+    # every upload's distance, from the block row this run filled or from the
+    # pick's feasible slice of a stored block, against the column computed alone
+    # for that arrival
     cfg = parse_config("constellation.mist=60\nconstellation.phasing=random_uniform\n"
                        f"simulation.duration_s=20\npolicy.name={policy.value}\n"
                        + _SHORT_LINKS + text)
-    sim = Simulation(cfg)
+    store = None
+    if shared:  # a run of the same key keeps every block first
+        store = engine.SetStore()
+        Simulation(replace(cfg, policy=orchestrate.PolicyId.ROUND_ROBIN), set_store=store).run()
+    sim = Simulation(cfg, set_store=store)
     distances = sim._distances
     assert distances._whole
     to_vm, checked = distances.to_vm, []
 
     def checked_to_vm(vm):
         got = to_vm(vm)
+        assert distances._own_rows is not shared
         task = sim.tasks[distances._k]
         expected = _column_alone(sim.positions, task.origin_satellite, task.created_at)[vm]
         assert float.hex(got) == float.hex(float(expected)), (distances._k, vm)

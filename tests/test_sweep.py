@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import weakref
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -165,7 +167,7 @@ def test_sweep_records_equal_standalone_runs(text):
 
 class Outcomes(Simulation):
     """A Simulation that logs each finished run's tasks' (assigned_vm, state,
-    failure_cause), its set store's bytes, and the bytes of every store made so far."""
+    failure_cause), its set store's bytes, and the bytes of every live store."""
 
     log: list = []
     stores: list = []
@@ -178,14 +180,14 @@ class Outcomes(Simulation):
         record = super().run()
         Outcomes.log.append(([(task.assigned_vm, task.state, task.failure_cause)
                               for task in self.tasks], self._store.nbytes,
-                             sum(store.nbytes for store in Outcomes.stores)))
+                             sum(ref().nbytes for ref in Outcomes.stores if ref() is not None)))
         return record
 
 
 class ListedStore(engine.SetStore):
-    def __init__(self, budget):
-        super().__init__(budget)
-        Outcomes.stores.append(self)
+    def __init__(self):
+        super().__init__()
+        Outcomes.stores.append(weakref.ref(self))
 
 
 @pytest.mark.parametrize("budget", ["none", "half", "ample"])
@@ -208,9 +210,8 @@ def test_sweep_outcomes_equal_unshared_runs_whatever_the_store_budget(monkeypatc
         assert len(full.blocks) == -(-len(sim.tasks) // sim._distances._block_rows) > 2
         blocks.append(len(full.blocks))
         nbytes.append(full.nbytes)
-    # the grid runs seed 2 between seed 1's runs, so half of seed 1's bytes run
-    # out during its first reader's run, and seed 2's first reader finds little room
-    limit = {"none": 0, "half": nbytes[0] // 2, "ample": sum(nbytes)}[budget]
+    # half of the smaller key's bytes run out during each key's first reader's run
+    limit = {"none": 0, "half": min(nbytes) // 2, "ample": max(nbytes)}[budget]
     monkeypatch.setattr(engine, "_SET_STORE_BYTES", limit)
     monkeypatch.setattr(sweep_mod, "Simulation", Outcomes)
     monkeypatch.setattr(sweep_mod, "SetStore", ListedStore)
@@ -219,24 +220,33 @@ def test_sweep_outcomes_equal_unshared_runs_whatever_the_store_budget(monkeypatc
     monkeypatch.setattr(engine._Distances, "_fill_whole",
                         lambda self, b: fills.append(b) or fill_whole(self, b))
     Outcomes.log, Outcomes.stores = [], []
-    records = run_sweep(spec, base)
-    order = [(seed, policy) for policy in spec.policies for seed in spec.seeds]
-    by_run = dict(zip(order, zip(records, Outcomes.log)))
-    for (record, tasks), (seed, policy) in zip(unshared, [(s, p) for s in spec.seeds
-                                                           for p in spec.policies]):
-        assert by_run[seed, policy][0] == record
-        assert by_run[seed, policy][1][0] == tasks
+    gc.disable()
+    try:
+        records = run_sweep(spec, base)
+    finally:
+        gc.enable()
+    # the grid's records are policy-major; the runs go seed by seed
+    assert [(r.policy, r.seed) for r in records] == [(p, s) for p in spec.policies
+                                                    for s in spec.seeds]
+    assert [record for record, _ in unshared] == [records[len(spec.seeds) * j + i]
+                                                  for i in range(len(spec.seeds))
+                                                  for j in range(len(spec.policies))]
+    assert [tasks for _, tasks in unshared] == [tasks for tasks, _, _ in Outcomes.log]
     kept = [kept for _, kept, _ in Outcomes.log]
-    assert len(Outcomes.stores) == 2 and all(store.nbytes == 0 for store in Outcomes.stores)
-    assert max(live for _, _, live in Outcomes.log) <= limit  # released stores hold 0
+    assert len(Outcomes.stores) == 2 and all(ref() is None for ref in Outcomes.stores)
+    # one store is live at a time, and it never holds more than the budget
+    assert [live for _, kept, live in Outcomes.log] == kept and max(kept) <= limit
     every = 4 * sum(blocks)  # every policy but distance_only reads each block
+    per_key = len(spec.policies)
     if budget == "none":
         assert len(fills) == every and max(kept) == 0
     elif budget == "half":
-        assert 0 < kept[-2] < nbytes[0]
+        # each key's first reader, round_robin, keeps what fits (distance_only reads no block)
+        assert all(0 < kept[k * per_key + 1] <= limit for k in range(len(spec.seeds)))
         assert sum(blocks) < len(fills) < every
     else:
-        assert len(fills) == sum(blocks) and kept[-2:] == nbytes  # one fill per block
+        assert len(fills) == sum(blocks)  # one fill per block
+        assert kept[per_key - 1::per_key] == nbytes
 
 
 @settings(max_examples=40, deadline=None)
@@ -271,9 +281,6 @@ def test_each_constellation_is_built_once_per_sweep(monkeypatch, text, counts, s
 
 
 def test_sweep_twice_gives_the_same_records_and_keeps_no_geometry_or_store(monkeypatch):
-    import gc
-    import weakref
-
     refs, alive_at_build = [], []
     stores, live_at_run = [], []
 
@@ -284,8 +291,8 @@ def test_sweep_twice_gives_the_same_records_and_keeps_no_geometry_or_store(monke
             refs.append(weakref.ref(self))
 
     class TrackedStore(engine.SetStore):
-        def __init__(self, budget):
-            super().__init__(budget)
+        def __init__(self):
+            super().__init__()
             stores.append(weakref.ref(self))
 
     class Logged(Simulation):
@@ -316,37 +323,36 @@ def test_sweep_twice_gives_the_same_records_and_keeps_no_geometry_or_store(monke
     finally:
         gc.enable()
     assert first == second
-    # a count's geometries are dropped after its last run, before the next count's
-    # are built; each store after its own key's last run: a count's last run, seed
-    # 2's, finds seed 1's store gone
-    assert alive_at_build == [0, 1, 0, 1] * 2
-    assert live_at_run == [1, 2, 2, 2, 2, 1] * 4
+    # the runs go seed by seed within a count, so each geometry and each store is
+    # dropped after its key's last run, before the next key's are made
+    assert alive_at_build == [0, 0, 0, 0] * 2
+    assert live_at_run == [1] * 24
 
 
-def test_stores_of_one_budget_keep_blocks_only_within_it():
-    # a block is kept whole or not at all, read-only; a released store's bytes
-    # go back to the budget, for the stores that draw on it later
-    budget = engine.SetBudget()
-    budget.left = 100
+def test_store_keeps_whole_blocks_only_within_its_bytes(monkeypatch):
+    # a block is kept whole or not at all, read-only, its indices in the smallest
+    # unsigned dtype that holds n-1; size is checked in that dtype
+    monkeypatch.setattr(engine, "_SET_STORE_BYTES", 88)
 
-    def block():  # 16 + 6 + 24 = 46 bytes
-        return np.array([0, 3]), np.array([1, 4, 9], dtype=np.uint16), np.array([1.0, 2.0, 3.0])
+    def block():  # 16 + 3 + 24 = 43 bytes once kept
+        return np.array([0, 3]), np.array([1, 4, 9]), np.array([1.0, 2.0, 3.0])
 
-    first, second = engine.SetStore(budget), engine.SetStore(budget)
+    store = engine.SetStore()
+    store.bind(("key",), np.zeros(256), np.array([0.5]), np.array([0]))
     for b in range(3):
-        first.keep(b, *block())
-    assert sorted(first.blocks) == [0, 1] and first.nbytes == 92 and budget.left == 8
-    assert not any(a.flags.writeable for a in first.blocks[1])
-    second.keep(0, *block())
-    assert not second.blocks and second.nbytes == 0
-    first.release()
-    assert not first.blocks and first.nbytes == 0 and budget.left == 100
-    second.keep(5, *block())
-    assert list(second.blocks) == [5] and budget.left == 54
+        store.keep(b, *block())
+    assert sorted(store.blocks) == [0, 1] and store.nbytes == 86
+    assert store.blocks[1][1].dtype == np.uint8 and store.blocks[1][1].tolist() == [1, 4, 9]
+    assert not any(a.flags.writeable for a in store.blocks[1])
+    wide = engine.SetStore()
+    wide.bind(("key",), np.zeros(257), np.array([0.5]), np.array([0]))
+    wide.keep(0, *block())
+    assert wide.blocks[0][1].dtype == np.uint16 and wide.nbytes == 46
 
 
-def test_store_refuses_a_run_with_another_reach_row_or_task_list():
-    # a store's blocks are one reach row's sets of one task list's arrivals
+def test_store_refuses_a_run_with_another_constellation_reach_row_or_task_list():
+    # a store's blocks are one constellation's and one reach row's sets of one
+    # task list's arrivals
     text = ("constellation.mist=20\nsimulation.duration_s=10\npolicy.name=round_robin\n"
             "constellation.phasing=random_uniform\n" + _SHORT_LINKS)
     cfg = parse_config(text)
@@ -354,15 +360,27 @@ def test_store_refuses_a_run_with_another_reach_row_or_task_list():
     Simulation(cfg, set_store=store).run()
     assert store.blocks
     Simulation(replace(cfg, policy=PolicyId.TRADE_OFF), set_store=store).run()  # the same key
+    Simulation(cfg, tasks=Simulation(cfg).tasks, set_store=store).run()  # its tasks, injected
+    refused = "another constellation, reach row or task list"
+    # other orbits with the same layer counts, reach row and tasks
+    moved = replace(cfg, constellation=replace(cfg.constellation,
+                                               rng_seed=cfg.constellation.rng_seed + 1))
+    assert Simulation(moved).tasks == Simulation(cfg).tasks
+    with pytest.raises(ConfigurationError, match=refused):
+        Simulation(moved, set_store=store)
     # another range, another layer set; fewer arrivals, other arrivals
     for extra in ("link.range_edge_m=8e6\n", "architecture.layers=mist,edge_dc\n",
                   "simulation.duration_s=9\n", "task.rate_per_min=40\n"):
-        with pytest.raises(ConfigurationError, match="another reach row or task list"):
+        with pytest.raises(ConfigurationError, match=refused):
             Simulation(parse_config(text + extra), set_store=store)
+    # one middle arrival from another origin, or at its predecessor's time
     tasks = Simulation(cfg).tasks
-    tasks[-1] = replace(tasks[-1], origin_satellite=(tasks[-1].origin_satellite + 1) % 20)
-    with pytest.raises(ConfigurationError, match="another reach row or task list"):
-        Simulation(cfg, tasks=tasks, set_store=store)
+    k = len(tasks) // 2
+    for changed in (replace(tasks[k], origin_satellite=(tasks[k].origin_satellite + 1) % 20),
+                    replace(tasks[k], created_at=tasks[k - 1].created_at)):
+        assert changed != tasks[k]
+        with pytest.raises(ConfigurationError, match=refused):
+            Simulation(cfg, tasks=tasks[:k] + [changed] + tasks[k + 1:], set_store=store)
 
 
 class RecordingPool:
