@@ -23,8 +23,10 @@ every policy reads the arrival's feasible set instead, computed with
 those of the next arrivals in one block of columns, and run_sweep keeps
 the blocks in a SetStore that the runs of one constellation and one draw
 of arrivals share; weight_greedy computes its distance and energy terms
-over each block. Transfers charge radio energy on both ends; results are
-censored, not extrapolated, at the simulation horizon.
+over each block. In trade_off runs with static feasibility the far VMs'
+compute terms are kept as floats, updated at each queue change (see
+orchestrate.trade_off_term_hook). Transfers charge radio energy on both
+ends; results are censored, not extrapolated, at the simulation horizon.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ from .layers import LAYER_CODE, LAYER_ORDER, Layer
 from .netenergy import rx_energy, tx_energy
 from .orbital import ConstellationSpec, OrbitPositions, build_constellation, constellation_key
 from .orchestrate import (DEFAULT_TRADEOFF_LAYER_WEIGHTS, CandidateView, FarSet, PlacementError,
-                          PolicyId, far_term_hook, feasible_terms, reach_row, select)
+                          PolicyId, far_term_hook, feasible_terms, reach_row, select,
+                          trade_off_term_hook)
 
 
 class TaskState(str, Enum):
@@ -670,6 +673,10 @@ class Simulation:
                                                    shared=set_store)
         self._layer_weights = {**DEFAULT_TRADEOFF_LAYER_WEIGHTS,
                                Layer.CLOUD: config.tradeoff_cloud_weight}
+        # trade_off's kept far compute terms, updated at each queue change; None in
+        # every other run
+        self._on_queue = (trade_off_term_hook(view, self._layer_weights, config.task.length_mi)
+                          if config.policy is PolicyId.TRADE_OFF else None)
         self._policy_rng = random.Random(f"{config.seed}:policy")
 
         # in-flight events (time, seq, kind, task id); arrival i, seq i, is read from tasks
@@ -761,8 +768,13 @@ class Simulation:
         self._enqueue(task, self.vms[task.assigned_vm], now)
 
     def on_execution_complete(self, task: Task, now: float) -> None:
+        """Frees the task's place in its VM's queue, then downloads its output
+        unless its host has left the origin's range; a queue change, so trade_off's
+        kept term of the VM is updated."""
         vm_index = task.assigned_vm
         self._view.queue_lens[vm_index] -= 1.0
+        if self._on_queue is not None:
+            self._on_queue(vm_index)
         origin = task.origin_satellite
         if vm_index == origin:
             task.state = TaskState.DOWNLOADING
@@ -796,11 +808,15 @@ class Simulation:
     # -- internals -------------------------------------------------------
 
     def _enqueue(self, task: Task, vm: Vm, now: float) -> None:
+        """Queues the task on `vm` and schedules its completion; a queue change,
+        so trade_off's kept term of the VM is updated."""
         starts_now = vm.busy_until <= now
         task.service_start_s = now if starts_now else vm.busy_until
         completion = vm.enqueue(now, task.length_mi / vm.mips, self.config.duration_s)
         task.state = TaskState.EXECUTING if starts_now else TaskState.QUEUED
         self._view.queue_lens[vm.id] += 1.0
+        if self._on_queue is not None:
+            self._on_queue(vm.id)
         self._push(completion, _EXECUTION_COMPLETE, task.id)
 
     def _charge_transfer(self, task: Task, bits: float, distance_m: float) -> None:

@@ -11,6 +11,7 @@ the origin's layer within about 5e-9 m of it (see weight_greedy).
 
 from __future__ import annotations
 
+import math
 import operator
 import random
 from dataclasses import dataclass
@@ -128,14 +129,25 @@ class FarSet:
     far_terms' rows: the origin's index first, then the enabled far VMs in
     index order. far_term_hook sets it where the shortlist runs; None
     leaves weight_greedy on its full path.
+
+    `terms` is trade_off's compute term of each far VM, far.start + j at
+    j, as a Python float for tasks of `length_mi` under the weights
+    object `weights`, +inf for a VM outside the static feasible set, and
+    `c0` no more than any first-block VM's term (+inf when none is
+    feasible). trade_off_term_hook sets them and returns the update the
+    engine calls at each queue change; None leaves trade_off on its
+    numpy path.
     """
 
-    __slots__ = ("start", "chord", "ids")
+    __slots__ = ("start", "chord", "ids", "terms", "c0", "length_mi", "weights")
 
     def __init__(self, start: int, chord: float):
         self.start = start
         self.chord = chord
         self.ids: np.ndarray | None = None
+        self.terms: list[float] | None = None
+        self.c0 = self.length_mi = math.inf
+        self.weights: Mapping[Layer, float] | None = None
 
 
 def _spread(view: CandidateView, name: str, source, value_of) -> np.ndarray:
@@ -230,7 +242,7 @@ def random_vm(view: CandidateView, task, architecture, rng: random.Random, *,
         raise PlacementError("no feasible candidate")
     drawn = rng.randrange(n)
     idx = _feasible_indices(view, architecture, link)
-    j = int(np.searchsorted(idx, drawn))  # first feasible index >= drawn
+    j = int(idx.searchsorted(drawn))  # first feasible index >= drawn
     return Selection(int(view.vm_ids[idx[j] if j < idx.size else idx[0]]))
 
 
@@ -246,10 +258,29 @@ def trade_off(view: CandidateView, task, architecture, *, link: LinkParams = DEF
     division and adding a non-negative value are monotone, so any other
     scores above the c_min candidate. One shortlisted VM is the pick; a
     shortlist of `far` VMs alone is scored alone, on the distances of
-    `source.far_row`, by the same two IEEE operations. Any other shortlist
-    reads the column. With `feasible_sets`, the feasible VMs alone are
-    scored, on the distances `source.feasible()` gives with them.
+    `source.far_row`, by the same two IEEE operations (_far_pick). Any
+    other shortlist reads the column. With `feasible_sets`, the feasible
+    VMs alone are scored, on the distances `source.feasible()` gives with
+    them.
+
+    Where trade_off_term_hook keeps the far VMs' compute terms for this
+    task's length and these weights, the shortlist comes from them with
+    no numpy call: with min_far their smallest, every first-block VM's
+    term is at least `far.c0`, so when c0 > fl(min_far + D) none of them
+    joins and c_min is min_far. Otherwise, or without kept terms, the
+    terms of every VM are computed in numpy.
     """
+    speed = link.propagation_speed_mps
+    far = view.far
+    if far is not None and far.terms is not None and task.length_mi == far.length_mi \
+            and layer_weights is far.weights:
+        terms = far.terms
+        bound = min(terms) + view.max_distance / speed
+        if far.c0 > bound:  # no first-block VM can join the shortlist
+            cols = [j for j, c in enumerate(terms) if c <= bound]
+            if len(cols) == 1:
+                return Selection(int(view.vm_ids[far.start + cols[0]]))
+            return _far_pick(view, cols, terms, speed)
     if view.feasible_sets:
         idx, d = view.source.feasible()
         if idx.size == 0:
@@ -260,24 +291,71 @@ def trade_off(view: CandidateView, task, architecture, *, link: LinkParams = DEF
     score *= _spread(view, "weights", layer_weights, operator.getitem)
     score *= task.length_mi
     score /= view.mips
-    speed = link.propagation_speed_mps
     if view.static_feasible is not None and view.max_distance is not None:
         c = score if idx.size == score.size else score[idx]
         short = idx[c <= float(c.min()) + view.max_distance / speed]
         if short.size == 1:
             return Selection(int(view.vm_ids[short[0]]))
-        far = view.far
         if far is not None and short[0] >= far.start:  # short is sorted: every VM is far
-            start, short = far.start, short.tolist()
-            row = view.source.far_row().tolist()
-            scores = [cj + row[j - start] / speed for cj, j in zip(score[short].tolist(), short)]
-            return Selection(int(view.vm_ids[short[scores.index(min(scores))]]))
+            start = far.start
+            return _far_pick(view, (short - start).tolist(), score[start:].tolist(), speed)
     if d is not None:
         score = score[idx]
         score += d / speed
         return Selection(int(view.vm_ids[idx[score.argmin()]]))
     score += view.distances / speed
     return Selection(int(view.vm_ids[_pick_min(score, idx)]))
+
+
+def _far_pick(view: CandidateView, cols: list[int], terms: list[float], speed: float) -> Selection:
+    """trade_off's pick among the far VMs far.start + j, j in `cols` (ascending):
+    the first minimum of terms[j] + row[j] / speed, row being `source.far_row()`,
+    in Python floats, the numpy path's two IEEE operations."""
+    row = view.source.far_row().tolist()
+    scores = [terms[j] + row[j] / speed for j in cols]
+    return Selection(int(view.vm_ids[view.far.start + cols[scores.index(min(scores))]]))
+
+
+def trade_off_term_hook(view: CandidateView, layer_weights: Mapping[Layer, float],
+                        length_mi: float):
+    """Keeps trade_off's far compute terms on `view.far` for tasks of `length_mi`
+    under `layer_weights` (that object), and returns the update the engine
+    calls after each change of a VM's queue length, with the VM's index; or
+    None where trade_off's shortlist never runs: no far set, feasibility per
+    task or no `max_distance`.
+
+    Each term is computed from the view's current queue length by the
+    numpy path's operations in its order, ((q + 1) * w) * length_mi / mips,
+    in Python floats, which are IEEE doubles as numpy's float64 are; a far
+    VM outside the static feasible set keeps +inf. `far.c0` is the smallest
+    term of a feasible first-block VM at queue 0, which no queue length
+    (never negative) lowers, or +inf when there is none.
+    """
+    far = view.far
+    if far is None or view.static_feasible is None or view.max_distance is None:
+        return None
+    start = far.start
+    feasible = np.zeros(len(view), dtype=bool)
+    feasible[view.static_feasible] = True
+    weights = _spread(view, "weights", layer_weights, operator.getitem)
+    c = weights[:start] * float(length_mi)  # (0 + 1) * w is w
+    c /= view.mips[:start]
+    c = c[feasible[:start]]
+    far.c0 = float(c.min()) if c.size else math.inf
+    q = view.queue_lens
+    w, mips = weights[start:].tolist(), view.mips[start:].tolist()
+    on = feasible[start:].tolist()
+    terms = far.terms = [math.inf] * len(on)
+    far.length_mi, far.weights = length_mi, layer_weights
+
+    def update(vm: int) -> None:
+        j = vm - start
+        if j >= 0 and on[j]:
+            terms[j] = ((q.item(vm) + 1.0) * w[j]) * length_mi / mips[j]
+
+    for vm in range(start, len(view)):
+        update(vm)
+    return update
 
 
 def weight_greedy(view: CandidateView, task, architecture, *, link: LinkParams = DEFAULT_LINK,
@@ -395,14 +473,15 @@ def _dominance_shortlist(view: CandidateView, architecture):
             or not _enabled(view, architecture)[local]:
         return None
     first = view.queue_lens[:far.start]
-    if view.queue_lens[local] > first.min():
+    q = view.queue_lens[local]
+    if q != 0.0 and q > first.min():  # queues are never negative: 0 is the block's shortest
         return None
     dn, en, reaches = view.source.far_terms()
     if not reaches:
         return None
     idx = far.ids
     idx[0] = local
-    return idx, dn, en, float(first.max())
+    return idx, dn, en, float(first[first.argmax()])
 
 
 def far_term_hook(view: CandidateView, architecture, radio: RadioParams):

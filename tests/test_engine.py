@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import astuple, replace
 
@@ -1038,6 +1039,54 @@ def test_reading_the_column_before_select_changes_no_placement(monkeypatch, poli
     assert read_first.run() == plain_record
     assert [t.assigned_vm for t in read_first.tasks] == [t.assigned_vm for t in plain.tasks]
     assert len(calls) > 100
+
+
+@pytest.mark.parametrize("layers", ["mist,edge_dc,cloud", "mist,cloud", "edge_dc,cloud", "mist"])
+@pytest.mark.parametrize("weight", [1.2, 0.5, 2.0])
+@pytest.mark.parametrize("mist, duration", [(1000, 15), (300, 10)])
+def test_kept_trade_off_terms_equal_the_numpy_terms_after_every_event(mist, duration, weight,
+                                                                      layers):
+    # trade_off's far compute terms, updated at each queue change, equal bit for
+    # bit what its numpy path computes from the view's queue lengths, after every
+    # event; a far VM of a disabled layer keeps +inf, and c0 is the first block's
+    # smallest term at queue 0
+    sim = Simulation(parse_config(
+        f"policy.name=trade_off\nconstellation.mist={mist}\nsimulation.duration_s={duration}\n"
+        f"policy.tradeoff_cloud_weight={weight}\narchitecture.layers={layers}\n"))
+    view, far = sim._view, sim._view.far
+    assert sim._on_queue is not None and far.terms is not None
+    start, length = far.start, sim.config.task.length_mi
+    weights = orchestrate._spread(view, "weights", sim._layer_weights, operator.getitem)
+    feasible = np.zeros(len(view), dtype=bool)
+    feasible[view.static_feasible] = True
+
+    def numpy_terms(queue_lens, vms):  # the numpy path's terms of VMs `vms`, a slice
+        score = queue_lens[vms] + 1.0
+        score *= weights[vms]
+        score *= length
+        score /= view.mips[vms]
+        return np.where(feasible[vms], score, math.inf).tolist()
+
+    assert far.c0 == min(numpy_terms(np.zeros(len(view)), slice(start)))
+    seen = set()
+
+    def checking(handler):
+        def handle_then_check(task, now):
+            handler(task, now)
+            assert list(map(float.hex, far.terms)) \
+                == list(map(float.hex, numpy_terms(view.queue_lens, slice(start, None))))
+            seen.add(tuple(far.terms))
+        return handle_then_check
+
+    for name in ("on_task_generated", "on_upload_complete", "on_execution_complete",
+                 "on_download_complete"):
+        setattr(sim, name, checking(getattr(sim, name)))
+    sim.run()
+    assert len(sim.tasks) > 100
+    if layers == "mist":  # every far VM is disabled
+        assert seen == {(math.inf,) * (len(view) - start)}
+    else:
+        assert len(seen) > 100
 
 
 def test_finished_run_is_freed_without_the_cycle_collector():

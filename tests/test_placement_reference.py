@@ -20,6 +20,7 @@ reference on the same column.
 
 from __future__ import annotations
 
+import math
 import operator
 from typing import Mapping, Sequence
 
@@ -361,11 +362,14 @@ def test_trade_off_shortlist_of_one_reads_no_distance():
 
 @pytest.mark.parametrize("step", [-1, 0, 1], ids=["ulp_below", "at_bound", "ulp_above"])
 @pytest.mark.parametrize("order", ["min_first", "min_last"])
-def test_trade_off_shortlist_bound_is_exact(step, order):
+@pytest.mark.parametrize("kept", [False, True], ids=["numpy", "kept"])
+def test_trade_off_shortlist_bound_is_exact(monkeypatch, step, order, kept):
     # With unit length, weight and mips the compute term is queue_len + 1. The
     # c_min candidate sits at max_distance, so its score is fl(c_min + D); the
     # other, at 0 m, has its compute term at that bound or one ulp either side.
-    # Both are far VMs; the mist VM before them lies beyond the bound.
+    # Both are far VMs; the mist VM before them lies beyond the bound, and its
+    # MIPS of 0.25 puts the first block's floor c0 at 4, above the bound too, so
+    # with kept far terms no numpy call is made.
     max_distance = 2e8
     c_min = 2.0
     bound = c_min + max_distance / DEFAULT_LINK.propagation_speed_mps
@@ -374,9 +378,14 @@ def test_trade_off_shortlist_bound_is_exact(step, order):
     queues, distances = [c_min - 1.0, c - 1.0], [max_distance, 0.0]
     if order == "min_last":
         queues, distances = queues[::-1], distances[::-1]
-    v = make_view([0, 1, 1], [0.0, *distances], [9.0, *queues], [1.0, 1.0, 1.0])
+    v = make_view([0, 1, 1], [0.0, *distances], [9.0, *queues], [0.25, 1.0, 1.0])
     v.far = FarSet(1, CHORD)
-    got, want, seen = shortlist_picks(v, UNIT_TASK, ALL, max_distance=max_distance)
+    if kept:
+        got, want, seen, path = kept_picks(monkeypatch, v, UNIT_TASK, ALL, max_distance,
+                                           DEFAULT_TRADEOFF_LAYER_WEIGHTS)
+        assert v.far.c0 == 4.0 and path == "kept"
+    else:
+        got, want, seen = shortlist_picks(v, UNIT_TASK, ALL, max_distance=max_distance)
     assert got == want
     assert seen == ([] if step > 0 else ["row"])
     if step == 0:  # an exact tie: the first index wins
@@ -637,3 +646,114 @@ def test_weight_greedy_shortlist_extrema_are_the_feasible_sets(monkeypatch, arch
         checked += 1
         raised += v.queue_lens[:1000].max() > v.queue_lens[feasible[feasible >= 1000]].max()
     assert checked >= 20 and raised >= 5, (checked, raised)
+
+
+# -- trade_off's kept far terms --------------------------------------------
+
+def kept_picks(monkeypatch, v, task, arch, max_distance, weights, length_mi=None):
+    """(pick with the far terms that trade_off_term_hook keeps for tasks of
+    `length_mi`, the task's by default, reference pick, the source's reads
+    before the reference read the column, and "kept" or "numpy": whether
+    trade_off took its terms from the kept ones or computed every VM's)."""
+    v.max_distance = max_distance
+    v.source = source = ColumnSource(v.distances, v.far.start)
+    v.static_feasible = np.flatnonzero(np.isin(v.layer_codes, [LAYER_CODE[x] for x in arch]))
+    length_mi = task.length_mi if length_mi is None else length_mi
+    assert orchestrate.trade_off_term_hook(v, weights, length_mi) is not None
+    numpy = []
+
+    def counted(*args, **kwargs):
+        numpy.append(True)
+        return _feasible_indices(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(orchestrate, "_feasible_indices", counted)
+        got = trade_off(v, task, arch, layer_weights=weights).vm_id
+    seen = list(source.reads)
+    want = reference_trade_off(v, task, arch, layer_weights=weights).vm_id
+    return got, want, seen, "numpy" if numpy else "kept"
+
+
+def test_trade_off_kept_terms_pick_as_reference_on_tied_views(monkeypatch):
+    # Layer-major views whose first block runs at a tenth of the far VMs' MIPS.
+    # An edge and a cloud VM tie on the smallest compute term (equal weights and
+    # MIPS), few queue lengths and distances make more ties, and short tasks put
+    # VMs of several queue lengths on one shortlist and bring c0 near the bound,
+    # so both paths run.
+    rng = np.random.default_rng(23)
+    paths = {"kept": 0, "numpy": 0}
+    for _ in range(300):
+        first, edge, cloud = (int(rng.integers(1, k)) for k in (40, 25, 19))
+        codes = np.repeat([0, 1, 2], [first, edge, cloud])
+        queues = rng.integers(0, int(rng.integers(1, 6)), codes.size).astype(np.float64)
+        queues[first:] += rng.integers(3)
+        low = queues[first:].min()
+        queues[first + rng.integers(edge)] = queues[first + edge + rng.integers(cloud)] = low
+        mips = np.choose(codes, [1_000.0, 10_000.0, 10_000.0])
+        distances = rng.choice(rng.uniform(0.0, 2.4e7, 4), codes.size)
+        v = make_view(codes, distances, queues, mips)
+        v.far = FarSet(first, CHORD)
+        task = TaskInfo(length_mi=float(rng.choice([100.0, 2e3, 2e4])))
+        got, want, seen, path = kept_picks(monkeypatch, v, task, ALL, 2.4e7, EQUAL_WEIGHTS)
+        assert got == want
+        if path == "kept":  # the kept path reads no column
+            assert seen in ([], ["row"])
+        paths[path] += 1
+    assert min(paths.values()) >= 30, paths
+
+
+@pytest.mark.parametrize("step", [-1, 0, 1], ids=["ulp_below", "at_bound", "ulp_above"])
+def test_trade_off_kept_terms_c0_at_the_bound(monkeypatch, step):
+    # Unit length and MIPS make the first block's floor c0 its weight. The idle
+    # mist VM 1, at 0 m, scores c0; the edge VM, at max_distance with c_min = 2,
+    # scores fl(c_min + D), the bound. Only c0 above the bound keeps the first
+    # block off the shortlist; at it the two tie and the lower index wins
+    max_distance = 2e8
+    bound = 2.0 + max_distance / DEFAULT_LINK.propagation_speed_mps
+    c0 = bound if step == 0 else float(np.nextafter(bound, np.inf if step > 0 else -np.inf))
+    weights = {Layer.MIST: c0, Layer.EDGE_DC: 1.0, Layer.CLOUD: 1.0}
+    v = make_view([0, 0, 1, 2], [0.0, 0.0, max_distance, 0.0], [3.0, 0.0, 1.0, 5.0], [1.0] * 4)
+    v.far = FarSet(2, CHORD)
+    got, want, seen, path = kept_picks(monkeypatch, v, UNIT_TASK, ALL, max_distance, weights)
+    assert v.far.c0 == c0
+    assert path == ("kept" if step > 0 else "numpy")
+    assert got == want == v.vm_ids[2 if step > 0 else 1]
+
+
+@pytest.mark.parametrize("arch", [MIST_ONLY_CLOUD, MIST_ONLY_EDGE, NO_MIST],
+                         ids=["no_edge", "no_cloud", "no_mist"])
+def test_trade_off_kept_terms_skip_a_disabled_layer(monkeypatch, arch):
+    # the disabled layer's VMs are idle, with the smallest compute terms of their
+    # block; the enabled far VMs tie at queue 1, so their distances decide
+    codes = [0, 0, 1, 1, 2, 2]
+    off = ({0, 1, 2} - {LAYER_CODE[layer] for layer in arch}).pop()
+    queues = [0.0 if code == off else 1.0 for code in codes]
+    v = make_view(codes, [0.0, 1e6, 7e6, 3e6, 9e6, 2e6], queues,
+                  [1_000.0, 1_000.0] + [10_000.0] * 4)
+    v.far = FarSet(2, CHORD)
+    got, want, seen, path = kept_picks(monkeypatch, v, TaskInfo(length_mi=20_000.0), arch,
+                                       2.4e7, CLOUD_HEAVY)
+    kept = [math.inf if LAYER_CODE[layer] == off else 1.0 for layer in (Layer.EDGE_DC,) * 2
+            + (Layer.CLOUD,) * 2]
+    assert [t == math.inf for t in v.far.terms] == [k == math.inf for k in kept]
+    assert v.far.c0 == (math.inf if off == 0 else 20.0)
+    assert path == "kept" and seen == ["row"]
+    assert got == want
+
+
+def test_trade_off_kept_terms_of_another_length_or_weights_fall_back(monkeypatch):
+    # terms kept for one length, or one weights object, are not another's: the
+    # numpy path computes every VM's
+    codes = np.repeat([0, 1, 2], [6, 3, 3])
+    v = make_view(codes, np.linspace(0.0, 2e7, 12), [4.0] * 6 + [0.0, 1.0, 2.0] * 2,
+                  [1_000.0] * 6 + [10_000.0] * 6)
+    v.far = FarSet(6, CHORD)
+    task = TaskInfo(length_mi=7_777.0)
+    got, want, _, path = kept_picks(monkeypatch, v, task, ALL, 2.4e7, CLOUD_HEAVY,
+                                    length_mi=20_000.0)
+    assert path == "numpy" and got == want
+    got, want, _, path = kept_picks(monkeypatch, v, task, ALL, 2.4e7, CLOUD_HEAVY)
+    assert path == "kept" and got == want
+    v.far.weights = dict(CLOUD_HEAVY)  # equal, but not the object the terms were kept for
+    got = trade_off(v, task, ALL, layer_weights=CLOUD_HEAVY).vm_id
+    assert got == want

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import astuple, replace
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from satmist import orchestrate
 from satmist.config import parse_config
 from satmist.engine import EventKind, FailureCause, Simulation, Task, TaskState
 from satmist.layers import Layer
@@ -202,6 +204,40 @@ def test_weight_greedy_far_set_changes_no_placement(text, input_bits, eps_mp):
     full._view.far = None
     assert shortlisted.run() == full.run()
     assert [task.assigned_vm for task in shortlisted.tasks] == [task.assigned_vm for task in full.tasks]
+
+
+# a load that deepens the cloud and edge queues until the idle mist VMs join
+# trade_off's shortlist, so its kept far terms alternate with its numpy path
+HEAVY_TRADE_OFF = (
+    "constellation.mist=8\nconstellation.edge_dc=3\nconstellation.cloud=3\n"
+    "policy.name=trade_off\ntask.rate_per_min=300\ntask.length_mi=100000\n"
+    "simulation.duration_s=30\n"
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(config_texts(policies=("trade_off",)).filter(lambda text: "link.range" not in text),
+       st.sampled_from(["", "task.rate_per_min=300\n"]), st.sampled_from([1.2, 0.5, 2.0]))
+@example(HEAVY_TRADE_OFF, "", 1.2)
+def test_trade_off_kept_terms_change_no_placement(text, load, cloud_weight):
+    # trade_off with its far compute terms kept at each queue change gives the
+    # record and the picks of the same run computing every VM's terms per
+    # placement; the configs have the static feasibility the kept terms need, and
+    # heavy loads bring the first block onto the shortlist, where the numpy path
+    # places
+    text += f"{load}policy.tradeoff_cloud_weight={cloud_weight}\n"
+    kept, numpy = Simulation(parse_config(text)), Simulation(parse_config(text))
+    if numpy._view.far is not None:
+        numpy._view.far.terms = numpy._on_queue = None
+    fallbacks = []
+    feasible = orchestrate._feasible_indices
+    with mock.patch.object(orchestrate, "_feasible_indices",
+                           lambda *args: fallbacks.append(True) or feasible(*args)):
+        record = kept.run()
+    assert record == numpy.run()
+    assert [task.assigned_vm for task in kept.tasks] == [task.assigned_vm for task in numpy.tasks]
+    if text.startswith(HEAVY_TRADE_OFF):
+        assert 0 < len(fallbacks) < record.generated - 100
 
 
 @settings(max_examples=60, deadline=None)
