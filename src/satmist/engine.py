@@ -25,8 +25,12 @@ the blocks in a SetStore that the runs of one constellation and one draw
 of arrivals share; weight_greedy computes its distance and energy terms
 over each block. In trade_off runs with static feasibility the far VMs'
 compute terms are kept as floats, updated at each queue change (see
-orchestrate.trade_off_term_hook). Transfers charge radio energy on both
-ends; results are censored, not extrapolated, at the simulation horizon.
+orchestrate.trade_off_term_hook), and round_robin's picks are a cycle
+over the feasible VMs (orchestrate.round_robin_turns). On Walker shells
+a Geometry also holds a PlaneQuery over its first layer, which finds the
+VMs near a busy origin for weight_greedy. Transfers charge radio energy
+on both ends; results are censored, not extrapolated, at the simulation
+horizon.
 """
 
 from __future__ import annotations
@@ -48,10 +52,11 @@ from .errors import ConfigurationError
 from .infra import Vm, build_nodes
 from .layers import LAYER_CODE, LAYER_ORDER, Layer
 from .netenergy import rx_energy, tx_energy
-from .orbital import ConstellationSpec, OrbitPositions, build_constellation, constellation_key
+from .orbital import (ConstellationSpec, OrbitPositions, Phasing, PlaneQuery, build_constellation,
+                      constellation_key)
 from .orchestrate import (DEFAULT_TRADEOFF_LAYER_WEIGHTS, CandidateView, FarSet, PlacementError,
-                          PolicyId, far_term_hook, feasible_terms, reach_row, select,
-                          trade_off_term_hook)
+                          PolicyId, far_term_hook, feasible_terms, reach_row, round_robin_turns,
+                          select, trade_off_term_hook)
 
 
 class TaskState(str, Enum):
@@ -270,13 +275,17 @@ class _Distances:
     fill. With the hook `terms`, which orchestrate.far_term_hook makes,
     that pass computes weight_greedy's distance and energy terms from its
     rows and its tasks' input bits, and `far_terms` reads arrival k's.
-    `to_vm` reads what this placement computed, else `pair`. Holds no
-    reference to the Simulation, so its view keeps no finished run alive.
+    With a PlaneQuery `near` over the first block, `near(r)` gives the
+    first-block satellites it finds within r of the origin and their
+    distances, computed as `pair` computes them. `to_vm` reads what this
+    placement computed, else `pair`. Holds no reference to the Simulation,
+    so its view keeps no finished run alive.
     """
 
     def __init__(self, positions, tasks: Sequence[Task], far: FarSet | None = None,
                  terms: Callable | None = None, *, reach: np.ndarray | None = None,
-                 feasible_terms: Callable | None = None, shared: SetStore | None = None):
+                 feasible_terms: Callable | None = None, shared: SetStore | None = None,
+                 near: PlaneQuery | None = None):
         n = len(positions)
         self._positions = positions
         self._tasks = tasks
@@ -294,6 +303,7 @@ class _Distances:
         self._terms_of, self._terms = terms, None
         self._reach, self._feasible_terms_of, self._shared = reach, feasible_terms, shared
         self._sets, self._set_block = None, -1  # the loaded block of feasible sets, and its b
+        self._near = near
 
     def at(self, k: int) -> None:
         task = self._tasks[k]
@@ -413,11 +423,11 @@ class _Distances:
         return idx[lo:hi], dn[lo:hi], en[lo:hi]
 
     def far_terms(self):
-        """weight_greedy's (distance terms, energy terms, reaches the chord) for this
-        arrival: its row of what the hook `terms` computed with the block."""
+        """weight_greedy's (distance terms, energy terms, extremes) for this arrival:
+        its row of what the hook `terms` computed with the block."""
         i = self._block_index()
-        dn, en, reaches = self._terms
-        return dn[i], en[i], reaches[i]
+        dn, en, extremes = self._terms
+        return dn[i], en[i], extremes[i]
 
     def far_row(self) -> np.ndarray:
         """column's distances to the far satellites, far.start on, alone: this
@@ -448,6 +458,21 @@ class _Distances:
             return _orbits_apart(self._orbits[origin], self._orbits[host], now)
         return _apart(*self._positions.positions_all(now)[[origin, host]].tolist())
 
+    def near(self, r: float) -> tuple[list[int], list[float]]:
+        """(indices, distances) of the satellites the PlaneQuery `near` finds within
+        `r` of this arrival's origin, a superset of those whose column distance is
+        at most r, and their column distances, as `pair` computes them, with the
+        origin's position computed once."""
+        orbits, now = self._orbits, self.now
+        ox, oy, oz = _orbit_point(orbits[self.origin], now)
+        ids = self._near.within(ox, oy, oz, now, r)
+        distances = []
+        for j in ids:
+            x, y, z = _orbit_point(orbits[j], now)
+            dx, dy, dz = x - ox, y - oy, z - oz
+            distances.append(math.sqrt((dx * dx + dy * dy) + dz * dz))
+        return ids, distances
+
 
 def _from_point(o, pos: np.ndarray, diff: np.ndarray, acc: np.ndarray, out: np.ndarray) -> None:
     """Distance from point `o` to each column of the (3, n) `pos`, into `out`.
@@ -474,8 +499,8 @@ def _apart(o, h) -> float:
 
 def _orbits_apart(o, h, now: float) -> float:
     """Distance at `now` between the satellites on OrbitPositions orbit rows o
-    and h: positions_all's float operations for each, in Python floats on
-    math.cos and math.sin, then _apart's."""
+    and h: _orbit_point's operations for each, inlined, since every download
+    takes one, then _apart's."""
     a, rate, phase, ci, si, co, so = o
     theta = rate * now + phase
     ct, st = math.cos(theta), math.sin(theta)
@@ -491,9 +516,22 @@ def _orbits_apart(o, h, now: float) -> float:
     return math.sqrt((dx * dx + dy * dy) + dz * dz)
 
 
+def _orbit_point(row, now: float) -> tuple[float, float, float]:
+    """Position at `now` of the satellite on OrbitPositions orbit row `row`:
+    positions_all's float operations, in Python floats on math.cos and
+    math.sin."""
+    a, rate, phase, ci, si, co, so = row
+    theta = rate * now + phase
+    ct, st = math.cos(theta), math.sin(theta)
+    buf = st * ci
+    return a * (ct * co - buf * so), a * (buf * co + ct * so), a * (st * si)
+
+
 class Geometry:
     """What one constellation fixes for every run of it: the build_constellation
-    list, the nodes, the orbits and each satellite's layer code.
+    list, the nodes, the orbits and each satellite's layer code, and `near`,
+    a PlaneQuery over the first layer's block where it is a walker_delta
+    shell that other layers follow (None elsewhere).
 
     sweep.run_sweep builds one per constellation_key and hands it to that
     key's runs. Runs only read it: each keeps its VMs, view, distances,
@@ -512,6 +550,11 @@ class Geometry:
         self.layer_codes.flags.writeable = False  # every run's view shares it
         # orbit radius of each layer that has satellites
         self.radius = {layer: elements.semi_major_axis_m for layer, elements in self.layered}
+        # the first layer block's planes, where a far set follows it (see _far_set)
+        first = int(np.count_nonzero(self.layer_codes == self.layer_codes[0]))
+        self.near = (PlaneQuery(self.positions._by_satellite[:first])
+                     if spec.phasing is Phasing.WALKER_DELTA and first < len(self.layered)
+                     else None)
 
 
 def _orbit_bounds(config: SimulationConfig, geometry: Geometry):
@@ -544,7 +587,10 @@ def _far_set(geometry: Geometry) -> FarSet | None:
     a 10 s run, best of 6 repeats each under a timing wrapper, on a 2-vCPU
     host, took 14-16 µs plus a 2.9 µs block row, its distance and energy
     terms included, against 33 µs for the full path at 142 VMs, 38 at 342
-    and 54 at 1,042.
+    and 54 at 1,042. On a Walker shell `near_radius` lets weight_greedy's
+    busy origins score the far row and the first-block VMs near them too:
+    a median of 29 µs a placement at 1,042 VMs against 59 µs for the full
+    path (seed 1, 15 s, under a timing wrapper, same host).
     """
     layered, layer_codes = geometry.layered, geometry.layer_codes
     n = len(layered)
@@ -552,7 +598,13 @@ def _far_set(geometry: Geometry) -> FarSet | None:
     if start == n:
         return None
     r = layered[0][1].semi_major_axis_m
-    return FarSet(start, (r + r) * (1.0 + 1e-9))
+    far = FarSet(start, (r + r) * (1.0 + 1e-9))
+    if geometry.near is not None:
+        # two slots each way in the origin's plane: on full_walker (seed 1, 15 s) one
+        # spacing left 41 of 1,123 busy origins above the cap and 65% asking twice,
+        # two left 1, none asking twice, at 5.8 candidates
+        far.near_radius = 2.0 * geometry.near.spacing
+    return far
 
 
 class Simulation:
@@ -670,7 +722,10 @@ class Simulation:
             set_store = None
         view.source = self._distances = _Distances(self.positions, self.tasks, view.far, terms,
                                                    reach=reach, feasible_terms=set_terms,
-                                                   shared=set_store)
+                                                   shared=set_store,
+                                                   near=None if view.far is None else geometry.near)
+        if config.policy is PolicyId.ROUND_ROBIN:
+            view.turns = round_robin_turns(view)
         self._layer_weights = {**DEFAULT_TRADEOFF_LAYER_WEIGHTS,
                                Layer.CLOUD: config.tradeoff_cloud_weight}
         # trade_off's kept far compute terms, updated at each queue change; None in

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import IO, Iterable, Mapping, Sequence
@@ -339,6 +340,84 @@ class OrbitPositions:
 
     def position_one(self, index: int, t_seconds: float) -> tuple[float, float, float]:
         return position_at(self._elements[index], t_seconds)
+
+
+# added to each window's half-width: many times the rounding of the angles it is made of
+_WINDOW_SLACK_RAD = 1e-9
+
+
+class PlaneQuery:
+    """The satellites of one shell block, plane by plane, for finding those near a point.
+
+    `rows` are OrbitPositions orbit rows (a, rate, phase, cos i, sin i,
+    cos raan, sin raan) of satellites 0 to len(rows) - 1. Rows that share
+    all but the phase share a circle: the plane through the Earth's centre
+    with normal n = (sin raan sin i, -cos raan sin i, cos i), on which
+    satellite k sits at a (cos θ u + sin θ v), θ = rate t + phase_k,
+    u = (cos raan, sin raan, 0) and v = (-cos i sin raan, cos i cos raan,
+    sin i), as positions_all places it. A walker_delta layer has `planes`
+    such circles; random_uniform gives one per satellite, which this query
+    does not pay for, so engine.Geometry builds one for walker_delta only.
+
+    `spacing` is the chord between neighbouring slots of the fullest plane.
+    """
+
+    def __init__(self, rows: Sequence[tuple[float, ...]]):
+        circles: dict[tuple[float, ...], list[tuple[float, int]]] = {}
+        for i, (a, rate, phase, ci, si, co, so) in enumerate(rows):
+            circles.setdefault((a, rate, ci, si, co, so), []).append((phase, i))
+        self._planes = []
+        for (a, rate, ci, si, co, so), slots in circles.items():
+            slots.sort()
+            self._planes.append((so * si, -co * si, ci, co, so, -ci * so, ci * co, si, a, rate,
+                                 [phase for phase, _ in slots], [i for _, i in slots]))
+        size, a = max((len(slots), key[0]) for key, slots in circles.items())
+        self.spacing = 2.0 * a * math.sin(math.pi / max(2, size))
+
+    def within(self, x: float, y: float, z: float, t: float, r: float) -> list[int]:
+        """Satellites that may lie within `r` of the point (x, y, z) at time `t`: a
+        superset of those whose computed distance from it is at most r.
+
+        A circle is skipped when its plane lies farther than R from the point,
+        R = r (1 + 1e-9) + 1 m, and else its slots at most R away are those
+        whose angle lies within acos((h² + ρ² + a² - R²) / 2aρ) of the
+        point's projection, h being the point's height over the plane and ρ
+        the projection's distance from the centre; they are taken from the
+        sorted phases by bisection. R's 1 m over r, the rounding of a
+        computed distance being some 1e-8 m, and the window's slack keep
+        every slot within r inside, whatever the rounding of the window
+        itself.
+        """
+        if r < 0.0:
+            return []
+        big = r * (1.0 + 1e-9) + 1.0
+        rest = x * x + y * y + z * z - big * big
+        out: list[int] = []
+        for nx, ny, nz, ux, uy, vx, vy, vz, a, rate, phases, ids in self._planes:
+            h = x * nx + y * ny + z * nz
+            if h > big or h < -big:
+                continue
+            pu, pv = x * ux + y * uy, x * vx + y * vy + z * vz
+            rho = math.hypot(pu, pv)
+            num, den = rest + a * a, 2.0 * a * rho  # |p|² = h² + ρ²
+            if num > den:  # every slot is farther than R
+                continue
+            if num <= -den:
+                out += ids
+                continue
+            w = math.acos(num / den) + _WINDOW_SLACK_RAD
+            if w >= math.pi:
+                out += ids
+                continue
+            lo = (math.atan2(pv, pu) - rate * t - w) % _TWO_PI
+            hi = lo + (w + w)
+            first = bisect_left(phases, lo)
+            if hi < _TWO_PI:
+                out += ids[first:bisect_right(phases, hi)]
+            else:
+                out += ids[first:]
+                out += ids[:bisect_right(phases, hi - _TWO_PI)]
+        return out
 
 
 def dump_trace(stream: IO[str], provider, ids: Sequence[str], times: Iterable[float]) -> None:

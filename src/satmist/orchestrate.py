@@ -5,8 +5,9 @@ VM in the constellation held as parallel arrays, and returns the selected
 VM. Infeasible candidates (layer disabled by the architecture mask, or
 farther than the layer's range) are never selected; score ties go to the
 lowest candidate index, except that distance_only keeps a task on the
-origin's own VM, and weight_greedy's shortlist keeps it against a VM of
-the origin's layer within about 5e-9 m of it (see weight_greedy).
+origin's own VM, and weight_greedy's shortlist for an origin with its
+layer's shortest queue keeps it against a VM of the origin's layer within
+about 5e-9 m of it (see weight_greedy).
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from typing import Mapping
+from itertools import cycle
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -92,10 +94,14 @@ class CandidateView:
     - `feasible_sets`: whether the source gives each placement's feasible
       set, computed against reach_row, when feasibility is checked per
       task; False by default.
+
+    `turns`, None by default, is round_robin's picks in order, where
+    round_robin_turns set it (see there).
     """
 
     __slots__ = ("vm_ids", "layer_codes", "queue_lens", "mips", "assigned", "source",
-                 "local", "static_feasible", "max_distance", "far", "feasible_sets", "_cache")
+                 "local", "static_feasible", "max_distance", "far", "feasible_sets", "turns",
+                 "_cache")
 
     def __init__(self, vm_ids, layer_codes, source, queue_lens, mips, assigned, *,
                  static_feasible: np.ndarray | None = None):
@@ -110,6 +116,7 @@ class CandidateView:
         self.max_distance: float | None = None
         self.far: FarSet | None = None
         self.feasible_sets = False
+        self.turns: Iterator[int] | None = None
         self._cache: dict[str, tuple[object, object]] = {}
 
     def __len__(self) -> int:
@@ -130,6 +137,11 @@ class FarSet:
     index order. far_term_hook sets it where the shortlist runs; None
     leaves weight_greedy on its full path.
 
+    `near_radius`, where the source answers `near(r)` (the first-block VMs
+    within r of the origin, a superset, with their column distances), is
+    the first radius weight_greedy's busy-origin path asks it for; None
+    leaves busy origins on the full path.
+
     `terms` is trade_off's compute term of each far VM, far.start + j at
     j, as a Python float for tasks of `length_mi` under the weights
     object `weights`, +inf for a VM outside the static feasible set, and
@@ -139,12 +151,13 @@ class FarSet:
     numpy path.
     """
 
-    __slots__ = ("start", "chord", "ids", "terms", "c0", "length_mi", "weights")
+    __slots__ = ("start", "chord", "ids", "near_radius", "terms", "c0", "length_mi", "weights")
 
     def __init__(self, start: int, chord: float):
         self.start = start
         self.chord = chord
         self.ids: np.ndarray | None = None
+        self.near_radius: float | None = None
         self.terms: list[float] | None = None
         self.c0 = self.length_mi = math.inf
         self.weights: Mapping[Layer, float] | None = None
@@ -224,9 +237,28 @@ def distance_only(view: CandidateView, task, architecture, *,
 
 def round_robin(view: CandidateView, task, architecture, *,
                 link: LinkParams = DEFAULT_LINK) -> Selection:
-    """Feasible candidate with the fewest assignments so far."""
+    """Feasible candidate with the fewest assignments so far, first on ties; the
+    next of `turns` where round_robin_turns set them."""
+    if view.turns is not None:
+        return Selection(next(view.turns))
     idx = _feasible_indices(view, architecture, link)
     return Selection(int(view.vm_ids[_pick_min(view.assigned, idx)]))
+
+
+def round_robin_turns(view: CandidateView) -> Iterator[int] | None:
+    """round_robin's picks in order, the static feasible VMs cycled, for a view
+    whose `assigned` is all zero and from now on grows by one at each pick
+    only, as the engine counts them; None without static feasibility or
+    feasible VMs.
+
+    After k picks of the m feasible VMs, k = cm + j, the first j hold c + 1
+    assignments and the rest c, so the fewest, first on ties, is the
+    (j + 1)-th: pick k is static_feasible[k % m].
+    """
+    idx = view.static_feasible
+    if idx is None or idx.size == 0 or view.assigned.any():
+        return None
+    return cycle(view.vm_ids[idx].tolist())
 
 
 def random_vm(view: CandidateView, task, architecture, rng: random.Random, *,
@@ -391,6 +423,15 @@ def weight_greedy(view: CandidateView, task, architecture, *, link: LinkParams =
     with the origin and would win by index; the shortlist keeps the
     origin, as distance_only does.
 
+    An origin whose queue is not its block's shortest takes the busy-origin
+    path where `far.near_radius` is set (see _busy_origin_pick): the same
+    scoring, with the block's shortest queue as a floor on the CPU and
+    queue minima too, and then the first-block VMs near enough to win,
+    which `source.near` finds, scored in Python floats; ties go to the
+    lowest index, as on the full path. On `full_walker` (1,042 VMs, seed
+    1, 15 s) a busy-origin `select` took a median of 29 µs against 59 µs
+    on the full path, under a timing wrapper on a 2-vCPU host.
+
     With `feasible_sets`, the distance and energy terms over the feasible
     set come from the source too (`source.feasible_terms()`), computed for
     a block of arrivals at once by feasible_terms from the block's
@@ -403,19 +444,23 @@ def weight_greedy(view: CandidateView, task, architecture, *, link: LinkParams =
         idx, dn, en = view.source.feasible_terms()
         if idx.size == 0:
             raise PlacementError("no feasible candidate")
-        short = idx, dn, en, None
+        short = idx, dn, en, None, None, None
     else:
         short = _dominance_shortlist(view, architecture)
     if short is not None:
-        idx, dn, en, q_hi = short
+        idx, dn, en, q_lo, q_hi, extremes = short
         q = view.queue_lens[idx]
         term = _cpu_time(q, task.length_mi, view.mips[idx])
-        # as _cpu_time computes it
-        cpu_hi = None if q_hi is None else ((q_hi + 1.0) * task.length_mi) / view.mips[0]
-        score = dn + _minmax_into(term, ratios[1], term, cpu_hi)
-        score += _minmax_into(q, ratios[2], term, q_hi)
-        score += en
-        return Selection(int(view.vm_ids[idx[score.argmin()]]))
+        if q_lo is None:
+            # as _cpu_time computes it
+            cpu_hi = None if q_hi is None else ((q_hi + 1.0) * task.length_mi) / view.mips[0]
+            score = dn + _minmax_into(term, ratios[1], term, cpu_hi)
+            score += _minmax_into(q, ratios[2], term, q_hi)
+            score += en
+            return Selection(int(view.vm_ids[idx[score.argmin()]]))
+        best = _busy_origin_pick(view, task, radio, idx, dn, en, extremes, q, term, q_lo, q_hi)
+        if best >= 0:
+            return Selection(int(view.vm_ids[best]))
     idx = _feasible_indices(view, architecture, link)
     every = idx.size == len(view)
     if every:
@@ -447,25 +492,26 @@ def _cpu_time(q: np.ndarray, length_mi: float, mips: np.ndarray) -> np.ndarray:
 
 
 def _dominance_shortlist(view: CandidateView, architecture):
-    """(indices, distance terms, energy terms, q_hi) of the candidates
-    weight_greedy must score, and the longest queue of the origin's block,
-    or None.
+    """(indices, distance terms, energy terms, q_lo, q_hi, extremes) of the
+    candidates weight_greedy must score, or None.
 
     far_term_hook decides once per run whether the shortlist can run at
     all, and which far VMs it scores: None unless it set `far.ids`. Each
     placement then asks for the full path when the origin lies outside the
     first block or in a disabled layer, a VM of the origin's layer has a
-    shorter queue, or the largest scored far distance is below the first
-    block's chord. Otherwise the candidates are the origin, at 0 m, and
-    the enabled far VMs, and each indicator's minimum and maximum over the
+    shorter queue and the source has no neighbour query (`far.near_radius` is
+    None), or the largest scored far distance is below the first block's
+    chord. Otherwise the candidates are the origin, at 0 m, and the
+    enabled far VMs, and each indicator's minimum and maximum over the
     whole feasible set is one of theirs, but for the first block's longest
-    queue q_hi: the distance's are 0, the origin's, and the largest far
-    distance, since no two VMs of the first block lie farther apart than
-    `chord`; the energy's are the energies at those two distances; the CPU
-    time's and the queue's minima are the origin's, whose queue is its
-    block's shortest at the block's one MIPS, or an enabled far VM's;
-    their maxima are an enabled far VM's or those of q_hi. The distance
-    and energy terms, normalized over the candidates, come from
+    queue q_hi and, for a busy origin, its shortest q_lo (None where the
+    origin's queue is the shortest): the distance's are 0, the origin's,
+    and the largest far distance, since no two VMs of the first block lie
+    farther apart than `chord`; the energy's are the energies at those two
+    distances; the CPU time's and the queue's are an enabled far VM's, the
+    origin's, or those of q_lo and q_hi, the block sharing one MIPS. The
+    distance and energy terms, normalized over the candidates, and the
+    extremes (largest distance, smallest and largest energy) come from
     `source.far_terms()`.
     """
     far, local = view.far, view.local
@@ -473,23 +519,100 @@ def _dominance_shortlist(view: CandidateView, architecture):
             or not _enabled(view, architecture)[local]:
         return None
     first = view.queue_lens[:far.start]
-    q = view.queue_lens[local]
-    if q != 0.0 and q > first.min():  # queues are never negative: 0 is the block's shortest
-        return None
-    dn, en, reaches = view.source.far_terms()
-    if not reaches:
+    q, q_lo = view.queue_lens[local], None
+    if q != 0.0:  # queues are never negative: 0 is the block's shortest
+        shortest = first.item(first.argmin())
+        if q > shortest:
+            if far.near_radius is None:
+                return None
+            q_lo = shortest
+    dn, en, extremes = view.source.far_terms()
+    if extremes[0] < far.chord:
         return None
     idx = far.ids
     idx[0] = local
-    return idx, dn, en, float(first[first.argmax()])
+    return idx, dn, en, q_lo, first.item(first.argmax()), extremes
+
+
+def _busy_origin_pick(view: CandidateView, task, radio: RadioParams, idx, dn, en, extremes,
+                      q, term, q_lo: float, q_hi: float) -> int:
+    """weight_greedy's pick, as an index, for an origin whose queue is longer than
+    the first block's shortest q_lo, or -1 where too many first-block VMs lie
+    near enough to win: more than the origin and far VMs scored.
+
+    The origin and the enabled far VMs, `idx`, are scored as the shortlist
+    scores them, their CPU time `term` and queue `q` normalized with q_lo
+    and q_hi as floors on the minima and maxima, which are then the
+    feasible set's. The first block's other VMs are scored only near the
+    origin. With S the best score so far, a first-block VM farther than
+    r = ((S - c_min - q_min) / 6 + 1e-9) * d_hi, c_min and q_min being the
+    terms of the block's smallest CPU time and queue, scores above S: its
+    distance term alone exceeds S - c_min - q_min by 6e-9, which rounding
+    in sums below 20 (some 1e-14) cannot undo, and its energy term is not
+    negative. `source.near(r)` gives the VMs it may hold and their column
+    distances, first at `far.near_radius` or r if smaller, then, where the
+    first ones leave r larger than that, once more at r, which no later
+    score can raise. Each VM is scored in Python floats by the full path's
+    IEEE operations in its order, ((dn + cn) + qn) + en; a zero span
+    stands as a span and ratio of 1, which leaves v - lo as the full path
+    does. (score, index) is kept lowest-first, so ties go to the lowest
+    index, as in the full argmin; the origin has no precedence here.
+    """
+    ratios, length, far = WEIGHT_GREEDY_RATIOS, task.length_mi, view.far
+    m = view.mips.item(0)  # the first block's one MIPS
+    # the first block's extremes as _cpu_time computes them, then the feasible set's
+    c_first = ((q_lo + 1.0) * length) / m
+    c_lo = min(term.item(term.argmin()), c_first)
+    c_span = max(term.item(term.argmax()), ((q_hi + 1.0) * length) / m) - c_lo
+    q_min = min(q.item(q.argmin()), q_lo)
+    q_span = max(q.item(q.argmax()), q_hi) - q_min
+    score = dn + _scale_into(term, ratios[1], term, c_lo, c_span)
+    score += _scale_into(q, ratios[2], term, q_min, q_span)
+    score += en
+    i = int(score.argmin())
+    best, pick = score.item(i), idx.item(i)
+    d_hi, e_lo, e_hi = extremes
+    e_span = e_hi - e_lo
+    rc, rq, re = ratios[1:]
+    if c_span == 0.0:
+        c_span = rc = 1.0
+    if q_span == 0.0:
+        q_span = rq = 1.0
+    if e_span == 0.0:
+        e_span = re = 1.0
+    floor = (c_first - c_lo) / c_span * rc + (q_lo - q_min) / q_span * rq
+    bits, e_elec, eps_fs, eps_mp, crossover = (task.input_bits, radio.e_elec, radio.eps_fs,
+                                               radio.eps_mp, radio.crossover_m)
+    queues, near, cap, local = view.queue_lens, view.source.near, idx.size, view.local
+    bound = ((best - floor) / 6.0 + 1e-9) * d_hi
+    r = min(far.near_radius, bound)
+    while True:
+        ids, distances = near(r)
+        if len(ids) > cap:
+            return -1
+        for j, d in zip(ids, distances):
+            if d > bound or j == local:  # scores above best, or scored
+                continue
+            qj = queues.item(j)
+            d2 = d * d
+            e = (e_elec + eps_fs * d2 if d < crossover else d2 * d2 * eps_mp + e_elec) * bits
+            # d - 0.0 is d: the origin's distance is the minimum, and d_hi - 0.0 the span
+            s = d / d_hi * 6.0 + ((qj + 1.0) * length / m - c_lo) / c_span * rc \
+                + (qj - q_min) / q_span * rq + (e - e_lo) / e_span * re
+            if s < best or s == best and j < pick:
+                best, pick = s, j
+                bound = ((best - floor) / 6.0 + 1e-9) * d_hi
+        if bound <= r:
+            return pick
+        r = bound
 
 
 def far_term_hook(view: CandidateView, architecture, radio: RadioParams):
-    """far_terms with the view's enabled far columns, chord and `radio` bound,
-    taking a block's (far rows, input bits), or None where weight_greedy's
-    shortlist never runs: no far set, feasibility per task, an energy that
-    falls across the crossover, or no enabled far VM. Where it runs, sets
-    `far.ids` to the VMs the shortlist scores, for this architecture."""
+    """far_terms with the view's enabled far columns and `radio` bound, taking a
+    block's (far rows, input bits), or None where weight_greedy's shortlist
+    never runs: no far set, feasibility per task, an energy that falls across
+    the crossover, or no enabled far VM. Where it runs, sets `far.ids` to the
+    VMs the shortlist scores, for this architecture."""
     far = view.far
     if far is None or view.static_feasible is None or not _energy_rises(radio):
         return None
@@ -497,28 +620,27 @@ def far_term_hook(view: CandidateView, architecture, radio: RadioParams):
     if columns.size == 0:
         return None
     far.ids = np.concatenate(([far.start - 1], columns + far.start))
-    return partial(far_terms, radio=radio, columns=columns, chord=far.chord)
+    return partial(far_terms, radio=radio, columns=columns)
 
 
-def far_terms(rows: np.ndarray, bits: list[float], radio: RadioParams, columns: np.ndarray,
-              chord: float):
+def far_terms(rows: np.ndarray, bits: list[float], radio: RadioParams, columns: np.ndarray):
     """weight_greedy's distance and energy terms on the shortlists of a block of arrivals.
 
     rows[i] holds arrival i's distances to the far VMs, bits[i] its task's
     input bits, and `columns` are the rows' enabled entries, the ones
-    scored. Returns (dn, en, reaches): dn and en are (B, len(columns) + 1)
+    scored. Returns (dn, en, extremes): dn and en are (B, len(columns) + 1)
     arrays, the origin, at 0 m, in column 0, holding what _minmax_into
     gives the distance (ratio 6) and the energy (ratio 3) over their row,
-    by the same IEEE operations; reaches[i] is whether row i's largest
-    scored far distance is at least `chord`.
+    by the same IEEE operations; extremes[i] is row i's (largest distance,
+    smallest energy, largest energy), as floats.
     """
     d = np.zeros((len(rows), columns.size + 1))
     d[:, 1:] = rows[:, columns]
     energy = _energy_per_bit(d, radio)
     energy *= np.asarray(bits, dtype=np.float64)[:, None]
-    d_hi = _minmax_rows(d, WEIGHT_GREEDY_RATIOS[0])
-    _minmax_rows(energy, WEIGHT_GREEDY_RATIOS[3])
-    return d, energy, (d_hi >= chord).tolist()
+    _, d_hi = _minmax_rows(d, WEIGHT_GREEDY_RATIOS[0])
+    e_lo, e_hi = _minmax_rows(energy, WEIGHT_GREEDY_RATIOS[3])
+    return d, energy, list(zip(d_hi.tolist(), e_lo.tolist(), e_hi.tolist()))
 
 
 def feasible_terms(d: np.ndarray, rows: np.ndarray, bounds: np.ndarray, bits: list[float],
@@ -573,19 +695,20 @@ def _minmax_runs(values: np.ndarray, ratio: float, starts: np.ndarray, counts: n
     return out
 
 
-def _minmax_rows(values: np.ndarray, ratio: float) -> np.ndarray:
-    """_minmax_into on each row of `values` in place; returns the rows' maxima.
+def _minmax_rows(values: np.ndarray, ratio: float) -> tuple[np.ndarray, np.ndarray]:
+    """_minmax_into on each row of `values` in place; returns the rows' minima and
+    maxima.
 
     A row whose span is 0 keeps values - lo, with no divide.
     """
-    lo = values.min(axis=1)[:, None]
+    lo = values.min(axis=1)
     hi = values.max(axis=1)
-    span = hi[:, None] - lo
-    values -= lo
+    span = hi[:, None] - lo[:, None]
+    values -= lo[:, None]
     spread = span != 0.0
     np.divide(values, span, out=values, where=spread)
     np.multiply(values, ratio, out=values, where=spread)
-    return hi
+    return lo, hi
 
 
 def _energy_rises(radio: RadioParams) -> bool:
@@ -611,6 +734,19 @@ def _minmax_into(values: np.ndarray, ratio: float, out: np.ndarray, floor=None) 
     if floor is not None and floor > hi:
         hi = floor
     span = hi - lo
+    np.subtract(values, lo, out=out)
+    if span != 0.0:
+        out /= span
+        out *= ratio
+    return out
+
+
+def _scale_into(values: np.ndarray, ratio: float, out: np.ndarray, lo: float,
+                span: float) -> np.ndarray:
+    """_minmax_into's normalization with the extremes given: ((values - lo) / span)
+    * ratio into `out`, which may be `values`, or values - lo where span is 0.
+    _minmax_into keeps its own copy: the call would cost the shortlist, which
+    makes two a placement, some 0.3 µs."""
     np.subtract(values, lo, out=out)
     if span != 0.0:
         out /= span

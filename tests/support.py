@@ -45,11 +45,12 @@ class TaskInfo(NamedTuple):
 
 class ColumnSource:
     """A view's distance source over a fixed column, logging each read in `reads`:
-    "fill" for the first `column()` call, "row" for `far_row`, and "terms" for
-    `far_terms`. Like the engine's source it serves the column, the column's
-    tail from `far_start`, the distances to the far set's VMs, and
-    weight_greedy's term rows from that tail, as the engine's block does:
-    `terms` is (the task's input bits, the engine's hook), set by
+    "fill" for the first `column()` call, "row" for `far_row`, "terms" for
+    `far_terms` and "near" for `near`. Like the engine's source it serves the
+    column, the column's tail from `far_start`, the distances to the far set's
+    VMs, weight_greedy's term rows from that tail, as the engine's block does,
+    and the VMs before `far_start` within a radius of the origin, found by
+    brute force: `terms` is (the task's input bits, the engine's hook), set by
     far_term_source. Without a far set there is no far read."""
 
     def __init__(self, column, far_start: int | None = None):
@@ -73,8 +74,15 @@ class ColumnSource:
     def far_terms(self):
         self.reads.append("terms")
         bits, hook = self.terms
-        dn, en, reaches = hook(self._column[None, self.far_start:], [bits])
-        return dn[0], en[0], reaches[0]
+        dn, en, extremes = hook(self._column[None, self.far_start:], [bits])
+        return dn[0], en[0], extremes[0]
+
+    def near(self, r: float):
+        """(indices, distances) of the VMs before `far_start` at most `r` from the origin."""
+        self.reads.append("near")
+        first = self._column[:self.far_start]
+        ids = np.flatnonzero(first <= r).tolist()
+        return ids, first[ids].tolist()
 
 
 def far_term_source(view: CandidateView, task, architecture, radio) -> ColumnSource:
@@ -138,8 +146,9 @@ def columns_per_placement(sim):
     it. The reference for the blocks of columns, feasible sets and terms
     that runs checking feasibility per task read; everything else is sim's
     own."""
-    terms = sim._distances._terms_of
-    sim._distances = sim._view.source = _Distances(sim.positions, sim.tasks, sim._view.far, terms)
+    terms, near = sim._distances._terms_of, sim._distances._near
+    sim._distances = sim._view.source = _Distances(sim.positions, sim.tasks, sim._view.far, terms,
+                                                   near=near)
     sim._view.feasible_sets = False
     return sim
 

@@ -478,6 +478,48 @@ def test_pair_distance_equals_snapshot_bit_for_bit(make_config):
         assert distances.to_vm(other) == expected[other]  # from the column
 
 
+@pytest.mark.parametrize("mist", [100, 300, 1000])
+def test_near_finds_every_first_block_vm_within_the_radius(mist):
+    # random origins, times and radii on 8 planes, uneven at 100 and 300 mist
+    # (planes of 13 and 12, and of 38 and 37 slots), radii at and one step below
+    # a column distance among them: near's VMs hold every first-block VM whose
+    # column distance is at most r, each once, none more than R = r (1 + 1e-9)
+    # + 1 m away, with the column's distances bit for bit
+    cfg = parse_config(f"constellation.mist={mist}\ntask.rate_per_min=0\n")
+    geometry = engine.Geometry(cfg.constellation)
+    far = engine._far_set(geometry)
+    assert far.start == mist and far.near_radius == 2.0 * geometry.near.spacing
+    rng = random.Random(mist)
+    tasks = [heavy_task(k, rng.randrange(mist), rng.uniform(0.0, 600.0)) for k in range(150)]
+    distances = engine._Distances(geometry.positions, tasks, far, near=geometry.near)
+    found = 0
+    for k, task in enumerate(tasks):
+        distances.at(k)
+        column = _column_alone(geometry.positions, task.origin_satellite, task.created_at)[:mist]
+        some = float(column[rng.randrange(mist)])
+        for r in (rng.uniform(0.0, 4e6), some, float(np.nextafter(some, 0.0)), far.near_radius,
+                  0.0, -1.0):
+            ids, d = distances.near(r)
+            assert set(np.flatnonzero(column <= r).tolist()) <= set(ids), (k, r)
+            assert len(set(ids)) == len(ids) and all(0 <= i < mist for i in ids)
+            assert d == column[ids].tolist(), (k, r)
+            assert all(x <= r * (1.0 + 1e-9) + 1.0 for x in d), (k, r)
+            found += len(ids)
+    assert found > 10 * len(tasks)
+
+
+def test_near_query_only_for_walker_phasing_with_a_far_set():
+    walker = engine.Geometry(parse_config("task.rate_per_min=0\n").constellation)
+    assert walker.near is not None and engine._far_set(walker).near_radius > 0.0
+    # random_uniform gives every satellite a plane of its own
+    scattered = engine.Geometry(parse_config(
+        "constellation.phasing=random_uniform\ntask.rate_per_min=0\n").constellation)
+    assert scattered.near is None and engine._far_set(scattered).near_radius is None
+    one_layer = engine.Geometry(parse_config(
+        "constellation.edge_dc=0\nconstellation.cloud=0\n").constellation)
+    assert one_layer.near is None and engine._far_set(one_layer) is None
+
+
 def _hex(values: np.ndarray) -> list[str]:
     return [float.hex(x) for x in values.tolist()]
 
@@ -786,7 +828,8 @@ def test_to_vm_on_the_per_task_path_equals_the_column_alone_bit_for_bit(text, po
 def test_feasibility_per_task_reads_every_column_from_blocks(monkeypatch, policy):
     # the feasible sets come from positions_over, a block at a time, and no placement
     # reads positions_all; distance_only keeps each task on its own enabled mist VM
-    # and reads none
+    # and reads none. No far set, so neither weight_greedy's shortlist nor its
+    # busy-origin path runs, and no neighbour query is asked
     cfg = parse_config(f"constellation.mist=100\nconstellation.phasing=random_uniform\n"
                        f"policy.name={policy.value}\nsimulation.duration_s=5\n" + _SHORT_LINKS)
     sim = Simulation(cfg)
@@ -794,7 +837,8 @@ def test_feasibility_per_task_reads_every_column_from_blocks(monkeypatch, policy
     positions_over = sim.positions.positions_over
     sim.positions.positions_all = lambda t: pytest.fail("a column from positions_all")
     sim.positions.positions_over = lambda times: calls.append(len(times)) or positions_over(times)
-    assert sim._view.static_feasible is None
+    sim._distances.near = lambda r: pytest.fail("a neighbour query")
+    assert sim._view.static_feasible is None and sim._view.far is None
     record = sim.run()
     assert record.generated > 100
     rows = sim._distances._block_rows
@@ -877,7 +921,8 @@ def test_far_term_rows_equal_minmax_on_the_scored_set(text):
     # every arrival's distance and energy terms, read in order as the engine reads
     # them (rows 0, B-1 and B of each block and the last, partial block), against
     # _minmax_into on that placement's scored set: the origin and the enabled far
-    # VMs, with its own task's input bits, 0 among them
+    # VMs, with its own task's input bits, 0 among them; and the set's largest
+    # distance and extreme energies
     cfg = parse_config("constellation.mist=100\npolicy.name=weight_greedy\n" + text)
     rng = random.Random(41)
     rows = engine._BLOCK_VALUES // (len(build_constellation(cfg.constellation)) - 100)
@@ -894,14 +939,14 @@ def test_far_term_rows_equal_minmax_on_the_scored_set(text):
     short = 0
     for k, task in enumerate(tasks):
         distances.at(k)
-        dn, en, reaches = distances.far_terms()
+        dn, en, extremes = distances.far_terms()
         assert distances._first == k - k % rows
         d = np.concatenate(([0.0], distances.column()[far.start:]))[scored]
         energy = np.array([tx_energy(task.input_bits, x, radio) for x in d])
+        assert extremes == (d.max(), energy.min(), energy.max()), k
         assert _hex(dn) == _hex(orchestrate._minmax_into(d, 6.0, np.empty(d.size))), k
         assert _hex(en) == _hex(orchestrate._minmax_into(energy, 3.0, energy)), k
-        assert reaches == (d.max() >= far.chord), k
-        short += not reaches
+        short += extremes[0] < far.chord
     assert short < len(tasks) and (short > 0) == ("cloud" not in text), short
 
 
@@ -998,10 +1043,13 @@ def test_far_set_only_where_it_pays():
         assert sim._view.far is None
 
 
-def test_far_set_changes_no_weight_greedy_placement():
+@pytest.mark.parametrize("text", ["", "architecture.layers=mist,cloud\n"],
+                         ids=["every_layer", "no_edge"])
+def test_far_set_changes_no_weight_greedy_placement(monkeypatch, text):
     # with and without the far set: the same VM for every task, the same record,
-    # and most placements made without the distance column
-    cfg = parse_config("policy.name=weight_greedy\nsimulation.duration_s=6\n")
+    # and nearly every placement made without the distance column: busy origins
+    # too, which ask for their near VMs, and some of those pick one
+    cfg = parse_config("policy.name=weight_greedy\nsimulation.duration_s=6\n" + text)
     shortlisted, full = Simulation(cfg), Simulation(cfg)
     full._view.far = None
     fills = {}  # the column is each run's only positions_all caller
@@ -1009,11 +1057,55 @@ def test_far_set_changes_no_weight_greedy_placement():
         positions_all, fills[name] = sim.positions.positions_all, []
         sim.positions.positions_all = \
             lambda t, f=positions_all, calls=fills[name]: calls.append(t) or f(t)
+    asked = []
+    near = engine._Distances.near
+    monkeypatch.setattr(engine._Distances, "near",
+                        lambda self, r: asked.append(self._k) or near(self, r))
     assert shortlisted.run() == full.run()
     assert [task.assigned_vm for task in shortlisted.tasks] == [task.assigned_vm for task in full.tasks]
     assert any(task.assigned_vm >= 1000 for task in full.tasks)
     assert len(fills["full"]) == len(full.tasks)
-    assert len(fills["shortlisted"]) < len(full.tasks) / 2
+    busy = set(asked)
+    assert len(busy) > len(full.tasks) / 10
+    assert len(fills["shortlisted"]) < len(busy) / 10
+    near_picks = [k for k in busy if shortlisted.tasks[k].assigned_vm not in (
+        shortlisted.tasks[k].origin_satellite, *range(1000, 1042))]
+    assert len(near_picks) > len(busy) / 10
+
+
+def test_weight_greedy_reads_every_far_row_it_fills(monkeypatch):
+    # on the 1000 + 24 + 18 Walker constellation each placement, busy origins
+    # among them, reads its far row: the blocks compute no row that goes unread
+    sim = Simulation(parse_config("policy.name=weight_greedy\nsimulation.duration_s=5\n"))
+    filled, read = [], set()
+    fill_block, far_terms = engine._Distances._fill_block, engine._Distances.far_terms
+
+    def filling(self):
+        fill_block(self)
+        filled.extend(range(self._first, self._first + len(self._block)))
+
+    monkeypatch.setattr(engine._Distances, "_fill_block", filling)
+    monkeypatch.setattr(engine._Distances, "far_terms",
+                        lambda self: read.add(self._k) or far_terms(self))
+    record = sim.run()
+    assert record.generated > 1000
+    assert sorted(filled) == sorted(read) == list(range(len(sim.tasks)))
+
+
+@pytest.mark.parametrize("text", ["constellation.mist=100\nsimulation.duration_s=20\n",
+                                  "simulation.duration_s=3\narchitecture.layers=edge_dc,cloud\n"],
+                         ids=["mist_100", "no_mist"])
+def test_round_robin_turns_change_no_placement(text):
+    # the table of turns and the argmin over assignments pick alike, and the
+    # per-layer counts still come from every pick
+    cfg = parse_config("policy.name=round_robin\n" + text)
+    turned, argmin = Simulation(cfg), Simulation(cfg)
+    assert turned._view.turns is not None
+    argmin._view.turns = None
+    assert turned.run() == argmin.run()
+    assert [t.assigned_vm for t in turned.tasks] == [t.assigned_vm for t in argmin.tasks]
+    assert np.array_equal(turned._view.assigned, argmin._view.assigned)
+    assert turned._view.assigned.sum() == len(turned.tasks) > 100
 
 
 @pytest.mark.parametrize("policy, shortlist", [("trade_off", "far_row"),

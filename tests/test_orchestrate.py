@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from satmist.orchestrate import (
     distance_only,
     random_vm,
     round_robin,
+    round_robin_turns,
     select,
     trade_off,
     weight_greedy,
@@ -212,6 +214,39 @@ def test_round_robin_balance_under_repeated_selection():
         chosen = round_robin(view(cands), TASK, ALL_LAYERS).vm_id
         counts[chosen] += 1
         assert max(counts) - min(counts) <= 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_round_robin_turns_pick_as_the_argmin_on_random_static_views(seed):
+    # with static feasibility and assignments counted from zero, the k-th pick of
+    # the argmin over `assigned` is static_feasible[k % m]: the turns pick alike
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    layers = rng.choice(list(Layer), n)
+    arch = frozenset(rng.choice(list(Layer), int(rng.integers(1, 4)), replace=False).tolist())
+    cands = [mk(i, layer, float(rng.uniform(0.0, 2e7))) for i, layer in enumerate(layers)]
+    cands = [Candidate(3 * c.vm_id + 7, *astuple(c)[1:]) for c in cands]  # ids differ from indices
+    argmin, turned = view(cands), view(cands)
+    for v in (argmin, turned):
+        v.static_feasible = np.flatnonzero([layer in arch for layer in layers])
+    turned.turns = round_robin_turns(turned)
+    if argmin.static_feasible.size == 0:
+        assert turned.turns is None
+        return
+    for _ in range(3 * argmin.static_feasible.size + 5):
+        want = round_robin(argmin, TASK, arch).vm_id
+        assert round_robin(turned, TASK, arch).vm_id == want
+        for v in (argmin, turned):
+            v.assigned[(v.vm_ids == want).nonzero()[0]] += 1
+    assert np.array_equal(argmin.assigned, turned.assigned)
+
+
+def test_round_robin_turns_only_from_zero_assignments():
+    v = view([mk(i, Layer.MIST, 1e6) for i in range(3)])
+    assert round_robin_turns(v) is None  # no static feasibility
+    v.static_feasible = np.arange(3)
+    v.assigned[1] = 1
+    assert round_robin_turns(v) is None
 
 
 def test_trade_off_hand_example():

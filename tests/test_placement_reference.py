@@ -471,12 +471,14 @@ def far_view(rng: np.random.Generator, local: int, *, busy=False, equal_queues=F
     return v
 
 
-def far_picks(v, task, arch, radio=DEFAULT_RADIO):
+def far_picks(v, task, arch, radio=DEFAULT_RADIO, near_radius=None):
     """(pick with v's column behind a fresh ColumnSource and a far set, reference
-    pick on the same column, the source's reads before the reference: "terms"
-    and/or "fill")."""
+    pick on the same column, the source's reads before the reference: "terms",
+    "near" and/or "fill"). `near_radius` is the far set's: where it is set, a
+    busy origin asks the source's brute-force `near` for VMs near it."""
     v.static_feasible = np.flatnonzero(np.isin(v.layer_codes, [LAYER_CODE[x] for x in arch]))
     v.far = FarSet(1000, CHORD)
+    v.far.near_radius = near_radius
     v.source = source = far_term_source(v, task, arch, radio)
     got = weight_greedy(v, task, arch, radio=radio).vm_id
     seen = list(source.reads)
@@ -489,7 +491,8 @@ def far_picks(v, task, arch, radio=DEFAULT_RADIO):
 @pytest.mark.parametrize("busy", [False, True], ids=["idle_origin", "busy_origin"])
 def test_weight_greedy_shortlist_picks_as_reference(arch, busy):
     # an idle origin in an enabled layer is scored against the far VMs alone and
-    # leaves the column unread; a busy one, or a disabled mist layer, fills it
+    # leaves the column unread; a busy one where the source has no neighbour query,
+    # or a disabled mist layer, fills it
     rng = np.random.default_rng([17, len(arch), busy])
     enabled = [LAYER_CODE[layer] for layer in arch]
     origin_picks = shortlisted = 0
@@ -588,6 +591,107 @@ def test_weight_greedy_shortlist_keeps_the_origin_against_a_colocated_vm():
     assert seen == ["terms"]
 
 
+# -- weight_greedy's busy-origin path --------------------------------------
+
+@pytest.mark.parametrize("arch", [ALL, MIST_ONLY_CLOUD, MIST_ONLY_EDGE, NO_MIST],
+                         ids=["every_layer", "no_edge", "no_cloud", "no_mist"])
+def test_weight_greedy_busy_origin_picks_as_reference(monkeypatch, arch):
+    # A busy origin is scored with the far VMs and the first-block VMs `near`
+    # finds, once or, where the first radius leaves the bound wider, twice; more
+    # candidates than the origin and far VMs scored send it to the column. Every
+    # way ends on the reference's pick; a disabled mist layer reads the column.
+    asked = []
+    near = ColumnSource.near
+
+    def asking(self, r):
+        ids, d = near(self, r)
+        asked.append(ids)
+        return ids, d
+
+    monkeypatch.setattr(ColumnSource, "near", asking)
+    rng = np.random.default_rng([43, len(arch), LAYER_CODE[max(arch)]])
+    ways, mist_picks = set(), 0
+    cap = 1 + np.isin(np.repeat([1, 2], [24, 18]), [LAYER_CODE[x] for x in arch]).sum()
+    for k in range(60):
+        local = int(rng.integers(0, 1000))
+        v = far_view(rng, local, busy=True, mist_floor=4 * (k % 3 == 0))
+        if k % 3 == 1:  # a few idle mist VMs among long queues
+            v.queue_lens[:1000] = np.maximum(v.queue_lens[:1000], 3.0)
+            v.queue_lens[local] = 4.0
+            v.queue_lens[rng.integers(0, 1000, 5)] = 0.0
+        asked.clear()
+        got, want, seen = far_picks(v, random_task(rng), arch,
+                                    near_radius=float(rng.choice([3e4, 1e5])))
+        assert got == want, k
+        if Layer.MIST not in arch:
+            assert seen == ["fill"]
+            continue
+        if seen[-1] == "fill":  # the last ask found more than the cap, or the row missed the chord
+            assert (len(asked[-1]) > cap) if asked else arch == MIST_ONLY_EDGE, k
+        else:
+            assert all(len(ids) <= cap for ids in asked)
+            mist_picks += got < v.vm_ids[1000]
+        ways.add(tuple(seen))
+    if Layer.MIST in arch:
+        assert {("terms", "near"), ("terms", "near", "near", "fill")} <= ways, ways
+        assert mist_picks >= 5, mist_picks
+
+
+def busy_view(rng, local, mist_from):
+    """far_view with origin `local` busy: queue 5 against the mist layer's shortest,
+    4, at VM 0; every other mist VM at queue 5 and `mist_from` m or more away,
+    and the far VMs at queue 20, so the origin scores below the far VMs and no
+    other mist VM lies near it."""
+    v = far_view(rng, local)
+    v.distances[:1000] = rng.uniform(mist_from, R_MIST + R_MIST, 1000)
+    v.distances[local] = 0.0
+    v.queue_lens[:1000] = 5.0
+    v.queue_lens[0] = 4.0
+    v.queue_lens[1000:] = 20.0
+    return v
+
+
+def test_weight_greedy_busy_origin_at_the_bound(monkeypatch):
+    # VM 7, idle at the block's shortest queue and with no energy term, lies at
+    # the bound r the origin's score sets, so `near` finds it and it loses; one
+    # step beyond, it is not asked for and loses too; a part in 1e6 inside, it
+    # wins. Each pick is the reference's.
+    radii = []
+    near = ColumnSource.near
+    monkeypatch.setattr(ColumnSource, "near", lambda self, r: radii.append(r) or near(self, r))
+    rng = np.random.default_rng(47)
+    task = TaskInfo(length_mi=20_000.0, input_bits=0.0)
+    v = busy_view(rng, 500, 1.25e7)
+    v.queue_lens[7] = 4.0
+    v.distances[7] = 1.2e7
+    got, want, seen = far_picks(v, task, ALL, near_radius=1.0)
+    assert got == want == v.vm_ids[500] and seen == ["terms", "near", "near"]
+    r = radii[-1]
+    assert 1e6 < r < 1.2e7, r
+    for d, winner, found in ((r, 500, True), (np.nextafter(r, np.inf), 500, False),
+                             (r * (1.0 - 1e-6), 7, True)):
+        v.distances[7] = d
+        radii.clear()
+        got, want, seen = far_picks(v, task, ALL, near_radius=1.0)
+        assert got == want == v.vm_ids[winner], d
+        assert radii == [1.0, r] and seen == ["terms", "near", "near"]
+        assert found == (7 in near(v.source, r)[0])
+
+
+def test_weight_greedy_busy_origin_loses_a_tie_to_a_colocated_vm():
+    # VM 499 sits 1e-9 m from the busy origin 500 with its queue: its distance term,
+    # about 3e-16, rounds away, so it ties with the origin and wins by its lower
+    # index on the busy-origin path as in the full argmin; only the idle origin's
+    # shortlist keeps the origin
+    rng = np.random.default_rng(53)
+    v = busy_view(rng, 500, 1.2e7)
+    v.distances[499] = 1e-9
+    got, want, seen = far_picks(v, TaskInfo(length_mi=20_000.0, input_bits=8e6), ALL,
+                                near_radius=1e5)
+    assert got == want == v.vm_ids[499]
+    assert seen == ["terms", "near", "near"]
+
+
 def indicator_extrema(d, q, mips, task, radio):
     """(min, max) of each of weight_greedy's four indicators, as float.hex strings."""
     cpu = (q + 1.0) * task.length_mi / mips
@@ -646,6 +750,43 @@ def test_weight_greedy_shortlist_extrema_are_the_feasible_sets(monkeypatch, arch
         checked += 1
         raised += v.queue_lens[:1000].max() > v.queue_lens[feasible[feasible >= 1000]].max()
     assert checked >= 20 and raised >= 5, (checked, raised)
+
+
+@pytest.mark.parametrize("arch", [ALL, MIST_ONLY_CLOUD, MIST_ONLY_EDGE],
+                         ids=["every_layer", "no_edge", "no_cloud"])
+def test_weight_greedy_busy_origin_extrema_are_the_feasible_sets(monkeypatch, arch):
+    # The busy-origin path normalizes the CPU time and the queue by the minimum
+    # and span it takes from the origin and far VMs with the first block's
+    # shortest and longest queues as floors; they must be the whole feasible
+    # set's, bit for bit. Long far queues let the block's shortest set the minima.
+    scale_into, used = orchestrate._scale_into, []
+
+    def recording(values, ratio, out, lo, span):
+        used.append((float(lo).hex(), float(span).hex()))
+        return scale_into(values, ratio, out, lo, span)
+
+    monkeypatch.setattr(orchestrate, "_scale_into", recording)
+    rng = np.random.default_rng([59, len(arch), LAYER_CODE[max(arch)]])
+    checked = lowered = 0
+    for k in range(40):
+        local = int(rng.integers(0, 1000))
+        v = far_view(rng, local, busy=True, equal_mips=k % 4 == 3, mist_floor=2 * (k % 2))
+        if k % 3 == 1:  # far queues above the mist ones: the block's shortest is the minimum
+            v.queue_lens[1000:] = rng.integers(9, 20, N - 1000)
+        task = random_task(rng)
+        used.clear()
+        got, want, seen = far_picks(v, task, arch, near_radius=3e4)
+        assert got == want
+        if not used:  # without cloud VMs, the largest far distance may miss the chord
+            assert arch == MIST_ONLY_EDGE and seen == ["terms", "fill"]
+            continue
+        feasible = v.static_feasible
+        q = v.queue_lens[feasible]
+        cpu = (q + 1.0) * task.length_mi / v.mips[feasible]
+        assert used == [(float(x.min()).hex(), float(x.max() - x.min()).hex()) for x in (cpu, q)], k
+        checked += 1
+        lowered += v.queue_lens[:1000].min() < v.queue_lens[feasible[feasible >= 1000]].min()
+    assert checked >= 20 and lowered >= 5, (checked, lowered)
 
 
 # -- trade_off's kept far terms --------------------------------------------
