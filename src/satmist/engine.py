@@ -277,9 +277,11 @@ class _Distances:
     rows and its tasks' input bits, and `far_terms` reads arrival k's.
     With a PlaneQuery `near` over the first block, `near(r)` gives the
     first-block satellites it finds within r of the origin and their
-    distances, computed as `pair` computes them. `to_vm` reads what this
-    placement computed, else `pair`. Holds no reference to the Simulation,
-    so its view keeps no finished run alive.
+    distances, computed as `pair` computes them, and `near_radius` is the
+    radius weight_greedy's busy-origin path asks for first (None without
+    a query, which leaves busy origins on the full path). `to_vm` reads
+    what this placement computed, else `pair`. Holds no reference to the
+    Simulation, so its view keeps no finished run alive.
     """
 
     def __init__(self, positions, tasks: Sequence[Task], far: FarSet | None = None,
@@ -304,6 +306,10 @@ class _Distances:
         self._reach, self._feasible_terms_of, self._shared = reach, feasible_terms, shared
         self._sets, self._set_block = None, -1  # the loaded block of feasible sets, and its b
         self._near = near
+        # two slots each way in the origin's plane: on full_walker (seed 1, 15 s) one
+        # spacing left 41 of 1,123 busy origins above the cap and 65% asking twice,
+        # two left 1, none asking twice, at 5.8 candidates
+        self.near_radius = None if near is None else 2.0 * near.spacing
 
     def at(self, k: int) -> None:
         task = self._tasks[k]
@@ -499,8 +505,10 @@ def _apart(o, h) -> float:
 
 def _orbits_apart(o, h, now: float) -> float:
     """Distance at `now` between the satellites on OrbitPositions orbit rows o
-    and h: _orbit_point's operations for each, inlined, since every download
-    takes one, then _apart's."""
+    and h: _orbit_point's operations for each, written out, then _apart's.
+    Every download takes one; with two _orbit_point calls here, full_walker's
+    round_robin tasks per second fell 5.8% and random_vm's 3.7%, in 6 of 6
+    alternating perfbench pairs (seed 1, 40 s, 2-vCPU host)."""
     a, rate, phase, ci, si, co, so = o
     theta = rate * now + phase
     ct, st = math.cos(theta), math.sin(theta)
@@ -587,10 +595,11 @@ def _far_set(geometry: Geometry) -> FarSet | None:
     a 10 s run, best of 6 repeats each under a timing wrapper, on a 2-vCPU
     host, took 14-16 µs plus a 2.9 µs block row, its distance and energy
     terms included, against 33 µs for the full path at 142 VMs, 38 at 342
-    and 54 at 1,042. On a Walker shell `near_radius` lets weight_greedy's
-    busy origins score the far row and the first-block VMs near them too:
-    a median of 29 µs a placement at 1,042 VMs against 59 µs for the full
-    path (seed 1, 15 s, under a timing wrapper, same host).
+    and 54 at 1,042. On a Walker shell the source's neighbour query lets
+    weight_greedy's busy origins score the far row and the first-block VMs
+    near them too: a median of 29 µs a placement at 1,042 VMs against
+    59 µs for the full path (seed 1, 15 s, under a timing wrapper, same
+    host).
     """
     layered, layer_codes = geometry.layered, geometry.layer_codes
     n = len(layered)
@@ -598,13 +607,7 @@ def _far_set(geometry: Geometry) -> FarSet | None:
     if start == n:
         return None
     r = layered[0][1].semi_major_axis_m
-    far = FarSet(start, (r + r) * (1.0 + 1e-9))
-    if geometry.near is not None:
-        # two slots each way in the origin's plane: on full_walker (seed 1, 15 s) one
-        # spacing left 41 of 1,123 busy origins above the cap and 65% asking twice,
-        # two left 1, none asking twice, at 5.8 candidates
-        far.near_radius = 2.0 * geometry.near.spacing
-    return far
+    return FarSet(start, (r + r) * (1.0 + 1e-9))
 
 
 class Simulation:

@@ -137,11 +137,6 @@ class FarSet:
     index order. far_term_hook sets it where the shortlist runs; None
     leaves weight_greedy on its full path.
 
-    `near_radius`, where the source answers `near(r)` (the first-block VMs
-    within r of the origin, a superset, with their column distances), is
-    the first radius weight_greedy's busy-origin path asks it for; None
-    leaves busy origins on the full path.
-
     `terms` is trade_off's compute term of each far VM, far.start + j at
     j, as a Python float for tasks of `length_mi` under the weights
     object `weights`, +inf for a VM outside the static feasible set, and
@@ -151,13 +146,12 @@ class FarSet:
     numpy path.
     """
 
-    __slots__ = ("start", "chord", "ids", "near_radius", "terms", "c0", "length_mi", "weights")
+    __slots__ = ("start", "chord", "ids", "terms", "c0", "length_mi", "weights")
 
     def __init__(self, start: int, chord: float):
         self.start = start
         self.chord = chord
         self.ids: np.ndarray | None = None
-        self.near_radius: float | None = None
         self.terms: list[float] | None = None
         self.c0 = self.length_mi = math.inf
         self.weights: Mapping[Layer, float] | None = None
@@ -409,8 +403,9 @@ def weight_greedy(view: CandidateView, task, architecture, *, link: LinkParams =
     every other VM of its layer has CPU and queue terms at least the
     origin's and a larger distance, so it cannot score lower. The scored
     VMs hold every indicator's minimum and maximum over the feasible set,
-    but for the layer's longest queue, which is passed on as a floor on
-    the CPU and queue maxima. Their distance and energy terms depend only
+    but for the layer's shortest and longest queues, which are passed on
+    as floors on the CPU and queue minima and maxima (see
+    _shortlist_pick). Their distance and energy terms depend only
     on the arrival's far row and the task's input bits, so the source
     computes them for a block of arrivals at once (`source.far_terms`, see
     far_terms); the CPU and queue terms are normalized here. The engine
@@ -424,9 +419,8 @@ def weight_greedy(view: CandidateView, task, architecture, *, link: LinkParams =
     origin, as distance_only does.
 
     An origin whose queue is not its block's shortest takes the busy-origin
-    path where `far.near_radius` is set (see _busy_origin_pick): the same
-    scoring, with the block's shortest queue as a floor on the CPU and
-    queue minima too, and then the first-block VMs near enough to win,
+    path where the source's `near_radius` is set (see _shortlist_pick):
+    the same scoring, and then the first-block VMs near enough to win,
     which `source.near` finds, scored in Python floats; ties go to the
     lowest index, as on the full path. On `full_walker` (1,042 VMs, seed
     1, 15 s) a busy-origin `select` took a median of 29 µs against 59 µs
@@ -435,30 +429,18 @@ def weight_greedy(view: CandidateView, task, architecture, *, link: LinkParams =
     With `feasible_sets`, the distance and energy terms over the feasible
     set come from the source too (`source.feasible_terms()`), computed for
     a block of arrivals at once by feasible_terms from the block's
-    feasible distances, and the CPU and queue terms are normalized here,
-    with no floor: every placement is scored over its feasible set, as on
-    the full path, by the same IEEE operations.
+    feasible distances, and the CPU and queue terms are normalized by the
+    same lines with no floor: every placement is scored over its feasible
+    set, as on the full path, by the same IEEE operations.
     """
-    ratios = WEIGHT_GREEDY_RATIOS
     if view.feasible_sets:
         idx, dn, en = view.source.feasible_terms()
         if idx.size == 0:
             raise PlacementError("no feasible candidate")
-        short = idx, dn, en, None, None, None
-    else:
-        short = _dominance_shortlist(view, architecture)
+        return Selection(int(view.vm_ids[_shortlist_pick(view, task, radio, idx, dn, en)]))
+    short = _dominance_shortlist(view, architecture)
     if short is not None:
-        idx, dn, en, q_lo, q_hi, extremes = short
-        q = view.queue_lens[idx]
-        term = _cpu_time(q, task.length_mi, view.mips[idx])
-        if q_lo is None:
-            # as _cpu_time computes it
-            cpu_hi = None if q_hi is None else ((q_hi + 1.0) * task.length_mi) / view.mips[0]
-            score = dn + _minmax_into(term, ratios[1], term, cpu_hi)
-            score += _minmax_into(q, ratios[2], term, q_hi)
-            score += en
-            return Selection(int(view.vm_ids[idx[score.argmin()]]))
-        best = _busy_origin_pick(view, task, radio, idx, dn, en, extremes, q, term, q_lo, q_hi)
+        best = _shortlist_pick(view, task, radio, *short)
         if best >= 0:
             return Selection(int(view.vm_ids[best]))
     idx = _feasible_indices(view, architecture, link)
@@ -467,6 +449,7 @@ def weight_greedy(view: CandidateView, task, architecture, *, link: LinkParams =
         d, q, mips = view.distances, view.queue_lens, view.mips
     else:
         d, q, mips = view.distances[idx], view.queue_lens[idx], view.mips[idx]
+    ratios = WEIGHT_GREEDY_RATIOS
     score = _minmax_into(d, ratios[0], np.empty(d.size))
     term = _cpu_time(q, task.length_mi, mips)
     score += _minmax_into(term, ratios[1], term)
@@ -493,19 +476,18 @@ def _cpu_time(q: np.ndarray, length_mi: float, mips: np.ndarray) -> np.ndarray:
 
 def _dominance_shortlist(view: CandidateView, architecture):
     """(indices, distance terms, energy terms, q_lo, q_hi, extremes) of the
-    candidates weight_greedy must score, or None.
+    candidates weight_greedy's shortlist scores, or None.
 
     far_term_hook decides once per run whether the shortlist can run at
     all, and which far VMs it scores: None unless it set `far.ids`. Each
     placement then asks for the full path when the origin lies outside the
     first block or in a disabled layer, a VM of the origin's layer has a
-    shorter queue and the source has no neighbour query (`far.near_radius` is
-    None), or the largest scored far distance is below the first block's
-    chord. Otherwise the candidates are the origin, at 0 m, and the
+    shorter queue and the source has no neighbour query (its `near_radius`
+    is None), or the largest scored far distance is below the first
+    block's chord. Otherwise the candidates are the origin, at 0 m, and the
     enabled far VMs, and each indicator's minimum and maximum over the
-    whole feasible set is one of theirs, but for the first block's longest
-    queue q_hi and, for a busy origin, its shortest q_lo (None where the
-    origin's queue is the shortest): the distance's are 0, the origin's,
+    whole feasible set is one of theirs, but for the first block's shortest
+    and longest queues, q_lo and q_hi: the distance's are 0, the origin's,
     and the largest far distance, since no two VMs of the first block lie
     farther apart than `chord`; the energy's are the energies at those two
     distances; the CPU time's and the queue's are an enabled far VM's, the
@@ -519,13 +501,10 @@ def _dominance_shortlist(view: CandidateView, architecture):
             or not _enabled(view, architecture)[local]:
         return None
     first = view.queue_lens[:far.start]
-    q, q_lo = view.queue_lens[local], None
-    if q != 0.0:  # queues are never negative: 0 is the block's shortest
-        shortest = first.item(first.argmin())
-        if q > shortest:
-            if far.near_radius is None:
-                return None
-            q_lo = shortest
+    q = view.queue_lens.item(local)
+    q_lo = q if q == 0.0 else first.item(first.argmin())  # queues are never negative
+    if q > q_lo and view.source.near_radius is None:
+        return None
     dn, en, extremes = view.source.far_terms()
     if extremes[0] < far.chord:
         return None
@@ -534,43 +513,54 @@ def _dominance_shortlist(view: CandidateView, architecture):
     return idx, dn, en, q_lo, first.item(first.argmax()), extremes
 
 
-def _busy_origin_pick(view: CandidateView, task, radio: RadioParams, idx, dn, en, extremes,
-                      q, term, q_lo: float, q_hi: float) -> int:
-    """weight_greedy's pick, as an index, for an origin whose queue is longer than
-    the first block's shortest q_lo, or -1 where too many first-block VMs lie
-    near enough to win: more than the origin and far VMs scored.
+def _shortlist_pick(view: CandidateView, task, radio: RadioParams, idx, dn, en, q_lo=None,
+                    q_hi=None, extremes=None) -> int:
+    """weight_greedy's pick, as an index, from the candidates `idx` and their
+    distance and energy terms `dn` and `en`: a feasible set, without q_lo,
+    q_hi and extremes, or _dominance_shortlist's candidates; -1 where too
+    many first-block VMs lie near enough to a busy origin to win: more than
+    the candidates.
 
-    The origin and the enabled far VMs, `idx`, are scored as the shortlist
-    scores them, their CPU time `term` and queue `q` normalized with q_lo
-    and q_hi as floors on the minima and maxima, which are then the
-    feasible set's. The first block's other VMs are scored only near the
-    origin. With S the best score so far, a first-block VM farther than
-    r = ((S - c_min - q_min) / 6 + 1e-9) * d_hi, c_min and q_min being the
-    terms of the block's smallest CPU time and queue, scores above S: its
-    distance term alone exceeds S - c_min - q_min by 6e-9, which rounding
-    in sums below 20 (some 1e-14) cannot undo, and its energy term is not
-    negative. `source.near(r)` gives the VMs it may hold and their column
-    distances, first at `far.near_radius` or r if smaller, then, where the
-    first ones leave r larger than that, once more at r, which no later
-    score can raise. Each VM is scored in Python floats by the full path's
-    IEEE operations in its order, ((dn + cn) + qn) + en; a zero span
-    stands as a span and ratio of 1, which leaves v - lo as the full path
-    does. (score, index) is kept lowest-first, so ties go to the lowest
-    index, as in the full argmin; the origin has no precedence here.
+    The CPU time `term` and the queue `q` are normalized over the
+    candidates, with q_lo and q_hi, where given, as floors on the minima
+    and maxima, which are then the feasible set's, and the four terms are
+    summed in the full path's order; the lowest score wins, the first
+    candidate on a tie. An origin whose queue is q_lo, the first block's
+    shortest, wins over the rest of its block (see _dominance_shortlist).
+
+    For a busy origin, one with a longer queue, the first block's other
+    VMs are scored only near it. With S the best score so far, a
+    first-block VM farther than r = ((S - c_min - q_min) / 6 + 1e-9) * d_hi,
+    c_min and q_min being the terms of the block's smallest CPU time and
+    queue, scores above S: its distance term alone exceeds S - c_min - q_min
+    by 6e-9, which rounding in sums below 20 (some 1e-14) cannot undo, and
+    its energy term is not negative. `source.near(r)` gives the VMs it may
+    hold and their column distances, first at `source.near_radius` or r if
+    smaller, then, where the first ones leave r larger than that, once more
+    at r, which no later score can raise. Each VM is scored in Python floats
+    by the full path's IEEE operations in its order, ((dn + cn) + qn) + en;
+    a zero span stands as a span and ratio of 1, which leaves v - lo as the
+    full path does. (score, index) is kept lowest-first, so ties go to the
+    lowest index, as in the full argmin; the origin has no precedence here.
     """
-    ratios, length, far = WEIGHT_GREEDY_RATIOS, task.length_mi, view.far
-    m = view.mips.item(0)  # the first block's one MIPS
-    # the first block's extremes as _cpu_time computes them, then the feasible set's
-    c_first = ((q_lo + 1.0) * length) / m
-    c_lo = min(term.item(term.argmin()), c_first)
-    c_span = max(term.item(term.argmax()), ((q_hi + 1.0) * length) / m) - c_lo
-    q_min = min(q.item(q.argmin()), q_lo)
-    q_span = max(q.item(q.argmax()), q_hi) - q_min
+    ratios, length = WEIGHT_GREEDY_RATIOS, task.length_mi
+    q = view.queue_lens[idx]
+    term = _cpu_time(q, length, view.mips[idx])
+    c_lo, c_hi = term.item(term.argmin()), term.item(term.argmax())
+    q_min, q_max = q.item(q.argmin()), q.item(q.argmax())
+    if q_hi is not None:
+        m = view.mips.item(0)  # the first block's one MIPS
+        c_first = ((q_lo + 1.0) * length) / m  # as _cpu_time computes it
+        c_lo, c_hi = min(c_lo, c_first), max(c_hi, ((q_hi + 1.0) * length) / m)
+        q_min, q_max = min(q_min, q_lo), max(q_max, q_hi)
+    c_span, q_span = c_hi - c_lo, q_max - q_min
     score = dn + _scale_into(term, ratios[1], term, c_lo, c_span)
     score += _scale_into(q, ratios[2], term, q_min, q_span)
     score += en
     i = int(score.argmin())
     best, pick = score.item(i), idx.item(i)
+    if q_hi is None or q.item(0) == q_lo:
+        return pick
     d_hi, e_lo, e_hi = extremes
     e_span = e_hi - e_lo
     rc, rq, re = ratios[1:]
@@ -583,11 +573,11 @@ def _busy_origin_pick(view: CandidateView, task, radio: RadioParams, idx, dn, en
     floor = (c_first - c_lo) / c_span * rc + (q_lo - q_min) / q_span * rq
     bits, e_elec, eps_fs, eps_mp, crossover = (task.input_bits, radio.e_elec, radio.eps_fs,
                                                radio.eps_mp, radio.crossover_m)
-    queues, near, cap, local = view.queue_lens, view.source.near, idx.size, view.local
+    queues, source, cap, local = view.queue_lens, view.source, idx.size, view.local
     bound = ((best - floor) / 6.0 + 1e-9) * d_hi
-    r = min(far.near_radius, bound)
+    r = min(source.near_radius, bound)
     while True:
-        ids, distances = near(r)
+        ids, distances = source.near(r)
         if len(ids) > cap:
             return -1
         for j, d in zip(ids, distances):
@@ -722,31 +712,17 @@ def _energy_rises(radio: RadioParams) -> bool:
     return tx_energy(1.0, float(np.nextafter(c, 0.0)), radio) <= tx_energy(1.0, c, radio)
 
 
-def _minmax_into(values: np.ndarray, ratio: float, out: np.ndarray, floor=None) -> np.ndarray:
-    """((values - lo) / (hi - lo)) * ratio into `out`, which may be `values`.
-
-    lo and hi are the values' minimum and maximum, hi raised to `floor`
-    when that is larger: the largest value of a feasible VM left out of
-    `values`. A constant column gives exact zeros: values - lo is 0
-    everywhere.
-    """
-    lo, hi = values[values.argmin()], values[values.argmax()]
-    if floor is not None and floor > hi:
-        hi = floor
-    span = hi - lo
-    np.subtract(values, lo, out=out)
-    if span != 0.0:
-        out /= span
-        out *= ratio
-    return out
+def _minmax_into(values: np.ndarray, ratio: float, out: np.ndarray) -> np.ndarray:
+    """_scale_into with the values' own minimum and span: ((values - lo) /
+    (hi - lo)) * ratio into `out`, which may be `values`."""
+    lo = values[values.argmin()]
+    return _scale_into(values, ratio, out, lo, values[values.argmax()] - lo)
 
 
 def _scale_into(values: np.ndarray, ratio: float, out: np.ndarray, lo: float,
                 span: float) -> np.ndarray:
-    """_minmax_into's normalization with the extremes given: ((values - lo) / span)
-    * ratio into `out`, which may be `values`, or values - lo where span is 0.
-    _minmax_into keeps its own copy: the call would cost the shortlist, which
-    makes two a placement, some 0.3 µs."""
+    """((values - lo) / span) * ratio into `out`, which may be `values`, or
+    values - lo where span is 0: a constant column then gives exact zeros."""
     np.subtract(values, lo, out=out)
     if span != 0.0:
         out /= span

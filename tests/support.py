@@ -51,7 +51,9 @@ class ColumnSource:
     VMs, weight_greedy's term rows from that tail, as the engine's block does,
     and the VMs before `far_start` within a radius of the origin, found by
     brute force: `terms` is (the task's input bits, the engine's hook), set by
-    far_term_source. Without a far set there is no far read."""
+    far_term_source, and `near_radius` the first radius weight_greedy asks
+    `near` for, None to leave busy origins on the full path. Without a far
+    set there is no far read."""
 
     def __init__(self, column, far_start: int | None = None):
         self._column = np.asarray(column, dtype=np.float64)
@@ -59,6 +61,7 @@ class ColumnSource:
         self.far_start = far_start
         self.reads: list = []
         self.terms = None
+        self.near_radius = None
 
     def column(self) -> np.ndarray:
         if not self._filled:

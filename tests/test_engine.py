@@ -488,16 +488,16 @@ def test_near_finds_every_first_block_vm_within_the_radius(mist):
     cfg = parse_config(f"constellation.mist={mist}\ntask.rate_per_min=0\n")
     geometry = engine.Geometry(cfg.constellation)
     far = engine._far_set(geometry)
-    assert far.start == mist and far.near_radius == 2.0 * geometry.near.spacing
     rng = random.Random(mist)
     tasks = [heavy_task(k, rng.randrange(mist), rng.uniform(0.0, 600.0)) for k in range(150)]
     distances = engine._Distances(geometry.positions, tasks, far, near=geometry.near)
+    assert far.start == mist and distances.near_radius == 2.0 * geometry.near.spacing
     found = 0
     for k, task in enumerate(tasks):
         distances.at(k)
         column = _column_alone(geometry.positions, task.origin_satellite, task.created_at)[:mist]
         some = float(column[rng.randrange(mist)])
-        for r in (rng.uniform(0.0, 4e6), some, float(np.nextafter(some, 0.0)), far.near_radius,
+        for r in (rng.uniform(0.0, 4e6), some, float(np.nextafter(some, 0.0)), distances.near_radius,
                   0.0, -1.0):
             ids, d = distances.near(r)
             assert set(np.flatnonzero(column <= r).tolist()) <= set(ids), (k, r)
@@ -509,15 +509,20 @@ def test_near_finds_every_first_block_vm_within_the_radius(mist):
 
 
 def test_near_query_only_for_walker_phasing_with_a_far_set():
-    walker = engine.Geometry(parse_config("task.rate_per_min=0\n").constellation)
-    assert walker.near is not None and engine._far_set(walker).near_radius > 0.0
-    # random_uniform gives every satellite a plane of its own
-    scattered = engine.Geometry(parse_config(
-        "constellation.phasing=random_uniform\ntask.rate_per_min=0\n").constellation)
-    assert scattered.near is None and engine._far_set(scattered).near_radius is None
-    one_layer = engine.Geometry(parse_config(
-        "constellation.edge_dc=0\nconstellation.cloud=0\n").constellation)
-    assert one_layer.near is None and engine._far_set(one_layer) is None
+    # the run's source asks its first neighbour query at two slot spacings; random_uniform
+    # gives every satellite a plane of its own, and a single layer has no far set
+    radii = {}
+    for name, text in (("walker", ""), ("scattered", "constellation.phasing=random_uniform\n"),
+                       ("one_layer", "constellation.edge_dc=0\nconstellation.cloud=0\n")):
+        cfg = parse_config(text + "task.rate_per_min=0\n")
+        geometry = engine.Geometry(cfg.constellation)
+        sim = Simulation(cfg, geometry=geometry)
+        assert (geometry.near is None) == (name != "walker")
+        assert (sim._view.far is None) == (name == "one_layer")
+        radii[name] = sim._distances.near_radius
+        if geometry.near is not None:
+            assert radii[name] == 2.0 * geometry.near.spacing > 0.0
+    assert radii["scattered"] is None and radii["one_layer"] is None
 
 
 def _hex(values: np.ndarray) -> list[str]:

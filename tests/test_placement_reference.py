@@ -474,12 +474,12 @@ def far_view(rng: np.random.Generator, local: int, *, busy=False, equal_queues=F
 def far_picks(v, task, arch, radio=DEFAULT_RADIO, near_radius=None):
     """(pick with v's column behind a fresh ColumnSource and a far set, reference
     pick on the same column, the source's reads before the reference: "terms",
-    "near" and/or "fill"). `near_radius` is the far set's: where it is set, a
+    "near" and/or "fill"). `near_radius` is the source's: where it is set, a
     busy origin asks the source's brute-force `near` for VMs near it."""
     v.static_feasible = np.flatnonzero(np.isin(v.layer_codes, [LAYER_CODE[x] for x in arch]))
     v.far = FarSet(1000, CHORD)
-    v.far.near_radius = near_radius
     v.source = source = far_term_source(v, task, arch, radio)
+    source.near_radius = near_radius
     got = weight_greedy(v, task, arch, radio=radio).vm_id
     seen = list(source.reads)
     want = reference_weight_greedy(v, task, arch, radio=radio).vm_id
@@ -706,28 +706,27 @@ def indicator_extrema(d, q, mips, task, radio):
 @pytest.mark.parametrize("radio", RADIOS, ids=["default_radio", "split_radio"])
 def test_weight_greedy_shortlist_extrema_are_the_feasible_sets(monkeypatch, arch, radio):
     # The minimum and maximum each indicator is normalized with on the shortlist,
-    # the scored VMs' with the floor from the first block's longest queue, must be
-    # the whole feasible set's, bit for bit: an extremum that is off need not flip
-    # a pick. The distance's and the energy's are taken per block row by
+    # the scored VMs' with the first block's shortest and longest queues as floors,
+    # must be the whole feasible set's, bit for bit: an extremum that is off need
+    # not flip a pick. The distance's and the energy's are taken per block row by
     # far_terms (_minmax_rows over the scored columns alone), before the placement
-    # normalizes the CPU time and the queue (_minmax_into); test_engine checks the
-    # rows' values. The split radio's energy falls only between one step below its
+    # normalizes the CPU time and the queue by their minimum and span
+    # (_scale_into); test_engine checks the rows' values. The split radio's energy falls only between one step below its
     # crossover (about 91 m) and the crossover, far from these views' extrema at 0 m
     # and beyond the chord, so its refusal is lifted here to check it as well.
     monkeypatch.setattr(orchestrate, "_energy_rises", lambda radio: True)
-    minmax_into, minmax_rows, used = orchestrate._minmax_into, orchestrate._minmax_rows, []
+    scale_into, minmax_rows, used = orchestrate._scale_into, orchestrate._minmax_rows, []
 
-    def recording(values, ratio, out, floor=None):
-        hi = float(values.max()) if floor is None else max(float(values.max()), floor)
-        used.append((float(values.min()).hex(), hi.hex()))
-        return minmax_into(values, ratio, out, floor)
+    def recording(values, ratio, out, lo, span):
+        used.append((float(lo).hex(), float(span).hex()))
+        return scale_into(values, ratio, out, lo, span)
 
     def recording_rows(values, ratio):
         (row,) = values
         used.append((float(row.min()).hex(), float(row.max()).hex()))
         return minmax_rows(values, ratio)
 
-    monkeypatch.setattr(orchestrate, "_minmax_into", recording)
+    monkeypatch.setattr(orchestrate, "_scale_into", recording)
     monkeypatch.setattr(orchestrate, "_minmax_rows", recording_rows)
     rng = np.random.default_rng([37, len(arch), LAYER_CODE[max(arch)], RADIOS.index(radio)])
     checked = raised = 0
@@ -744,9 +743,12 @@ def test_weight_greedy_shortlist_extrema_are_the_feasible_sets(monkeypatch, arch
             assert arch == MIST_ONLY_EDGE
             continue
         feasible = v.static_feasible
-        d, cpu, q, energy = indicator_extrema(v.distances[feasible], v.queue_lens[feasible],
-                                              v.mips[feasible], task, radio)
-        assert used == [d, energy, cpu, q], k
+        d, _, _, energy = indicator_extrema(v.distances[feasible], v.queue_lens[feasible],
+                                            v.mips[feasible], task, radio)
+        q = v.queue_lens[feasible]
+        cpu = (q + 1.0) * task.length_mi / v.mips[feasible]
+        spans = [(float(x.min()).hex(), float(x.max() - x.min()).hex()) for x in (cpu, q)]
+        assert used == [d, energy, *spans], k
         checked += 1
         raised += v.queue_lens[:1000].max() > v.queue_lens[feasible[feasible >= 1000]].max()
     assert checked >= 20 and raised >= 5, (checked, raised)
@@ -777,13 +779,16 @@ def test_weight_greedy_busy_origin_extrema_are_the_feasible_sets(monkeypatch, ar
         used.clear()
         got, want, seen = far_picks(v, task, arch, near_radius=3e4)
         assert got == want
-        if not used:  # without cloud VMs, the largest far distance may miss the chord
+        if "near" not in seen:  # without cloud VMs, the largest far distance may miss the chord
             assert arch == MIST_ONLY_EDGE and seen == ["terms", "fill"]
             continue
         feasible = v.static_feasible
         q = v.queue_lens[feasible]
         cpu = (q + 1.0) * task.length_mi / v.mips[feasible]
-        assert used == [(float(x.min()).hex(), float(x.max() - x.min()).hex()) for x in (cpu, q)], k
+        # the first two; a placement sent on to the column records the full path's too
+        assert used[:2] == [(float(x.min()).hex(), float(x.max() - x.min()).hex())
+                            for x in (cpu, q)], k
+        assert len(used) == (2 if seen[-1] == "near" else 6), k
         checked += 1
         lowered += v.queue_lens[:1000].min() < v.queue_lens[feasible[feasible >= 1000]].min()
     assert checked >= 20 and lowered >= 5, (checked, lowered)
