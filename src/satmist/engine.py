@@ -270,11 +270,16 @@ class _Distances:
 
     Otherwise, with a far set, `far_row` is the distance to the far set's
     satellites, far.start on, from arrival k's row of a block that covers
-    arrivals k to k+B-1 of `tasks`, computed by positions_at on the first
-    read outside the current block; its rows are valid until the next
-    fill. With the hook `terms`, which orchestrate.far_term_hook makes,
-    that pass computes weight_greedy's distance and energy terms from its
-    rows and its tasks' input bits, and `far_terms` reads arrival k's.
+    arrivals k to k+B-1 of `tasks`, computed on the first read outside the
+    current block: the far satellites' coordinates by `far_positions`, an
+    OrbitPositions over them alone whose positions_over takes one cos and
+    sin per distinct angle and arrival (7 angles for the 42 default far
+    satellites), the origins' by positions_at. A 97-arrival block took
+    about 109 µs against 157 µs with the far satellites through
+    positions_at (best of 7 timeit repeats, 2-vCPU host). Its rows are
+    valid until the next fill. With the hook `terms`, which
+    orchestrate.far_term_hook makes, that pass orders each row's enabled
+    columns nearest first, and `far_terms` reads arrival k's row and order.
     With a PlaneQuery `near` over the first block, `near(r)` gives the
     first-block satellites it finds within r of the origin and their
     distances, computed as `pair` computes them, and `near_radius` is the
@@ -287,7 +292,7 @@ class _Distances:
     def __init__(self, positions, tasks: Sequence[Task], far: FarSet | None = None,
                  terms: Callable | None = None, *, reach: np.ndarray | None = None,
                  feasible_terms: Callable | None = None, shared: SetStore | None = None,
-                 near: PlaneQuery | None = None):
+                 near: PlaneQuery | None = None, far_positions: OrbitPositions | None = None):
         n = len(positions)
         self._positions = positions
         self._tasks = tasks
@@ -297,10 +302,11 @@ class _Distances:
         self._orbits = positions._by_satellite if isinstance(positions, OrbitPositions) else None
         self._whole = whole = reach is not None
         self._start = n if far is None else far.start  # the far block's satellites, start on
-        self._far_ids = np.arange(self._start, n)
+        self._far_positions = far_positions
         values, width = (_COLUMN_BLOCK_VALUES, n) if whole else (_BLOCK_VALUES, n - self._start)
         self._block_rows = max(1, values // max(1, width))
-        self._block, self._first = np.empty((0, n - self._start)), 0
+        self._rows = np.empty((self._block_rows, n - self._start))  # the far block's buffer
+        self._block, self._first = self._rows[:0], 0
         self._work = None  # the whole block's buffers, made at its first fill
         self._terms_of, self._terms = terms, None
         self._reach, self._feasible_terms_of, self._shared = reach, feasible_terms, shared
@@ -393,22 +399,24 @@ class _Distances:
 
     def _fill_block(self) -> None:
         """Far rows of arrivals k to k+B-1, by _from_point's operations, elementwise,
-        and their terms when the hook `terms` is set."""
+        into this source's buffer, and their walk order when the hook `terms` is
+        set. The far satellites' coordinates come from `far_positions`, one
+        cos and sin per distinct angle and time, the origins' from positions_at."""
         k = self._k
         tasks = self._tasks[k:k + self._block_rows]
-        origins = np.array([task.origin_satellite for task in tasks])
-        t = np.array([task.created_at for task in tasks])
-        positions_at = self._positions.positions_at
-        origin = positions_at(origins, t)
-        dx, dy, dz = positions_at(self._far_ids, t[:, None])
+        t = [task.created_at for task in tasks]
+        origin = self._positions.positions_at(
+            np.array([task.origin_satellite for task in tasks]), np.array(t))
+        # positions_over's buffers, which it lets callers overwrite
+        dx, dy, dz = self._far_positions.positions_over(t)
         for diff, o in zip((dx, dy, dz), origin):
             diff -= o[:, None]
             diff *= diff
         dx += dy
         dx += dz
-        self._block, self._first = np.sqrt(dx, out=dx), k
+        self._block, self._first = np.sqrt(dx, out=self._rows[:len(tasks)]), k
         if self._terms_of is not None:
-            self._terms = self._terms_of(self._block, [task.input_bits for task in tasks])
+            self._terms = self._terms_of(self._block)
 
     def feasible(self):
         """(indices, distances) of this arrival's feasible VMs: its slice of its
@@ -429,11 +437,11 @@ class _Distances:
         return idx[lo:hi], dn[lo:hi], en[lo:hi]
 
     def far_terms(self):
-        """weight_greedy's (distance terms, energy terms, extremes) for this arrival:
-        its row of what the hook `terms` computed with the block."""
+        """(far row, order) for weight_greedy's shortlist walk: this arrival's
+        far_row and its enabled columns nearest first, which the hook `terms`
+        computed with the block."""
         i = self._block_index()
-        dn, en, extremes = self._terms
-        return dn[i], en[i], extremes[i]
+        return self._tail, self._terms[i]
 
     def far_row(self) -> np.ndarray:
         """column's distances to the far satellites, far.start on, alone: this
@@ -537,14 +545,16 @@ def _orbit_point(row, now: float) -> tuple[float, float, float]:
 
 class Geometry:
     """What one constellation fixes for every run of it: the build_constellation
-    list, the nodes, the orbits and each satellite's layer code, and `near`,
+    list, the nodes, the orbits and each satellite's layer code; `near`,
     a PlaneQuery over the first layer's block where it is a walker_delta
-    shell that other layers follow (None elsewhere).
+    shell that other layers follow (None elsewhere); and `far_positions`,
+    an OrbitPositions over the satellites after that block, which fills
+    the far rows (None where there are none).
 
     sweep.run_sweep builds one per constellation_key and hands it to that
     key's runs. Runs only read it: each keeps its VMs, view, distances,
     blocks of distances and far set to itself, and the geometry refers to
-    none of them. Its OrbitPositions reuses its buffers on every call, so
+    none of them. Its OrbitPositions reuse their buffers on every call, so
     it is not for runs on other threads.
     """
 
@@ -558,11 +568,14 @@ class Geometry:
         self.layer_codes.flags.writeable = False  # every run's view shares it
         # orbit radius of each layer that has satellites
         self.radius = {layer: elements.semi_major_axis_m for layer, elements in self.layered}
-        # the first layer block's planes, where a far set follows it (see _far_set)
+        # the first layer block's planes, and the far satellites' own orbits, where a
+        # far set follows that block (see _far_set)
         first = int(np.count_nonzero(self.layer_codes == self.layer_codes[0]))
+        far = first < len(self.layered)
         self.near = (PlaneQuery(self.positions._by_satellite[:first])
-                     if spec.phasing is Phasing.WALKER_DELTA and first < len(self.layered)
-                     else None)
+                     if spec.phasing is Phasing.WALKER_DELTA and far else None)
+        self.far_positions = (OrbitPositions([elements for _, elements in self.layered[first:]])
+                              if far else None)
 
 
 def _orbit_bounds(config: SimulationConfig, geometry: Geometry):
@@ -592,14 +605,15 @@ def _far_set(geometry: Geometry) -> FarSet | None:
     weight_greedy and trade_off score shortlisted placements on the far
     VMs' block rows (see _Distances) in place of the column, which pays at
     every size: weight_greedy's `select` on its shortlisted placements of
-    a 10 s run, best of 6 repeats each under a timing wrapper, on a 2-vCPU
-    host, took 14-16 µs plus a 2.9 µs block row, its distance and energy
-    terms included, against 33 µs for the full path at 142 VMs, 38 at 342
-    and 54 at 1,042. On a Walker shell the source's neighbour query lets
-    weight_greedy's busy origins score the far row and the first-block VMs
-    near them too: a median of 29 µs a placement at 1,042 VMs against
-    59 µs for the full path (seed 1, 15 s, under a timing wrapper, same
-    host).
+    a 10 s run, best of 3 runs under a timing wrapper, on a 2-vCPU host,
+    took 11-12 µs with its block row and walk order at 142, 342 and 1,042
+    VMs (14-16 µs plus a 2.9 µs block row when it scored every far VM in
+    numpy), against 33 µs for the full path at 142 VMs, 38 at 342 and 54
+    at 1,042. On a Walker shell the source's neighbour query lets
+    weight_greedy's busy origins walk the far row and score the
+    first-block VMs near them too: a median of 25-27 µs a placement at
+    1,042 VMs against 59 µs for the full path (seed 1, 15 s, under a
+    timing wrapper, same host).
     """
     layered, layer_codes = geometry.layered, geometry.layer_codes
     n = len(layered)
@@ -726,7 +740,8 @@ class Simulation:
         view.source = self._distances = _Distances(self.positions, self.tasks, view.far, terms,
                                                    reach=reach, feasible_terms=set_terms,
                                                    shared=set_store,
-                                                   near=None if view.far is None else geometry.near)
+                                                   near=None if view.far is None else geometry.near,
+                                                   far_positions=geometry.far_positions)
         if config.policy is PolicyId.ROUND_ROBIN:
             view.turns = round_robin_turns(view)
         self._layer_weights = {**DEFAULT_TRADEOFF_LAYER_WEIGHTS,

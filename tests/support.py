@@ -48,12 +48,13 @@ class ColumnSource:
     "fill" for the first `column()` call, "row" for `far_row`, "terms" for
     `far_terms` and "near" for `near`. Like the engine's source it serves the
     column, the column's tail from `far_start`, the distances to the far set's
-    VMs, weight_greedy's term rows from that tail, as the engine's block does,
-    and the VMs before `far_start` within a radius of the origin, found by
-    brute force: `terms` is (the task's input bits, the engine's hook), set by
-    far_term_source, and `near_radius` the first radius weight_greedy asks
-    `near` for, None to leave busy origins on the full path. Without a far
-    set there is no far read."""
+    VMs, that tail with weight_greedy's walk order over it, as the engine's
+    block does, and the VMs before `far_start` within a radius of the origin,
+    found by brute force: `terms` is the engine's hook, set by
+    far_term_source, or a function of the tail that gives the order, and
+    `near_radius` the first radius weight_greedy asks `near` for, None to
+    leave busy origins on the full path. Without a far set there is no far
+    read."""
 
     def __init__(self, column, far_start: int | None = None):
         self._column = np.asarray(column, dtype=np.float64)
@@ -76,9 +77,8 @@ class ColumnSource:
 
     def far_terms(self):
         self.reads.append("terms")
-        bits, hook = self.terms
-        dn, en, extremes = hook(self._column[None, self.far_start:], [bits])
-        return dn[0], en[0], extremes[0]
+        row = self._column[self.far_start:]
+        return row, self.terms(row[None])[0]
 
     def near(self, r: float):
         """(indices, distances) of the VMs before `far_start` at most `r` from the origin."""
@@ -88,14 +88,12 @@ class ColumnSource:
         return ids, first[ids].tolist()
 
 
-def far_term_source(view: CandidateView, task, architecture, radio) -> ColumnSource:
+def far_term_source(view: CandidateView, architecture, radio) -> ColumnSource:
     """A ColumnSource over the view's column whose `far_terms` gives the
-    engine's rows for `task`: orchestrate.far_term_hook's function on the
+    engine's row and order: orchestrate.far_term_hook's function on the
     column's far tail. The view must have its far set and static facts."""
     source = ColumnSource(view.distances, view.far.start)
-    hook = far_term_hook(view, architecture, radio)
-    if hook is not None:
-        source.terms = (task.input_bits, hook)
+    source.terms = far_term_hook(view, architecture, radio)
     return source
 
 
@@ -149,9 +147,10 @@ def columns_per_placement(sim):
     it. The reference for the blocks of columns, feasible sets and terms
     that runs checking feasibility per task read; everything else is sim's
     own."""
-    terms, near = sim._distances._terms_of, sim._distances._near
-    sim._distances = sim._view.source = _Distances(sim.positions, sim.tasks, sim._view.far, terms,
-                                                   near=near)
+    own = sim._distances
+    sim._distances = sim._view.source = _Distances(sim.positions, sim.tasks, sim._view.far,
+                                                   own._terms_of, near=own._near,
+                                                   far_positions=own._far_positions)
     sim._view.feasible_sets = False
     return sim
 

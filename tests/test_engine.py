@@ -21,7 +21,7 @@ from satmist.engine import (
 from satmist.errors import ConfigurationError
 from satmist.layers import LAYER_CODE, LAYER_ORDER, Layer
 from satmist.netenergy import rx_energy, tx_energy
-from satmist.orbital import angular_rate_rad_s, build_constellation
+from satmist.orbital import OrbitPositions, Phasing, angular_rate_rad_s, build_constellation
 from satmist.orchestrate import FarSet
 from support import columns_per_placement
 
@@ -451,18 +451,30 @@ def _far_set(sim):
     return sim._view.far or FarSet(5, 0.0)
 
 
+def _far_distances(sim, tasks, far_set):
+    """A _Distances over `tasks` whose far rows, far_set.start on, come from the
+    run's far-only OrbitPositions, or from one built here over those satellites
+    where the run has none; checks that a Walker shell's far satellites share
+    orbit angles, so the rows take fewer cos and sin than satellites."""
+    far_positions = sim._distances._far_positions or OrbitPositions(
+        [e for _, e in build_constellation(sim.config.constellation)][far_set.start:])
+    shared = len(far_positions._rate) < len(far_positions)
+    assert shared == (sim.config.constellation.phasing is Phasing.WALKER_DELTA)
+    return engine._Distances(sim.positions, tasks, far_set, far_positions=far_positions)
+
+
 @pytest.mark.parametrize("make_config", _GEOMETRIES)
 def test_pair_distance_equals_snapshot_bit_for_bit(make_config):
     # pair and to_vm before any read of the placement, including the origin's own
-    # VM; the far satellites' block rows, read in a random arrival order, and
-    # to_vm from them; then the column
+    # VM; the far satellites' block rows, from their own OrbitPositions and read in
+    # a random arrival order, and to_vm from them; then the column
     sim = Simulation(make_config())
     elements = [e for _, e in build_constellation(sim.config.constellation)]
     n, far_set = len(elements), _far_set(sim)
     start = far_set.start
     rng = random.Random(77)
     tasks = [heavy_task(k, rng.randrange(n), rng.uniform(0.0, 600.0)) for k in range(400)]
-    distances = engine._Distances(sim.positions, tasks, far_set)
+    distances = _far_distances(sim, tasks, far_set)
     for k in rng.sample(range(len(tasks)), len(tasks)):
         origin, now, host = tasks[k].origin_satellite, tasks[k].created_at, rng.randrange(n)
         expected = _reference_distances(elements, origin, now)
@@ -537,7 +549,7 @@ def test_every_far_row_equals_the_column_bit_for_bit(make_config):
     sim = Simulation(replace(cfg, duration_s=1.5, task=replace(cfg.task, rate_per_min=20.0)))
     n, far_set = len(sim.positions), _far_set(sim)
     start = far_set.start
-    distances = engine._Distances(sim.positions, sim.tasks, far_set)
+    distances = _far_distances(sim, sim.tasks, far_set)
     rows = distances._block_rows
     if not sim.tasks:  # the cloud-only shell generates none: every satellite originates some
         sim.tasks[:] = [heavy_task(k, k % n, 0.05 * k) for k in range(2 * rows + rows // 2)]
@@ -922,36 +934,37 @@ def test_policies_that_read_no_far_distance_compute_no_block(monkeypatch, policy
     # two edge VMs alone: from some origins and times both lie within the mist chord
     "architecture.layers=mist,edge_dc\nconstellation.edge_dc=2\n",
 ], ids=["every_layer", "no_edge", "no_cloud"])
-def test_far_term_rows_equal_minmax_on_the_scored_set(text):
-    # every arrival's distance and energy terms, read in order as the engine reads
-    # them (rows 0, B-1 and B of each block and the last, partial block), against
-    # _minmax_into on that placement's scored set: the origin and the enabled far
-    # VMs, with its own task's input bits, 0 among them; and the set's largest
-    # distance and extreme energies
+def test_far_term_orders_walk_the_enabled_far_row_nearest_first(text):
+    # every arrival's far row and walk order, read in order as the engine reads
+    # them (rows 0, B-1 and B of each block and the last, partial block): the row
+    # is the column's far tail, bit for bit, and the order holds each enabled far
+    # column once, nearest first, so its last is the largest enabled distance
     cfg = parse_config("constellation.mist=100\npolicy.name=weight_greedy\n" + text)
     rng = random.Random(41)
     rows = engine._BLOCK_VALUES // (len(build_constellation(cfg.constellation)) - 100)
     times = sorted(rng.uniform(0.0, 600.0) for _ in range(2 * rows + rows // 2))
-    bits = (0.0, 8e6, 1.6e9, 3.3e5, 1.0)
-    tasks = [replace(heavy_task(k, rng.randrange(100), t), input_bits=rng.choice(bits))
-             for k, t in enumerate(times)]
+    tasks = [heavy_task(k, rng.randrange(100), t) for k, t in enumerate(times)]
     sim = Simulation(cfg, tasks=tasks)
-    distances, far, radio = sim._distances, sim._view.far, cfg.radio
+    distances, far = sim._distances, sim._view.far
     assert distances._block_rows == rows
     enabled = [LAYER_CODE[layer] for layer in cfg.architecture]
-    scored = np.concatenate(([True], np.isin(sim._view.layer_codes[far.start:], enabled)))
-    assert far.ids[1:].tolist() == (np.flatnonzero(scored[1:]) + far.start).tolist()
+    codes = sim._view.layer_codes
+    columns = np.flatnonzero(np.isin(codes[far.start:], enabled))
+    ends = far.runs.tolist() + [len(codes)]
+    assert ends[:2] == [0, far.start] and ends == sorted(set(ends))
+    runs = [(ends[k], ends[k + 1]) for k, _ in far.layers]
+    assert [vm for lo, hi in runs for vm in range(lo, hi)] == (columns + far.start).tolist()
+    assert all(len(set(codes[lo:hi].tolist())) == 1 for lo, hi in zip(ends, ends[1:]))
     short = 0
-    for k, task in enumerate(tasks):
+    for k in range(len(tasks)):
         distances.at(k)
-        dn, en, extremes = distances.far_terms()
+        row, order = distances.far_terms()
         assert distances._first == k - k % rows
-        d = np.concatenate(([0.0], distances.column()[far.start:]))[scored]
-        energy = np.array([tx_energy(task.input_bits, x, radio) for x in d])
-        assert extremes == (d.max(), energy.min(), energy.max()), k
-        assert _hex(dn) == _hex(orchestrate._minmax_into(d, 6.0, np.empty(d.size))), k
-        assert _hex(en) == _hex(orchestrate._minmax_into(energy, 3.0, energy)), k
-        short += extremes[0] < far.chord
+        assert _hex(row) == _hex(distances.column()[far.start:]), k
+        assert sorted(order) == columns.tolist(), k
+        walked = row[order]
+        assert np.all(walked[:-1] <= walked[1:]) and walked[-1] == row[columns].max(), k
+        short += walked[-1] < far.chord
     assert short < len(tasks) and (short > 0) == ("cloud" not in text), short
 
 

@@ -351,6 +351,36 @@ def test_random_vm_consumes_exactly_one_draw():
     assert rng.draws == 1
 
 
+def test_random_vm_draw_table_picks_as_the_scan_on_static_views():
+    # Under static feasibility each draw's pick is read from a table made once for
+    # the view. The same candidates with feasibility checked per call, scanned
+    # forward from the draw, and the oracle pick alike, draw for draw, one draw a
+    # call, with disabled layers among them; every layer disabled raises after
+    # the draw on both paths.
+    rng = random.Random(2027)
+    empty = 0
+    for _ in range(150):
+        cands = random_candidates(rng, n=rng.randint(1, 30), feasible_bias=1.0)
+        arch = random_architecture(rng)
+        tabled, scanned = view(cands), view(cands)
+        tabled.static_feasible = np.array(
+            [i for i, c in enumerate(cands) if c.host_layer in arch], dtype=np.intp)
+        seed = rng.randint(0, 10_000)
+        rng_t, rng_s, drawn = CountingRandom(seed), CountingRandom(seed), random.Random(seed)
+        for _ in range(20):
+            index = oracle_random_vm(cands, arch, drawn.randrange(len(cands)))
+            picks = []
+            for v, r in ((tabled, rng_t), (scanned, rng_s)):
+                try:
+                    picks.append(random_vm(v, TASK, arch, r).vm_id)
+                except PlacementError:
+                    picks.append(None)
+            assert picks == [None if index is None else cands[index].vm_id] * 2
+        assert rng_t.draws == rng_s.draws == 20
+        empty += tabled.static_feasible.size == 0
+    assert empty > 0
+
+
 def test_placement_failure_on_empty_list():
     for fn in (distance_only, round_robin, trade_off, weight_greedy):
         with pytest.raises(PlacementError):

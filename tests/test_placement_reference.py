@@ -471,15 +471,18 @@ def far_view(rng: np.random.Generator, local: int, *, busy=False, equal_queues=F
     return v
 
 
-def far_picks(v, task, arch, radio=DEFAULT_RADIO, near_radius=None):
+def far_picks(v, task, arch, radio=DEFAULT_RADIO, near_radius=None, order=None):
     """(pick with v's column behind a fresh ColumnSource and a far set, reference
     pick on the same column, the source's reads before the reference: "terms",
     "near" and/or "fill"). `near_radius` is the source's: where it is set, a
-    busy origin asks the source's brute-force `near` for VMs near it."""
+    busy origin asks the source's brute-force `near` for VMs near it. `order`,
+    where given, makes the walk order the source gives from the engine's."""
     v.static_feasible = np.flatnonzero(np.isin(v.layer_codes, [LAYER_CODE[x] for x in arch]))
     v.far = FarSet(1000, CHORD)
-    v.source = source = far_term_source(v, task, arch, radio)
+    v.source = source = far_term_source(v, arch, radio)
     source.near_radius = near_radius
+    if order is not None and source.terms is not None:
+        source.terms = lambda rows, hook=source.terms: [order(hook(rows)[0])]
     got = weight_greedy(v, task, arch, radio=radio).vm_id
     seen = list(source.reads)
     want = reference_weight_greedy(v, task, arch, radio=radio).vm_id
@@ -589,6 +592,209 @@ def test_weight_greedy_shortlist_keeps_the_origin_against_a_colocated_vm():
     assert want == v.vm_ids[499]
     assert got == v.vm_ids[500]
     assert seen == ["terms"]
+
+
+def reference_scores(view: CandidateView, task, architecture, radio: RadioParams = DEFAULT_RADIO,
+                     ratios: Sequence[float] = WEIGHT_GREEDY_RATIOS) -> np.ndarray:
+    """reference_weight_greedy's score of every candidate, +inf where infeasible."""
+    idx = _feasible_indices(view, architecture, DEFAULT_LINK)
+    d = view.distances[idx]
+    q = view.queue_lens[idx]
+    cpu = (q + 1.0) * task.length_mi / view.mips[idx]
+    d2 = d * d
+    energy = task.input_bits * np.where(
+        d < radio.crossover_m,
+        radio.e_elec + radio.eps_fs * d2,
+        radio.e_elec + radio.eps_mp * (d2 * d2),
+    )
+    out = np.full(len(view), np.inf)
+    out[idx] = ratios[0] * reference_minmax(d) + ratios[1] * reference_minmax(cpu) \
+        + ratios[2] * reference_minmax(q) + ratios[3] * reference_minmax(energy)
+    return out
+
+
+class Walked(list):
+    """A walk order that counts the entries a walk takes from it in `taken`."""
+
+    taken = 0
+
+    def __iter__(self):
+        for j in super().__iter__():
+            self.taken += 1
+            yield j
+
+
+def tie_view(rng, local, mist_queue, tied, target_of, setup=lambda v: None):
+    """far_view with every mist queue `mist_queue`, every far queue 20 but the
+    idle edge VM `tied`, then `setup` applied, and the tied VM placed at the
+    last distance at which its reference score, its distance term alone (no
+    input bits, and its CPU time and queue the set's minima), equals
+    target_of(reference scores) exactly; (None, task) where no distance gives
+    that score."""
+    v = far_view(rng, local)
+    v.queue_lens[:1000] = mist_queue
+    v.queue_lens[1000:] = 20.0
+    v.queue_lens[tied] = 0.0
+    setup(v)
+    task = TaskInfo(length_mi=20_000.0, input_bits=0.0)
+    v.distances[tied] = R_EDGE - R_MIST  # below the largest distance, as where it ends
+    target = target_of(reference_scores(v, task, ALL))
+    d_hi = v.distances[1000:].max()
+
+    def score(x):
+        return x / d_hi * 6.0
+
+    x = target / 6.0 * d_hi  # about where its distance term reaches the target
+    while score(x) < target:
+        x = np.nextafter(x, np.inf)
+    while score(x) > target:
+        x = np.nextafter(x, 0.0)
+    if score(x) != target:
+        return None, task
+    while score(np.nextafter(x, np.inf)) == target:
+        x = np.nextafter(x, np.inf)
+    v.distances[tied] = x
+    assert reference_scores(v, task, ALL)[tied] == target
+    return v, task
+
+
+def test_weight_greedy_walk_scores_a_far_vm_whose_bound_equals_the_best():
+    # Edge VM 1001, near with queue 1, is the walk's best so far; edge VM 1000,
+    # idle and farther, scores its bound fl(dn + en) alone. At the last distance
+    # where that equals 1001's score exactly it must be scored, and wins the tie
+    # by its lower index; one step farther 1001 wins. Each pick is the reference's.
+    rng = np.random.default_rng(61)
+    checked = 0
+
+    def near_and_busy(v):
+        v.queue_lens[1001] = 1.0
+        v.distances[1001] = rng.uniform(R_EDGE - R_MIST, 3e6)
+
+    for _ in range(20):
+        v, task = tie_view(rng, int(rng.integers(0, 1000)), 5.0, 1000,
+                           lambda scores: scores[1001], near_and_busy)
+        if v is None:
+            continue
+        assert v.distances[1001] < v.distances[1000]
+        got, want, seen = far_picks(v, task, ALL)
+        assert got == want == v.vm_ids[1000] and seen == ["terms"]
+        v.distances[1000] = np.nextafter(v.distances[1000], np.inf)
+        got, want, seen = far_picks(v, task, ALL)
+        assert got == want == v.vm_ids[1001] and seen == ["terms"]
+        checked += 1
+    assert checked >= 10, checked
+
+
+def test_weight_greedy_walk_keeps_the_origin_on_a_far_tie():
+    # Idle edge VM 1005 at the last distance where its score, its distance term
+    # alone, equals the idle origin's exactly: its bound equals the best, so it is
+    # scored, and the tie goes to the origin's lower index, as in the reference;
+    # one step farther the origin wins outright, and some steps nearer 1005 does
+    rng = np.random.default_rng(67)
+    checked = 0
+    for _ in range(30):
+        local = int(rng.integers(0, 1000))
+        v, task = tie_view(rng, local, 1.0, 1005, lambda scores: scores[local])
+        if v is None:
+            continue
+        at = v.distances[1005]
+        for d, winner in ((at, local), (np.nextafter(at, np.inf), local),
+                          (at * (1.0 - 1e-12), 1005)):
+            v.distances[1005] = d
+            got, want, seen = far_picks(v, task, ALL)
+            assert got == want == v.vm_ids[winner] and seen == ["terms"]
+        checked += 1
+    assert checked >= 10, checked
+
+
+@pytest.mark.parametrize("queues", [(0.0, 0.0), (1.0, 0.0)], ids=["tied", "higher_index_wins"])
+def test_weight_greedy_walk_order_among_equal_distances_changes_no_pick(queues):
+    # Edge VMs 1003 and 1010 at one distance, the nearest far one, are walked with
+    # 1010 first: tied, the lower index wins all the same; with 1010's queue the
+    # shorter, 1010 wins
+    rng = np.random.default_rng([71, queues[0] > 0])
+    for _ in range(10):
+        v = far_view(rng, int(rng.integers(0, 1000)))
+        v.queue_lens[:1000] = 5.0
+        v.queue_lens[1000:] = 20.0
+        v.queue_lens[[1003, 1010]] = queues
+        v.distances[[1003, 1010]] = R_EDGE - R_MIST - 1.0
+        swapped = []
+
+        def order(walk):
+            walk.remove(10)  # numpy's sort may have put either first
+            walk.insert(walk.index(3), 10)
+            swapped.append(walk.index(10) < walk.index(3))
+            return walk
+
+        task = random_task(rng)
+        got, want, seen = far_picks(v, task, ALL, order=order)
+        assert swapped == [True] and seen == ["terms"]
+        assert got == want == v.vm_ids[1003 if queues[0] == queues[1] else 1010]
+
+
+@pytest.mark.parametrize("busy", [False, True], ids=["idle_origin", "busy_origin"])
+def test_weight_greedy_walk_stops_at_the_first_bound_above_the_best(busy):
+    # The walk takes the far VMs nearest first and stops at the first whose bound
+    # lies above the best score: every far VM it leaves unscored scores above the
+    # reference's best, and on these views it scores few of the 42
+    rng = np.random.default_rng([73, busy])
+    taken = 0
+    for k in range(30):
+        local = int(rng.integers(0, 1000))
+        v = far_view(rng, local, busy=busy, mist_floor=2 * (k % 2))
+        walks = []
+
+        def order(walk):
+            walks.append(Walked(walk))
+            return walks[-1]
+
+        task = random_task(rng)
+        got, want, seen = far_picks(v, task, ALL, near_radius=3e4 if busy else None,
+                                    order=order)
+        assert got == want and seen[0] == "terms", k
+        (walk,) = walks
+        scores = reference_scores(v, task, ALL)
+        left = [1000 + j for j in list.__iter__(walk)][walk.taken:]
+        assert all(scores[vm] > scores.min() for vm in left), k
+        taken += walk.taken
+    assert taken < 30 * 42 / 4, taken
+
+
+@pytest.mark.parametrize("busy", [False, True], ids=["idle_origin", "busy_origin"])
+@pytest.mark.parametrize("arch", [ALL, MIST_ONLY_CLOUD, MIST_ONLY_EDGE],
+                         ids=["every_layer", "no_edge", "no_cloud"])
+def test_weight_greedy_walk_picks_as_reference_on_the_split_radio(monkeypatch, arch, busy):
+    # The split radio's energy falls only between one step below its crossover
+    # (about 91 m) and the crossover, far below every far distance, so with its
+    # refusal lifted the walk and the busy-origin path score with it as well
+    monkeypatch.setattr(orchestrate, "_energy_rises", lambda radio: True)
+    rng = np.random.default_rng([79, len(arch), LAYER_CODE[max(arch)], busy])
+    walked = 0
+    for k in range(30):
+        v = far_view(rng, int(rng.integers(0, 1000)), busy=busy, mist_floor=2 * (k % 2))
+        got, want, seen = far_picks(v, random_task(rng), arch, radio=SPLIT_RADIO,
+                                    near_radius=3e4 if busy else None)
+        assert got == want, k
+        walked += seen[-1] != "fill"
+    assert walked >= 15, walked
+
+
+@pytest.mark.parametrize("busy", [False, True], ids=["idle_origin", "busy_origin"])
+@pytest.mark.parametrize("spans", ["energy", "energy_and_queue", "energy_queue_and_cpu"])
+def test_weight_greedy_walk_picks_as_reference_with_zero_spans(busy, spans):
+    # no input bits give a zero energy span; equal queues a zero queue span (idle
+    # origins only: a busy one's queue is longer), and equal MIPS as well a zero
+    # CPU span. A zero span leaves v - lo, all zeros, as the full path does
+    rng = np.random.default_rng([83, busy, len(spans)])
+    equal = spans != "energy" and not busy
+    for _ in range(15):
+        v = far_view(rng, int(rng.integers(0, 1000)), busy=busy, equal_queues=equal,
+                     equal_mips=spans == "energy_queue_and_cpu")
+        task = TaskInfo(length_mi=float(rng.choice([20_000.0, 7_777.0])), input_bits=0.0)
+        got, want, seen = far_picks(v, task, ALL, near_radius=3e4 if busy else None)
+        assert got == want
+        assert seen[:1] == ["terms"]
 
 
 # -- weight_greedy's busy-origin path --------------------------------------
@@ -701,33 +907,37 @@ def indicator_extrema(d, q, mips, task, radio):
     return [(float(x.min()).hex(), float(x.max()).hex()) for x in (d, cpu, q, energy)]
 
 
+def record_extremes(monkeypatch) -> list:
+    """A list that gets, at each _shortlist_extremes call, the (min, max) it gives
+    each indicator, in indicator_extrema's order and form; the distance's minimum
+    is the origin's 0 m and its maximum the d_hi it was given."""
+    extremes, used = orchestrate._shortlist_extremes, []
+
+    def recording(view, task, radio, lo, hi, d_hi):
+        out = e_lo, e_hi, c_lo, c_hi, q_min, q_max = extremes(view, task, radio, lo, hi, d_hi)
+        used.append([(float(lo).hex(), float(hi).hex()) for lo, hi in
+                     ((0.0, d_hi), (c_lo, c_hi), (q_min, q_max), (e_lo, e_hi))])
+        return out
+
+    monkeypatch.setattr(orchestrate, "_shortlist_extremes", recording)
+    return used
+
+
 @pytest.mark.parametrize("arch", [ALL, MIST_ONLY_CLOUD, MIST_ONLY_EDGE],
                          ids=["every_layer", "no_edge", "no_cloud"])
 @pytest.mark.parametrize("radio", RADIOS, ids=["default_radio", "split_radio"])
 def test_weight_greedy_shortlist_extrema_are_the_feasible_sets(monkeypatch, arch, radio):
     # The minimum and maximum each indicator is normalized with on the shortlist,
-    # the scored VMs' with the first block's shortest and longest queues as floors,
-    # must be the whole feasible set's, bit for bit: an extremum that is off need
-    # not flip a pick. The distance's and the energy's are taken per block row by
-    # far_terms (_minmax_rows over the scored columns alone), before the placement
-    # normalizes the CPU time and the queue by their minimum and span
-    # (_scale_into); test_engine checks the rows' values. The split radio's energy falls only between one step below its
-    # crossover (about 91 m) and the crossover, far from these views' extrema at 0 m
-    # and beyond the chord, so its refusal is lifted here to check it as well.
+    # taken from the origin's 0 m, the largest enabled far distance, each enabled
+    # far layer's shortest and longest queues and the first block's, with no
+    # pass over the candidates, must be the whole feasible set's, bit for bit: an
+    # extremum that is off need not flip a pick. test_engine checks the far rows'
+    # order and largest distance. The split radio's energy falls only between one
+    # step below its crossover (about 91 m) and the crossover, far from these
+    # views' extrema at 0 m and beyond the chord, so its refusal is lifted here to
+    # check it as well.
     monkeypatch.setattr(orchestrate, "_energy_rises", lambda radio: True)
-    scale_into, minmax_rows, used = orchestrate._scale_into, orchestrate._minmax_rows, []
-
-    def recording(values, ratio, out, lo, span):
-        used.append((float(lo).hex(), float(span).hex()))
-        return scale_into(values, ratio, out, lo, span)
-
-    def recording_rows(values, ratio):
-        (row,) = values
-        used.append((float(row.min()).hex(), float(row.max()).hex()))
-        return minmax_rows(values, ratio)
-
-    monkeypatch.setattr(orchestrate, "_scale_into", recording)
-    monkeypatch.setattr(orchestrate, "_minmax_rows", recording_rows)
+    used = record_extremes(monkeypatch)
     rng = np.random.default_rng([37, len(arch), LAYER_CODE[max(arch)], RADIOS.index(radio)])
     checked = raised = 0
     for k in range(40):
@@ -743,12 +953,8 @@ def test_weight_greedy_shortlist_extrema_are_the_feasible_sets(monkeypatch, arch
             assert arch == MIST_ONLY_EDGE
             continue
         feasible = v.static_feasible
-        d, _, _, energy = indicator_extrema(v.distances[feasible], v.queue_lens[feasible],
-                                            v.mips[feasible], task, radio)
-        q = v.queue_lens[feasible]
-        cpu = (q + 1.0) * task.length_mi / v.mips[feasible]
-        spans = [(float(x.min()).hex(), float(x.max() - x.min()).hex()) for x in (cpu, q)]
-        assert used == [d, energy, *spans], k
+        assert used == [indicator_extrema(v.distances[feasible], v.queue_lens[feasible],
+                                          v.mips[feasible], task, radio)], k
         checked += 1
         raised += v.queue_lens[:1000].max() > v.queue_lens[feasible[feasible >= 1000]].max()
     assert checked >= 20 and raised >= 5, (checked, raised)
@@ -757,17 +963,16 @@ def test_weight_greedy_shortlist_extrema_are_the_feasible_sets(monkeypatch, arch
 @pytest.mark.parametrize("arch", [ALL, MIST_ONLY_CLOUD, MIST_ONLY_EDGE],
                          ids=["every_layer", "no_edge", "no_cloud"])
 def test_weight_greedy_busy_origin_extrema_are_the_feasible_sets(monkeypatch, arch):
-    # The busy-origin path normalizes the CPU time and the queue by the minimum
-    # and span it takes from the origin and far VMs with the first block's
-    # shortest and longest queues as floors; they must be the whole feasible
-    # set's, bit for bit. Long far queues let the block's shortest set the minima.
-    scale_into, used = orchestrate._scale_into, []
-
-    def recording(values, ratio, out, lo, span):
-        used.append((float(lo).hex(), float(span).hex()))
-        return scale_into(values, ratio, out, lo, span)
-
-    monkeypatch.setattr(orchestrate, "_scale_into", recording)
+    # The busy-origin path normalizes every indicator by the minimum and maximum
+    # the shortlist takes, the first block's shortest and longest queues among
+    # them; they must be the whole feasible set's, bit for bit. Long far queues
+    # let the block's shortest set the minima. The walk and the near VMs are
+    # scored in Python floats: only a placement sent on to the column
+    # normalizes in numpy, the full path's four indicators.
+    used, scaled = record_extremes(monkeypatch), []
+    scale_into = orchestrate._scale_into
+    monkeypatch.setattr(orchestrate, "_scale_into",
+                        lambda *args: scaled.append(True) or scale_into(*args))
     rng = np.random.default_rng([59, len(arch), LAYER_CODE[max(arch)]])
     checked = lowered = 0
     for k in range(40):
@@ -777,18 +982,16 @@ def test_weight_greedy_busy_origin_extrema_are_the_feasible_sets(monkeypatch, ar
             v.queue_lens[1000:] = rng.integers(9, 20, N - 1000)
         task = random_task(rng)
         used.clear()
+        scaled.clear()
         got, want, seen = far_picks(v, task, arch, near_radius=3e4)
         assert got == want
         if "near" not in seen:  # without cloud VMs, the largest far distance may miss the chord
             assert arch == MIST_ONLY_EDGE and seen == ["terms", "fill"]
             continue
         feasible = v.static_feasible
-        q = v.queue_lens[feasible]
-        cpu = (q + 1.0) * task.length_mi / v.mips[feasible]
-        # the first two; a placement sent on to the column records the full path's too
-        assert used[:2] == [(float(x.min()).hex(), float(x.max() - x.min()).hex())
-                            for x in (cpu, q)], k
-        assert len(used) == (2 if seen[-1] == "near" else 6), k
+        assert used == [indicator_extrema(v.distances[feasible], v.queue_lens[feasible],
+                                          v.mips[feasible], task, DEFAULT_RADIO)], k
+        assert len(scaled) == (0 if seen[-1] == "near" else 4), k
         checked += 1
         lowered += v.queue_lens[:1000].min() < v.queue_lens[feasible[feasible >= 1000]].min()
     assert checked >= 20 and lowered >= 5, (checked, lowered)

@@ -206,6 +206,57 @@ def test_weight_greedy_far_set_changes_no_placement(text, input_bits, eps_mp):
     assert [task.assigned_vm for task in shortlisted.tasks] == [task.assigned_vm for task in full.tasks]
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(8, 120), st.integers(0, 24), st.integers(0, 18),
+       st.sampled_from(["mist", "mist,edge_dc", "mist,cloud", "mist,edge_dc,cloud"]),
+       st.integers(20, 240),
+       st.sampled_from([2_000, 10_000, 100_000]), st.sampled_from([0.0, 8e6, 1.6e9]),
+       st.integers(0, 10_000))
+@example(100, 24, 18, "mist,edge_dc,cloud", 240, 100_000, 0.0, 3)
+def test_weight_greedy_walk_changes_no_placement(mist, edge, cloud, layers, rate, length,
+                                                 input_bits, seed):
+    # Walker shells large enough that busy origins ask for their near VMs and the
+    # walk meets far VMs of both layers: the run with far_term_hook's walk order
+    # (hooked) and the same run with the hook's far layers unset, every placement
+    # on the full path (unhooked), give the same record and picks
+    text = (f"constellation.mist={mist}\nconstellation.edge_dc={edge}\n"
+            f"constellation.cloud={cloud}\n"
+            f"architecture.layers={layers}\npolicy.name=weight_greedy\n"
+            f"task.rate_per_min={rate}\ntask.length_mi={length}\ntask.input_bits={input_bits}\n"
+            f"simulation.duration_s=8\nrng.seed={seed}\n")
+    hooked, unhooked = Simulation(parse_config(text)), Simulation(parse_config(text))
+    if unhooked._view.far is not None:
+        unhooked._view.far.layers = None
+    assert hooked.run() == unhooked.run()
+    assert [task.assigned_vm for task in hooked.tasks] == [task.assigned_vm for task in unhooked.tasks]
+
+
+def _scanned_random_vm(view, task, architecture, rng, *, link):
+    """random_vm as it was before its draw table: the first feasible index at or
+    after the draw, by searchsorted, wrapping to the first."""
+    n = len(view)
+    if n == 0:
+        raise orchestrate.PlacementError("no feasible candidate")
+    drawn = rng.randrange(n)
+    idx = orchestrate._feasible_indices(view, architecture, link)
+    j = int(idx.searchsorted(drawn))
+    return orchestrate.Selection(int(view.vm_ids[idx[j] if j < idx.size else idx[0]]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(config_texts(policies=("random_vm",)).filter(lambda text: "link.range" not in text))
+def test_random_vm_draw_table_changes_no_placement(text):
+    # under static feasibility random_vm reads each draw's pick from its table;
+    # the scan it replaced gives the same record and picks, disabled layers and
+    # runs with no feasible VM among the configs
+    table, scanned = Simulation(parse_config(text)), Simulation(parse_config(text))
+    assert table._view.static_feasible is not None
+    record = table.run()
+    with mock.patch.object(orchestrate, "random_vm", _scanned_random_vm):
+        assert scanned.run() == record
+    assert _outcomes(table) == _outcomes(scanned)
+
+
 # a load that deepens the cloud and edge queues until the idle mist VMs join
 # trade_off's shortlist, so its kept far terms alternate with its numpy path
 HEAVY_TRADE_OFF = (
