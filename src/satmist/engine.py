@@ -5,8 +5,19 @@ and a run is a pure function of its configuration. Every event changes
 some task's state. Of n tasks, task i's arrival has seq i and is read in
 place from the task list, which is in creation order; only in-flight
 events (uploads, executions, downloads) enter a heap, with seqs n, n+1,
-... in push order. The run takes the earlier of the next arrival and the
-heap's first event, the arrival on a time tie, as its seq is the lower.
+... in push order. The event loop takes the earlier of the next arrival
+and the heap's first event, the arrival on a time tie, as its seq is the
+lower. The queue-blind policies (orchestrate.QUEUE_BLIND_POLICIES) read
+no queue, so a run of one without record_events reaches the same record
+and task fields in three phases instead: it places every arrival within
+the horizon in id order; runs each VM's FIFO clock over the tasks that
+reach it within the horizon, in the heap's order, by time, a task placed
+on its origin at its arrival before an upload that ends then, then by
+task id; and handles each completion within the horizon as the loop
+does, as the second phase finds it. Such a run keeps no queue lengths in
+its view. The total energy and the mean end-to-end delay are math.fsum
+sums, exactly rounded, so the order either path charges or finishes in
+leaves them unchanged.
 Satellite i hosts VM i, a FIFO clock whose queue length lives only in
 the candidate view that placement reads. Mist satellites generate tasks
 from Poisson streams seeded by (seed, origin) alone, so the arrivals
@@ -38,6 +49,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import partial
@@ -54,9 +66,9 @@ from .layers import LAYER_CODE, LAYER_ORDER, Layer
 from .netenergy import rx_energy, tx_energy
 from .orbital import (ConstellationSpec, OrbitPositions, Phasing, PlaneQuery, build_constellation,
                       constellation_key)
-from .orchestrate import (DEFAULT_TRADEOFF_LAYER_WEIGHTS, CandidateView, FarSet, PlacementError,
-                          PolicyId, far_term_hook, feasible_terms, reach_row, round_robin_turns,
-                          select, trade_off_term_hook)
+from .orchestrate import (DEFAULT_TRADEOFF_LAYER_WEIGHTS, QUEUE_BLIND_POLICIES, CandidateView,
+                          FarSet, PlacementError, PolicyId, far_term_hook, feasible_terms,
+                          reach_row, round_robin_turns, select, trade_off_term_hook)
 
 
 class TaskState(str, Enum):
@@ -84,7 +96,7 @@ class EventKind(IntEnum):
     SIM_END = 4
 
 
-# Heap entries, in-flight events only, carry the kind as a plain int; Simulation.run
+# Heap entries, in-flight events only, carry the kind as a plain int; the event loop
 # dispatches on it.
 _UPLOAD_COMPLETE = EventKind.UPLOAD_COMPLETE.value
 _EXECUTION_COMPLETE = EventKind.EXECUTION_COMPLETE.value
@@ -637,6 +649,15 @@ class Simulation:
     run() reads arrivals from `tasks` in order; its heap holds in-flight
     events only.
 
+    run() takes the event loop for trade_off and weight_greedy, and for
+    every run with `record_events`, which logs each event to `events`.
+    A run of a queue-blind policy (orchestrate.QUEUE_BLIND_POLICIES)
+    without it takes three phases to the same record and task fields
+    (see _run_phased), and leaves the view's `queue_lens` at zero.
+    `on_transfer` sees each transfer as it is charged: in the event loop
+    in event order, in phases every upload in arrival order, then the
+    downloads in the order their tasks reached their VMs.
+
     `geometry` passes a Geometry built for this config's constellation (a
     different constellation_key raises ConfigurationError), as run_sweep
     does for the runs of one constellation; by default the run builds its
@@ -756,8 +777,10 @@ class Simulation:
         self._heap: list[tuple[float, int, int, int]] = []
         self._seq = len(self.tasks)
 
-        self.total_energy_j = 0.0
-        self._e2e: list[float] = []
+        # each transfer's tx + rx and each success's end-to-end delay, summed by
+        # math.fsum, so the sums do not depend on the order they were charged in
+        self._charges = array("d")
+        self._e2e = array("d")
         self._ran = False
 
     def _push(self, time: float, kind: int, task_id: int) -> None:
@@ -765,9 +788,33 @@ class Simulation:
         self._seq += 1
 
     def run(self) -> metrics_mod.MetricsRecord:
+        """Runs the simulation to the horizon and returns its record.
+
+        A queue-blind policy's run without `record_events` takes three
+        phases (_run_phased); every other run takes the event loop. Either
+        way each event at the horizon itself is processed, each task keeps
+        the state the horizon leaves it in, and a queued task whose service
+        started by the horizon is counted as executing."""
         if self._ran:
             raise RuntimeError("Simulation.run() is single use")
         self._ran = True
+        if self.config.policy in QUEUE_BLIND_POLICIES and not self.record_events:
+            self._run_phased()
+        else:
+            self._run_events()
+        duration = self.config.duration_s
+        for task in self.tasks:
+            # a queued task started when its predecessor's EXECUTION_COMPLETE,
+            # at exactly its service_start_s, was processed
+            if task.state is TaskState.QUEUED and task.service_start_s <= duration:
+                task.state = TaskState.EXECUTING
+        if self.record_events:
+            self.events.append(Event(duration, self._seq, EventKind.SIM_END, -1))
+        return self._build_record()
+
+    def _run_events(self) -> None:
+        """The event loop: arrivals in order from the task list, in-flight events
+        from the heap, each at its (time, seq), to the horizon."""
         duration = self.config.duration_s
         heap, tasks, pop = self._heap, self.tasks, heapq.heappop
         on_task_generated = self.on_task_generated
@@ -793,49 +840,62 @@ class Simulation:
             if events is not None:
                 events.append(Event(time, seq, EventKind(kind), task_id))
             handlers[kind](tasks[task_id], time)
+
+    def _run_phased(self) -> None:
+        """The event loop's outcome for a queue-blind policy, in three phases.
+
+        Such a policy's pick depends on the arrivals, the geometry, the
+        `assigned` counts and one draw of its RNG, never on a queue, so:
+        1. every arrival within the horizon is placed in id order, and a
+           remote one's upload charged;
+        2. each VM takes the tasks that reach it within the horizon in the
+           event loop's (time, seq) order: by time, a task placed on its origin
+           at its arrival (seq = its id, below n) before an upload that ends
+           then (ordered as n + id, as uploads are pushed in arrival order);
+        3. each completion within the horizon is handled as the event loop
+           handles it: the download, or the mobility failure, then the
+           deadline check if the download ends within the horizon.
+        Phase 3 reads only its own task, so it runs as phase 2 finds each
+        completion. Phase 2's keys sit in two flat arrays: a (time, flag, id)
+        tuple per task and a list of completions added about 0.4 MB more to
+        `full_walker`'s peak memory.
+        """
+        duration = self.config.duration_s
+        place, upload, start, download = self._place, self._upload, self._start, self._download
+        on_download_complete = self.on_download_complete
+        tasks, vms, n = self.tasks, self.vms, len(self.tasks)
+        times, seqs = array("d"), array("q")  # each placed task's reach of its VM
         for task in tasks:
-            # a queued task started when its predecessor's EXECUTION_COMPLETE,
-            # at exactly its service_start_s, was processed
-            if task.state is TaskState.QUEUED and task.service_start_s <= duration:
-                task.state = TaskState.EXECUTING
-        if events is not None:
-            events.append(Event(duration, self._seq, EventKind.SIM_END, -1))
-        return self._build_record()
+            now = task.created_at
+            if not now <= duration:
+                break
+            vm_index = place(task, now)
+            if vm_index == task.origin_satellite:
+                times.append(now)
+                seqs.append(task.id)
+            elif vm_index >= 0:
+                times.append(upload(task, vm_index, now))
+                seqs.append(n + task.id)
+        times, seqs = np.frombuffer(times), np.frombuffer(seqs, dtype=np.int64)
+        order = np.lexsort((seqs, times))
+        for now, seq in zip(times[order].tolist(), seqs[order].tolist()):
+            if now > duration:
+                break
+            task = tasks[seq % n]
+            completion = start(task, vms[task.assigned_vm], now)
+            if completion <= duration:
+                end = download(task, completion)
+                if end is not None and end <= duration:
+                    on_download_complete(task, end)
 
     # -- event handlers -------------------------------------------------
 
     def on_task_generated(self, task: Task, now: float) -> None:
-        origin = task.origin_satellite
-        view = self._view
-        view.local = origin
-        self._distances.at(task.id)
-        try:
-            sel = select(
-                self.config.policy,
-                view,
-                task,
-                self.config.architecture,
-                rng=self._policy_rng,
-                link=self.config.link,
-                radio=self.config.radio,
-                layer_weights=self._layer_weights,
-            )
-        except PlacementError:
-            self._fail(task, FailureCause.NO_DESTINATION, now)
-            return
-        vm_index = sel.vm_id
-        view.assigned[vm_index] += 1
-        task.assigned_vm = vm_index
-        if vm_index == origin:
+        vm_index = self._place(task, now)
+        if vm_index == task.origin_satellite:
             self._enqueue(task, self.vms[vm_index], now)
-            return
-        d = self._distances.to_vm(vm_index)
-        bits = task.input_bits
-        self._charge_transfer(task, bits, d)
-        task.state = TaskState.UPLOADING
-        link = self.config.link
-        self._push(now + (bits / link.bandwidth_bps + d / link.propagation_speed_mps),
-                   _UPLOAD_COMPLETE, task.id)
+        elif vm_index >= 0:
+            self._push(self._upload(task, vm_index, now), _UPLOAD_COMPLETE, task.id)
 
     def on_upload_complete(self, task: Task, now: float) -> None:
         self._enqueue(task, self.vms[task.assigned_vm], now)
@@ -848,21 +908,9 @@ class Simulation:
         self._view.queue_lens[vm_index] -= 1.0
         if self._on_queue is not None:
             self._on_queue(vm_index)
-        origin = task.origin_satellite
-        if vm_index == origin:
-            task.state = TaskState.DOWNLOADING
-            self._push(now, _DOWNLOAD_COMPLETE, task.id)
-            return
-        d = self._distances.pair(origin, vm_index, now)
-        link = self.config.link
-        if d > link.range_by_layer[self.vms[vm_index].host_layer]:
-            self._fail(task, FailureCause.MOBILITY, now)
-            return
-        bits = task.output_bits
-        self._charge_transfer(task, bits, d)
-        task.state = TaskState.DOWNLOADING
-        self._push(now + (bits / link.bandwidth_bps + d / link.propagation_speed_mps),
-                   _DOWNLOAD_COMPLETE, task.id)
+        end = self._download(task, now)
+        if end is not None:
+            self._push(end, _DOWNLOAD_COMPLETE, task.id)
 
     def on_download_complete(self, task: Task, now: float) -> None:
         task.finished_at = now
@@ -880,22 +928,73 @@ class Simulation:
 
     # -- internals -------------------------------------------------------
 
+    def _place(self, task: Task, now: float) -> int:
+        """Places `task`, arriving at `now`, by the module's `select` and counts it
+        on its VM; returns the VM's index, or -1 after failing the task with
+        NO_DESTINATION."""
+        view = self._view
+        view.local = task.origin_satellite
+        self._distances.at(task.id)
+        config = self.config
+        try:
+            vm_index = select(config.policy, view, task, config.architecture,
+                              rng=self._policy_rng, link=config.link, radio=config.radio,
+                              layer_weights=self._layer_weights).vm_id
+        except PlacementError:
+            self._fail(task, FailureCause.NO_DESTINATION, now)
+            return -1
+        view.assigned[vm_index] += 1
+        task.assigned_vm = vm_index
+        return vm_index
+
+    def _upload(self, task: Task, vm_index: int, now: float) -> float:
+        """Charges the upload of `task`, placed at `now` on VM `vm_index` off its
+        origin, and returns the upload's end."""
+        d = self._distances.to_vm(vm_index)
+        bits = task.input_bits
+        self._charge_transfer(task, bits, d)
+        task.state = TaskState.UPLOADING
+        link = self.config.link
+        return now + (bits / link.bandwidth_bps + d / link.propagation_speed_mps)
+
+    def _start(self, task: Task, vm: Vm, now: float) -> float:
+        """Queues the task on `vm` at `now` and returns its completion time."""
+        starts_now = vm.busy_until <= now
+        task.service_start_s = now if starts_now else vm.busy_until
+        task.state = TaskState.EXECUTING if starts_now else TaskState.QUEUED
+        return vm.enqueue(now, task.length_mi / vm.mips, self.config.duration_s)
+
     def _enqueue(self, task: Task, vm: Vm, now: float) -> None:
         """Queues the task on `vm` and schedules its completion; a queue change,
         so trade_off's kept term of the VM is updated."""
-        starts_now = vm.busy_until <= now
-        task.service_start_s = now if starts_now else vm.busy_until
-        completion = vm.enqueue(now, task.length_mi / vm.mips, self.config.duration_s)
-        task.state = TaskState.EXECUTING if starts_now else TaskState.QUEUED
+        completion = self._start(task, vm, now)
         self._view.queue_lens[vm.id] += 1.0
         if self._on_queue is not None:
             self._on_queue(vm.id)
         self._push(completion, _EXECUTION_COMPLETE, task.id)
 
+    def _download(self, task: Task, now: float) -> float | None:
+        """Starts the download of `task`'s output at `now`, its execution's end,
+        and returns the download's end: `now` on the origin's own VM; None after
+        failing the task with MOBILITY when its host has left the origin's range."""
+        vm_index, origin = task.assigned_vm, task.origin_satellite
+        if vm_index == origin:
+            task.state = TaskState.DOWNLOADING
+            return now
+        d = self._distances.pair(origin, vm_index, now)
+        link = self.config.link
+        if d > link.range_by_layer[self.vms[vm_index].host_layer]:
+            self._fail(task, FailureCause.MOBILITY, now)
+            return None
+        bits = task.output_bits
+        self._charge_transfer(task, bits, d)
+        task.state = TaskState.DOWNLOADING
+        return now + (bits / link.bandwidth_bps + d / link.propagation_speed_mps)
+
     def _charge_transfer(self, task: Task, bits: float, distance_m: float) -> None:
         tx = tx_energy(bits, distance_m, self.config.radio)
         rx = rx_energy(bits, self.config.radio)
-        self.total_energy_j += tx + rx
+        self._charges.append(tx + rx)
         if self.on_transfer is not None:
             self.on_transfer(task.id, bits, distance_m, tx, rx)
 
@@ -920,6 +1019,7 @@ class Simulation:
         assigned, codes = self._view.assigned, self._view.layer_codes
         per_layer = {layer: int(assigned[codes == LAYER_CODE[layer]].sum()) for layer in Layer}
         unfinished = generated - succeeded - failed_deadline - failed_mobility - failed_no_dest
+        total_energy_j = math.fsum(self._charges)
         return metrics_mod.MetricsRecord(
             policy=self.config.policy,
             satellite_count=self.config.constellation.mist,
@@ -932,8 +1032,8 @@ class Simulation:
             unfinished=unfinished,
             success_rate_pct=metrics_mod.success_rate(succeeded, generated, unfinished),
             avg_e2e_s=metrics_mod.avg_e2e(self._e2e),
-            total_energy_j=self.total_energy_j,
-            total_energy_db=metrics_mod.energy_db_or_neg_inf(self.total_energy_j),
+            total_energy_j=total_energy_j,
+            total_energy_db=metrics_mod.energy_db_or_neg_inf(total_energy_j),
             avg_vm_cpu_pct=metrics_mod.avg_cpu(self.vms, self.config.duration_s),
             per_layer_task_counts=per_layer,
         )

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -76,10 +77,11 @@ def success_rate(succeeded: int, generated: int, unfinished: int) -> float | Non
 
 
 def avg_e2e(latencies: Sequence[float]) -> float | None:
-    """Mean end-to-end latency of succeeded tasks; None for an empty run."""
+    """Mean end-to-end latency of succeeded tasks, summed by math.fsum, so in
+    any order to the same bits; None for an empty run."""
     if not latencies:
         return None
-    return sum(latencies) / len(latencies)
+    return math.fsum(latencies) / len(latencies)
 
 
 def avg_cpu(vms: Sequence[Vm], sim_duration_s: float) -> float:

@@ -37,6 +37,13 @@ class PolicyId(str, Enum):
         return self.value
 
 
+QUEUE_BLIND_POLICIES = frozenset({PolicyId.DISTANCE_ONLY, PolicyId.ROUND_ROBIN, PolicyId.RANDOM_VM})
+"""The policies that never read `queue_lens`: each pick depends on the task's
+origin and arrival time, the geometry, the `assigned` counts and at most one
+draw of the RNG, so a run can place every task before it queues any, as
+engine.Simulation does for these policies."""
+
+
 @dataclass(frozen=True)
 class Selection:
     """The chosen VM."""

@@ -23,7 +23,7 @@ from satmist.layers import LAYER_CODE, LAYER_ORDER, Layer
 from satmist.netenergy import rx_energy, tx_energy
 from satmist.orbital import OrbitPositions, Phasing, angular_rate_rad_s, build_constellation
 from satmist.orchestrate import FarSet
-from support import columns_per_placement
+from support import columns_per_placement, run_single_heap
 
 
 class StaticPositions:
@@ -242,8 +242,8 @@ def test_energy_matches_per_transfer_recorder():
     transfers = []
     sim = Simulation(cfg, on_transfer=lambda *args: transfers.append(args))
     record = sim.run()
-    total = sum(tx + rx for _, _, _, tx, rx in transfers)
-    assert record.total_energy_j == pytest.approx(total, rel=1e-12)
+    # the exactly rounded sum of every transfer's charge, in whatever order charged
+    assert record.total_energy_j == math.fsum(tx + rx for _, _, _, tx, rx in transfers)
     assert transfers, "expected remote transfers under round_robin"
     for _, bits, d, tx, rx in transfers:
         assert tx == tx_energy(bits, d)
@@ -1286,7 +1286,7 @@ def test_geometry_of_another_constellation_is_refused():
                geometry=engine.Geometry(walker.constellation)).run()
 
 
-@pytest.mark.parametrize("policy", ["random_vm", "weight_greedy"])
+@pytest.mark.parametrize("policy", ["distance_only", "round_robin", "random_vm", "weight_greedy"])
 def test_recording_events_changes_no_result(policy):
     # short ranges and random phasing: uploads, downloads, mobility and no-destination failures
     cfg = parse_config(
@@ -1294,9 +1294,13 @@ def test_recording_events_changes_no_result(policy):
         "link.range_mist_m=6e6\nlink.range_edge_m=4e6\nlink.range_cloud_m=12e6\n"
         f"architecture.layers=edge_dc,cloud\npolicy.name={policy}\n"
     )
+    # a queue-blind policy's plain run takes the phased path, its recorded run the
+    # event loop; each of the others takes the event loop both times
     plain, recorded = Simulation(cfg), Simulation(cfg, record_events=True)
     assert plain.run() == recorded.run()
     assert not plain.events
+    phased = plain._seq == len(plain.tasks)  # nothing went through the heap
+    assert phased == (cfg.policy in orchestrate.QUEUE_BLIND_POLICIES)
     assert [repr(astuple(task)) for task in plain.tasks] \
         == [repr(astuple(task)) for task in recorded.tasks]  # repr: nan == nan
     kinds = {event.kind for event in recorded.events}
@@ -1306,3 +1310,121 @@ def test_recording_events_changes_no_result(policy):
     causes = {task.failure_cause for task in recorded.tasks}
     assert FailureCause.NO_DESTINATION in causes
     assert policy != "random_vm" or FailureCause.MOBILITY in causes
+
+
+class _QueueBlindView(orchestrate.CandidateView):
+    """A CandidateView whose `queue_lens` raises on any read."""
+
+    __slots__ = ()
+
+    @property
+    def queue_lens(self):
+        raise AssertionError("a queue-blind policy read queue_lens")
+
+
+@pytest.mark.parametrize("policy", sorted(orchestrate.QUEUE_BLIND_POLICIES))
+@pytest.mark.parametrize("links", ["", "link.range_mist_m=6e6\nlink.range_edge_m=9e6\n"
+                                       "link.range_cloud_m=17e6\nconstellation.phasing=random_uniform\n"])
+@pytest.mark.parametrize("layers", ["mist,edge_dc,cloud", "edge_dc,cloud"])
+def test_queue_blind_policies_pick_alike_without_reading_queues(policy, links, layers):
+    # the phased path rests on these policies never reading a queue: with one that
+    # raises on any read they pick what the event loop, whose queues fill and
+    # drain, has them pick, on static and on per-task feasibility
+    cfg = parse_config(
+        "constellation.mist=30\nsimulation.duration_s=30\ntask.rate_per_min=40\n"
+        f"task.length_mi=200000\n{links}architecture.layers={layers}\npolicy.name={policy}\n")
+    blind, loop = Simulation(cfg), Simulation(cfg)
+    blind._view.__class__ = _QueueBlindView
+    with pytest.raises(AssertionError, match="read queue_lens"):
+        blind._view.queue_lens
+    assert blind.run() == run_single_heap(loop)
+    assert loop._view.queue_lens.any()  # tasks still queue at the horizon
+    assert [task.assigned_vm for task in blind.tasks] == [task.assigned_vm for task in loop.tasks]
+
+
+def _tie_config(duration_s=10.0):
+    # satellite 0 is mist, 1 and 2 edge; only edge VMs take tasks, 4 s each
+    cfg = parse_config(
+        "constellation.mist=1\nconstellation.edge_dc=2\nconstellation.cloud=0\n"
+        "task.rate_per_min=0\nvm.edge_mips=10000\narchitecture.layers=edge_dc\n"
+        "policy.name=distance_only\n")
+    return replace(cfg, duration_s=duration_s)
+
+
+def _tie_task(task_id, origin, created):
+    return Task(task_id, origin, created, 40_000.0, 8e6, 8e5, 60.0)
+
+
+def _both_paths(cfg, tasks, positions):
+    """(phased run, event-loop run) of `tasks` under `cfg`, each run to its record."""
+    phased = Simulation(cfg, tasks=tasks(), positions=positions)
+    loop = Simulation(cfg, tasks=tasks(), positions=positions)
+    assert phased.run() == run_single_heap(loop)
+    assert phased._seq == len(phased.tasks) < loop._seq
+    assert [repr(astuple(task)) for task in phased.tasks] \
+        == [repr(astuple(task)) for task in loop.tasks]  # repr: nan == nan
+    return phased, loop
+
+
+def test_local_arrival_goes_before_an_upload_ending_at_its_time():
+    # task 0 uploads from mist satellite 0 to edge VM 1, 3e6 m away; task 1 arrives
+    # on satellite 1 itself as that upload ends, and is served first
+    link = _tie_config().link
+    upload_end = 0.0 + (8e6 / link.bandwidth_bps + 3e6 / link.propagation_speed_mps)
+    positions = StaticPositions([[0.0, 0.0, 0.0], [3e6, 0.0, 0.0], [9e7, 0.0, 0.0]])
+
+    def tasks():
+        return [_tie_task(0, 0, 0.0), _tie_task(1, 1, upload_end)]
+
+    phased, _ = _both_paths(_tie_config(), tasks, positions)
+    first, second = phased.tasks[1], phased.tasks[0]
+    assert first.assigned_vm == second.assigned_vm == 1
+    assert first.service_start_s == upload_end
+    assert second.service_start_s == upload_end + 4.0
+    download = 8e5 / link.bandwidth_bps + 3e6 / link.propagation_speed_mps
+    assert (first.finished_at, second.finished_at) == (upload_end + 4.0,
+                                                       upload_end + 8.0 + download)
+    assert first.state is second.state is TaskState.SUCCEEDED
+
+
+def test_uploads_ending_at_one_instant_are_served_in_task_order():
+    # mist origins on either side of edge VM 2, each 3e6 m from it, and equal creation
+    # times: both uploads end together, and the lower task id goes first
+    positions = StaticPositions([[0.0, 0.0, 0.0], [3e6, 0.0, 0.0], [6e6, 0.0, 0.0]])
+    cfg = replace(_tie_config(), constellation=replace(_tie_config().constellation, mist=2,
+                                                       edge_dc=1))
+
+    def tasks():
+        return [_tie_task(0, 1, 0.5), _tie_task(1, 0, 0.5)]
+
+    phased, _ = _both_paths(cfg, tasks, positions)
+    first, second = phased.tasks
+    assert first.assigned_vm == second.assigned_vm == 2
+    assert second.service_start_s == first.service_start_s + 4.0
+    assert first.state is second.state is TaskState.SUCCEEDED
+
+
+@pytest.mark.parametrize("at", ["upload_end", "completion", "remote_completion", "download_end"])
+def test_events_at_the_horizon_are_processed_alike_on_both_paths(at):
+    # the horizon falls exactly on one of the local-arrival tie's events
+    link = _tie_config().link
+    upload_end = 0.0 + (8e6 / link.bandwidth_bps + 3e6 / link.propagation_speed_mps)
+    completion = upload_end + 4.0
+    download_end = (completion + 4.0) + (8e5 / link.bandwidth_bps
+                                         + 3e6 / link.propagation_speed_mps)
+    horizon = {"upload_end": upload_end, "completion": completion,
+               "remote_completion": completion + 4.0, "download_end": download_end}[at]
+    positions = StaticPositions([[0.0, 0.0, 0.0], [3e6, 0.0, 0.0], [9e7, 0.0, 0.0]])
+
+    def tasks():
+        return [_tie_task(0, 0, 0.0), _tie_task(1, 1, upload_end)]
+
+    phased, _ = _both_paths(_tie_config(horizon), tasks, positions)
+    local, remote = phased.tasks[1], phased.tasks[0]
+    want = {
+        "upload_end": (TaskState.EXECUTING, TaskState.QUEUED),
+        "completion": (TaskState.SUCCEEDED, TaskState.EXECUTING),
+        "remote_completion": (TaskState.SUCCEEDED, TaskState.DOWNLOADING),
+        "download_end": (TaskState.SUCCEEDED, TaskState.SUCCEEDED),
+    }[at]
+    assert (local.state, remote.state) == want

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -64,6 +65,16 @@ def test_success_rate_rejects_impossible_counts():
 def test_avg_e2e():
     assert avg_e2e([1.0, 2.0, 3.0]) == 2.0
     assert avg_e2e([]) is None
+
+
+def test_avg_e2e_gives_the_same_bits_in_any_order():
+    # left to right, 0.1 + 0.2 + 0.3 rounds to 0.6000000000000001, and 0.3 + 0.2 + 0.1
+    # to 0.6; the mean is of the exactly rounded sum, whatever the order of the delays
+    delays = [0.1, 0.2, 0.3, 1.7, 2.9]
+    orders = list(itertools.permutations(delays))
+    assert sum(delays) != math.fsum(delays)
+    assert len({sum(order) for order in orders}) > 1
+    assert {avg_e2e(order) for order in orders} == {math.fsum(delays) / len(delays)}
 
 
 def test_avg_cpu_counts_idle_vms():

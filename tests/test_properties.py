@@ -19,7 +19,7 @@ from satmist.config import parse_config
 from satmist.engine import EventKind, FailureCause, Simulation, Task, TaskState
 from satmist.layers import Layer
 from satmist.metrics import emit_csv
-from satmist.orchestrate import PolicyId
+from satmist.orchestrate import QUEUE_BLIND_POLICIES, PolicyId
 from support import columns_per_placement, run_single_heap
 
 POLICIES = ("distance_only", "round_robin", "trade_off", "random_vm", "weight_greedy")
@@ -152,6 +152,25 @@ def test_invariants_hold_on_random_configs(text):
         if task.state is TaskState.SUCCEEDED or task.failure_cause is FailureCause.DEADLINE:
             done = task.service_start_s + task.length_mi / sim.vms[task.assigned_vm].mips
             assert task.finished_at >= done
+
+
+@settings(max_examples=60, deadline=None)
+@given(config_texts(policies=tuple(sorted(QUEUE_BLIND_POLICIES))))
+@example(MOBILITY_LOSS)
+@example(NO_DESTINATION[1])
+def test_phased_runs_equal_the_event_loop(text):
+    # a queue-blind policy's run places every task, then runs each VM's queue, then
+    # handles the completions; the event loop gives the same record and every task
+    # the same fields, short horizons, disabled layers and per-task feasibility
+    # among the configs
+    phased, loop = Simulation(parse_config(text)), Simulation(parse_config(text))
+    record = phased.run()
+    assert phased._seq == len(phased.tasks)  # nothing went through the heap
+    assert record == run_single_heap(loop)
+    assert [repr(astuple(task)) for task in phased.tasks] \
+        == [repr(astuple(task)) for task in loop.tasks]  # repr: nan == nan
+    if text == MOBILITY_LOSS:
+        assert record.failed_mobility > 0
 
 
 @settings(max_examples=25, deadline=None)
