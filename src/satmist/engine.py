@@ -310,7 +310,6 @@ class _Distances:
         self._tasks = tasks
         self._column = np.empty(n)
         self._diff = np.empty((3, n))
-        self._acc = np.empty(n)
         self._orbits = positions._by_satellite if isinstance(positions, OrbitPositions) else None
         self._whole = whole = reach is not None
         self._start = n if far is None else far.start  # the far block's satellites, start on
@@ -339,7 +338,7 @@ class _Distances:
         into a buffer the next instant's column overwrites."""
         if not self._filled:
             pos = self._positions.positions_all(self.now).T
-            _from_point(pos[:, self.origin].tolist(), pos, self._diff, self._acc, self._column)
+            _norms(np.subtract(pos, pos[:, self.origin, None], out=self._diff), self._column)
             self._filled = True
         return self._column
 
@@ -383,8 +382,8 @@ class _Distances:
 
     def _fill_whole(self, b: int):
         """(bounds, idx, d) of block b, arrivals bB to bB+B-1: their columns by
-        positions_over at their times, then _from_point's operations,
-        elementwise, each row from its own origin, compared with `reach`."""
+        positions_over at their times, then column's operations, elementwise,
+        each row from its own origin, compared with `reach`."""
         first = b * self._block_rows
         tasks = self._tasks[first:first + self._block_rows]
         m = len(tasks)
@@ -397,10 +396,7 @@ class _Distances:
         # the differences are taken in positions_over's buffer, which it lets callers overwrite
         diff = self._positions.positions_over([task.created_at for task in tasks])
         diff -= diff[:, arrivals[:m], [task.origin_satellite for task in tasks]][:, :, None]
-        diff *= diff
-        np.add(diff[0], diff[1], out=block)
-        block += diff[2]
-        np.sqrt(block, out=block)
+        _norms(diff, block)
         # every row's feasible VMs, row by row in index order, as flat block indices
         np.less_equal(block, self._reach, out=feasible)
         idx = np.flatnonzero(feasible)
@@ -410,7 +406,7 @@ class _Distances:
         return bounds, idx, d
 
     def _fill_block(self) -> None:
-        """Far rows of arrivals k to k+B-1, by _from_point's operations, elementwise,
+        """Far rows of arrivals k to k+B-1, by column's operations, elementwise,
         into this source's buffer, and their walk order when the hook `terms` is
         set. The far satellites' coordinates come from `far_positions`, one
         cos and sin per distinct angle and time, the origins' from positions_at."""
@@ -419,14 +415,11 @@ class _Distances:
         t = [task.created_at for task in tasks]
         origin = self._positions.positions_at(
             np.array([task.origin_satellite for task in tasks]), np.array(t))
-        # positions_over's buffers, which it lets callers overwrite
-        dx, dy, dz = self._far_positions.positions_over(t)
-        for diff, o in zip((dx, dy, dz), origin):
-            diff -= o[:, None]
-            diff *= diff
-        dx += dy
-        dx += dz
-        self._block, self._first = np.sqrt(dx, out=self._rows[:len(tasks)]), k
+        # positions_over's buffer, which it lets callers overwrite
+        diff = self._far_positions.positions_over(t)
+        for row, o in zip(diff, origin):
+            row -= o[:, None]
+        self._block, self._first = _norms(diff, self._rows[:len(tasks)]), k
         if self._terms_of is not None:
             self._terms = self._terms_of(self._block)
 
@@ -500,25 +493,20 @@ class _Distances:
         return ids, distances
 
 
-def _from_point(o, pos: np.ndarray, diff: np.ndarray, acc: np.ndarray, out: np.ndarray) -> None:
-    """Distance from point `o` to each column of the (3, n) `pos`, into `out`.
-
-    Each coordinate row has o's coordinate subtracted as a scalar, and
-    squares are summed as (dx*dx + dy*dy) + dz*dz, the order an (n, 3)
-    np.sum(axis=1) uses.
-    """
-    ox, oy, oz = o
-    np.subtract(pos[0], ox, out=diff[0])
-    np.subtract(pos[1], oy, out=diff[1])
-    np.subtract(pos[2], oz, out=diff[2])
-    np.multiply(diff, diff, out=diff)
-    np.add(diff[0], diff[1], out=acc)
-    acc += diff[2]
-    np.sqrt(acc, out=out)
+def _norms(diff: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The length of each vector whose coordinate differences are diff[0],
+    diff[1] and diff[2], into `out`, which it returns: the squares, taken in
+    `diff` in place, summed as (dx*dx + dy*dy) + dz*dz, the order an (n, 3)
+    np.sum(axis=1) uses, then the square root. Every column, block and far
+    row takes it."""
+    diff *= diff
+    np.add(diff[0], diff[1], out=out)
+    out += diff[2]
+    return np.sqrt(out, out=out)
 
 
 def _apart(o, h) -> float:
-    """Distance between points o and h, squares summed in _from_point's order."""
+    """Distance between points o and h, squares summed in _norms' order."""
     dx, dy, dz = h[0] - o[0], h[1] - o[1], h[2] - o[2]
     return math.sqrt((dx * dx + dy * dy) + dz * dz)
 
@@ -861,7 +849,7 @@ class Simulation:
         `full_walker`'s peak memory.
         """
         duration = self.config.duration_s
-        place, upload, start, download = self._place, self._upload, self._start, self._download
+        place, start, download = self._place, self._start, self._download
         on_download_complete = self.on_download_complete
         tasks, vms, n = self.tasks, self.vms, len(self.tasks)
         times, seqs = array("d"), array("q")  # each placed task's reach of its VM
@@ -869,12 +857,12 @@ class Simulation:
             now = task.created_at
             if not now <= duration:
                 break
-            vm_index = place(task, now)
-            if vm_index == task.origin_satellite:
+            reached = place(task, now)
+            if task.assigned_vm == task.origin_satellite:
                 times.append(now)
                 seqs.append(task.id)
-            elif vm_index >= 0:
-                times.append(upload(task, vm_index, now))
+            elif reached is not None:
+                times.append(reached)
                 seqs.append(n + task.id)
         times, seqs = np.frombuffer(times), np.frombuffer(seqs, dtype=np.int64)
         order = np.lexsort((seqs, times))
@@ -891,11 +879,11 @@ class Simulation:
     # -- event handlers -------------------------------------------------
 
     def on_task_generated(self, task: Task, now: float) -> None:
-        vm_index = self._place(task, now)
-        if vm_index == task.origin_satellite:
-            self._enqueue(task, self.vms[vm_index], now)
-        elif vm_index >= 0:
-            self._push(self._upload(task, vm_index, now), _UPLOAD_COMPLETE, task.id)
+        reached = self._place(task, now)
+        if task.assigned_vm == task.origin_satellite:
+            self._enqueue(task, self.vms[task.assigned_vm], now)
+        elif reached is not None:
+            self._push(reached, _UPLOAD_COMPLETE, task.id)
 
     def on_upload_complete(self, task: Task, now: float) -> None:
         self._enqueue(task, self.vms[task.assigned_vm], now)
@@ -928,10 +916,13 @@ class Simulation:
 
     # -- internals -------------------------------------------------------
 
-    def _place(self, task: Task, now: float) -> int:
-        """Places `task`, arriving at `now`, by the module's `select` and counts it
-        on its VM; returns the VM's index, or -1 after failing the task with
-        NO_DESTINATION."""
+    def _place(self, task: Task, now: float) -> float | None:
+        """Places `task`, arriving at `now`, by the module's `select`, counts it on
+        its VM and, off its origin, charges its upload. Returns the time the task
+        reaches its VM: `now` on the origin's own VM, else the upload's end; None
+        after failing the task with NO_DESTINATION. Callers tell a local task by
+        its `assigned_vm`, not by the time: an upload of no bits over 0 m ends
+        at `now` too."""
         view = self._view
         view.local = task.origin_satellite
         self._distances.at(task.id)
@@ -942,19 +933,16 @@ class Simulation:
                               layer_weights=self._layer_weights).vm_id
         except PlacementError:
             self._fail(task, FailureCause.NO_DESTINATION, now)
-            return -1
+            return None
         view.assigned[vm_index] += 1
         task.assigned_vm = vm_index
-        return vm_index
-
-    def _upload(self, task: Task, vm_index: int, now: float) -> float:
-        """Charges the upload of `task`, placed at `now` on VM `vm_index` off its
-        origin, and returns the upload's end."""
+        if vm_index == task.origin_satellite:
+            return now
         d = self._distances.to_vm(vm_index)
         bits = task.input_bits
         self._charge_transfer(task, bits, d)
         task.state = TaskState.UPLOADING
-        link = self.config.link
+        link = config.link
         return now + (bits / link.bandwidth_bps + d / link.propagation_speed_mps)
 
     def _start(self, task: Task, vm: Vm, now: float) -> float:

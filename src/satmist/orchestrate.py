@@ -8,6 +8,10 @@ lowest candidate index, except that distance_only keeps a task on the
 origin's own VM, and weight_greedy's shortlist for an origin with its
 layer's shortest queue keeps it against a VM of the origin's layer within
 about 5e-9 m of it (see weight_greedy).
+
+A policy takes the fast paths the view's facts allow, and otherwise one
+fallback: an argmin over the feasible set, which _feasible gives with its
+distances, from the source's sets or from the column.
 """
 
 from __future__ import annotations
@@ -94,7 +98,8 @@ class CandidateView:
     - `static_feasible`: sorted indices of the feasible candidates when
       feasibility does not depend on the distances (no enabled candidate
       can be out of range), or None when it must be checked per task.
-    - `max_distance`: a bound no distance in the column exceeds, or None.
+    - `max_distance`: a bound no distance in the column exceeds, or None;
+      only trade_off's kept far terms read it.
     - `far`: a FarSet, the VMs outside the first layer block, whose
       distances `source.far_row` and `source.far_terms` read from one
       row the source keeps per placement, or None.
@@ -151,7 +156,7 @@ class FarSet:
     `c0` no more than any first-block VM's term (+inf when none is
     feasible). trade_off_term_hook sets them and returns the update the
     engine calls at each queue change; None leaves trade_off on its
-    numpy path.
+    fallback, every feasible VM scored in numpy.
     """
 
     __slots__ = ("start", "chord", "runs", "layers", "terms", "c0", "length_mi", "weights")
@@ -204,15 +209,17 @@ def _feasible_indices(view: CandidateView, architecture, link: LinkParams) -> np
     return idx
 
 
-def _pick_min(values: np.ndarray, idx: np.ndarray) -> int:
-    """Index (into the full view) of the feasible minimum, first on ties.
-
-    `idx` is sorted and unique, so when it has every index there is
-    nothing to gather.
-    """
-    if idx.size == values.size:
-        return int(values.argmin())
-    return int(idx[values[idx].argmin()])
+def _feasible(view: CandidateView, architecture, link: LinkParams):
+    """(indices, distances) of the feasible candidates, in index order: the
+    source's set with `feasible_sets`, else _feasible_indices' with the column,
+    whole when every candidate is feasible, else at those indices."""
+    if view.feasible_sets:
+        idx, d = view.source.feasible()
+        if idx.size == 0:
+            raise PlacementError("no feasible candidate")
+        return idx, d
+    idx, d = _feasible_indices(view, architecture, link), view.distances
+    return idx, d if idx.size == d.size else d[idx]
 
 
 def distance_only(view: CandidateView, task, architecture, *,
@@ -222,20 +229,14 @@ def distance_only(view: CandidateView, task, architecture, *,
     The origin's VM is feasible at exactly 0 m, so it is a nearest
     candidate; it also wins the tie against any other VM at 0 m (another
     satellite at a bit-identical position). Other ties go to the lowest
-    index. With `feasible_sets`, the nearest is taken over the distances
-    `source.feasible()` gives, in index order, so the first minimum is the
-    column's.
+    index: the nearest is the first minimum of the distances _feasible
+    gives, in index order.
     """
     local = view.local
     if local >= 0 and _enabled(view, architecture)[local]:
         return Selection(int(view.vm_ids[local]))
-    if view.feasible_sets:
-        idx, d = view.source.feasible()
-        if idx.size == 0:
-            raise PlacementError("no feasible candidate")
-        return Selection(int(view.vm_ids[idx[d.argmin()]]))
-    idx = _feasible_indices(view, architecture, link)
-    return Selection(int(view.vm_ids[_pick_min(view.distances, idx)]))
+    idx, d = _feasible(view, architecture, link)
+    return Selection(int(view.vm_ids[idx.item(d.argmin())]))
 
 
 def round_robin(view: CandidateView, task, architecture, *,
@@ -245,7 +246,7 @@ def round_robin(view: CandidateView, task, architecture, *,
     if view.turns is not None:
         return Selection(next(view.turns))
     idx = _feasible_indices(view, architecture, link)
-    return Selection(int(view.vm_ids[_pick_min(view.assigned, idx)]))
+    return Selection(int(view.vm_ids[idx[view.assigned[idx].argmin()]]))
 
 
 def round_robin_turns(view: CandidateView) -> Iterator[int] | None:
@@ -307,22 +308,22 @@ def trade_off(view: CandidateView, task, architecture, *, link: LinkParams = DEF
     score = layer_weight * (queue_len + 1) * length_mi / vm_mips
             + distance_m / propagation_speed
 
-    With static feasibility and a `max_distance`, only the shortlist with
-    compute term c <= fl(c_min + fl(max_distance / speed)) can win: float
-    division and adding a non-negative value are monotone, so any other
-    scores above the c_min candidate. One shortlisted VM is the pick; a
-    shortlist of `far` VMs alone is scored alone, on the distances of
-    `source.far_row`, by the same two IEEE operations (_far_pick). Any
-    other shortlist reads the column. With `feasible_sets`, the feasible
-    VMs alone are scored, on the distances `source.feasible()` gives with
-    them.
-
     Where trade_off_term_hook keeps the far VMs' compute terms for this
-    task's length and these weights, the shortlist comes from them with
-    no numpy call: with min_far their smallest, every first-block VM's
-    term is at least `far.c0`, so when c0 > fl(min_far + D) none of them
-    joins and c_min is min_far. Otherwise, or without kept terms, the
-    terms of every VM are computed in numpy.
+    task's length and these weights, only the shortlist with compute term
+    c <= fl(c_min + fl(max_distance / speed)) can win: float division and
+    adding a non-negative value are monotone, so any other scores above the
+    c_min candidate. With min_far the far terms' smallest, every first-block
+    VM's term is at least `far.c0`, so when c0 > fl(min_far + D) none of
+    them joins, c_min is min_far, and the shortlist comes from the kept
+    terms with no numpy call. One shortlisted VM is the pick; more are
+    scored on the distances of `source.far_row`, in Python floats, by the
+    same two IEEE operations.
+
+    Otherwise every feasible VM is scored in numpy, on the distances
+    _feasible gives with them. A shortlist there would not pay: on the
+    benchmark workloads and fourteen other configurations (seed 1), each of
+    the 214,757 placements that scored the column would have shortlisted
+    more than one VM, not all of them far.
     """
     speed = link.propagation_speed_mps
     far = view.far
@@ -332,42 +333,20 @@ def trade_off(view: CandidateView, task, architecture, *, link: LinkParams = DEF
         bound = min(terms) + view.max_distance / speed
         if far.c0 > bound:  # no first-block VM can join the shortlist
             cols = [j for j, c in enumerate(terms) if c <= bound]
-            if len(cols) == 1:
-                return Selection(int(view.vm_ids[far.start + cols[0]]))
-            return _far_pick(view, cols, terms, speed)
-    if view.feasible_sets:
-        idx, d = view.source.feasible()
-        if idx.size == 0:
-            raise PlacementError("no feasible candidate")
-    else:
-        idx, d = _feasible_indices(view, architecture, link), None
+            if len(cols) > 1:
+                row = view.source.far_row().tolist()
+                scores = [terms[j] + row[j] / speed for j in cols]
+                cols = [cols[scores.index(min(scores))]]
+            return Selection(int(view.vm_ids[far.start + cols[0]]))
+    idx, d = _feasible(view, architecture, link)
     score = view.queue_lens + 1.0
     score *= _spread(view, "weights", layer_weights, operator.getitem)
     score *= task.length_mi
     score /= view.mips
-    if view.static_feasible is not None and view.max_distance is not None:
-        c = score if idx.size == score.size else score[idx]
-        short = idx[c <= float(c.min()) + view.max_distance / speed]
-        if short.size == 1:
-            return Selection(int(view.vm_ids[short[0]]))
-        if far is not None and short[0] >= far.start:  # short is sorted: every VM is far
-            start = far.start
-            return _far_pick(view, (short - start).tolist(), score[start:].tolist(), speed)
-    if d is not None:
+    if idx.size != score.size:
         score = score[idx]
-        score += d / speed
-        return Selection(int(view.vm_ids[idx[score.argmin()]]))
-    score += view.distances / speed
-    return Selection(int(view.vm_ids[_pick_min(score, idx)]))
-
-
-def _far_pick(view: CandidateView, cols: list[int], terms: list[float], speed: float) -> Selection:
-    """trade_off's pick among the far VMs far.start + j, j in `cols` (ascending):
-    the first minimum of terms[j] + row[j] / speed, row being `source.far_row()`,
-    in Python floats, the numpy path's two IEEE operations."""
-    row = view.source.far_row().tolist()
-    scores = [terms[j] + row[j] / speed for j in cols]
-    return Selection(int(view.vm_ids[view.far.start + cols[scores.index(min(scores))]]))
+    score += d / speed
+    return Selection(int(view.vm_ids[idx.item(score.argmin())]))
 
 
 def trade_off_term_hook(view: CandidateView, layer_weights: Mapping[Layer, float],
@@ -379,7 +358,7 @@ def trade_off_term_hook(view: CandidateView, layer_weights: Mapping[Layer, float
     task or no `max_distance`.
 
     Each term is computed from the view's current queue length by the
-    numpy path's operations in its order, ((q + 1) * w) * length_mi / mips,
+    fallback's operations in its order, ((q + 1) * w) * length_mi / mips,
     in Python floats, which are IEEE doubles as numpy's float64 are; a far
     VM outside the static feasible set keeps +inf. `far.c0` is the smallest
     term of a feasible first-block VM at queue 0, which no queue length
@@ -456,14 +435,14 @@ def weight_greedy(view: CandidateView, task, architecture, *, link: LinkParams =
     origin's 25-27 µs against 29-31 µs; the full path, which busy origins
     take under random_uniform phasing, took 71-79 µs.
 
-    With `feasible_sets`, the distance and energy terms over the feasible
-    set come from the source too (`source.feasible_terms()`), computed for
-    a block of arrivals at once by feasible_terms from the block's
-    feasible distances, and the CPU and queue terms are normalized in
-    numpy (_feasible_pick): every placement is scored over its feasible
-    set, as on the full path, by the same IEEE operations. A walk would
-    score about 29 of the 77 feasible VMs there (`sparse_links`), too many
-    to pay in Python floats.
+    Every other placement takes the full path: the distance and energy
+    terms over the feasible set _feasible gives (_energy_per_bit, then
+    _minmax_into), and then the CPU and queue terms, normalized in numpy,
+    and the sum (_feasible_pick). With `feasible_sets`, the distance and
+    energy terms come from the source instead (`source.feasible_terms()`),
+    computed for a block of arrivals at once by feasible_terms, by the same
+    IEEE operations. A walk would score about 29 of the 77 feasible VMs
+    there (`sparse_links`), too many to pay in Python floats.
     """
     if view.feasible_sets:
         idx, dn, en = view.source.feasible_terms()
@@ -475,45 +454,27 @@ def weight_greedy(view: CandidateView, task, architecture, *, link: LinkParams =
         best = _shortlist_pick(view, task, radio, *short)
         if best >= 0:
             return Selection(int(view.vm_ids[best]))
-    idx = _feasible_indices(view, architecture, link)
-    every = idx.size == len(view)
-    if every:
-        d, q, mips = view.distances, view.queue_lens, view.mips
-    else:
-        d, q, mips = view.distances[idx], view.queue_lens[idx], view.mips[idx]
-    ratios = WEIGHT_GREEDY_RATIOS
-    score = _minmax_into(d, ratios[0], np.empty(d.size))
-    term = _cpu_time(q, task.length_mi, mips)
-    score += _minmax_into(term, ratios[1], term)
-    score += _minmax_into(q, ratios[2], term)
-    d2 = d * d
-    np.multiply(d2, d2, out=term)  # energy: multipath everywhere, then free-space below
-    term *= radio.eps_mp
-    term += radio.e_elec
-    for i in (d < radio.crossover_m).nonzero()[0].tolist():
-        term[i] = radio.e_elec + radio.eps_fs * d2[i]
-    term *= task.input_bits
-    score += _minmax_into(term, ratios[3], term)
-    best = int(score.argmin())
-    return Selection(int(view.vm_ids[best if every else idx[best]]))
-
-
-def _cpu_time(q: np.ndarray, length_mi: float, mips: np.ndarray) -> np.ndarray:
-    """weight_greedy's CPU-time indicator ((q + 1) * length_mi) / mips, in a new array."""
-    term = q + 1.0
-    term *= length_mi
-    term /= mips
-    return term
+    idx, d = _feasible(view, architecture, link)
+    energy = _energy_per_bit(d, radio)
+    energy *= task.input_bits
+    dn = _minmax_into(d, WEIGHT_GREEDY_RATIOS[0])
+    en = _minmax_into(energy, WEIGHT_GREEDY_RATIOS[3], energy)
+    return Selection(int(view.vm_ids[_feasible_pick(view, task, idx, dn, en)]))
 
 
 def _feasible_pick(view: CandidateView, task, idx: np.ndarray, dn: np.ndarray,
                    en: np.ndarray) -> int:
     """weight_greedy's pick, as an index, over the feasible set `idx` with its
-    distance and energy terms `dn` and `en`: the CPU time and the queue
-    normalized over the set, the four terms summed in the full path's order,
-    the first on a tie."""
-    q = view.queue_lens[idx]
-    term = _cpu_time(q, task.length_mi, view.mips[idx])
+    distance and energy terms `dn` and `en`: the CPU time ((q + 1) * length_mi)
+    / mips and the queue normalized over the set, the four terms summed in
+    indicator order, ((dn + cn) + qn) + en, the first on a tie. Where `idx`
+    holds every VM, the queues and MIPS are read whole, not gathered."""
+    q, mips = view.queue_lens, view.mips
+    if idx.size != q.size:
+        q, mips = q[idx], mips[idx]
+    term = q + 1.0
+    term *= task.length_mi
+    term /= mips
     score = dn + _minmax_into(term, WEIGHT_GREEDY_RATIOS[1], term)
     score += _minmax_into(q, WEIGHT_GREEDY_RATIOS[2], term)
     score += en
@@ -562,11 +523,12 @@ def _shortlist_extremes(view: CandidateView, task, radio: RadioParams, lo: list[
     _dominance_shortlist placement, with no pass over its candidates.
 
     The energy rises with the distance (far_term_hook checks it), so its
-    extremes are tx_energy's at 0 m and at d_hi, the values the full path's
-    lines give there. The CPU time ((q + 1) * length) / mips rises with the
-    queue at one MIPS, so over the first block, which holds the origin, or
-    an enabled far run of `far.layers`, its extremes are at the run's
-    shortest and longest queues, lo[k] and hi[k].
+    extremes are tx_energy's at 0 m and at d_hi, the values the full path
+    gives there (_energy_per_bit times the input bits). The CPU time
+    ((q + 1) * length) / mips rises with the queue at one MIPS, so over the
+    first block, which holds the origin, or an enabled far run of
+    `far.layers`, its extremes are at the run's shortest and longest
+    queues, lo[k] and hi[k].
     """
     length, m = task.length_mi, view.mips.item(view.local)  # the first block's one MIPS
     q_min, q_max = lo[0], hi[0]
@@ -710,8 +672,8 @@ def feasible_terms(d: np.ndarray, rows: np.ndarray, bounds: np.ndarray, bits: li
     bounds[i] to bounds[i + 1]. bits[i] is arrival i's task's input bits.
     Returns (dn, en), aligned with `d`: each arrival's entries hold what
     _minmax_into gives the distance (ratio 6) and the energy (ratio 3) over
-    them, by the same IEEE operations, the energy computed as
-    weight_greedy's lines compute it. The extremes are the entries' own, so
+    them, by the same IEEE operations, the energy by _energy_per_bit, as
+    weight_greedy's full path computes it. The extremes are the entries' own, so
     an energy that falls at the crossover needs no check; arrivals with no
     feasible VM have no entries and are left out of the reductions.
     """
@@ -725,16 +687,24 @@ def feasible_terms(d: np.ndarray, rows: np.ndarray, bounds: np.ndarray, bits: li
 
 
 def _energy_per_bit(d: np.ndarray, radio: RadioParams) -> np.ndarray:
-    """Transmit energy per bit at distances `d`, in a new array, as weight_greedy's
-    energy lines compute it: multipath everywhere, then free-space strictly
-    below the crossover."""
+    """Transmit energy per bit at distances `d`, in a new array, by tx_energy's
+    IEEE operations: multipath everywhere, then free-space strictly below the
+    crossover, one distance at a time. weight_greedy's full path and
+    feasible_terms both take it.
+
+    At the default radio only an origin's own 0 m lies below the crossover
+    (88 m). Fixing it alone took about 1.1 µs less at 1,042 distances than
+    the free-space branch in numpy over all of them (timeit, 2-vCPU host),
+    and about the same on a block of 23 feasible sets of 77; a crossover
+    beyond the satellites' spacing would make each distance below it a
+    Python step.
+    """
     d2 = d * d
     energy = d2 * d2
     energy *= radio.eps_mp
     energy += radio.e_elec
-    d2 *= radio.eps_fs
-    d2 += radio.e_elec
-    np.copyto(energy, d2, where=d < radio.crossover_m)
+    for i in (d < radio.crossover_m).nonzero()[0].tolist():
+        energy[i] = radio.e_elec + radio.eps_fs * d2[i]
     return energy
 
 
@@ -764,18 +734,13 @@ def _energy_rises(radio: RadioParams) -> bool:
     return tx_energy(1.0, float(np.nextafter(c, 0.0)), radio) <= tx_energy(1.0, c, radio)
 
 
-def _minmax_into(values: np.ndarray, ratio: float, out: np.ndarray) -> np.ndarray:
-    """_scale_into with the values' own minimum and span: ((values - lo) /
-    (hi - lo)) * ratio into `out`, which may be `values`."""
-    lo = values[values.argmin()]
-    return _scale_into(values, ratio, out, lo, values[values.argmax()] - lo)
-
-
-def _scale_into(values: np.ndarray, ratio: float, out: np.ndarray, lo: float,
-                span: float) -> np.ndarray:
-    """((values - lo) / span) * ratio into `out`, which may be `values`, or
-    values - lo where span is 0: a constant column then gives exact zeros."""
-    np.subtract(values, lo, out=out)
+def _minmax_into(values: np.ndarray, ratio: float, out: np.ndarray | None = None) -> np.ndarray:
+    """((values - lo) / (hi - lo)) * ratio, lo and hi the values' minimum and
+    maximum, into `out`, which may be `values`, or a new array; values - lo,
+    exact zeros, where hi equals lo."""
+    lo = values.item(values.argmin())
+    span = values.item(values.argmax()) - lo
+    out = np.subtract(values, lo, out=out)
     if span != 0.0:
         out /= span
         out *= ratio

@@ -21,7 +21,8 @@ import numpy as np
 from satmist.engine import Event, EventKind, TaskState, _Distances
 from satmist.layers import LAYER_CODE, Layer
 from satmist.metrics import CSV_COLUMNS, MetricsRecord
-from satmist.orchestrate import CandidateView, PolicyId, far_term_hook
+from satmist.netenergy import DEFAULT_RADIO
+from satmist.orchestrate import CandidateView, PolicyId, far_term_hook, feasible_terms, reach_row
 
 
 @dataclass(frozen=True)
@@ -46,15 +47,17 @@ class TaskInfo(NamedTuple):
 class ColumnSource:
     """A view's distance source over a fixed column, logging each read in `reads`:
     "fill" for the first `column()` call, "row" for `far_row`, "terms" for
-    `far_terms` and "near" for `near`. Like the engine's source it serves the
-    column, the column's tail from `far_start`, the distances to the far set's
-    VMs, that tail with weight_greedy's walk order over it, as the engine's
-    block does, and the VMs before `far_start` within a radius of the origin,
-    found by brute force: `terms` is the engine's hook, set by
-    far_term_source, or a function of the tail that gives the order, and
+    `far_terms`, "near" for `near` and "sets" for `feasible` and
+    `feasible_terms`. Like the engine's source it serves the column, the
+    column's tail from `far_start`, the distances to the far set's VMs, that
+    tail with weight_greedy's walk order over it, as the engine's block
+    does, the VMs before `far_start` within a radius of the origin, found
+    by brute force, and the VMs within `reach` with their distances, as the
+    engine's blocks of feasible sets do: `terms` is the engine's hook, set
+    by far_term_source, or a function of the tail that gives the order,
     `near_radius` the first radius weight_greedy asks `near` for, None to
-    leave busy origins on the full path. Without a far set there is no far
-    read."""
+    leave busy origins on the full path, and `reach` and `set_terms` are set
+    by serve_sets. Without a far set there is no far read."""
 
     def __init__(self, column, far_start: int | None = None):
         self._column = np.asarray(column, dtype=np.float64)
@@ -63,6 +66,8 @@ class ColumnSource:
         self.reads: list = []
         self.terms = None
         self.near_radius = None
+        self.reach = None
+        self.set_terms = None
 
     def column(self) -> np.ndarray:
         if not self._filled:
@@ -86,6 +91,31 @@ class ColumnSource:
         first = self._column[:self.far_start]
         ids = np.flatnonzero(first <= r).tolist()
         return ids, first[ids].tolist()
+
+    def feasible(self):
+        """(indices, distances) of the VMs whose column distance is at most `reach`,
+        in index order."""
+        self.reads.append("sets")
+        idx = np.flatnonzero(self._column <= self.reach)
+        return idx, self._column[idx]
+
+    def feasible_terms(self):
+        """feasible()'s indices and weight_greedy's distance and energy terms over
+        them, by `set_terms`."""
+        idx, d = self.feasible()
+        return (idx, *self.set_terms(d))
+
+
+def serve_sets(view: CandidateView, architecture, link, input_bits: float = 0.0,
+               radio=DEFAULT_RADIO) -> None:
+    """Turns `view.feasible_sets` on, its ColumnSource giving each feasible set
+    against reach_row, and weight_greedy's terms over it as the engine's hook
+    computes them for a block of one arrival of `input_bits`."""
+    view.feasible_sets = True
+    source = view.source
+    source.reach = reach_row(view, architecture, link)
+    source.set_terms = lambda d: feasible_terms(d, np.zeros(d.size, dtype=np.intp),
+                                                np.array([0, d.size]), [input_bits], radio)
 
 
 def far_term_source(view: CandidateView, architecture, radio) -> ColumnSource:

@@ -579,12 +579,9 @@ _SHORT_LINKS = "link.range_mist_m=6e6\nlink.range_edge_m=9e6\nlink.range_cloud_m
 
 
 def _column_alone(positions, origin: int, now: float) -> np.ndarray:
-    """The column as a placement computes it alone: positions_all, then _from_point."""
+    """The column as a placement computes it alone: positions_all, then _norms."""
     pos = positions.positions_all(now).T
-    n = pos.shape[1]
-    out = np.empty(n)
-    engine._from_point(pos[:, origin].tolist(), pos, np.empty((3, n)), np.empty(n), out)
-    return out
+    return engine._norms(pos - pos[:, origin, None], np.empty(pos.shape[1]))
 
 
 def _check_block_row(sim, k: int, rows: int) -> np.ndarray:

@@ -509,13 +509,13 @@ def test_static_index_and_local_vm_pick_as_the_full_path():
                 got = None
             assert got == want, (policy, arch, cands)
             if policy is PolicyId.TRADE_OFF:
-                # no far set: a shortlist of one is the pick, a longer one reads the column
-                assert reads in ([], ["fill"]), reads
-                skipped_reads += not reads
+                # no far set, so no kept terms: every feasible VM is scored on the
+                # column, which an empty feasible set leaves unread
+                assert reads == ([] if got is None else ["fill"]), reads
             elif policy is not PolicyId.DISTANCE_ONLY or cands[local].host_layer in arch:
                 assert "fill" not in reads, policy  # placed without the distance column
                 skipped_reads += 1
-    assert skipped_reads > 900
+    assert skipped_reads > 800
 
 
 def test_distance_only_keeps_the_origin_vm_on_a_tie_at_zero():

@@ -9,10 +9,12 @@ picks must agree exactly: on random full-size views, on views built to
 sit exactly on a decision boundary, where one rounding step in any score
 term flips the choice, and on the edge values of each indicator.
 
-trade_off's shortlist, which scores only the candidates whose compute
-term can still win and, when they are all far VMs, takes their
-distances from the source's `far_row`, and weight_greedy's, which takes
-the far set's distance and energy terms from its `far_terms`, run
+Each policy's fallback scores the feasible set that _feasible gives:
+the column's, or with `feasible_sets` the source's, which the "sets"
+views serve from their column against reach_row. trade_off's shortlist,
+which its kept far terms give where no first-block VM can join it and
+which it scores on the source's `far_row`, and weight_greedy's, which
+takes the far set's distance and energy terms from its `far_terms`, run
 whenever the view's static facts allow them; the shortlist tests below
 put the column behind a logging ColumnSource and compare with the
 reference on the same column.
@@ -39,10 +41,12 @@ from satmist.orchestrate import (
     Selection,
     _feasible_indices,
     _spread,
+    distance_only,
+    reach_row,
     trade_off,
     weight_greedy,
 )
-from support import ColumnSource, TaskInfo, far_term_source
+from support import ColumnSource, TaskInfo, far_term_source, serve_sets
 
 N = 1042  # VMs of the default 1000 + 24 + 18 constellation
 ALL = frozenset(Layer)
@@ -55,6 +59,15 @@ CLOUD_HEAVY = {Layer.MIST: 1.0, Layer.EDGE_DC: 1.0, Layer.CLOUD: 1.2}
 
 
 # -- the earlier implementations, kept verbatim ---------------------------
+
+def reference_distance_only(view: CandidateView, task, architecture, *,
+                            link: LinkParams = DEFAULT_LINK) -> Selection:
+    """The nearest candidate within reach, first on ties (a view with no `local`)."""
+    idx = np.flatnonzero(view.distances <= reach_row(view, architecture, link))
+    if idx.size == 0:
+        raise PlacementError("no feasible candidate")
+    return Selection(int(view.vm_ids[idx[np.argmin(view.distances[idx])]]))
+
 
 def reference_trade_off(view: CandidateView, task, architecture, *, link: LinkParams = DEFAULT_LINK,
                         layer_weights: Mapping[Layer, float] = DEFAULT_TRADEOFF_LAYER_WEIGHTS) -> Selection:
@@ -113,7 +126,11 @@ def make_view(codes, distances, queues, mips, static_feasible=None) -> Candidate
 
 def random_view(rng: np.random.Generator, *, feasibility: str, equal_queues=False,
                 equal_distances=False, crossover=DEFAULT_RADIO.crossover_m):
-    """A 1,042-VM view with edge values planted, and the architecture and link to place on."""
+    """A 1,042-VM view with edge values planted, and the architecture and link to place on.
+
+    Feasibility is "every" VM's or a "subset" of layers, static, or checked
+    per task against short ranges, on the column ("per_task") or from the
+    source's feasible sets ("sets")."""
     codes = np.repeat([0, 1, 2], [1000, 24, 18])
     mips = np.choose(codes, [10_000.0, 40_000.0, 100_000.0])
     distances = rng.uniform(0.0, 2.4e7, N)
@@ -138,10 +155,13 @@ def random_view(rng: np.random.Generator, *, feasibility: str, equal_queues=Fals
         arch = frozenset({Layer.EDGE_DC, Layer.CLOUD}) if rng.random() < 0.5 \
             else frozenset({Layer.MIST, Layer.CLOUD})
         static = np.flatnonzero(np.isin(codes, [LAYER_CODE[layer] for layer in arch]))
-    else:  # checked per task against short ranges
+    else:
         arch = ALL if rng.random() < 0.5 else frozenset({Layer.MIST, Layer.EDGE_DC})
         link = SHORT_LINK
-    return make_view(codes, distances, queues, mips, static), arch, link
+    v = make_view(codes, distances, queues, mips, static)
+    if feasibility == "sets":
+        serve_sets(v, arch, link)
+    return v, arch, link
 
 
 def random_task(rng: np.random.Generator) -> TaskInfo:
@@ -167,7 +187,10 @@ def picks(policy, reference, view, task, arch, **kwargs):
 
 # -- random full-size views ------------------------------------------------
 
-@pytest.mark.parametrize("feasibility", ["every", "subset", "per_task"])
+FEASIBILITIES = ["every", "subset", "per_task", "sets"]
+
+
+@pytest.mark.parametrize("feasibility", FEASIBILITIES)
 @pytest.mark.parametrize("spans", ["varied", "equal_queues", "equal_distances", "both_equal"])
 def test_weight_greedy_picks_as_reference_on_random_views(feasibility, spans):
     rng = np.random.default_rng([7, len(feasibility), len(spans)])
@@ -177,12 +200,16 @@ def test_weight_greedy_picks_as_reference_on_random_views(feasibility, spans):
                                     equal_queues=spans in ("equal_queues", "both_equal"),
                                     equal_distances=spans in ("equal_distances", "both_equal"),
                                     crossover=radio.crossover_m)
-        got, want = picks(weight_greedy, reference_weight_greedy, v, random_task(rng), arch,
+        task = random_task(rng)
+        if feasibility == "sets":  # the terms the engine computes for the task's bits
+            serve_sets(v, arch, link, task.input_bits, radio)
+        got, want = picks(weight_greedy, reference_weight_greedy, v, task, arch,
                           link=link, radio=radio)
         assert got == want
+        assert ("sets" in v.source.reads) == (feasibility == "sets")
 
 
-@pytest.mark.parametrize("feasibility", ["every", "subset", "per_task"])
+@pytest.mark.parametrize("feasibility", FEASIBILITIES)
 def test_trade_off_picks_as_reference_on_random_views(feasibility):
     rng = np.random.default_rng([11, len(feasibility)])
     for _ in range(60):
@@ -192,6 +219,21 @@ def test_trade_off_picks_as_reference_on_random_views(feasibility):
         got, want = picks(trade_off, reference_trade_off, v, random_task(rng), arch,
                           link=link, layer_weights=weights)
         assert got == want
+        assert ("sets" in v.source.reads) == (feasibility == "sets")
+
+
+@pytest.mark.parametrize("feasibility", FEASIBILITIES)
+def test_distance_only_picks_as_reference_on_random_views(feasibility):
+    # no `local`, so every pick is the nearest feasible VM, on the column or the
+    # source's set
+    rng = np.random.default_rng([5, len(feasibility)])
+    for _ in range(60):
+        v, arch, link = random_view(rng, feasibility=feasibility,
+                                    equal_distances=rng.random() < 0.2)
+        got, want = picks(distance_only, reference_distance_only, v, random_task(rng), arch,
+                          link=link)
+        assert got == want
+        assert ("sets" in v.source.reads) == (feasibility == "sets")
 
 
 @pytest.mark.parametrize("radio", RADIOS, ids=["default_radio", "split_radio"])
@@ -307,30 +349,28 @@ UNIT_TASK = TaskInfo(length_mi=1.0)
 EQUAL_WEIGHTS = {layer: 1.0 for layer in Layer}
 
 
-def shortlist_picks(v, task, arch, max_distance=None, **kwargs):
-    """(pick with v's column behind a fresh ColumnSource, reference pick on the
-    same column, the source's reads before the reference read the column:
-    "fill" or "row")."""
-    column = v.distances
-    v.max_distance = float(column.max()) if max_distance is None else max_distance
-    v.source = source = ColumnSource(column, None if v.far is None else v.far.start)
-    if v.static_feasible is None:
-        v.static_feasible = np.flatnonzero(np.isin(v.layer_codes, [LAYER_CODE[x] for x in arch]))
-    got = trade_off(v, task, arch, **kwargs).vm_id
-    seen = list(source.reads)
-    want = reference_trade_off(v, task, arch, **kwargs).vm_id
-    return got, want, seen
+def kept_path(path: str, seen: list) -> str:
+    """kept_picks' path and reads as one of "one" (the kept terms shortlisted one
+    VM and read no distance), "row" (they scored more on the far row) or
+    "fill" (every feasible VM scored on the column)."""
+    if path == "kept":
+        assert seen in ([], ["row"]), seen
+        return seen[0] if seen else "one"
+    assert seen == ["fill"], seen
+    return "fill"
 
 
 @pytest.mark.parametrize("arch", [ALL, frozenset({Layer.EDGE_DC, Layer.CLOUD}),
                                   frozenset({Layer.MIST, Layer.CLOUD})],
                          ids=["every_layer", "no_mist", "no_edge"])
-def test_trade_off_shortlist_picks_as_reference_on_tied_views(arch):
+def test_trade_off_shortlist_picks_as_reference_on_tied_views(monkeypatch, arch):
     # Equal weights and mips shared across layers give exact compute-term ties
     # between layers; few queue lengths make shortlists of every size from one
     # up to about 100, and few distances give ties inside them. The far set
-    # starts at a random index: trade_off reads its row only when every
-    # shortlisted VM lies there, whatever their layers.
+    # starts at a random index, whatever the layers on either side: the kept
+    # terms place only when no VM before it can join the shortlist, as where
+    # those VMs often run at a tenth of the MIPS, and read the far row only for
+    # a shortlist of more than one.
     rng = np.random.default_rng([13, len(arch), LAYER_CODE[min(arch)]])
     paths = {"one": 0, "row": 0, "fill": 0}
     for _ in range(400):
@@ -341,35 +381,39 @@ def test_trade_off_shortlist_picks_as_reference_on_tied_views(arch):
         mips = rng.choice([10_000.0, 40_000.0], n)
         distances = rng.choice(rng.uniform(0.0, 2.4e7, 4), n)
         task = TaskInfo(length_mi=float(rng.choice([2e3, 2e4, 7_777.0])))
+        start = int(rng.integers(1, n))
+        if rng.random() < 0.6:
+            mips[:start] /= 10.0
         v = make_view(codes, distances, queues, mips)
-        v.far = FarSet(int(rng.integers(1, n)), 0.0)
-        got, want, seen = shortlist_picks(v, task, arch,
-                                          max_distance=float(rng.choice([2.4e7, 3.3e7])),
-                                          layer_weights=EQUAL_WEIGHTS)
+        v.far = FarSet(start, 0.0)
+        got, want, seen, path = kept_picks(monkeypatch, v, task, arch,
+                                           float(rng.choice([2.4e7, 3.3e7])), EQUAL_WEIGHTS)
         assert got == want
-        assert seen in ([], ["fill"], ["row"])
-        paths[seen[0] if seen else "one"] += 1
+        paths[kept_path(path, seen)] += 1
     assert min(paths.values()) >= 15, paths
 
 
-def test_trade_off_shortlist_of_one_reads_no_distance():
-    # candidate 2's compute term beats every other by more than any distance can add
-    v = make_view([0, 1, 2, 0], [1e6, 2e6, 3e7, 5e6], [4.0, 4.0, 0.0, 4.0], [10_000.0] * 4)
-    got, want, seen = shortlist_picks(v, TaskInfo(length_mi=20_000.0), ALL)
-    assert got == want == v.vm_ids[2]
-    assert seen == []
+def test_trade_off_shortlist_of_one_reads_no_distance(monkeypatch):
+    # cloud VM 3's compute term beats every other by more than any distance can
+    # add, and the mist VMs' floor, at a tenth of the far VMs' MIPS, lies above it
+    v = make_view([0, 0, 1, 2], [0.0, 5e6, 2e6, 2e7], [4.0, 4.0, 4.0, 0.0],
+                  [1_000.0, 1_000.0, 10_000.0, 10_000.0])
+    v.far = FarSet(2, CHORD)
+    got, want, seen, path = kept_picks(monkeypatch, v, TaskInfo(length_mi=20_000.0), ALL, 2.4e7,
+                                       DEFAULT_TRADEOFF_LAYER_WEIGHTS)
+    assert got == want == v.vm_ids[3]
+    assert path == "kept" and seen == []
 
 
 @pytest.mark.parametrize("step", [-1, 0, 1], ids=["ulp_below", "at_bound", "ulp_above"])
 @pytest.mark.parametrize("order", ["min_first", "min_last"])
-@pytest.mark.parametrize("kept", [False, True], ids=["numpy", "kept"])
-def test_trade_off_shortlist_bound_is_exact(monkeypatch, step, order, kept):
+def test_trade_off_shortlist_bound_is_exact(monkeypatch, step, order):
     # With unit length, weight and mips the compute term is queue_len + 1. The
     # c_min candidate sits at max_distance, so its score is fl(c_min + D); the
     # other, at 0 m, has its compute term at that bound or one ulp either side.
     # Both are far VMs; the mist VM before them lies beyond the bound, and its
     # MIPS of 0.25 puts the first block's floor c0 at 4, above the bound too, so
-    # with kept far terms no numpy call is made.
+    # the kept far terms place with no numpy call.
     max_distance = 2e8
     c_min = 2.0
     bound = c_min + max_distance / DEFAULT_LINK.propagation_speed_mps
@@ -380,52 +424,55 @@ def test_trade_off_shortlist_bound_is_exact(monkeypatch, step, order, kept):
         queues, distances = queues[::-1], distances[::-1]
     v = make_view([0, 1, 1], [0.0, *distances], [9.0, *queues], [0.25, 1.0, 1.0])
     v.far = FarSet(1, CHORD)
-    if kept:
-        got, want, seen, path = kept_picks(monkeypatch, v, UNIT_TASK, ALL, max_distance,
-                                           DEFAULT_TRADEOFF_LAYER_WEIGHTS)
-        assert v.far.c0 == 4.0 and path == "kept"
-    else:
-        got, want, seen = shortlist_picks(v, UNIT_TASK, ALL, max_distance=max_distance)
+    got, want, seen, path = kept_picks(monkeypatch, v, UNIT_TASK, ALL, max_distance,
+                                       DEFAULT_TRADEOFF_LAYER_WEIGHTS)
+    assert v.far.c0 == 4.0 and path == "kept"
     assert got == want
     assert seen == ([] if step > 0 else ["row"])
     if step == 0:  # an exact tie: the first index wins
         assert got == v.vm_ids[1]
 
 
-def test_trade_off_shortlist_distance_ties_go_to_the_first_index():
-    # far candidates 2, 4 and 5 tie on both terms, below 1 and 3; mist VM 0 lies
-    # beyond the bound
+def test_trade_off_shortlist_distance_ties_go_to_the_first_index(monkeypatch):
+    # far candidates 2, 4 and 5 tie on both terms, below 1 and 3; mist VM 0, at a
+    # tenth of their MIPS, lies beyond the bound
     distances = [0.0, 5e6, 2e6, 4e6, 2e6, 2e6]
-    v = make_view([0, 1, 1, 2, 2, 2], distances, [9.0, 1.0, 1.0, 1.0, 1.0, 1.0], [10_000.0] * 6)
+    v = make_view([0, 1, 1, 2, 2, 2], distances, [9.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+                  [1_000.0] + [10_000.0] * 5)
     v.far = FarSet(1, CHORD)
-    got, want, seen = shortlist_picks(v, TaskInfo(length_mi=20_000.0), ALL, max_distance=2.4e7,
-                                      layer_weights=EQUAL_WEIGHTS)
+    got, want, seen, path = kept_picks(monkeypatch, v, TaskInfo(length_mi=20_000.0), ALL, 2.4e7,
+                                       EQUAL_WEIGHTS)
     assert got == want == v.vm_ids[2]
-    assert seen == ["row"]
+    assert path == "kept" and seen == ["row"]
 
 
-def test_trade_off_shortlist_skips_a_disabled_layer():
+def test_trade_off_shortlist_skips_a_disabled_layer(monkeypatch):
     # the edge VMs, between the mist and cloud blocks, have the smallest compute
-    # terms but their layer is disabled; the mist VMs lie beyond the bound
+    # terms but their layer is disabled; the mist VMs, at a tenth of the far VMs'
+    # MIPS, lie beyond the bound
     codes = [0, 0, 1, 1, 2, 2]
     queues = [8.0, 8.0, 0.0, 0.0, 1.0, 1.0]
-    arch = MIST_ONLY_CLOUD
-    v = make_view(codes, [0.0, 1e6, 0.0, 0.0, 9e6, 3e6], queues, [10_000.0] * 6)
+    v = make_view(codes, [0.0, 1e6, 0.0, 0.0, 9e6, 3e6], queues,
+                  [1_000.0, 1_000.0] + [10_000.0] * 4)
     v.far = FarSet(2, CHORD)
-    got, want, seen = shortlist_picks(v, TaskInfo(length_mi=20_000.0), arch, max_distance=2.4e7)
+    got, want, seen, path = kept_picks(monkeypatch, v, TaskInfo(length_mi=20_000.0),
+                                       MIST_ONLY_CLOUD, 2.4e7, DEFAULT_TRADEOFF_LAYER_WEIGHTS)
     assert v.static_feasible.tolist() == [0, 1, 4, 5]
     assert got == want == v.vm_ids[5]
-    assert seen == ["row"]
+    assert path == "kept" and seen == ["row"]
 
 
 @pytest.mark.parametrize("size", [2, 9, 24, 25, 29, 42])
 @pytest.mark.parametrize("mist_member", [False, True], ids=["all_far", "with_mist"])
-def test_trade_off_far_shortlist_scored_from_the_row_at_any_length(size, mist_member):
+def test_trade_off_far_shortlist_scored_from_the_row_at_any_length(monkeypatch, size,
+                                                                  mist_member):
     # a 1,042-VM layer-major view whose shortlist is `size` edge and cloud VMs
-    # tying on the compute term, with tied distances among them; with a far set
-    # the source scores them from the arrival's far row, however many, unless a
-    # mist VM joins them, which makes the shortlist read the column
+    # tying on the compute term, with tied distances among them. With the mist
+    # VMs at a tenth of their MIPS none can join, and the kept terms score the
+    # shortlist from the arrival's far row, however long; at the far VMs' MIPS
+    # an idle mist VM can join, and every feasible VM is scored on the column
     codes = np.repeat([0, 1, 2], [1000, 24, 18])
+    mips = np.where(codes == 0, 10_000.0 if mist_member else 1_000.0, 10_000.0)
     for seed in range(20):
         rng = np.random.default_rng([seed, size])
         queues = np.full(N, 9.0)
@@ -433,12 +480,12 @@ def test_trade_off_far_shortlist_scored_from_the_row_at_any_length(size, mist_me
         if mist_member:
             queues[rng.integers(1000)] = 0.0
         distances = rng.choice(rng.uniform(R_EDGE - R_MIST, R_CLOUD + R_MIST, 3), N)
-        v = make_view(codes, distances, queues, [10_000.0] * N)
+        v = make_view(codes, distances, queues, mips)
         v.far = FarSet(1000, CHORD)
-        got, want, seen = shortlist_picks(v, TaskInfo(length_mi=20_000.0), ALL, max_distance=2.4e7,
-                                          layer_weights=EQUAL_WEIGHTS)
+        got, want, seen, path = kept_picks(monkeypatch, v, TaskInfo(length_mi=20_000.0), ALL,
+                                           2.4e7, EQUAL_WEIGHTS)
         assert got == want
-        assert seen == (["fill"] if mist_member else ["row"])
+        assert (path, seen) == (("numpy", ["fill"]) if mist_member else ("kept", ["row"]))
 
 
 # -- weight_greedy's dominance shortlist -----------------------------------
@@ -970,9 +1017,9 @@ def test_weight_greedy_busy_origin_extrema_are_the_feasible_sets(monkeypatch, ar
     # scored in Python floats: only a placement sent on to the column
     # normalizes in numpy, the full path's four indicators.
     used, scaled = record_extremes(monkeypatch), []
-    scale_into = orchestrate._scale_into
-    monkeypatch.setattr(orchestrate, "_scale_into",
-                        lambda *args: scaled.append(True) or scale_into(*args))
+    minmax_into = orchestrate._minmax_into
+    monkeypatch.setattr(orchestrate, "_minmax_into",
+                        lambda *args: scaled.append(True) or minmax_into(*args))
     rng = np.random.default_rng([59, len(arch), LAYER_CODE[max(arch)]])
     checked = lowered = 0
     for k in range(40):
