@@ -29,6 +29,9 @@ from .sweep import DEFAULT_COUNTS, SweepSpec, derive_config, run_sweep
 
 # Upper bound on the steps, duration_s / step, one trace export writes.
 MAX_STEPS = 1_000_000
+# Upper bound on the rows, satellites x sample times, one trace export writes:
+# about 330 MB of CSV and 20 s at some 4 µs a row; the defaults at 1 s write 626,242.
+MAX_ROWS = 5_000_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,14 +154,19 @@ def cmd_trace_export(args: argparse.Namespace) -> int:
             f"simulation.duration_s / step must be at most {MAX_STEPS:,} steps, "
             f"got {config.duration_s / step:.3g}"
         )
-    layered = build_constellation(config.constellation)
-    provider = OrbitPositions([elements for _, elements in layered])
     times = []
     t, k = 0.0, 0
     while t <= config.duration_s:
         times.append(t)
         k += 1
         t = k * step
+    rows = config.constellation.total * len(times)
+    if rows > MAX_ROWS:
+        raise ConfigurationError(
+            f"satellites x sample times must be at most {MAX_ROWS:,} trace rows, got {rows:,}"
+        )
+    layered = build_constellation(config.constellation)
+    provider = OrbitPositions([elements for _, elements in layered])
     ids = range(len(layered))
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:

@@ -39,9 +39,13 @@ compute terms are kept as floats, updated at each queue change (see
 orchestrate.trade_off_term_hook), and round_robin's picks are a cycle
 over the feasible VMs (orchestrate.round_robin_turns). On Walker shells
 a Geometry also holds a PlaneQuery over its first layer, which finds the
-VMs near a busy origin for weight_greedy. Transfers charge radio energy
-on both ends; results are censored, not extrapolated, at the simulation
-horizon.
+VMs near a busy origin for weight_greedy. Every position comes from
+orbital.py, the only module that knows the orbit formula: columns and
+blocks from OrbitPositions.positions_over (positions_all is its one-time
+view), a far block's origins from positions_at, and one satellite or one
+pair from orbital.orbit_point and orbital.orbits_apart. Transfers charge
+radio energy on both ends; results are censored, not extrapolated, at the
+simulation horizon.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ from .infra import Vm, build_nodes
 from .layers import LAYER_CODE, LAYER_ORDER, Layer
 from .netenergy import rx_energy, tx_energy
 from .orbital import (ConstellationSpec, OrbitPositions, Phasing, PlaneQuery, build_constellation,
-                      constellation_key)
+                      constellation_key, orbit_point, orbits_apart)
 from .orchestrate import (DEFAULT_TRADEOFF_LAYER_WEIGHTS, QUEUE_BLIND_POLICIES, CandidateView,
                           FarSet, PlacementError, PolicyId, far_term_hook, feasible_terms,
                           reach_row, round_robin_turns, select, trade_off_term_hook)
@@ -259,10 +263,10 @@ class _Distances:
     origin at its creation time. `column` is the distance to every
     satellite, computed on its first read at each instant, by one
     positions_all call, into a buffer the next instant's column
-    overwrites. `pair` is one distance at any time, from the two
-    satellites' orbit rows in Python floats on the C library's cos and sin,
-    which numpy's float64 cos and sin are. Every read equals the others bit
-    for bit where they overlap.
+    overwrites. `pair` is one distance at any time, by orbital.orbits_apart
+    on the two satellites' orbit rows in Python floats. Every position
+    comes from orbital.py's one orbit formula, and every read equals the
+    others bit for bit where they overlap.
 
     With `reach` set (see orchestrate.reach_row), for runs that check
     feasibility per task on an OrbitPositions, nearly every placement
@@ -294,9 +298,10 @@ class _Distances:
     columns nearest first, and `far_terms` reads arrival k's row and order.
     With a PlaneQuery `near` over the first block, `near(r)` gives the
     first-block satellites it finds within r of the origin and their
-    distances, computed as `pair` computes them, and `near_radius` is the
-    radius weight_greedy's busy-origin path asks for first (None without
-    a query, which leaves busy origins on the full path). `to_vm` reads
+    distances, by orbital.orbit_point as `pair` computes them, and
+    `near_radius` is the radius weight_greedy's busy-origin path asks for
+    first (None without a query, which leaves busy origins on the full
+    path). `to_vm` reads
     what this placement computed, else `pair`. Holds no reference to the
     Simulation, so its view keeps no finished run alive.
     """
@@ -474,7 +479,7 @@ class _Distances:
     def pair(self, origin: int, host: int, now: float) -> float:
         """column's distance from `origin` to `host` at `now`, computed alone."""
         if self._orbits is not None:
-            return _orbits_apart(self._orbits[origin], self._orbits[host], now)
+            return orbits_apart(self._orbits[origin], self._orbits[host], now)
         return _apart(*self._positions.positions_all(now)[[origin, host]].tolist())
 
     def near(self, r: float) -> tuple[list[int], list[float]]:
@@ -483,11 +488,11 @@ class _Distances:
         at most r, and their column distances, as `pair` computes them, with the
         origin's position computed once."""
         orbits, now = self._orbits, self.now
-        ox, oy, oz = _orbit_point(orbits[self.origin], now)
+        ox, oy, oz = orbit_point(orbits[self.origin], now)
         ids = self._near.within(ox, oy, oz, now, r)
         distances = []
         for j in ids:
-            x, y, z = _orbit_point(orbits[j], now)
+            x, y, z = orbit_point(orbits[j], now)
             dx, dy, dz = x - ox, y - oy, z - oz
             distances.append(math.sqrt((dx * dx + dy * dy) + dz * dz))
         return ids, distances
@@ -509,38 +514,6 @@ def _apart(o, h) -> float:
     """Distance between points o and h, squares summed in _norms' order."""
     dx, dy, dz = h[0] - o[0], h[1] - o[1], h[2] - o[2]
     return math.sqrt((dx * dx + dy * dy) + dz * dz)
-
-
-def _orbits_apart(o, h, now: float) -> float:
-    """Distance at `now` between the satellites on OrbitPositions orbit rows o
-    and h: _orbit_point's operations for each, written out, then _apart's.
-    Every download takes one; with two _orbit_point calls here, full_walker's
-    round_robin tasks per second fell 5.8% and random_vm's 3.7%, in 6 of 6
-    alternating perfbench pairs (seed 1, 40 s, 2-vCPU host)."""
-    a, rate, phase, ci, si, co, so = o
-    theta = rate * now + phase
-    ct, st = math.cos(theta), math.sin(theta)
-    buf = st * ci
-    ox, oy, oz = a * (ct * co - buf * so), a * (buf * co + ct * so), a * (st * si)
-    a, rate, phase, ci, si, co, so = h
-    theta = rate * now + phase
-    ct, st = math.cos(theta), math.sin(theta)
-    buf = st * ci
-    dx = a * (ct * co - buf * so) - ox
-    dy = a * (buf * co + ct * so) - oy
-    dz = a * (st * si) - oz
-    return math.sqrt((dx * dx + dy * dy) + dz * dz)
-
-
-def _orbit_point(row, now: float) -> tuple[float, float, float]:
-    """Position at `now` of the satellite on OrbitPositions orbit row `row`:
-    positions_all's float operations, in Python floats on math.cos and
-    math.sin."""
-    a, rate, phase, ci, si, co, so = row
-    theta = rate * now + phase
-    ct, st = math.cos(theta), math.sin(theta)
-    buf = st * ci
-    return a * (ct * co - buf * so), a * (buf * co + ct * so), a * (st * si)
 
 
 class Geometry:

@@ -1,7 +1,10 @@
 """Constellation geometry: circular-orbit propagation and trace export.
 
 Satellite positions come from an analytic propagator over circular
-Keplerian orbits. dump_trace writes them out as a CSV trace.
+Keplerian orbits, and this is the only module that knows its formula:
+OrbitPositions.positions_over gives many satellites at many times in
+numpy, orbit_point one satellite in Python floats. dump_trace writes
+positions out as a CSV trace.
 """
 
 from __future__ import annotations
@@ -72,25 +75,6 @@ def orbital_period_s(elements: OrbitalElements) -> float:
 def angular_rate_rad_s(elements: OrbitalElements) -> float:
     a = elements.semi_major_axis_m
     return math.sqrt(MU_EARTH_M3_S2 / (a * a * a))
-
-
-def position_at(elements: OrbitalElements, t_seconds: float) -> tuple[float, float, float]:
-    """Earth-centered (x, y, z) position in meters on the circular orbit at time t.
-
-    The in-plane point (a*cos(theta), a*sin(theta), 0) with
-    theta = phase + n*t is rotated about x by the inclination and then
-    about z by the RAAN. Pure function of its inputs.
-    """
-    a = elements.semi_major_axis_m
-    theta = elements.phase_rad + angular_rate_rad_s(elements) * t_seconds
-    ct, st = math.cos(theta), math.sin(theta)
-    ci, si = math.cos(elements.inclination_rad), math.sin(elements.inclination_rad)
-    co, so = math.cos(elements.raan_rad), math.sin(elements.raan_rad)
-    return (
-        a * (ct * co - st * ci * so),
-        a * (ct * so + st * ci * co),
-        a * (st * si),
-    )
 
 
 class Phasing(str, Enum):
@@ -205,25 +189,23 @@ def constellation_key(spec: ConstellationSpec) -> tuple:
 class OrbitPositions:
     """Vectorized position source for a fixed satellite list.
 
-    Per-satellite orbit constants are precomputed. Satellites that share
-    a (mean motion, phase) pair share the orbit angle rate*t + phase at
-    every t, as equal slots of different planes do in a Walker shell, so
-    positions_all takes one cos and one sin per distinct pair and gathers
-    them per satellite. Positions are written into one preallocated
-    (3, n) buffer; positions_all returns its (n, 3) transposed view,
-    valid until the next call, so instances are not safe to share across
-    threads. positions_over does the same at several times at once, into
-    buffers of its own. positions_at gives satellites at times of their
-    own, one angle each. Both use positions_all's numpy operations, so
-    their coordinates equal its rows bit for bit. `_by_satellite` holds each
-    satellite's orbit row as a tuple of floats, for distances computed in
-    Python floats (engine._orbits_apart).
+    `_orbits` holds each satellite's orbit constants as a column (a, rate,
+    phase, cos i, sin i, cos raan, sin raan), and `_by_satellite` the same
+    row per satellite as a tuple of floats, for orbit_point and
+    orbits_apart. Satellites that share a (mean motion, phase) pair share
+    the orbit angle rate*t + phase at every t, as equal slots of different
+    planes do in a Walker shell, so positions_over takes one cos and one
+    sin per distinct pair and time and gathers them per satellite, into
+    buffers reused from call to call; positions_all is its one-time view,
+    so instances are not safe to share across threads. positions_at gives
+    satellites at times of their own, one angle each, and position_one
+    one satellite by orbit_point. All four do orbit_point's float
+    operations, so their coordinates agree bit for bit.
     """
 
     def __init__(self, elements: Sequence[OrbitalElements]):
         if not elements:
             raise ConfigurationError("OrbitPositions needs at least one satellite")
-        self._elements = tuple(elements)
         n = len(elements)
         orbits = np.array([
             [e.semi_major_axis_m for e in elements],
@@ -240,60 +222,32 @@ class OrbitPositions:
         self._by_satellite = tuple(map(tuple, orbits.T.tolist()))
         key = np.empty(n, dtype=np.complex128)
         key.real, key.imag = rate, phase
-        angles, group = np.unique(key, return_inverse=True)
-        g = len(angles)
+        angles, self._group = np.unique(key, return_inverse=True)
         self._rate, self._phase = angles.real.copy(), angles.imag.copy()
-        self._theta = np.empty(g)
-        self._trig_by_angle = np.empty((2, g))
-        # flat indices into _trig_by_angle that fill _trig with the rows
-        # cos, cos, sin, sin of each satellite's angle
-        self._gather = np.concatenate((group, group, group + g, group + g))
-        self._group = group
-        self._trig = np.empty((4, n))
-        # constants tiled to the shapes they multiply, so no operand broadcasts
-        self._ci2 = np.array([ci, ci])
-        self._co_so = np.array([co, so])
-        self._neg_so_co = np.array([-so, co])
-        self._si = si
-        self._a3 = np.array([a, a, a])
-        self._terms = np.empty((2, n))
-        self._xyz = np.empty((3, n))
+        self._ci, self._si, self._neg_so, self._co = ci, si, -so, co
+        # constants shaped to the (2 or 3, m, n) arrays they multiply
+        self._co_so = np.array([co, so])[:, None]
+        self._a3 = np.array([a, a, a])[:, None]
         # positions_over's buffers, made at its first call
         self._over: tuple[np.ndarray, ...] = ()
 
     def __len__(self) -> int:
-        return len(self._elements)
+        return len(self._by_satellite)
 
     def positions_all(self, t_seconds: float) -> np.ndarray:
-        """All positions at time t as an (n, 3) view of a reused buffer."""
-        theta, by_angle, trig, terms, xyz = (
-            self._theta, self._trig_by_angle, self._trig, self._terms, self._xyz)
-        np.multiply(self._rate, t_seconds, out=theta)
-        theta += self._phase
-        np.cos(theta, out=by_angle[0])
-        np.sin(theta, out=by_angle[1])
-        # mode="clip" lets take write into `out` unbuffered; indices are in range
-        by_angle.ravel().take(self._gather, out=trig.ravel(), mode="clip")
-        # x = a*(ct*co - st*ci*so) and y = a*(ct*so + st*ci*co), both rows at once;
-        # (st*ci)*(-so) is -((st*ci)*so) exactly, so adding it subtracts
-        np.multiply(trig[2:], self._ci2, out=terms)
-        terms *= self._neg_so_co
-        np.multiply(trig[:2], self._co_so, out=xyz[:2])
-        xyz[:2] += terms
-        # z = a*st*si
-        np.multiply(trig[3], self._si, out=xyz[2])
-        xyz *= self._a3
-        return xyz.T
+        """All positions at time t as an (n, 3) view of positions_over's buffer,
+        valid until the next positions_all or positions_over call."""
+        return self.positions_over((t_seconds,))[:, 0].T
 
     def positions_over(self, times: Sequence[float] | np.ndarray) -> np.ndarray:
-        """positions_all at each of m `times`, as a (3, m, n) view of reused buffers:
-        [:, i] is positions_all(times[i]).T, bit for bit. It is valid until the
-        next call, and the caller may overwrite it.
+        """Positions at each of m `times`, as a (3, m, n) view of reused buffers:
+        [:, i, j] is orbit_point's (x, y, z) of satellite j at times[i], bit for
+        bit. It is valid until the next call, and the caller may overwrite it.
 
-        positions_all's operations with a leading axis of times: one cos and one
-        sin per distinct (rate, phase) and time, gathered per satellite. The
-        buffers are made at the first call, for its m times, and remade only
-        for a call of more times than any before.
+        orbit_point's operations with leading axes of coordinates and times:
+        one cos and one sin per distinct (rate, phase) and time, gathered per
+        satellite. The buffers are made at the first call, for its m times,
+        and remade only for a call of more times than any before.
         """
         m, n, g = len(times), len(self), len(self._rate)
         if not self._over or self._over[0].shape[1] < m:
@@ -309,19 +263,21 @@ class OrbitPositions:
         by_angle.take(self._group, axis=2, out=trig, mode="clip")
         ct, st = trig
         np.multiply(st, self._si, out=xyz[2])
-        np.multiply(ct, self._co_so[:, None], out=xyz[:2])
-        # positions_all's terms rows, (st*ci)*(-so) and (st*ci)*co, in trig's place
-        st *= self._ci2[0]
-        np.multiply(st, self._neg_so_co[0], out=ct)
-        st *= self._neg_so_co[1]
+        np.multiply(ct, self._co_so, out=xyz[:2])
+        # x = a*(ct*co - st*ci*so) and y = a*(ct*so + st*ci*co), both rows at once, with
+        # the terms (st*ci)*(-so) and (st*ci)*co in trig's place: (st*ci)*(-so) is
+        # -((st*ci)*so) exactly, so adding it subtracts
+        st *= self._ci
+        np.multiply(st, self._neg_so, out=ct)
+        st *= self._co
         xyz[:2] += trig
-        xyz *= self._a3[:, None]
+        xyz *= self._a3
         return xyz
 
     def positions_at(self, ids: np.ndarray, t_seconds: np.ndarray):
         """Arrays x, y, z of satellite ids[i] at time t_seconds[i], the two broadcast together.
 
-        The float operations of positions_all, elementwise.
+        The float operations of orbit_point, elementwise.
         """
         a, rate, phase, ci, si, co, so = self._orbits[:, ids]
         theta = rate * t_seconds
@@ -339,7 +295,46 @@ class OrbitPositions:
         return x, y, z
 
     def position_one(self, index: int, t_seconds: float) -> tuple[float, float, float]:
-        return position_at(self._elements[index], t_seconds)
+        return orbit_point(self._by_satellite[index], t_seconds)
+
+
+def orbit_point(row, now: float) -> tuple[float, float, float]:
+    """Earth-centered (x, y, z) position in meters at `now` of the satellite on
+    OrbitPositions orbit row `row`, in Python floats.
+
+    The in-plane point (a*cos(theta), a*sin(theta), 0) with
+    theta = rate*now + phase is rotated about x by the inclination and then
+    about z by the RAAN. math.cos and math.sin are the C library's cos and
+    sin, which numpy's float64 cos and sin are too, so every vectorized
+    position equals this one bit for bit.
+    """
+    a, rate, phase, ci, si, co, so = row
+    theta = rate * now + phase
+    ct, st = math.cos(theta), math.sin(theta)
+    buf = st * ci
+    return a * (ct * co - buf * so), a * (buf * co + ct * so), a * (st * si)
+
+
+def orbits_apart(o, h, now: float) -> float:
+    """Distance at `now` between the satellites on OrbitPositions orbit rows o
+    and h: orbit_point's operations for each, written out, then the squares
+    summed as (dx*dx + dy*dy) + dz*dz, as every distance column sums them.
+    Every download takes one; with two orbit_point calls here, full_walker's
+    round_robin tasks per second fell 5.8% and random_vm's 3.7%, in 6 of 6
+    alternating perfbench pairs (seed 1, 40 s, 2-vCPU host)."""
+    a, rate, phase, ci, si, co, so = o
+    theta = rate * now + phase
+    ct, st = math.cos(theta), math.sin(theta)
+    buf = st * ci
+    ox, oy, oz = a * (ct * co - buf * so), a * (buf * co + ct * so), a * (st * si)
+    a, rate, phase, ci, si, co, so = h
+    theta = rate * now + phase
+    ct, st = math.cos(theta), math.sin(theta)
+    buf = st * ci
+    dx = a * (ct * co - buf * so) - ox
+    dy = a * (buf * co + ct * so) - oy
+    dz = a * (st * si) - oz
+    return math.sqrt((dx * dx + dy * dy) + dz * dz)
 
 
 # added to each window's half-width: many times the rounding of the angles it is made of
@@ -355,7 +350,7 @@ class PlaneQuery:
     with normal n = (sin raan sin i, -cos raan sin i, cos i), on which
     satellite k sits at a (cos θ u + sin θ v), θ = rate t + phase_k,
     u = (cos raan, sin raan, 0) and v = (-cos i sin raan, cos i cos raan,
-    sin i), as positions_all places it. A walker_delta layer has `planes`
+    sin i), as orbit_point places it. A walker_delta layer has `planes`
     such circles; random_uniform gives one per satellite, which this query
     does not pay for, so engine.Geometry builds one for walker_delta only.
 

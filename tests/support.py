@@ -1,5 +1,6 @@
 """Test-side records and readers: candidate lists, task stand-ins, a distance
-source, a reference event loop, a reference distance source and the CSV reader.
+source, a reference event loop, a reference distance source, a reference
+propagator and the CSV reader.
 
 The simulator places over a CandidateView and writes results.csv; the
 tests build views from plain Candidate records, over a fixed distance
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import heapq
 import io
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -22,6 +24,7 @@ from satmist.engine import Event, EventKind, TaskState, _Distances
 from satmist.layers import LAYER_CODE, Layer
 from satmist.metrics import CSV_COLUMNS, MetricsRecord
 from satmist.netenergy import DEFAULT_RADIO
+from satmist.orbital import OrbitalElements, angular_rate_rad_s
 from satmist.orchestrate import CandidateView, PolicyId, far_term_hook, feasible_terms, reach_row
 
 
@@ -183,6 +186,27 @@ def columns_per_placement(sim):
                                                    far_positions=own._far_positions)
     sim._view.feasible_sets = False
     return sim
+
+
+def position_at(elements: OrbitalElements, t_seconds: float) -> tuple[float, float, float]:
+    """Earth-centered (x, y, z) position in meters on the circular orbit at time t,
+    straight from the orbital elements: the reference the simulator's
+    propagators are checked against.
+
+    The in-plane point (a*cos(theta), a*sin(theta), 0) with
+    theta = phase + n*t is rotated about x by the inclination and then
+    about z by the RAAN.
+    """
+    a = elements.semi_major_axis_m
+    theta = elements.phase_rad + angular_rate_rad_s(elements) * t_seconds
+    ct, st = math.cos(theta), math.sin(theta)
+    ci, si = math.cos(elements.inclination_rad), math.sin(elements.inclination_rad)
+    co, so = math.cos(elements.raan_rad), math.sin(elements.raan_rad)
+    return (
+        a * (ct * co - st * ci * so),
+        a * (ct * so + st * ci * co),
+        a * (st * si),
+    )
 
 
 def parse_csv(data: bytes | str) -> list[MetricsRecord]:

@@ -33,11 +33,10 @@ from satmist.orbital import (
     OrbitalElements,
     build_constellation,
     orbital_period_s,
-    position_at,
 )
 from satmist.orchestrate import PlacementError, PolicyId, select
 from satmist.sweep import PLOT_METRICS, SweepSpec, run_sweep
-from support import Candidate, TaskInfo, view_from_candidates
+from support import Candidate, TaskInfo, position_at, view_from_candidates
 
 DESK_COUNTS = (100, 200, 300)
 DESK_SEEDS = (1, 2, 3)

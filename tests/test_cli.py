@@ -6,13 +6,13 @@ import math
 import pytest
 
 from satmist import cli
-from satmist.cli import MAX_STEPS, main
+from satmist.cli import MAX_ROWS, MAX_STEPS, main
 from satmist.config import parse_config
 from satmist.errors import ConfigurationError
 from satmist.metrics import CSV_COLUMNS
-from satmist.orbital import TRACE_HEADER, OrbitPositions, build_constellation
+from satmist.orbital import TRACE_HEADER, build_constellation
 from satmist.orchestrate import PolicyId
-from support import parse_csv
+from support import parse_csv, position_at
 
 FAST = "constellation.mist=2\nconstellation.edge_dc=1\nconstellation.cloud=1\nsimulation.duration_s=20\n"
 
@@ -99,11 +99,10 @@ def test_trace_export_round_trip(fast_config, tmp_path, capsys):
     assert text.splitlines()[0] == ",".join(TRACE_HEADER)
     with open(out, encoding="utf-8", newline="") as handle:
         rows = list(csv.reader(handle))[1:]
-    # 4 satellites sampled at t = 0, 10, 20, with the exact coordinates
+    # 4 satellites sampled at t = 0, 10, 20, with the reference propagator's coordinates
     layered = build_constellation(parse_config(FAST).constellation)
-    provider = OrbitPositions([e for _, e in layered])
-    expected = [(str(i), t, *provider.position_one(i, t))
-                for i in range(4) for t in (0.0, 10.0, 20.0)]
+    expected = [(str(i), t, *position_at(e, t))
+                for i, (_, e) in enumerate(layered) for t in (0.0, 10.0, 20.0)]
     got = [(sat_id, *map(float, values)) for sat_id, *values in rows]
     assert got == expected
 
@@ -223,6 +222,30 @@ def test_step_sample_count_bound_is_inclusive(edge_config, monkeypatch):
                         lambda stream, provider, ids, times: times_written.append(len(times)))
     assert main(["trace-export", "--config", str(edge_config), f"--step={2.0**-16!r}"]) == 0
     assert times_written == [MAX_STEPS + 1]  # t = 0 and each of the MAX_STEPS steps
+
+
+def test_trace_rows_bounded(capsys, no_trace_work):
+    # the default 1,042 satellites at 1 ms: 600,000 steps, under MAX_STEPS, but
+    # 625,201,042 rows
+    assert main(["trace-export", "--step=0.001"]) == 1
+    assert f"at most {MAX_ROWS:,} trace rows, got 625,201,042" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mist, accepted", [(3, True), (4, False)])
+def test_trace_row_bound_is_inclusive(tmp_path, monkeypatch, capsys, mist, accepted):
+    # 999,999 steps of 2**-16 s give 1,000,000 sample times: 5 satellites make
+    # MAX_ROWS rows, 6 one sample time's worth more
+    assert MAX_ROWS == 5 * 1_000_000
+    path = tmp_path / "rows.cfg"
+    path.write_text(FAST.replace("constellation.mist=2", f"constellation.mist={mist}").replace(
+        "simulation.duration_s=20", f"simulation.duration_s={999_999 * 2.0**-16!r}"))
+    rows_written = []
+    monkeypatch.setattr(cli, "dump_trace", lambda stream, provider, ids, times:
+                        rows_written.append(len(ids) * len(times)))
+    code = main(["trace-export", "--config", str(path), f"--step={2.0**-16!r}"])
+    assert (code, rows_written) == ((0, [MAX_ROWS]) if accepted else (1, []))
+    if not accepted:
+        assert f"got {MAX_ROWS + 1_000_000:,}" in capsys.readouterr().err
 
 
 def test_unwritable_out_is_a_runtime_error(fast_config, tmp_path, capsys):

@@ -23,9 +23,10 @@ from satmist.orbital import (
     build_constellation,
     constellation_key,
     dump_trace,
+    orbit_point,
     orbital_period_s,
-    position_at,
 )
+from support import position_at
 
 LEO = OrbitalElements(altitude_m=400_000.0)
 
@@ -230,15 +231,15 @@ _POSITION_SPECS = pytest.mark.parametrize("spec", [
 
 
 @_POSITION_SPECS
-def test_positions_at_equals_positions_all_rows_bit_for_bit(spec):
+def test_positions_at_equals_orbit_point_bit_for_bit(spec):
     # satellite ids[i] at times[i], over every (id, t) drawn here, repeats and the
     # last satellite among them
     provider = OrbitPositions([e for _, e in build_constellation(spec)])
+    rows_of = provider._by_satellite
     n, last = len(provider), len(provider) - 1
     rng = np.random.default_rng(11)
-    drawn, rows = [], []
+    drawn = []
     for t in rng.uniform(0.0, 600.0, 300).tolist():
-        block = provider.positions_all(t)
         for size in (0, 1, 2, 3, 19, 24):
             ids = rng.integers(0, n, size).tolist()
             if size:
@@ -246,27 +247,37 @@ def test_positions_at_equals_positions_all_rows_bit_for_bit(spec):
             if size >= 3:
                 ids[0] = ids[1]  # a repeat
             drawn += [(i, t) for i in ids]
-            rows += block[ids].tolist()
+    rows = [orbit_point(rows_of[i], t) for i, t in drawn]
     ids, times = map(np.array, zip(*drawn))
     assert _bits(np.transpose(provider.positions_at(ids, times)).tolist()) == _bits(rows)
     x, y, z = provider.positions_at(ids[:50], times[:7, None])  # broadcast: (7, 50)
     for k in range(7):
         assert _bits(np.transpose([x[k], y[k], z[k]]).tolist()) == \
-            _bits(provider.positions_all(float(times[k]))[ids[:50]].tolist())
+            _bits([orbit_point(rows_of[i], float(times[k])) for i in ids[:50].tolist()])
 
 
 @_POSITION_SPECS
-def test_positions_over_equals_positions_all_bit_for_bit(spec):
+def test_positions_over_equals_orbit_point_and_the_reference_bit_for_bit(spec):
     # a one-time vector first, then vectors longer and shorter than any before it,
-    # so the buffers are made, remade and read in part
-    provider = OrbitPositions([e for _, e in build_constellation(spec)])
+    # so the buffers are made, remade and read in part; positions_all is the
+    # one-time view, read between the calls
+    elements = [e for _, e in build_constellation(spec)]
+    provider = OrbitPositions(elements)
+    rows_of = provider._by_satellite
     rng = np.random.default_rng(17)
     for m in (1, 12, 5, 30, 1, 30):
-        times = rng.uniform(0.0, 600.0, m)
-        over = provider.positions_over(times)
+        times = rng.uniform(0.0, 600.0, m).tolist()
+        expected = [[orbit_point(row, t) for row in rows_of] for t in times]
+        assert [_bits(row) for row in expected] == \
+            [_bits([position_at(e, t) for e in elements]) for t in times]
+        over = provider.positions_over(np.array(times))
         assert over.shape == (3, m, len(provider))
-        rows = [_bits(np.transpose(over[:, i]).tolist()) for i in range(m)]
-        assert rows == [_bits(provider.positions_all(float(t)).tolist()) for t in times]
+        assert [_bits(np.transpose(over[:, i]).tolist()) for i in range(m)] == \
+            [_bits(row) for row in expected]
+        assert _bits(provider.positions_all(times[0]).tolist()) == _bits(expected[0])
+        assert _bits([provider.position_one(i, times[-1]) for i in range(len(provider))]) == \
+            _bits(expected[-1])
+
 
 def test_libm_cos_sin_equal_numpy_cos_sin_on_orbit_angles():
     layered = build_constellation(ConstellationSpec())
@@ -277,7 +288,7 @@ def test_libm_cos_sin_equal_numpy_cos_sin_on_orbit_angles():
         for name, libm, vectorised in (("cos", math.cos, np.cos), ("sin", math.sin, np.sin)):
             assert _bits([list(map(libm, theta.tolist()))]) == _bits([vectorised(theta).tolist()]), (
                 f"math.{name} and np.{name} differ on orbit angles at t={t!r}: "
-                "engine._orbits_apart, behind _Distances.pair, assumes numpy's "
+                "orbital.orbits_apart, behind _Distances.pair, assumes numpy's "
                 "float64 cos and sin are the C library's, so its distances no "
                 "longer equal the distance column's bit for bit"
             )
@@ -303,7 +314,7 @@ def test_dump_then_load_round_trip():
     dump_trace(buf, provider, [str(i) for i in range(5)], times)
     rows = list(csv.reader(io.StringIO(buf.getvalue())))
     assert tuple(rows[0]) == TRACE_HEADER
-    expected = [(str(i), t, *provider.position_one(i, t)) for i in range(5) for t in times]
+    expected = [(str(i), t, *position_at(e, t)) for i, (_, e) in enumerate(layered) for t in times]
     got = [(sat_id, *map(float, values)) for sat_id, *values in rows[1:]]
     assert got == expected
 
